@@ -12,8 +12,7 @@ from .functional import (FunctionalPair, GrowthReport, SolveReport,
 from .grid import (ConfigError, GridDomain, GridFunction, Stencil,
                    build_domain, build_stencil, eval_initial_guess,
                    load_snapshot, mean_value_constant, save_snapshot)
-from .plaplace import (PLaplaceInstance, apply_plaplacian, dirichlet_energy,
-                       duality_map, jacobian, lp_norm, lq_dual_norm)
+from .plaplace import PLaplaceInstance
 from .newton import NewtonSettings, solve_p_poisson, solve_prox
 from .metrics import (IterationRecord, cosine_similarity, duality_gap,
                       dual_rayleigh_quotient, eigen_residual,
@@ -28,8 +27,7 @@ __all__ = [
     "ConfigError", "GridDomain", "GridFunction", "Stencil", "build_domain",
     "build_stencil", "eval_initial_guess", "load_snapshot",
     "mean_value_constant", "save_snapshot",
-    "PLaplaceInstance", "apply_plaplacian", "dirichlet_energy",
-    "duality_map", "jacobian", "lp_norm", "lq_dual_norm",
+    "PLaplaceInstance",
     "NewtonSettings", "solve_p_poisson", "solve_prox",
     "IterationRecord", "cosine_similarity", "duality_gap",
     "dual_rayleigh_quotient", "eigen_residual", "rayleigh_quotient",

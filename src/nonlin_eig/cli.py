@@ -1,6 +1,6 @@
 """Command line entry point.
 
-    nonlin-eig run <config.json> [--threads N] [--out DIR]
+    nonlin-eig run <config.json> [--out DIR]
     nonlin-eig validate [--scale quick|full]
     nonlin-eig describe <config.json>
 
@@ -70,7 +70,6 @@ def cmd_run(args) -> int:
     run_info = {
         "config": resolved,
         "output_dir": str(out_dir),
-        "threads": args.threads,
         "solver_tag": trace.solver_tag,
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
@@ -103,8 +102,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment from a config")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="thread hint for data-parallel kernels")
     p_run.add_argument("--out", default=None, help="override output directory")
     p_run.set_defaults(fn=cmd_run)
 

@@ -28,9 +28,12 @@ class SolveReport:
 def power_map(t: np.ndarray, p: float) -> np.ndarray:
     """The gauge |t|^(p-2) t, elementwise, with power_map(0) = 0 for any p."""
     t = np.asarray(t, dtype=float)
-    at = np.abs(t)
+    out = np.abs(t)
+    keep = out > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(at > 0.0, at ** (p - 2.0) * t, 0.0)
+        out **= p - 2.0
+        out *= t
+    np.copyto(out, 0.0, where=~keep)
     return out
 
 

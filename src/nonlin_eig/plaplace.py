@@ -6,9 +6,32 @@ with C_h = h^2 / (D_{2,p} pi r^(p+2)).  Reads outside the domain (and at
 non-interior nodes) are 0.  The discrete Dirichlet energy is defined as the
 symmetrized double sum whose exact gradient under the h^2-weighted pairing
 is -Delta_p^h, which makes the discrete Euler identity hold to roundoff.
+
+The operator, the energy and the Jacobian read the stencil through one
+neighbour table of shape (K+1, n), for K stencil offsets and n interior
+nodes numbered row-major.  Row k holds every node's neighbour at offset k;
+the node itself sits in a centre row, at the place of (0, 0) among the
+lexsorted offsets of build_stencil.  A neighbour that is not an interior
+node reads the appended zero slot n.  One gather of the interior values
+extended by that zero gives u(y) - u(x) for every (offset, node) at once:
+- the operator sums power_map of it over the offsets (the centre adds 0);
+- the energy sums |u(y)-u(x)|^p and counts each edge to a non-interior
+  node twice, once from each end, because the double sum also runs over
+  the non-interior nodes, whose values are 0;
+- the Jacobian writes its weights into CSR data on a fixed pattern read
+  from the transposed table, whose columns come sorted in each row; the
+  centre slot is the diagonal and zero-slot entries are left out.
+The table and the CSR pattern are built on first use, not in __init__, so
+that building an instance stays cheap.
+
+Two rules scale the smoothing epsilon: kernel_derivative (the prox
+diagonal) scales it by max|d| of its argument, jacobian_matrix by max|u|
+over the interior nodes.  Unifying them would change Newton iterates.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -43,14 +66,6 @@ class PLaplaceInstance(FunctionalPair):
         self.epsilon = float(epsilon)
         self._mask = domain.interior_mask
         self._h2 = domain.h ** 2
-        # interior node numbering, row-major
-        idx = -np.ones((domain.ny, domain.nx), dtype=np.int64)
-        idx[self._mask] = np.arange(self._mask.sum())
-        self._index = idx
-        m = stencil.margin
-        self._index_padded = -np.ones((domain.ny + 2 * m, domain.nx + 2 * m),
-                                      dtype=np.int64)
-        self._index_padded[m:m + domain.ny, m:m + domain.nx] = idx
 
     # --- array plumbing ------------------------------------------------------
 
@@ -66,37 +81,56 @@ class PLaplaceInstance(FunctionalPair):
         out[self._mask] = x
         return out
 
-    def _pad(self, values: np.ndarray, margin: int) -> np.ndarray:
-        ny, nx = values.shape
-        out = np.zeros((ny + 2 * margin, nx + 2 * margin))
-        out[margin:margin + ny, margin:margin + nx] = values
-        return out
+    @cached_property
+    def _centre(self) -> int:
+        """Row of the node itself: the place of (0, 0) in the offsets."""
+        dy, dx = self.stencil.offsets.T
+        return int(np.count_nonzero((dy < 0) | ((dy == 0) & (dx < 0))))
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """(K+1, n) neighbour numbers, n for a non-interior neighbour."""
+        ny, nx, n = self.domain.ny, self.domain.nx, self.n_interior
+        m = self.stencil.margin
+        number = np.full((ny + 2 * m, nx + 2 * m), n, dtype=np.intp)
+        number[m:m + ny, m:m + nx][self._mask] = np.arange(n)
+        dy, dx = np.insert(self.stencil.offsets, self._centre, (0, 0), axis=0).T
+        jj, ii = np.nonzero(self._mask)
+        return number[m + jj + dy[:, None], m + ii + dx[:, None]]
+
+    @cached_property
+    def _csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(take, indices, indptr): CSR data is the weight table raveled
+        and read at take; indices and indptr are shared, read-only."""
+        n = self.n_interior
+        rows, slots = np.nonzero(self._table.T != n)
+        indices = self._table[slots, rows].astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices.flags.writeable = indptr.flags.writeable = False
+        return slots * n + rows, indices, indptr
+
+    def _differences(self, u) -> np.ndarray:
+        """u(y) - u(x), one row per table row, one column per interior x."""
+        ext = np.zeros(self.n_interior + 1)
+        ext[:-1] = _values(u)[self._mask]
+        d = ext[self._table]
+        d -= ext[:-1]
+        return d
 
     # --- operator, energy, Jacobian ------------------------------------------
 
     def neg_plaplacian(self, u) -> np.ndarray:
         """-Delta_p^h u; zero at non-interior nodes (= subgrad of J)."""
-        vals = np.where(self._mask, _values(u), 0.0)
-        m = self.stencil.margin
-        P = self._pad(vals, m)
-        ny, nx = vals.shape
-        acc = np.zeros_like(vals)
-        for dy, dx in self.stencil.offsets:
-            nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
-            acc += power_map(nb - vals, self.p)
-        return np.where(self._mask, -self.stencil.weight * acc, 0.0)
+        acc = np.sum(power_map(self._differences(u), self.p), axis=0)
+        return self.lift_free(-self.stencil.weight * acc)
 
     def dirichlet_energy(self, u) -> float:
         """J_h(u) = (C_h h^2 / (2p)) * sum over directed stencil pairs."""
-        vals = np.where(self._mask, _values(u), 0.0)
-        m = self.stencil.margin
-        P = self._pad(vals, m)
-        Q = self._pad(P, m)
-        hy, hx = P.shape
-        total = 0.0
-        for dy, dx in self.stencil.offsets:
-            nb = Q[m + dy:m + dy + hy, m + dx:m + dx + hx]
-            total += float(np.sum(np.abs(nb - P) ** self.p))
+        a = self._differences(u)
+        np.abs(a, out=a)
+        a **= self.p
+        total = float(np.sum(a) + np.sum(a[self._table == self.n_interior]))
         return self.stencil.weight * self._h2 * total / (2.0 * self.p)
 
     def kernel_derivative(self, d: np.ndarray, epsilon: float | None = None
@@ -113,36 +147,22 @@ class PLaplaceInstance(FunctionalPair):
 
     def jacobian_matrix(self, u, epsilon: float | None = None):
         """Sparse symmetric PSD Jacobian of -Delta_p^h over interior nodes."""
-        vals = np.where(self._mask, _values(u), 0.0)
-        m = self.stencil.margin
-        P = self._pad(vals, m)
-        ny, nx = vals.shape
-        n = self.n_interior
-        rows_int = self._index[self._mask]
-        diag = np.zeros(n)
-        rows, cols, data = [], [], []
+        n, c = self.n_interior, self._centre
         if epsilon is None:
-            scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+            scale = float(np.max(np.abs(_values(u)[self._mask]), initial=0.0))
             epsilon = self.epsilon * max(1.0, scale)
-        for dy, dx in self.stencil.offsets:
-            nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
-            d = (nb - vals)[self._mask]
-            w = self.stencil.weight * (self.p - 1.0) \
-                * (d * d + epsilon * epsilon) ** ((self.p - 2.0) / 2.0)
-            diag[rows_int] += w
-            nb_idx = self._index_padded[m + dy:m + dy + ny,
-                                        m + dx:m + dx + nx][self._mask]
-            inside = nb_idx >= 0
-            rows.append(rows_int[inside])
-            cols.append(nb_idx[inside])
-            data.append(-w[inside])
-        rows.append(np.arange(n))
-        cols.append(np.arange(n))
-        data.append(diag)
-        A = scipy.sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-        return A.tocsr()
+        w = self._differences(u)
+        w *= w
+        w += epsilon * epsilon
+        w **= (self.p - 2.0) / 2.0
+        w *= self.stencil.weight * (self.p - 1.0)
+        w[c] = 0.0
+        diag = np.sum(w, axis=0)
+        np.negative(w, out=w)
+        w[c] = diag
+        take, indices, indptr = self._csr_pattern
+        return scipy.sparse.csr_matrix((w.ravel()[take], indices, indptr),
+                                       shape=(n, n))
 
     # --- FunctionalPair interface ---------------------------------------------
 
@@ -184,29 +204,3 @@ class PLaplaceInstance(FunctionalPair):
         vals = _values(w)
         return self.kernel_derivative(vals[self._mask])
 
-
-# --- module-level operations on GridFunction (thin wrappers) -----------------
-
-def apply_plaplacian(inst: PLaplaceInstance, u: GridFunction) -> GridFunction:
-    """Delta_p^h u as a GridFunction (note: subgrad_J is the negative)."""
-    return GridFunction(-inst.neg_plaplacian(u), inst.domain)
-
-
-def jacobian(inst: PLaplaceInstance, u, epsilon: float | None = None):
-    return inst.jacobian_matrix(u, epsilon=epsilon)
-
-
-def dirichlet_energy(inst: PLaplaceInstance, u) -> float:
-    return inst.dirichlet_energy(u)
-
-
-def lp_norm(inst: PLaplaceInstance, u) -> float:
-    return inst.norm_H(u)
-
-
-def lq_dual_norm(inst: PLaplaceInstance, zeta) -> float:
-    return inst.dual_norm_H(zeta)
-
-
-def duality_map(inst: PLaplaceInstance, u: GridFunction) -> GridFunction:
-    return GridFunction(inst.duality_map_H(u), inst.domain)

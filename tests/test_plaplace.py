@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
-from nonlin_eig.grid import (GridFunction, build_domain, build_stencil,
-                             eval_initial_guess)
-from nonlin_eig.plaplace import (PLaplaceInstance, apply_plaplacian,
-                                 dirichlet_energy, duality_map, jacobian,
-                                 lp_norm, lq_dual_norm)
+from nonlin_eig.functional import power_map
+from nonlin_eig.grid import build_domain, build_stencil
+from nonlin_eig.plaplace import PLaplaceInstance
 
 
 def make_instance(p=3.0, h=0.1, r=0.25, shape="square", epsilon=1e-9):
@@ -33,7 +31,7 @@ class TestOperator:
     def test_constant_field_zero_away_from_boundary(self):
         inst = make_instance(p=3.0)
         vals = np.where(inst.domain.interior_mask, 2.5, 0.0)
-        out = apply_plaplacian(inst, GridFunction(vals, inst.domain)).values
+        out = -inst.neg_plaplacian(vals)
         margin = inst.stencil.margin
         core = out[1 + margin:-1 - margin, 1 + margin:-1 - margin]
         assert np.max(np.abs(core)) == 0.0
@@ -44,7 +42,7 @@ class TestOperator:
         inst = make_instance(p=3.0)
         X, Y = inst.domain.coords()
         vals = np.where(inst.domain.interior_mask, 0.7 * X - 0.3 * Y, 0.0)
-        out = apply_plaplacian(inst, GridFunction(vals, inst.domain)).values
+        out = -inst.neg_plaplacian(vals)
         # a node whose whole stencil consists of interior nodes
         j = i = inst.domain.ny // 2 + 1
         assert abs(out[j, i]) <= 1e-12
@@ -53,7 +51,7 @@ class TestOperator:
         inst = spike_instance(3.0)
         vals = np.zeros((9, 9))
         vals[4, 4] = 1.0
-        out = apply_plaplacian(inst, GridFunction(vals, inst.domain)).values
+        out = -inst.neg_plaplacian(vals)
         C = inst.stencil.weight
         assert out[4, 4] == pytest.approx(-4.0 * C, rel=1e-12)
         for j, i in ((3, 4), (5, 4), (4, 3), (4, 5)):
@@ -69,12 +67,12 @@ class TestOperator:
 class TestEnergy:
     def test_zero_field(self):
         inst = make_instance()
-        assert dirichlet_energy(inst, np.zeros((21, 21))) == 0.0
+        assert inst.dirichlet_energy(np.zeros((21, 21))) == 0.0
 
     def test_positive_unless_zero(self):
         inst = make_instance()
         u = random_interior(inst, 2)
-        assert dirichlet_energy(inst, u) > 0.0
+        assert inst.dirichlet_energy(u) > 0.0
 
     def test_unit_spike_p2_by_hand(self):
         inst = spike_instance(2.0)
@@ -83,13 +81,13 @@ class TestEnergy:
         C, h2 = inst.stencil.weight, 1.0
         # 4 differences seen from the spike plus 4 seen from its neighbors
         expect = C * h2 / (2 * 2.0) * 8.0
-        assert dirichlet_energy(inst, vals) == pytest.approx(expect, rel=1e-12)
+        assert inst.dirichlet_energy(vals) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_discrete_euler_identity(self, p):
         inst = make_instance(p=p, shape="lshape")
         for u in random_interior(inst, 3, count=10):
-            lhs = p * dirichlet_energy(inst, u)
+            lhs = p * inst.dirichlet_energy(u)
             rhs = inst.pairing(inst.neg_plaplacian(u), u)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -99,8 +97,8 @@ class TestEnergy:
         u = random_interior(inst, 4)
         v = random_interior(inst, 5)
         step = 1e-6
-        fd = (dirichlet_energy(inst, u + step * v)
-              - dirichlet_energy(inst, u - step * v)) / (2 * step)
+        fd = (inst.dirichlet_energy(u + step * v)
+              - inst.dirichlet_energy(u - step * v)) / (2 * step)
         pairing = inst.pairing(inst.neg_plaplacian(u), v)
         assert fd == pytest.approx(pairing, rel=1e-6)
 
@@ -110,8 +108,8 @@ class TestJacobian:
         inst = make_instance(p=2.0)
         u1 = random_interior(inst, 6)
         u2 = random_interior(inst, 7)
-        A1 = jacobian(inst, u1).toarray()
-        A2 = jacobian(inst, u2).toarray()
+        A1 = inst.jacobian_matrix(u1).toarray()
+        A2 = inst.jacobian_matrix(u2).toarray()
         assert np.allclose(A1, A2, atol=1e-12)
         # diagonal = stencil size * C_h for interior-far nodes
         n_off = len(inst.stencil.offsets)
@@ -122,7 +120,7 @@ class TestJacobian:
         inst = make_instance(p=3.0)
         u = random_interior(inst, 8)
         v = random_interior(inst, 9)
-        A = jacobian(inst, u)
+        A = inst.jacobian_matrix(u)
         jv = A @ v[inst.domain.interior_mask]
         step = 1e-6
         mask = inst.domain.interior_mask
@@ -154,30 +152,30 @@ class TestNormsAndDualityMap:
         inst = make_instance(p=3.0)
         u = random_interior(inst, 11)
         h2 = inst.domain.h ** 2
-        assert lp_norm(inst, u) == pytest.approx(
+        assert inst.norm_H(u) == pytest.approx(
             (h2 * np.sum(np.abs(u) ** 3)) ** (1 / 3), rel=1e-12)
-        z = duality_map(inst, GridFunction(u, inst.domain)).values
+        z = inst.duality_map_H(u)
         assert np.allclose(z, np.abs(u) * u)
-        assert lq_dual_norm(inst, z) == pytest.approx(
-            lp_norm(inst, u) ** 2, rel=1e-10)
+        assert inst.dual_norm_H(z) == pytest.approx(
+            inst.norm_H(u) ** 2, rel=1e-10)
 
     def test_normalized_field_unit_dual_norm(self):
         inst = make_instance(p=3.0)
         u = random_interior(inst, 12)
-        u = u / lp_norm(inst, u)
-        z = duality_map(inst, GridFunction(u, inst.domain)).values
-        assert lq_dual_norm(inst, z) == pytest.approx(1.0, rel=1e-10)
+        u = u / inst.norm_H(u)
+        z = inst.duality_map_H(u)
+        assert inst.dual_norm_H(z) == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_field(self):
         inst = make_instance(p=3.0)
         zero = np.zeros((21, 21))
-        assert lp_norm(inst, zero) == 0.0
-        assert np.all(duality_map(inst, GridFunction(zero, inst.domain)).values == 0.0)
+        assert inst.norm_H(zero) == 0.0
+        assert np.all(inst.duality_map_H(zero) == 0.0)
 
     def test_p2_duality_map_is_identity(self):
         inst = make_instance(p=2.0)
         u = random_interior(inst, 13)
-        z = duality_map(inst, GridFunction(u, inst.domain)).values
+        z = inst.duality_map_H(u)
         assert np.allclose(z, u)
 
 
@@ -202,3 +200,111 @@ class TestConsistency:
             rel = np.abs(out[far] - (np.pi ** 2 / 2) * u[far]) / np.abs(u[far]).max()
             errs.append(float(rel.max()))
         assert errs[0] > errs[1] > errs[2]
+
+
+# --- per-offset loop versions of the operator, energy and Jacobian ----------
+# These walk the stencil one offset at a time over a zero-padded lattice.
+# The table-based methods must reproduce the operator and the Jacobian bit
+# for bit and the energy (summed in another order) to 1e-14 relative.
+
+def _pad(values, margin):
+    ny, nx = values.shape
+    out = np.zeros((ny + 2 * margin, nx + 2 * margin))
+    out[margin:margin + ny, margin:margin + nx] = values
+    return out
+
+
+def ref_neg_plaplacian(inst, u):
+    mask = inst.domain.interior_mask
+    vals = np.where(mask, u, 0.0)
+    m = inst.stencil.margin
+    P = _pad(vals, m)
+    ny, nx = vals.shape
+    acc = np.zeros_like(vals)
+    for dy, dx in inst.stencil.offsets:
+        nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
+        acc += power_map(nb - vals, inst.p)
+    return np.where(mask, -inst.stencil.weight * acc, 0.0)
+
+
+def ref_dirichlet_energy(inst, u):
+    vals = np.where(inst.domain.interior_mask, u, 0.0)
+    m = inst.stencil.margin
+    P = _pad(vals, m)
+    Q = _pad(P, m)
+    hy, hx = P.shape
+    total = 0.0
+    for dy, dx in inst.stencil.offsets:
+        nb = Q[m + dy:m + dy + hy, m + dx:m + dx + hx]
+        total += float(np.sum(np.abs(nb - P) ** inst.p))
+    return inst.stencil.weight * inst.domain.h ** 2 * total / (2.0 * inst.p)
+
+
+def ref_jacobian_matrix(inst, u, epsilon=None):
+    mask = inst.domain.interior_mask
+    vals = np.where(mask, u, 0.0)
+    m = inst.stencil.margin
+    P = _pad(vals, m)
+    ny, nx = vals.shape
+    n = inst.n_interior
+    index = -np.ones((ny, nx), dtype=np.int64)
+    index[mask] = np.arange(n)
+    index_padded = -np.ones((ny + 2 * m, nx + 2 * m), dtype=np.int64)
+    index_padded[m:m + ny, m:m + nx] = index
+    rows_int = index[mask]
+    diag = np.zeros(n)
+    rows, cols, data = [], [], []
+    if epsilon is None:
+        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+        epsilon = inst.epsilon * max(1.0, scale)
+    for dy, dx in inst.stencil.offsets:
+        nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
+        d = (nb - vals)[mask]
+        w = inst.stencil.weight * (inst.p - 1.0) \
+            * (d * d + epsilon * epsilon) ** ((inst.p - 2.0) / 2.0)
+        diag[rows_int] += w
+        nb_idx = index_padded[m + dy:m + dy + ny, m + dx:m + dx + nx][mask]
+        inside = nb_idx >= 0
+        rows.append(rows_int[inside])
+        cols.append(nb_idx[inside])
+        data.append(-w[inside])
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    data.append(diag)
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    return A.tocsr()
+
+
+class TestMatchesPerOffsetLoops:
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(1.1, 6.0),
+           shape=st.sampled_from(["square", "lshape"]),
+           cells=st.integers(6, 12),
+           radius=st.floats(1.0, 4.2),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           levels=st.sampled_from([None, 2]),
+           epsilon=st.one_of(st.none(), st.floats(1e-12, 1e-2)))
+    def test_operator_energy_jacobian(self, p, shape, cells, radius, seed,
+                                      scale, levels, epsilon):
+        h = 2.0 / cells
+        dom = build_domain(shape, 2.0, h)
+        inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p)
+        u = scale * random_interior(inst, seed)
+        if levels:
+            # coarse values give exactly zero differences between neighbours
+            u = np.round(u * levels) / levels
+
+        assert np.array_equal(inst.neg_plaplacian(u), ref_neg_plaplacian(inst, u))
+
+        A = inst.jacobian_matrix(u, epsilon=epsilon)
+        ref = ref_jacobian_matrix(inst, u, epsilon=epsilon)
+        ref.sort_indices()
+        assert np.array_equal(A.data, ref.data)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.indptr, ref.indptr)
+
+        energy, expect = inst.dirichlet_energy(u), ref_dirichlet_energy(inst, u)
+        assert abs(energy - expect) <= 1e-14 * abs(expect)
