@@ -418,7 +418,12 @@ def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
     polish of it.  The p != 2 kernel has a degenerate derivative wherever
     the nodewise step is small, and for large tau the equation may have no
     solution at all, so Newton is not guaranteed to converge; the caller's
-    line search on F arbitrates between the candidates.
+    line search on F arbitrates between the candidates.  The polish system
+    diag - (p/D) H is symmetric but often indefinite, which rules out CG,
+    so SuperLU factors it directly under the symmetric minimum-degree
+    ordering MMD_AT_PLUS_A, several times faster than its default COLAMD
+    on these stencil matrices.  A singular system comes back as NaN and
+    drops the polish candidate.
     """
     p = pair.p
 
@@ -455,10 +460,8 @@ def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
         H = pair.hess_J_matrix(pair.lift_free(x))
         if scipy.sparse.issparse(H):
             M = scipy.sparse.diags(M_diag) - (p / D) * H
-            try:
-                delta = scipy.sparse.linalg.spsolve(M.tocsc(), -G)
-            except Exception:
-                return
+            delta = scipy.sparse.linalg.spsolve(M.tocsc(), -G,
+                                                permc_spec="MMD_AT_PLUS_A")
         else:
             M = np.diag(M_diag) - (p / D) * np.asarray(H)
             try:

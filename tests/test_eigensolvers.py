@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from nonlin_eig.eigensolvers import (EigenTrace, ridders, run_balanced_ipm,
                                      run_geometric, run_ipm, run_ppm)
@@ -150,3 +151,26 @@ class TestGeometric:
         trace = run_geometric(spd, np.array([1.0, 0.6]), 10)
         for rec, F in zip(trace.records, trace.extras["F"]):
             assert F == pytest.approx(1.0 - rec.cosim, abs=1e-12)
+
+    def test_grid_polish_candidate_wins(self):
+        # p=5 on the 19x19 square from the ex2 start: the first step takes
+        # the Newton polish, counted as 10 sweeps + the default max_iter 12
+        dom = build_domain("square", 2.0, 0.1)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 5.0), 5.0)
+        u0 = eval_initial_guess("ex2", dom).values
+        trace = run_geometric(inst, u0, 25)
+        assert trace.records[0].inner_iters == 22
+        Fs = trace.extras["F"]
+        assert all(b <= a for a, b in zip(Fs, Fs[1:]))
+        assert trace.final_lambda == pytest.approx(58899.63690247836,
+                                                   rel=1e-9)
+
+    def test_grid_polish_solver_error_propagates(self, small_grid,
+                                                 monkeypatch):
+        def broken_spsolve(*args, **kwargs):
+            raise ValueError("factorization failed")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken_spsolve)
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
+        with pytest.raises(ValueError, match="factorization failed"):
+            run_geometric(small_grid, u0, 3)
