@@ -60,6 +60,7 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     records = []
     lam_rq, lam_half, failed, inner_res = [], [], [], []
     stop_reason = "max_iter"
+    res = None  # eigen-residual of u, when the stop test computed it
     for k in range(iters):
         t0 = time.perf_counter()
         zeta = pair.duality_map_H(u)
@@ -76,7 +77,8 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
             dual_rq=metrics.dual_rayleigh_quotient(pair, zeta, v),
             cosim=metrics.cosine_similarity(pair, u, zJ),
             gap=metrics.duality_gap(pair, u, zJ, u),
-            residual=metrics.eigen_residual(pair, u),
+            residual=(res if res is not None
+                      else metrics.eigen_residual(pair, u)),
             inner_iters=rep.iterations,
             wall_time=time.perf_counter() - t0)
         records.append(rec)
@@ -85,10 +87,11 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
         u = _normalize(pair, v)
         if snapshot_cb is not None:
             snapshot_cb(k + 1, u)
-        if residual_tol is not None \
-                and metrics.eigen_residual(pair, u) <= residual_tol:
-            stop_reason = "residual_tol"
-            break
+        if residual_tol is not None:
+            res = metrics.eigen_residual(pair, u)
+            if res <= residual_tol:
+                stop_reason = "residual_tol"
+                break
     extras = {"lambda_rq": lam_rq, "lambda_half_step": lam_half,
               "failed_inner_solves": failed, "inner_residuals": inner_res}
     return _finish(pair, records, u, "ipm", stop_reason, residual_tol, extras)
@@ -116,6 +119,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     records = []
     lam_taus, failed = [], []
     stop_reason = "max_iter"
+    res = None  # eigen-residual of u, when the stop test computed it
 
     def moreau_data(u_cur, v_cur):
         eta = pair.duality_map_H(u_cur - v_cur) / tau
@@ -141,17 +145,19 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
             dual_rq=rstar_tau,
             cosim=metrics.cosine_similarity(pair, u, zJ),
             gap=metrics.duality_gap(pair, u, zJ, u),
-            residual=metrics.eigen_residual(pair, u),
+            residual=(res if res is not None
+                      else metrics.eigen_residual(pair, u)),
             inner_iters=rep.iterations,
             wall_time=time.perf_counter() - t0)
         records.append(rec)
         u = _normalize(pair, v)
         if snapshot_cb is not None:
             snapshot_cb(k + 1, u)
-        if residual_tol is not None \
-                and metrics.eigen_residual(pair, u) <= residual_tol:
-            stop_reason = "residual_tol"
-            break
+        if residual_tol is not None:
+            res = metrics.eigen_residual(pair, u)
+            if res <= residual_tol:
+                stop_reason = "residual_tol"
+                break
     # eigenvalue recovery at the final iterate
     v, _ = pair.prox_J(u, tau, tol=settings.tol_abs, max_iter=settings.max_iter)
     _, lam_tau = moreau_data(u, v)
@@ -204,6 +210,17 @@ def ridders(f, a, b, fa, fb, ftol: float, max_iter: int = 60):
     return best_x, best_f, evals
 
 
+def secant_predictor(cache: dict, s: float, warm: np.ndarray) -> np.ndarray:
+    """Start for the solve at balance s: the straight line through the
+    cached solutions at the two balances nearest s, or warm when fewer than
+    two are cached."""
+    if len(cache) < 2:
+        return warm
+    s0, s1 = sorted(cache, key=lambda t: abs(t - s))[:2]
+    theta = (s - s0) / (s1 - s0)
+    return cache[s0] + theta * (cache[s1] - cache[s0])
+
+
 def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
                      settings: NewtonSettings | None = None,
                      balance_tol: float = 1e-6,
@@ -214,7 +231,11 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
     inst must be a PLaplaceInstance (the balancing uses clipped grid
     fields).  The scalar balance is the one-parameter family
-    zeta_s = s*zeta^+ - zeta^-, rooted with Ridders' method.
+    zeta_s = s*zeta^+ - zeta^-, rooted with Ridders' method.  Within one
+    outer step every solve along the family starts from the secant
+    predictor through the two cached solutions at the balances nearest the
+    new s (continuation in s); the first two start from u and from the
+    previous solution.
     """
     if settings is None:
         settings = NewtonSettings()
@@ -238,15 +259,16 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
         inner_total = [0]
-        warm = {"u": u}
         cache: dict[float, np.ndarray] = {}
 
         def solve_w(s):
             if s in cache:
                 return cache[s]
-            w, rep = solve_p_poisson(inst, s * zp - zm, warm["u"], settings)
+            last = next(reversed(cache.values()), u)
+            w, rep = solve_p_poisson(inst, s * zp - zm,
+                                     secant_predictor(cache, s, last),
+                                     settings)
             inner_total[0] += rep.iterations
-            warm["u"] = w
             cache[s] = w
             return w
 

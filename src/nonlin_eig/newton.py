@@ -2,7 +2,11 @@
 
 Linear steps are solved by conjugate gradient with Jacobi preconditioning;
 the mean-value stencil can have many arms, so a matrix factorization would
-be wasteful while the (sparse) Jacobian-vector product stays cheap.
+be wasteful while the (sparse) Jacobian-vector product stays cheap.  CG
+stops at the relative tolerance max(cg_tol, 0.01 tol_abs / |r|_2) for the
+Newton residual r, so near convergence it is not asked for a linear
+residual far below the Newton tolerance, yet that residual always stays
+two orders below it and never keeps Newton from converging.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ class NewtonSettings:
 def cg_solve(A, b, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """Jacobi-preconditioned CG; returns the iterate even on non-convergence."""
     diag = A.diagonal() if scipy.sparse.issparse(A) else np.diag(A)
-    inv = np.where(np.abs(diag) > 1e-300, 1.0 / np.maximum(diag, 1e-300), 1.0)
+    inv = np.ones_like(diag, dtype=float)
+    nonzero = np.abs(diag) > 1e-300
+    inv[nonzero] = 1.0 / diag[nonzero]
     M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda x: inv * x)
     count = [0]
 
@@ -53,18 +59,24 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
 
     Steps are accepted when the max-norm of the residual decreases; if the
     backtracking budget runs out the best iterate so far is returned with
-    converged=False.
+    converged=False.  Each linear step runs CG to the relative tolerance
+    max(cg_tol, 0.01 * tol_abs / |r|_2), so its absolute residual never
+    needs to fall more than two orders below tol_abs; CG calls that use up
+    their iteration budget are counted in the report's cg_unconverged.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
     rn = float(np.max(np.abs(r))) if r.size else 0.0
-    cg_total = 0
+    cg_total = cg_unconverged = 0
     maxiter_cg = settings.cg_max_iter or max(50, 10 * x.size)
     it = 0
     while rn > settings.tol_abs and it < settings.max_iter:
         A = jacobian_fn(x)
-        delta, cg_it = cg_solve(A, -r, settings.cg_tol, maxiter_cg)
+        rtol = max(settings.cg_tol,
+                   0.01 * settings.tol_abs / np.linalg.norm(r))
+        delta, cg_it = cg_solve(A, -r, rtol, maxiter_cg)
         cg_total += cg_it
+        cg_unconverged += cg_it >= maxiter_cg
         t = 1.0
         accepted = False
         for _ in range(settings.max_halvings + 1):
@@ -81,7 +93,8 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
             break
     return x, SolveReport(iterations=it, final_residual=rn,
                           converged=rn <= settings.tol_abs,
-                          cg_iterations_total=cg_total)
+                          cg_iterations_total=cg_total,
+                          cg_unconverged=cg_unconverged)
 
 
 def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from nonlin_eig import metrics
 from nonlin_eig.eigensolvers import (EigenTrace, ridders, run_balanced_ipm,
-                                     run_geometric, run_ipm, run_ppm)
+                                     run_geometric, run_ipm, run_ppm,
+                                     secant_predictor)
 from nonlin_eig.functional import SpdInstance
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
@@ -35,6 +37,29 @@ class TestRidders:
     def test_not_bracketed(self):
         with pytest.raises(ValueError):
             ridders(lambda t: t, 1.0, 2.0, 1.0, 2.0, ftol=1e-12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda pair, u0, **kw: run_ipm(pair, u0, 6, **kw),
+    lambda pair, u0, **kw: run_ppm(pair, u0, tau_tilde=0.5, iters=6, **kw),
+], ids=["ipm", "ppm"])
+def test_eigen_residual_once_per_step(spd, monkeypatch, run):
+    u0 = np.array([1.0, 1.0])
+    plain = run(spd, u0)
+    calls = [0]
+    original = metrics.eigen_residual
+
+    def counted(pair, u):
+        calls[0] += 1
+        return original(pair, u)
+
+    monkeypatch.setattr(metrics, "eigen_residual", counted)
+    trace = run(spd, u0, residual_tol=1e-300)
+    assert trace.stop_reason == "max_iter"
+    # the start, the stop test after each of the 6 steps, the final check
+    assert calls[0] == 6 + 2
+    assert [r.residual for r in trace.records] \
+        == [r.residual for r in plain.records]
 
 
 class TestIpm:
@@ -107,6 +132,21 @@ class TestPpm:
             t_ipm.final_lambda, rel=1e-4)
 
 
+class TestSecantPredictor:
+    def test_exact_on_affine_family(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, 4, 5))
+        cache = {s: a + s * b for s in (1.0, 2.0, 0.5, 4.0)}
+        for s in (0.75, 1.3, 3.0, 8.0, 0.125):
+            assert np.allclose(secant_predictor(cache, s, None), a + s * b,
+                               rtol=1e-12, atol=1e-12)
+
+    def test_warm_start_below_two_cached(self):
+        warm = np.ones(3)
+        assert secant_predictor({}, 2.0, warm) is warm
+        assert secant_predictor({1.0: np.zeros(3)}, 2.0, warm) is warm
+
+
 class TestBalanced:
     def test_needs_sign_changing_start(self, small_grid):
         u0 = np.where(small_grid.domain.interior_mask, 1.0, 0.0)
@@ -126,6 +166,16 @@ class TestBalanced:
         rp = small_grid.energy_J(up) / small_grid.H(up)
         rm = small_grid.energy_J(um) / small_grid.H(um)
         assert abs(rp - rm) <= 1e-6 * max(rp, rm)
+
+    def test_four_steps_pinned(self, small_grid):
+        # recorded with every inner solve warm-started from the previous
+        # solution and CG run to cg_tol alone
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
+        trace = run_balanced_ipm(small_grid, u0, 4)
+        assert trace.final_lambda == pytest.approx(88.10019383184857,
+                                                   rel=1e-10)
+        assert metrics.eigen_residual(small_grid, trace.final_u) \
+            == pytest.approx(0.456011143567228, rel=1e-10)
 
     def test_final_normalized(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
-from nonlin_eig.newton import NewtonSettings, solve_p_poisson, solve_prox
+from nonlin_eig.newton import (NewtonSettings, cg_solve, solve_p_poisson,
+                               solve_prox)
 from nonlin_eig.plaplace import PLaplaceInstance
 
 
@@ -21,6 +23,24 @@ class TestSettings:
             NewtonSettings(tol_abs=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iter=0)
+
+
+def random_interior(inst, rng, scale=1.0):
+    mask = inst.domain.interior_mask
+    return np.where(mask, scale * rng.standard_normal(mask.shape), 0.0)
+
+
+class TestCgSolve:
+    def test_negative_definite_matrix(self):
+        # Jacobi scaling must keep the sign of the diagonal: -A is solved
+        # as well as A.
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((6, 6))
+        A = B @ B.T + 6.0 * np.eye(6)
+        b = rng.standard_normal(6)
+        x, iters = cg_solve(-A, b, 1e-12, 100)
+        assert 0 < iters <= 100
+        assert np.linalg.norm(-A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestPPoisson:
@@ -62,6 +82,26 @@ class TestPPoisson:
         init2 = np.where(mask, rng.standard_normal(mask.shape), 0.0)
         u2, _ = solve_p_poisson(inst, zeta, init2)
         assert np.max(np.abs(u1 - u2)) <= 1e-8
+
+    def test_cg_unconverged_counted(self):
+        inst = make_instance(3.0)
+        zeta = random_interior(inst, np.random.default_rng(5))
+        _, rep = solve_p_poisson(inst, zeta, np.zeros_like(zeta))
+        assert rep.converged and rep.cg_unconverged == 0
+        _, rep = solve_p_poisson(inst, zeta, np.zeros_like(zeta),
+                                 NewtonSettings(max_iter=5, cg_max_iter=1))
+        assert rep.cg_unconverged > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(2.0, 5.0), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-2, 1.0, 1e2]))
+    def test_converges_from_random_start(self, p, seed, scale):
+        inst = make_instance(p, h=0.2, r=0.45)
+        rng = np.random.default_rng(seed)
+        zeta = random_interior(inst, rng, scale)
+        start = random_interior(inst, rng)
+        _, rep = solve_p_poisson(inst, zeta, start)
+        assert rep.converged and rep.final_residual <= 1e-12
 
     def test_boundary_stays_zero(self):
         inst = make_instance(1.5, shape="lshape")
@@ -111,4 +151,13 @@ class TestProx:
         guess = eval_initial_guess("ex2", inst.domain).values
         guess = guess / inst.norm_H(guess)
         v, rep = solve_prox(inst, guess, 0.1)
+        assert rep.converged and rep.final_residual <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(2.0, 5.0), seed=st.integers(0, 2 ** 32 - 1),
+           tau=st.floats(1e-3, 10.0))
+    def test_converges_from_random_reference(self, p, seed, tau):
+        inst = make_instance(p, h=0.2, r=0.45)
+        u_ref = random_interior(inst, np.random.default_rng(seed))
+        _, rep = solve_prox(inst, u_ref, tau)
         assert rep.converged and rep.final_residual <= 1e-12
