@@ -12,7 +12,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .functional import FunctionalPair, power_map
-from .newton import NewtonSettings, solve_p_poisson
+from .newton import NewtonSettings, damped_newton, solve_p_poisson
 from . import metrics
 
 
@@ -34,8 +34,10 @@ def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
     return u / n
 
 
-def _finish(pair, records, u, tag, stop_reason, residual_tol, extras):
-    res = metrics.eigen_residual(pair, u)
+def _finish(pair, records, u, tag, stop_reason, residual_tol, extras,
+            res=None):
+    if res is None:  # the eigen-residual of u, unless the caller has it
+        res = metrics.eigen_residual(pair, u)
     tol = residual_tol if residual_tol is not None else 1e-6
     return EigenTrace(records=records, final_u=u,
                       final_lambda=metrics.rayleigh_quotient(pair, u),
@@ -54,8 +56,6 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     the half-step v).  The eigenvalue is tracked both as R(u^k) and as
     |v|_H^(1-p); both histories live in extras.
     """
-    if settings is None:
-        settings = NewtonSettings()
     u = _normalize(pair, np.asarray(u0, dtype=float))
     records = []
     lam_rq, lam_half, failed, inner_res = [], [], [], []
@@ -64,9 +64,7 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     for k in range(iters):
         t0 = time.perf_counter()
         zeta = pair.duality_map_H(u)
-        v, rep = pair.inverse_subgrad_J(zeta, tol=settings.tol_abs,
-                                        max_iter=settings.max_iter,
-                                        warm_start=u)
+        v, rep = pair.inverse_subgrad_J(zeta, settings, warm_start=u)
         inner_res.append(rep.final_residual)
         if not rep.converged:
             failed.append(k)
@@ -94,7 +92,8 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
                 break
     extras = {"lambda_rq": lam_rq, "lambda_half_step": lam_half,
               "failed_inner_solves": failed, "inner_residuals": inner_res}
-    return _finish(pair, records, u, "ipm", stop_reason, residual_tol, extras)
+    return _finish(pair, records, u, "ipm", stop_reason, residual_tol, extras,
+                   res)
 
 
 def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
@@ -111,8 +110,6 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     """
     if tau_tilde <= 0:
         raise ValueError("tau_tilde must be positive")
-    if settings is None:
-        settings = NewtonSettings()
     p, q = pair.p, pair.q
     tau = tau_tilde ** (p - 1.0)
     u = _normalize(pair, np.asarray(u0, dtype=float))
@@ -133,8 +130,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
 
     for k in range(iters):
         t0 = time.perf_counter()
-        v, rep = pair.prox_J(u, tau, tol=settings.tol_abs,
-                             max_iter=settings.max_iter)
+        v, rep = pair.prox_J(u, tau, settings)
         if not rep.converged:
             failed.append(k)
         rstar_tau, lam_tau = moreau_data(u, v)
@@ -159,12 +155,13 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
                 stop_reason = "residual_tol"
                 break
     # eigenvalue recovery at the final iterate
-    v, _ = pair.prox_J(u, tau, tol=settings.tol_abs, max_iter=settings.max_iter)
+    v, _ = pair.prox_J(u, tau, settings)
     _, lam_tau = moreau_data(u, v)
     lam_rec = (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
     extras = {"lambda_tau": lam_taus, "lambda_recovered": lam_rec,
               "tau": tau, "failed_inner_solves": failed}
-    return _finish(pair, records, u, "ppm", stop_reason, residual_tol, extras)
+    return _finish(pair, records, u, "ppm", stop_reason, residual_tol, extras,
+                   res)
 
 
 def ridders(f, a, b, fa, fb, ftol: float, max_iter: int = 60):
@@ -436,7 +433,7 @@ def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
     """Candidate resolutions of the semi-implicit step at one step size.
 
     Yields (free vector, inner iteration count) pairs: first the fixed-point
-    sweep started from the fully explicit step, then the damped-Newton
+    sweep started from the fully explicit step, then the damped_newton
     polish of it.  The p != 2 kernel has a degenerate derivative wherever
     the nodewise step is small, and for large tau the equation may have no
     solution at all, so Newton is not guaranteed to converge; the caller's
@@ -444,8 +441,9 @@ def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
     diag - (p/D) H is symmetric but often indefinite, which rules out CG,
     so SuperLU factors it directly under the symmetric minimum-degree
     ordering MMD_AT_PLUS_A, several times faster than its default COLAMD
-    on these stencil matrices.  A singular system comes back as NaN and
-    drops the polish candidate.
+    on these stencil matrices.  There is no polish candidate when the
+    sweep's residual is not finite or a solve fails: a singular system
+    comes back as NaN (sparse) or raises LinAlgError (dense).
     """
     p = pair.p
 
@@ -470,40 +468,27 @@ def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
         return pair.free_flatten(pair.duality_map_H(s_field)) \
             - implicit_rhs(xv)
 
-    G = resid(x)
-    gn = float(np.max(np.abs(G))) if G.size else 0.0
-    if not np.isfinite(gn):
-        return
-    for it in range(settings.max_iter):
-        if gn <= settings.tol_abs:
-            break
-        s_field = pair.lift_free((x - u_free) / tau)
+    def jacobian(xv):
+        s_field = pair.lift_free((xv - u_free) / tau)
         M_diag = pair.duality_map_H_prime(s_field) / tau
-        H = pair.hess_J_matrix(pair.lift_free(x))
+        H = pair.hess_J_matrix(pair.lift_free(xv))
         if scipy.sparse.issparse(H):
-            M = scipy.sparse.diags(M_diag) - (p / D) * H
-            delta = scipy.sparse.linalg.spsolve(M.tocsc(), -G,
+            return scipy.sparse.diags(M_diag) - (p / D) * H
+        return np.diag(M_diag) - (p / D) * np.asarray(H)
+
+    def direct_solve(M, b):
+        if scipy.sparse.issparse(M):
+            delta = scipy.sparse.linalg.spsolve(M.tocsc(), b,
                                                 permc_spec="MMD_AT_PLUS_A")
         else:
-            M = np.diag(M_diag) - (p / D) * np.asarray(H)
-            try:
-                delta = np.linalg.solve(M, -G)
-            except np.linalg.LinAlgError:
-                return
+            delta = np.linalg.solve(M, b)
         if not np.all(np.isfinite(delta)):
-            return
-        # backtrack on the residual max-norm
-        t = 1.0
-        accepted = False
-        for _ in range(31):
-            xt = x + t * delta
-            Gt = resid(xt)
-            gt = float(np.max(np.abs(Gt)))
-            if np.isfinite(gt) and gt < gn:
-                x, G, gn = xt, Gt, gt
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    yield x, sweeps + settings.max_iter
+            raise np.linalg.LinAlgError("non-finite polish step")
+        return delta
+
+    try:
+        x, report = damped_newton(x, resid, jacobian, settings, direct_solve)
+    except np.linalg.LinAlgError:
+        return
+    if np.isfinite(report.final_residual):
+        yield x, sweeps + settings.max_iter

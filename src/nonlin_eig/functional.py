@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
+
+if TYPE_CHECKING:
+    from .newton import NewtonSettings
 
 
 @dataclass
@@ -65,8 +69,7 @@ class FunctionalPair(ABC):
     def inverse_subgrad_J(
         self,
         zeta: np.ndarray,
-        tol: float = 1e-12,
-        max_iter: int = 500,
+        settings: NewtonSettings | None = None,
         warm_start: np.ndarray | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
         """Solve zeta in dJ(v) for v, i.e. apply the inverse operator dJ*."""
@@ -77,8 +80,7 @@ class FunctionalPair(ABC):
         self,
         u_ref: np.ndarray,
         tau: float,
-        tol: float = 1e-12,
-        max_iter: int = 500,
+        settings: NewtonSettings | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
         """argmin_v H(v - u_ref) + tau * J(v)."""
         ...
@@ -158,12 +160,12 @@ class SpdInstance(FunctionalPair):
     def subgrad_J(self, u):
         return self.A @ np.asarray(u, dtype=float)
 
-    def inverse_subgrad_J(self, zeta, tol=1e-12, max_iter=500, warm_start=None):
+    def inverse_subgrad_J(self, zeta, settings=None, warm_start=None):
         v = scipy.linalg.cho_solve(self._cho, np.asarray(zeta, dtype=float))
         res = float(np.max(np.abs(self.A @ v - zeta))) if len(v) else 0.0
         return v, SolveReport(iterations=1, final_residual=res, converged=True)
 
-    def prox_J(self, u_ref, tau, tol=1e-12, max_iter=500):
+    def prox_J(self, u_ref, tau, settings=None):
         u_ref = np.asarray(u_ref, dtype=float)
         M = np.eye(self.n) + tau * self.A
         v = np.linalg.solve(M, u_ref)

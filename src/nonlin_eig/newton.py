@@ -1,12 +1,13 @@
 """Damped Newton solvers for the inner p-Poisson and proximal subproblems.
 
-Linear steps are solved by conjugate gradient with Jacobi preconditioning;
-the mean-value stencil can have many arms, so a matrix factorization would
-be wasteful while the (sparse) Jacobian-vector product stays cheap.  CG
-stops at the relative tolerance max(cg_tol, 0.01 tol_abs / |r|_2) for the
-Newton residual r, so near convergence it is not asked for a linear
-residual far below the Newton tolerance, yet that residual always stays
-two orders below it and never keeps Newton from converging.
+damped_newton is the package's one Newton loop.  It serves the CG solves
+below and the direct solve of the geometric scheme's polish, and it
+backtracks by halving the step, 31 tries at most.  Jacobi-preconditioned
+CG suits the many-armed mean-value stencil, whose sparse Jacobian-vector
+product is cheap where a factorization would be wasteful.  CG stops at the
+relative tolerance max(cg_tol, 0.01 tol_abs / |r|_2) for the Newton
+residual r, so near convergence it is not asked for a linear residual far
+below the Newton tolerance, yet that residual stays two orders below it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ class NewtonSettings:
     max_iter: int = 500
     cg_tol: float = 1e-10
     cg_max_iter: int | None = None  # default 10 * number of unknowns
-    damping_factor: float = 0.5
-    max_halvings: int = 30
 
     def __post_init__(self):
         if self.tol_abs <= 0:
@@ -54,15 +53,17 @@ def cg_solve(A, b, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
 
 
 def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
-                  settings: NewtonSettings) -> tuple[np.ndarray, SolveReport]:
+                  settings: NewtonSettings, linear_solve=None
+                  ) -> tuple[np.ndarray, SolveReport]:
     """Newton iteration with residual-decrease backtracking.
 
-    Steps are accepted when the max-norm of the residual decreases; if the
-    backtracking budget runs out the best iterate so far is returned with
-    converged=False.  Each linear step runs CG to the relative tolerance
-    max(cg_tol, 0.01 * tol_abs / |r|_2), so its absolute residual never
-    needs to fall more than two orders below tol_abs; CG calls that use up
-    their iteration budget are counted in the report's cg_unconverged.
+    A step is accepted when it lowers the residual max-norm; its length
+    starts at 1 and is halved at most 30 times (31 tries).  If no try is
+    accepted, or the starting residual is not finite, the iterate so far
+    is returned with converged=False.  linear_solve(A, b) solves
+    A delta = b for A = jacobian_fn(x); by default CG runs to the relative
+    tolerance max(cg_tol, 0.01 * tol_abs / |r|_2), and CG calls that use
+    up their iteration budget are counted in the report's cg_unconverged.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
@@ -70,26 +71,27 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     cg_total = cg_unconverged = 0
     maxiter_cg = settings.cg_max_iter or max(50, 10 * x.size)
     it = 0
-    while rn > settings.tol_abs and it < settings.max_iter:
+    while settings.tol_abs < rn < np.inf and it < settings.max_iter:
         A = jacobian_fn(x)
-        rtol = max(settings.cg_tol,
-                   0.01 * settings.tol_abs / np.linalg.norm(r))
-        delta, cg_it = cg_solve(A, -r, rtol, maxiter_cg)
-        cg_total += cg_it
-        cg_unconverged += cg_it >= maxiter_cg
+        if linear_solve is None:
+            rtol = max(settings.cg_tol,
+                       0.01 * settings.tol_abs / np.linalg.norm(r))
+            delta, cg_it = cg_solve(A, -r, rtol, maxiter_cg)
+            cg_total += cg_it
+            cg_unconverged += cg_it >= maxiter_cg
+        else:
+            delta = linear_solve(A, -r)
+        it += 1
         t = 1.0
-        accepted = False
-        for _ in range(settings.max_halvings + 1):
+        for _ in range(31):
             xt = x + t * delta
             rt = residual_fn(xt)
             rtn = float(np.max(np.abs(rt)))
             if rtn < rn:
                 x, r, rn = xt, rt, rtn
-                accepted = True
                 break
-            t *= settings.damping_factor
-        it += 1
-        if not accepted:
+            t *= 0.5
+        else:  # no try lowered the residual
             break
     return x, SolveReport(iterations=it, final_residual=rn,
                           converged=rn <= settings.tol_abs,

@@ -172,14 +172,12 @@ class PLaplaceInstance(FunctionalPair):
     def subgrad_J(self, u):
         return self.neg_plaplacian(u)
 
-    def inverse_subgrad_J(self, zeta, tol=1e-12, max_iter=500, warm_start=None):
-        settings = newton.NewtonSettings(tol_abs=tol, max_iter=max_iter)
+    def inverse_subgrad_J(self, zeta, settings=None, warm_start=None):
         init = _values(warm_start) if warm_start is not None \
             else np.zeros((self.domain.ny, self.domain.nx))
         return newton.solve_p_poisson(self, _values(zeta), init, settings)
 
-    def prox_J(self, u_ref, tau, tol=1e-12, max_iter=500):
-        settings = newton.NewtonSettings(tol_abs=tol, max_iter=max_iter)
+    def prox_J(self, u_ref, tau, settings=None):
         return newton.solve_prox(self, _values(u_ref), tau, settings)
 
     def duality_map_H(self, u):

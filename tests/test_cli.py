@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nonlin_eig import validation
 from nonlin_eig.cli import main
 
 
@@ -106,3 +107,23 @@ class TestDescribe:
         assert main(["describe", spd_config]) == 0
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["n"] == 2
+
+
+class TestValidate:
+    def test_quick_suite_passes(self, capsys):
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.count("PASS  ") == len(validation.QUICK_CHECKS)
+
+    def test_failing_check_exits_2(self, monkeypatch, capsys):
+        def broken():
+            raise AssertionError("deliberately broken")
+
+        monkeypatch.setattr(validation, "QUICK_CHECKS",
+                            [validation.QUICK_CHECKS[0],
+                             ("broken-check", broken)])
+        assert main(["validate"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("PASS  ")
+        assert lines[1] == "FAIL  broken-check: deliberately broken"

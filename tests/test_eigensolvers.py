@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
-from nonlin_eig import metrics
-from nonlin_eig.eigensolvers import (EigenTrace, ridders, run_balanced_ipm,
+from nonlin_eig import metrics, newton
+from nonlin_eig.eigensolvers import (EigenTrace, _semi_implicit_candidates,
+                                     ridders, run_balanced_ipm,
                                      run_geometric, run_ipm, run_ppm,
                                      secant_predictor)
-from nonlin_eig.functional import SpdInstance
+from nonlin_eig.functional import SpdInstance, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
@@ -56,10 +59,31 @@ def test_eigen_residual_once_per_step(spd, monkeypatch, run):
     monkeypatch.setattr(metrics, "eigen_residual", counted)
     trace = run(spd, u0, residual_tol=1e-300)
     assert trace.stop_reason == "max_iter"
-    # the start, the stop test after each of the 6 steps, the final check
-    assert calls[0] == 6 + 2
+    # the start and the stop test after each of the 6 steps, which the
+    # final trace reuses
+    assert calls[0] == 6 + 1
     assert [r.residual for r in trace.records] \
         == [r.residual for r in plain.records]
+
+
+@pytest.mark.parametrize("run", [
+    lambda pair, u0, s: run_ipm(pair, u0, 2, s),
+    lambda pair, u0, s: run_ppm(pair, u0, tau_tilde=0.5, iters=1, settings=s),
+], ids=["ipm", "ppm"])
+def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
+    seen = []
+    original = newton.cg_solve
+
+    def recording(A, b, rtol, maxiter):
+        seen.append((rtol, maxiter))
+        return original(A, b, rtol, maxiter)
+
+    monkeypatch.setattr(newton, "cg_solve", recording)
+    u0 = eval_initial_guess("ex1", small_grid.domain).values
+    run(small_grid, u0, NewtonSettings(cg_tol=1e-3, cg_max_iter=7))
+    assert seen
+    assert all(maxiter == 7 for _, maxiter in seen)
+    assert all(rtol >= 1e-3 for rtol, _ in seen)
 
 
 class TestIpm:
@@ -224,3 +248,160 @@ class TestGeometric:
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         with pytest.raises(ValueError, match="factorization failed"):
             run_geometric(small_grid, u0, 3)
+
+
+# The geometric polish as it was written with its own backtracking Newton
+# loop, before it ran on newton.damped_newton; kept as the reference the
+# shared loop must reproduce bit for bit.
+def _reference_candidates(pair, u_free, tau, explicit, D, settings,
+                          n_sweeps=10):
+    p = pair.p
+
+    def implicit_rhs(xv):
+        return p * pair.free_flatten(pair.subgrad_J(pair.lift_free(xv))) / D \
+            - explicit
+
+    x = u_free.copy()
+    sweeps = 0
+    for _ in range(n_sweeps):
+        xn = u_free + tau * power_map(implicit_rhs(x), pair.q)
+        if not np.all(np.isfinite(xn)):
+            break
+        x = xn
+        sweeps += 1
+    if sweeps == 0:
+        return
+    yield x, sweeps
+
+    def resid(xv):
+        s_field = pair.lift_free((xv - u_free) / tau)
+        return pair.free_flatten(pair.duality_map_H(s_field)) \
+            - implicit_rhs(xv)
+
+    G = resid(x)
+    gn = float(np.max(np.abs(G))) if G.size else 0.0
+    if not np.isfinite(gn):
+        return
+    for it in range(settings.max_iter):
+        if gn <= settings.tol_abs:
+            break
+        s_field = pair.lift_free((x - u_free) / tau)
+        M_diag = pair.duality_map_H_prime(s_field) / tau
+        H = pair.hess_J_matrix(pair.lift_free(x))
+        if scipy.sparse.issparse(H):
+            M = scipy.sparse.diags(M_diag) - (p / D) * H
+            delta = scipy.sparse.linalg.spsolve(M.tocsc(), -G,
+                                                permc_spec="MMD_AT_PLUS_A")
+        else:
+            M = np.diag(M_diag) - (p / D) * np.asarray(H)
+            try:
+                delta = np.linalg.solve(M, -G)
+            except np.linalg.LinAlgError:
+                return
+        if not np.all(np.isfinite(delta)):
+            return
+        t = 1.0
+        accepted = False
+        for _ in range(31):
+            xt = x + t * delta
+            Gt = resid(xt)
+            gt = float(np.max(np.abs(Gt)))
+            if np.isfinite(gt) and gt < gn:
+                x, G, gn = xt, Gt, gt
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    yield x, sweeps + settings.max_iter
+
+
+LADDER = [2.0 * 0.5 ** j for j in range(12)]  # run_geometric's tau ladder
+POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12)  # and its settings
+
+
+def first_step(pair, u):
+    """(u_free, explicit, D) of run_geometric's first step from u."""
+    p, q = pair.p, pair.q
+    u = u / pair.norm_H(u)
+    zeta = pair.subgrad_J(u)
+    nu, nz = pair.norm_H(u), pair.dual_norm_H(zeta)
+    G_H = nu ** (1.0 - p) * pair.duality_map_H(u)
+    G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
+    E = pair.free_flatten(G_H) * nz \
+        + (pair.hess_J_matrix(u) @ pair.free_flatten(G_Hs)) * nu
+    D = nu * nz
+    cos = pair.pairing(zeta, u) / D
+    return pair.free_flatten(u), cos * E / D, D
+
+
+def assert_same_candidates(pair, u_free, tau, explicit, D, expect=None):
+    got = list(_semi_implicit_candidates(pair, u_free, tau, explicit, D,
+                                         POLISH))
+    ref = list(_reference_candidates(pair, u_free, tau, explicit, D, POLISH))
+    assert [n for _, n in got] == [n for _, n in ref]
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, ref))
+    if expect is not None:
+        assert len(got) == expect
+    return got
+
+
+class TestPolishMatchesReference:
+    @given(p=st.floats(1.5, 5.0), j=st.integers(0, 11),
+           shape=st.sampled_from(["square", "lshape"]),
+           cells=st.integers(9, 13),
+           start=st.sampled_from(["ex1", "ex2", "random"]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_grid(self, p, j, shape, cells, start, seed):
+        h = 2.0 / cells
+        dom = build_domain(shape, 2.0, h)
+        inst = PLaplaceInstance(dom, build_stencil(dom, h ** 0.5, p), p)
+        if start == "random":
+            rng = np.random.default_rng(seed)
+            u = np.where(dom.interior_mask,
+                         rng.standard_normal(dom.interior_mask.shape), 0.0)
+        else:
+            u = eval_initial_guess(start, dom).values
+        u_free, explicit, D = first_step(inst, u)
+        assert_same_candidates(inst, u_free, LADDER[j], explicit, D)
+
+    @pytest.mark.parametrize("tau", LADDER)
+    def test_spd_dense(self, tau):
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((6, 6))
+        pair = SpdInstance(B @ B.T + 0.5 * np.eye(6))
+        u_free, explicit, D = first_step(pair, rng.standard_normal(6))
+        assert_same_candidates(pair, u_free, tau, explicit, D, expect=2)
+
+    def test_nan_step_drops_polish(self, small_grid, monkeypatch):
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                            lambda A, b, **kw: np.full(len(b), np.nan))
+        u = eval_initial_guess("ex2", small_grid.domain).values
+        u_free, explicit, D = first_step(small_grid, u)
+        assert_same_candidates(small_grid, u_free, 0.5, explicit, D,
+                               expect=1)
+
+    @pytest.mark.parametrize("case", ["grid-nan", "spd-inf"])
+    def test_overflowing_sweep_residual_drops_polish(self, small_grid, spd,
+                                                     case):
+        # The sweep stops when its next iterate overflows; the residual of
+        # the last finite one is then NaN (grid, tau=1e20) or infinite
+        # (SPD, explicit step 1e300).
+        if case == "grid-nan":
+            u = eval_initial_guess("ex1", small_grid.domain).values
+            args = (small_grid, small_grid.free_flatten(u), 1e20,
+                    np.zeros(small_grid.n_interior), 1.0)
+        else:
+            args = (spd, np.array([0.8, 0.6]), 1.0, np.full(2, 1e300), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = assert_same_candidates(*args, expect=1)
+        assert got[0][1] < 10
+
+    def test_linalg_error_drops_polish(self, spd, monkeypatch):
+        def singular(M, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        u_free, explicit, D = first_step(spd, np.array([1.0, 0.6]))
+        assert_same_candidates(spd, u_free, 0.5, explicit, D, expect=1)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
-from nonlin_eig.newton import (NewtonSettings, cg_solve, solve_p_poisson,
-                               solve_prox)
+from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
+                               solve_p_poisson, solve_prox)
 from nonlin_eig.plaplace import PLaplaceInstance
 
 
@@ -41,6 +41,32 @@ class TestCgSolve:
         x, iters = cg_solve(-A, b, 1e-12, 100)
         assert 0 < iters <= 100
         assert np.linalg.norm(-A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestDampedNewton:
+    def test_backtracks_31_halvings_deep(self):
+        # From x=0 the step is 1; the residual only drops at x <= 2^-30,
+        # the 31st and last trial length.
+        def residual(x):
+            if x[0] == 0.0:
+                return np.array([-1.0])
+            return np.array([0.5 if x[0] <= 2.0 ** -30 else 2.0])
+
+        x, rep = damped_newton(np.zeros(1), residual, lambda x: None,
+                               NewtonSettings(tol_abs=0.6),
+                               linear_solve=lambda A, b: b)
+        assert x[0] == 2.0 ** -30
+        assert rep.iterations == 1 and rep.converged
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_start_returns_at_once(self, bad):
+        def jacobian(x):
+            raise AssertionError("no Newton step from a non-finite residual")
+
+        x, rep = damped_newton(np.ones(2), lambda x: np.array([bad, 0.0]),
+                               jacobian, NewtonSettings())
+        assert np.array_equal(x, np.ones(2))
+        assert rep.iterations == 0 and not rep.converged
 
 
 class TestPPoisson:
