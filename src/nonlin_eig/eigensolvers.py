@@ -349,26 +349,37 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         dH((w - u)/tau) = [p dJ(w) - cosim * (G_H |z|_* + d2J(u) G_H* |u|_H)]
                           / (|u|_H |z|_*),
     where z = dJ(u) and G_H, G_H* are the gradients of the primal and dual
-    norms at u and z.  The resolution runs a fixed-point sweep from the
-    explicit step and polishes it with damped Newton; both the sweep result
-    and the Newton result are line-search candidates (the equation can lose
-    solvability for large tau, in which case only the partially resolved
-    iterate is available).  A candidate is accepted when F, evaluated after
-    normalization, drops by at least the sufficient_decrease fraction; if no
-    step size on the ladder achieves that, the scheme stops and reports a
-    stall, which at a non-eigenvector extremum of the cosine similarity
-    leaves a large eigen-residual behind.
+    norms at u and z.  A step screens the ladder tau0 2^-j with the cheap
+    fixed-point sweep, stopping once a sweep halves F, then polishes once
+    with damped Newton from the lowest sweep at its tau: a polish costs up
+    to settings.max_iter sparse LU solves, so polishing every rung spent
+    nearly the whole run on polishes the sweeps then beat.  Sweeps and the
+    polish are line-search candidates (for large tau the equation may have
+    no solution, leaving only the partially resolved iterate).  The lowest
+    F after normalization is accepted if it drops by the
+    sufficient_decrease fraction; otherwise the scheme reports a stall,
+    which at a non-eigenvector extremum of the cosine similarity leaves a
+    large eigen-residual behind.  extras["candidate"] names each accepted
+    step's winner, "sweep" or "polish".
     """
     if settings is None:
         settings = NewtonSettings(tol_abs=1e-10, max_iter=12)
     p, q = pair.p, pair.q
     u = _normalize(pair, np.asarray(u0, dtype=float))
     records = []
-    F_hist, tau_hist = [], []
+    F_hist, tau_hist, winners = [], [], []
     stop_reason = "max_iter"
 
     def F_of(u_cur, zeta_cur):
         return 1.0 - metrics.cosine_similarity(pair, u_cur, zeta_cur)
+
+    def normalized_F(x_free):  # F after normalizing, with (w, dJ(w))
+        try:
+            w = _normalize(pair, pair.lift_free(x_free))
+        except ValueError:
+            return np.nan, None
+        zeta_w = pair.subgrad_J(w)
+        return F_of(w, zeta_w), (w, zeta_w)
 
     zeta = pair.subgrad_J(u)
     F_u = F_of(u, zeta)
@@ -397,76 +408,80 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
 
         u_free = pair.free_flatten(u)
         explicit = cos * E / D
-        best_F, best_w, best_tau, best_n = F_u, None, None, 0
+        seed_F, seed = np.inf, None  # the lowest finite sweep
         for j in range(ladder_len):
             tau = tau0 * 0.5 ** j
-            for w_free, n_newton in _semi_implicit_candidates(
-                    pair, u_free, tau, explicit, D, settings):
-                try:
-                    w = _normalize(pair, pair.lift_free(w_free))
-                except ValueError:
-                    continue
-                zeta_w = pair.subgrad_J(w)
-                F_w = F_of(w, zeta_w)
-                if np.isfinite(F_w) and F_w < best_F:
-                    best_F, best_w, best_tau, best_n = F_w, (w, zeta_w), \
-                        tau, n_newton
-            if best_w is not None and best_F <= 0.5 * F_u:
+            sweep = _sweep(pair, u_free, tau, explicit, D)
+            F_w, w = normalized_F(sweep[0]) if sweep else (np.nan, None)
+            if np.isfinite(F_w) and F_w < seed_F:
+                seed_F, seed = F_w, (w, tau, *sweep)
+            if seed_F < F_u and seed_F <= 0.5 * F_u:
                 break
+        best = (F_u, None, None, 0, None)  # F, (w, dJ(w)), tau, count, kind
+        if seed is not None:
+            w, tau, x, sweeps = seed
+            if seed_F < F_u:
+                best = (seed_F, w, tau, sweeps, "sweep")
+            polish = _polish(pair, u_free, tau, explicit, D, x, settings)
+            F_w, w = normalized_F(polish[0]) if polish else (np.nan, None)
+            if np.isfinite(F_w) and F_w < best[0]:
+                best = (F_w, w, tau, sweeps + polish[1], "polish")
+        best_F, best_w, best_tau, best_n, best_kind = best
         rec.wall_time = time.perf_counter() - t0
+        tau_hist.append(best_tau or 0.0)
         if best_w is None or best_F > (1.0 - sufficient_decrease) * F_u:
             stop_reason = "stalled"
-            tau_hist.append(best_tau if best_tau is not None else 0.0)
             break
         u, zeta = best_w
         F_u = best_F
         rec.inner_iters = best_n
-        tau_hist.append(best_tau)
+        winners.append(best_kind)
         if snapshot_cb is not None:
             snapshot_cb(k + 1, u)
-    extras = {"F": F_hist, "tau": tau_hist}
+    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners}
     return _finish(pair, records, u, "geometric", stop_reason, None, extras)
 
 
-def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
-                              n_sweeps: int = 10):
-    """Candidate resolutions of the semi-implicit step at one step size.
+def _implicit_rhs(pair, x_free, explicit, D):
+    """Right-hand side of the semi-implicit step at the free vector x."""
+    return pair.p * pair.free_flatten(pair.subgrad_J(pair.lift_free(x_free))) \
+        / D - explicit
 
-    Yields (free vector, inner iteration count) pairs: first the fixed-point
-    sweep started from the fully explicit step, then the damped_newton
-    polish of it.  The p != 2 kernel has a degenerate derivative wherever
-    the nodewise step is small, and for large tau the equation may have no
-    solution at all, so Newton is not guaranteed to converge; the caller's
-    line search on F arbitrates between the candidates.  The polish system
-    diag - (p/D) H is symmetric but often indefinite, which rules out CG,
-    so SuperLU factors it directly under the symmetric minimum-degree
-    ordering MMD_AT_PLUS_A, several times faster than its default COLAMD
-    on these stencil matrices.  There is no polish candidate when the
-    sweep's residual is not finite or a solve fails: a singular system
-    comes back as NaN (sparse) or raises LinAlgError (dense).
-    """
-    p = pair.p
 
-    def implicit_rhs(xv):
-        return p * pair.free_flatten(pair.subgrad_J(pair.lift_free(xv))) / D \
-            - explicit
-
+def _sweep(pair, u_free, tau, explicit, D, n_sweeps: int = 10):
+    """Fixed-point sweep x <- u + tau rhs(x)^(q-1) of the semi-implicit
+    step from x = u (its first pass is the explicit step) until the next
+    iterate overflows; (x, sweeps done), or None if none is finite."""
     x = u_free.copy()
     sweeps = 0
     for _ in range(n_sweeps):
-        xn = u_free + tau * power_map(implicit_rhs(x), pair.q)
+        xn = u_free + tau * power_map(_implicit_rhs(pair, x, explicit, D),
+                                      pair.q)
         if not np.all(np.isfinite(xn)):
             break
         x = xn
         sweeps += 1
-    if sweeps == 0:
-        return
-    yield x, sweeps
+    return (x, sweeps) if sweeps else None
+
+
+def _polish(pair, u_free, tau, explicit, D, x, settings):
+    """Damped Newton polish of the sweep result x at step size tau.
+
+    Returns (x, Newton steps), or None when the sweep's residual is not
+    finite or a solve fails (a singular system gives NaN from SuperLU or
+    LinAlgError from the dense solve).  The p != 2 kernel degenerates where
+    the nodewise step is small and for large tau the equation may have no
+    solution, so Newton may not converge; the caller's line search
+    arbitrates.  The system diag - (p/D) H is symmetric but often
+    indefinite, which rules out CG; SuperLU factors it under the
+    minimum-degree ordering MMD_AT_PLUS_A, faster than COLAMD here.
+    """
+    p = pair.p
 
     def resid(xv):
         s_field = pair.lift_free((xv - u_free) / tau)
         return pair.free_flatten(pair.duality_map_H(s_field)) \
-            - implicit_rhs(xv)
+            - _implicit_rhs(pair, xv, explicit, D)
 
     def jacobian(xv):
         s_field = pair.lift_free((xv - u_free) / tau)
@@ -489,6 +504,6 @@ def _semi_implicit_candidates(pair, u_free, tau, explicit, D, settings,
     try:
         x, report = damped_newton(x, resid, jacobian, settings, direct_solve)
     except np.linalg.LinAlgError:
-        return
-    if np.isfinite(report.final_residual):
-        yield x, sweeps + settings.max_iter
+        return None
+    return (x, report.iterations) if np.isfinite(report.final_residual) \
+        else None

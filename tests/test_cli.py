@@ -50,6 +50,19 @@ class TestRun:
         final = np.loadtxt(out / "final.csv", delimiter=",")
         assert final.shape == (2,)
 
+    def test_geometric_run_names_winners(self, tmp_path):
+        config = write_config(tmp_path / "geo.json", {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.1, "r_rule": {"type": "h_pow",
+                                             "exponent": 0.5}, "p": 5.0},
+            "initial": {"kind": "ex2"},
+            "solver": {"kind": "geometric", "iters": 25},
+            "output": {"dir": str(tmp_path / "out_geo")},
+        })
+        assert main(["run", config]) == 0
+        info = json.loads((tmp_path / "out_geo" / "run.json").read_text())
+        assert info["extras"]["candidate"] == ["polish"]
+
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0
         out = tmp_path / "out_grid"

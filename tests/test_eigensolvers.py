@@ -4,8 +4,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from nonlin_eig import metrics, newton
-from nonlin_eig.eigensolvers import (EigenTrace, _semi_implicit_candidates,
+from nonlin_eig import eigensolvers, metrics, newton
+from nonlin_eig.eigensolvers import (EigenTrace, _polish, _sweep,
                                      ridders, run_balanced_ipm,
                                      run_geometric, run_ipm, run_ppm,
                                      secant_predictor)
@@ -239,6 +239,81 @@ class TestGeometric:
         assert trace.final_lambda == pytest.approx(58899.63690247836,
                                                    rel=1e-9)
 
+    def test_polishes_when_no_sweep_descends(self, spd, monkeypatch):
+        # At an eigenvector no candidate lowers F = 0; the step still
+        # polishes once, from the first of the equally low sweeps (tau0).
+        taus = []
+
+        def recording(pair, u_free, tau, *args):
+            taus.append(tau)
+            return polish(pair, u_free, tau, *args)
+
+        polish = eigensolvers._polish
+        monkeypatch.setattr(eigensolvers, "_polish", recording)
+        trace = run_geometric(spd, np.array([1.0, 0.0]), 5)
+        assert trace.stop_reason == "stalled" and taus == [2.0]
+
+    # The 20 grid runs of the geometric sweep (19x19, r = sqrt(h), 25
+    # steps): final lambda, record count and the winner of each accepted
+    # step (s = sweep, p = polish), recorded with a polish at every rung of
+    # the ladder, which one polish per step must reproduce.  All stall.
+    @pytest.mark.parametrize("shape,p,start,lam,n_records,winners", [
+        ("square", 1.5, "ex1", 40.63222733667498, 3, "ss"),
+        ("square", 1.5, "ex2", 40.69395557216665, 2, "s"),
+        ("square", 2, "ex1", 101.44863734808045, 2, "s"),
+        ("square", 2, "ex2", 97.81286478987003, 2, "s"),
+        ("square", 3, "ex1", 869.1100304324036, 2, "p"),
+        ("square", 3, "ex2", 885.8575735660813, 7, "psssss"),
+        ("square", 4, "ex1", 7476.541940244013, 2, "s"),
+        ("square", 4, "ex2", 7371.741864248301, 5, "ppss"),
+        ("square", 5, "ex1", 60741.46862433419, 2, "s"),
+        ("square", 5, "ex2", 58899.63690247838, 2, "p"),
+        ("lshape", 1.5, "ex1", 40.73758720749166, 2, "s"),
+        ("lshape", 1.5, "ex2", 40.74194039446166, 3, "ss"),
+        ("lshape", 2, "ex1", 101.10078751764041, 2, "s"),
+        ("lshape", 2, "ex2", 98.04740781751401, 2, "s"),
+        ("lshape", 3, "ex1", 853.0049718280575, 2, "s"),
+        ("lshape", 3, "ex2", 861.8148330949883, 7, "ppssss"),
+        ("lshape", 4, "ex1", 7029.324334188518, 2, "s"),
+        ("lshape", 4, "ex2", 7080.883278552417, 2, "p"),
+        ("lshape", 5, "ex1", 56979.381280957896, 2, "s"),
+        ("lshape", 5, "ex2", 55311.666699214235, 2, "p"),
+    ])
+    def test_grid_trajectory_pinned(self, shape, p, start, lam, n_records,
+                                    winners):
+        dom = build_domain(shape, 2.0, 0.1)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, p), p)
+        u0 = eval_initial_guess(start, dom).values
+        trace = run_geometric(inst, u0, 25)
+        assert trace.final_lambda == pytest.approx(lam, rel=1e-12)
+        assert trace.stop_reason == "stalled"
+        assert len(trace.records) == n_records
+        assert "".join(c[0] for c in trace.extras["candidate"]) == winners
+
+    @pytest.mark.parametrize("shape", ["square", "lshape"])
+    def test_one_polish_per_step(self, shape, monkeypatch):
+        # p=3 from ex2 on the 19x19 grids: 7 outer steps, each of which
+        # polishes once, the stalled one too, so it factors the polish
+        # system at least once and at most max_iter = 12 times
+        calls = [0]
+        spsolve = scipy.sparse.linalg.spsolve
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
+        dom = build_domain(shape, 2.0, 0.1)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 3.0), 3.0)
+        u0 = eval_initial_guess("ex2", dom).values
+        at_step = [0]  # calls so far, after each accepted step
+        trace = run_geometric(inst, u0, 25, snapshot_cb=lambda k, u:
+                              at_step.append(calls[0]))
+        at_step.append(calls[0])  # the last, stalled, step has no callback
+        per_step = [b - a for a, b in zip(at_step, at_step[1:])]
+        assert len(per_step) == len(trace.records) == 7
+        assert 1 <= min(per_step) and max(per_step) <= 12
+
     def test_grid_polish_solver_error_propagates(self, small_grid,
                                                  monkeypatch):
         def broken_spsolve(*args, **kwargs):
@@ -250,9 +325,10 @@ class TestGeometric:
             run_geometric(small_grid, u0, 3)
 
 
-# The geometric polish as it was written with its own backtracking Newton
-# loop, before it ran on newton.damped_newton; kept as the reference the
-# shared loop must reproduce bit for bit.
+# The geometric sweep and polish as they were written with the polish's
+# own backtracking Newton loop, before it ran on newton.damped_newton; kept
+# as the reference _sweep and _polish must reproduce bit for bit.  The
+# polish is counted as sweeps + the Newton steps that solved a system.
 def _reference_candidates(pair, u_free, tau, explicit, D, settings,
                           n_sweeps=10):
     p = pair.p
@@ -282,6 +358,7 @@ def _reference_candidates(pair, u_free, tau, explicit, D, settings,
     gn = float(np.max(np.abs(G))) if G.size else 0.0
     if not np.isfinite(gn):
         return
+    steps = 0
     for it in range(settings.max_iter):
         if gn <= settings.tol_abs:
             break
@@ -300,6 +377,7 @@ def _reference_candidates(pair, u_free, tau, explicit, D, settings,
                 return
         if not np.all(np.isfinite(delta)):
             return
+        steps += 1
         t = 1.0
         accepted = False
         for _ in range(31):
@@ -313,7 +391,7 @@ def _reference_candidates(pair, u_free, tau, explicit, D, settings,
             t *= 0.5
         if not accepted:
             break
-    yield x, sweeps + settings.max_iter
+    yield x, sweeps + steps
 
 
 LADDER = [2.0 * 0.5 ** j for j in range(12)]  # run_geometric's tau ladder
@@ -335,9 +413,19 @@ def first_step(pair, u):
     return pair.free_flatten(u), cos * E / D, D
 
 
+def candidates(pair, u_free, tau, explicit, D):
+    """The sweep at tau, then its polish, as (free vector, count) pairs."""
+    sweep = _sweep(pair, u_free, tau, explicit, D)
+    if sweep is None:
+        return []
+    polish = _polish(pair, u_free, tau, explicit, D, sweep[0], POLISH)
+    if polish is None:
+        return [sweep]
+    return [sweep, (polish[0], sweep[1] + polish[1])]
+
+
 def assert_same_candidates(pair, u_free, tau, explicit, D, expect=None):
-    got = list(_semi_implicit_candidates(pair, u_free, tau, explicit, D,
-                                         POLISH))
+    got = candidates(pair, u_free, tau, explicit, D)
     ref = list(_reference_candidates(pair, u_free, tau, explicit, D, POLISH))
     assert [n for _, n in got] == [n for _, n in ref]
     assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, ref))
