@@ -6,8 +6,7 @@ scheme) on an SPD quadratic pair and a 2-D grid p-Laplacian discretized by
 mean-value finite differences.
 """
 
-from .functional import (FunctionalPair, GrowthReport, SolveReport,
-                         SpdInstance, check_growth_constant,
+from .functional import (FunctionalPair, SolveReport, SpdInstance,
                          fenchel_conjugate_value, power_map)
 from .grid import (ConfigError, GridDomain, GridFunction, Stencil,
                    build_domain, build_stencil, eval_initial_guess,
@@ -22,8 +21,8 @@ from .eigensolvers import (EigenTrace, ridders, run_balanced_ipm,
 from .config import ExperimentConfig, build_instance, load_config, parse_config
 
 __all__ = [
-    "FunctionalPair", "GrowthReport", "SolveReport", "SpdInstance",
-    "check_growth_constant", "fenchel_conjugate_value", "power_map",
+    "FunctionalPair", "SolveReport", "SpdInstance",
+    "fenchel_conjugate_value", "power_map",
     "ConfigError", "GridDomain", "GridFunction", "Stencil", "build_domain",
     "build_stencil", "eval_initial_guess", "load_snapshot",
     "mean_value_constant", "save_snapshot",

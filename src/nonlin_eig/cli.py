@@ -91,8 +91,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ok = validation.run_suite(scale=args.scale)
-    return 0 if ok else 2
+    return 0 if validation.run_suite(scale=args.scale) else 2
 
 
 def main(argv=None) -> int:

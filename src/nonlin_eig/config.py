@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,16 @@ class ExperimentConfig:
     newton: NewtonSettings
     output: dict
     path: str | None = None
-    resolved: dict = field(default_factory=dict)
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _number(value, kind=(int, float)):
+    """A JSON number of the given Python type; true and false are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -51,11 +55,12 @@ def parse_config(raw: dict, path: str | None = None) -> ExperimentConfig:
     _require(kind in ("spd", "plaplace"), f"problem.kind must be spd or plaplace, got {kind!r}")
     if kind == "plaplace":
         p = problem.get("p")
-        _require(isinstance(p, (int, float)) and p > 1, "problem.p must be a real > 1")
+        _require(_number(p) and p > 1, "problem.p must be a real > 1")
         _require(problem.get("shape") in ("square", "lshape"),
                  "problem.shape must be square or lshape")
-        _require(problem.get("h", 0) > 0, "problem.h must be positive")
-        _require(problem.get("side", 0) > 0, "problem.side must be positive")
+        for key in ("h", "side") + (("r",) if "r" in problem else ()):
+            _require(_number(problem.get(key)) and problem[key] > 0,
+                     f"problem.{key} must be a positive number")
         _require("r" in problem or "r_rule" in problem,
                  "problem needs either r or r_rule")
     else:
@@ -65,16 +70,19 @@ def parse_config(raw: dict, path: str | None = None) -> ExperimentConfig:
     _require(solver.get("kind") in SOLVERS,
              f"solver.kind must be one of {SOLVERS}")
     iters = solver.get("iters", 30)
-    _require(isinstance(iters, int) and iters >= 1, "solver.iters must be >= 1")
-    if solver.get("kind") == "ppm":
-        _require(solver.get("tau", 0) > 0, "ppm needs solver.tau > 0")
+    _require(_number(iters, int) and iters >= 1, "solver.iters must be an integer >= 1")
+    if solver.get("kind") == "ppm" or "tau" in solver:
+        tau = solver.get("tau")
+        _require(_number(tau) and tau > 0, "solver.tau must be a positive number")
 
     newton_raw = raw.get("newton", {})
-    newton = NewtonSettings(
-        tol_abs=newton_raw.get("tol_abs", 1e-12),
-        max_iter=newton_raw.get("max_iter", 500),
-        cg_tol=newton_raw.get("cg_tol", 1e-10),
-        cg_max_iter=newton_raw.get("cg_max_iter"))
+    newton_kw = {key: newton_raw.get(key, default) for key, default in (
+        ("tol_abs", 1e-12), ("max_iter", 500), ("cg_tol", 1e-10), ("cg_max_iter", None))}
+    for key, value in newton_kw.items():
+        kind = int if key.endswith("max_iter") else (int, float)
+        _require(_number(value, kind) or (key == "cg_max_iter" and value is None),
+                 f"newton.{key} must be {'an integer' if kind is int else 'a number'}")
+    newton = NewtonSettings(**newton_kw)
 
     initial = raw.get("initial", {"kind": "ex1"})
     _require(initial.get("kind") in ("ex1", "ex2", "expression", "file"),
@@ -121,7 +129,6 @@ def build_instance(cfg: ExperimentConfig):
         else:
             u0 = np.asarray(init.get("vector", np.ones(pair.n)), dtype=float)
         resolved["n"] = pair.n
-        cfg.resolved = resolved
         return pair, u0, resolved
 
     p = float(problem["p"])
@@ -148,5 +155,4 @@ def build_instance(cfg: ExperimentConfig):
         "n_interior": domain.n_interior,
         "d2p_default": mean_value_constant(p),
     })
-    cfg.resolved = resolved
     return pair, u0, resolved

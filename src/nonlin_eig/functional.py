@@ -9,7 +9,7 @@ interface so that the eigensolvers stay generic over the concrete problem.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -196,52 +196,8 @@ def fenchel_conjugate_value(pair: FunctionalPair, zeta: np.ndarray, v: np.ndarra
     """J*(zeta) evaluated through a subgradient pair, zeta in dJ(v).
 
     Returns <zeta, v> - J(v).  For absolutely p-homogeneous J this equals
-    (1/q) <zeta, v> by the Euler identity; a debug assertion cross-checks
-    the two routes.  Garbage in, garbage out if the precondition fails.
+    (1/q) <zeta, v> by the Euler identity; `validation.fenchel_route_defect`
+    cross-checks the two routes.  Garbage in, garbage out if the
+    precondition fails.
     """
-    val = pair.pairing(zeta, v) - pair.energy_J(v)
-    if __debug__:
-        alt = pair.pairing(zeta, v) / pair.q
-        scale = max(abs(val), abs(alt), 1e-300)
-        if abs(val) > 1e-14 or abs(alt) > 1e-14:
-            assert abs(val - alt) <= 1e-8 * scale, (
-                f"Fenchel value mismatch: pair route {val}, Euler route {alt}"
-            )
-    return val
-
-
-@dataclass
-class GrowthReport:
-    """Result of checking H(u) <= J(u) / lambda_star over a sample set."""
-
-    ok: bool
-    worst_ratio: float
-    worst_index: int
-    violations: list[int] = field(default_factory=list)
-
-
-def check_growth_constant(pair: FunctionalPair, samples, lambda_star: float,
-                          rel_slack: float = 1e-6) -> GrowthReport:
-    """Verify the coercivity bound H(u) <= J(u)/lambda_star on samples.
-
-    lambda_star is a ground-state eigenvalue estimate; a violation signals
-    either a wrong estimate or solver non-convergence.
-    """
-    if lambda_star <= 0.0:
-        raise ValueError("lambda_star must be positive")
-    worst = np.inf
-    worst_idx = -1
-    violations = []
-    for i, u in enumerate(samples):
-        Hu = pair.H(u)
-        Ju = pair.energy_J(u)
-        if Hu <= 0.0:
-            continue
-        ratio = Ju / Hu
-        if ratio < worst:
-            worst = ratio
-            worst_idx = i
-        if Hu > (Ju / lambda_star) * (1.0 + rel_slack):
-            violations.append(i)
-    return GrowthReport(ok=not violations, worst_ratio=float(worst),
-                        worst_index=worst_idx, violations=violations)
+    return pair.pairing(zeta, v) - pair.energy_J(v)

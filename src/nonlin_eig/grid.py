@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -58,9 +58,6 @@ class Stencil:
 class GridFunction:
     values: np.ndarray  # shape (ny, nx), row 0 = smallest y
     domain: GridDomain
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.values.copy(), self.domain)
 
 
 def build_domain(shape_tag: str, side_length: float, h: float) -> GridDomain:

@@ -4,6 +4,7 @@ Each test prints a single summary line; module-scoped fixtures hold the
 expensive solver runs so criteria sharing a run do not recompute it.
 """
 
+import contextlib
 import math
 import time
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from nonlin_eig import metrics
+from nonlin_eig import metrics, validation
 from nonlin_eig.eigensolvers import (run_balanced_ipm, run_geometric,
                                      run_ipm, run_ppm)
 from nonlin_eig.functional import SpdInstance
@@ -25,15 +26,36 @@ def _grid_instance(shape, h, r, p):
     return PLaplaceInstance(dom, build_stencil(dom, r, p), p)
 
 
+@pytest.fixture(scope="module")
+def fenchel_routes():
+    """Route defects of J*(zeta) recorded at the dual-RQ evaluations of the
+    IPM fixtures below (see `checking_fenchel_routes`)."""
+    return []
+
+
+@contextlib.contextmanager
+def checking_fenchel_routes(defects):
+    """Record `validation.fenchel_route_defect` at every evaluation of J*
+    inside the dual Rayleigh quotient, without changing its value."""
+    original = metrics.fenchel_conjugate_value
+
+    def checked(pair, zeta, v):
+        defects.append(validation.fenchel_route_defect(pair, zeta, v))
+        return original(pair, zeta, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "fenchel_conjugate_value", checked)
+        yield
+
+
 # --------------------------------------------------------------------------
 # shared expensive runs
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def spd_suite():
+def spd_suite(fenchel_routes):
     """20 seeded SPD pairs (n=8, cond <= 1e4, spectral gap >= 2) with IPM
-    and proximal runs plus the dense reference eigenvalue; timing covers the
-    two iterative solvers only."""
+    and proximal runs; timing covers the two iterative solvers only."""
     rng = np.random.default_rng(20260823)
     out = []
     t_total = 0.0
@@ -46,13 +68,13 @@ def spd_suite():
         A = Q @ np.diag(evals) @ Q.T
         A = 0.5 * (A + A.T)
         inst = SpdInstance(A)
-        lam_true = float(np.linalg.eigvalsh(A)[0])
         u0 = rng.standard_normal(8)
-        t0 = time.perf_counter()
-        tr_ipm = run_ipm(inst, u0, 40)
-        tr_ppm = run_ppm(inst, u0, tau_tilde=0.1, iters=160)
-        t_total += time.perf_counter() - t0
-        out.append((inst, tr_ipm, tr_ppm, lam_true))
+        with checking_fenchel_routes(fenchel_routes):
+            t0 = time.perf_counter()
+            tr_ipm = run_ipm(inst, u0, 40)
+            tr_ppm = run_ppm(inst, u0, tau_tilde=0.1, iters=160)
+            t_total += time.perf_counter() - t0
+        out.append((inst, tr_ipm, tr_ppm))
     return out, t_total
 
 
@@ -60,7 +82,7 @@ EX1_PS = (1.5, 2.0, 3.0, 5.0)
 
 
 @pytest.fixture(scope="module")
-def ex1_sweep():
+def ex1_sweep(fenchel_routes):
     """30 inverse-power iterations on the L-shape start profile at desk
     scale (41x41, r=0.2) for each exponent; inner solves at 1e-12 absolute.
     The p=1.5 inner kernel is non-Lipschitz, so its iteration cap is reduced
@@ -71,14 +93,14 @@ def ex1_sweep():
         inst = _grid_instance("lshape", 0.05, 0.2, p)
         u0 = eval_initial_guess("ex1", inst.domain).values
         max_iter = 150 if p < 2 else 500
-        traces[p] = (inst, run_ipm(inst, u0, 30,
-                                   settings=NewtonSettings(tol_abs=1e-12,
-                                                           max_iter=max_iter)))
+        with checking_fenchel_routes(fenchel_routes):
+            traces[p] = (inst, run_ipm(inst, u0, 30, settings=NewtonSettings(
+                tol_abs=1e-12, max_iter=max_iter)))
     return traces
 
 
 @pytest.fixture(scope="module")
-def square_p2_anchor():
+def square_p2_anchor(fenchel_routes):
     """p=2 runs on (-1,1)^2 at h=0.025 with the operator's smallest
     eigenvalue from shift-invert Lanczos (eigsh, sigma=0): one at the wide
     radius r=0.2 (solver-vs-oracle check) and one at r=0.125 where the
@@ -87,7 +109,8 @@ def square_p2_anchor():
     for r in (0.2, 0.125):
         inst = _grid_instance("square", 0.025, r, 2.0)
         u0 = eval_initial_guess("ex1", inst.domain).values
-        trace = run_ipm(inst, u0, 40)
+        with checking_fenchel_routes(fenchel_routes):
+            trace = run_ipm(inst, u0, 40)
         M = inst.hess_J_matrix(np.zeros((inst.domain.ny, inst.domain.nx)))
         lam_oracle = float(scipy.sparse.linalg.eigsh(
             M, k=1, sigma=0, return_eigenvectors=False)[0])
@@ -118,21 +141,9 @@ def geometric_runs():
     return out
 
 
-@pytest.fixture(scope="module")
-def random_field_grid():
-    """Small square instance plus a seeded field generator for the
-    randomized operator identities."""
-    def make(p):
-        return _grid_instance("square", 0.1, 0.25, p)
-
-    def fields(inst, count, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            u = np.where(inst.domain.interior_mask,
-                         rng.standard_normal((inst.domain.ny,
-                                              inst.domain.nx)), 0.0)
-            yield u
-    return make, fields
+def small_square(p):
+    """The small square instance of the randomized operator identities."""
+    return _grid_instance("square", 0.1, 0.25, p)
 
 
 # --------------------------------------------------------------------------
@@ -141,13 +152,10 @@ def random_field_grid():
 
 def test_criterion_01_spd_oracle_equivalence(spd_suite):
     runs, t_total = spd_suite
-    worst_ipm = worst_ppm = 0.0
-    for inst, tr_ipm, tr_ppm, lam_true in runs:
-        worst_ipm = max(worst_ipm,
-                        abs(tr_ipm.final_lambda - lam_true) / lam_true)
-        worst_ppm = max(worst_ppm,
-                        abs(tr_ppm.extras["lambda_recovered"] - lam_true)
-                        / lam_true)
+    worst_ipm = validation.spd_oracle_error(
+        (inst, tr_ipm.final_lambda) for inst, tr_ipm, _ in runs)
+    worst_ppm = validation.spd_oracle_error(
+        (inst, tr_ppm.extras["lambda_recovered"]) for inst, _, tr_ppm in runs)
     print(f"\n[criterion 1] PASS: 20 SPD pairs, IPM rel err {worst_ipm:.2e} "
           f"(<=1e-8), PPM recovered rel err {worst_ppm:.2e} (<=1e-6), "
           f"solver time {t_total:.2f}s (<1s)")
@@ -157,13 +165,9 @@ def test_criterion_01_spd_oracle_equivalence(spd_suite):
 
 
 def test_criterion_02_dual_rq_monotone(ex1_sweep):
-    worst = math.inf
-    for p, (inst, trace) in ex1_sweep.items():
-        mus = [rec.dual_rq for rec in trace.records]
-        assert len(mus) == 30
-        for a, b in zip(mus, mus[1:]):
-            slack = (b - a) / max(abs(a), 1e-300)
-            worst = min(worst, slack)
+    assert all(len(trace.records) == 30 for _, trace in ex1_sweep.values())
+    worst = -max(validation.dual_rq_decrease(trace)
+                 for _, trace in ex1_sweep.values())
     print(f"\n[criterion 2] PASS: dual Rayleigh quotient nondecreasing over "
           f"30 iterations for p in {EX1_PS}, worst relative slack "
           f"{worst:.2e} (>= -1e-9)")
@@ -184,35 +188,22 @@ def test_criterion_03_duality_gap_roots(ex1_sweep):
     assert res_final <= 1e-5
 
 
-def test_criterion_04_euler_identity(random_field_grid):
-    make, fields = random_field_grid
+def test_criterion_04_euler_identity():
     worst = 0.0
     for p in (1.5, 3.0):
-        inst = make(p)
-        for u in fields(inst, 100, seed=int(10 * p)):
-            pj = p * inst.energy_J(u)
-            pairing = inst.pairing(inst.subgrad_J(u), u)
-            worst = max(worst, abs(pj - pairing) / max(1.0, abs(pj)))
+        inst = small_square(p)
+        worst = max(worst, validation.euler_defect(
+            inst, validation.random_fields(inst, 100, seed=int(10 * p))))
     print(f"\n[criterion 4] PASS: Euler identity on 200 random fields "
           f"(p=1.5, 3), worst relative defect {worst:.2e} (<=1e-10)")
     assert worst <= 1e-10
 
 
-def test_criterion_05_jacobian_matches_fd(random_field_grid):
-    make, fields = random_field_grid
-    inst = make(3.0)
-    rng = np.random.default_rng(55)
-    step = 1e-6
-    worst = 0.0
-    for u in fields(inst, 20, seed=5):
-        J = inst.jacobian_matrix(u)
-        v = np.where(inst.domain.interior_mask,
-                     rng.standard_normal(u.shape), 0.0)
-        jv = J @ inst.free_flatten(v)
-        fd = (inst.free_flatten(inst.subgrad_J(u + step * v))
-              - inst.free_flatten(inst.subgrad_J(u - step * v))) / (2 * step)
-        rel = np.linalg.norm(jv - fd) / np.linalg.norm(fd)
-        worst = max(worst, rel)
+def test_criterion_05_jacobian_matches_fd():
+    inst = small_square(3.0)
+    worst = validation.jacobian_fd_error(
+        inst, validation.random_fields(inst, 20, seed=5),
+        validation.random_fields(inst, 20, seed=55))
     print(f"\n[criterion 5] PASS: Jacobian-vector vs central differences on "
           f"20 random fields (p=3), worst relative error {worst:.2e} "
           f"(<=1e-5)")
@@ -291,20 +282,12 @@ def test_criterion_09_geometric_scheme(geometric_runs):
           f"non-eigenfunction extremum, residual {res2:.2e} (>1e-2)")
 
 
-def test_criterion_10_duality_cross_checks(random_field_grid, spd_suite,
-                                           ex1_sweep, square_p2_anchor):
-    make, fields = random_field_grid
-    inst = make(3.0)
-    worst_slack = math.inf
-    worst_agree = 0.0
-    for u in fields(inst, 200, seed=1012):
-        zeta = inst.subgrad_J(u)
-        gap = metrics.duality_gap(inst, u, zeta, u)
-        worst_slack = min(worst_slack, gap)
-        R = metrics.rayleigh_quotient(inst, u)
-        alt = (1.0 - metrics.cosine_similarity(inst, u, zeta)) \
-            * R ** (-1.0 / inst.p)
-        worst_agree = max(worst_agree, abs(gap - alt) / max(abs(gap), 1e-300))
+def test_criterion_10_duality_cross_checks(spd_suite, ex1_sweep,
+                                           square_p2_anchor):
+    inst = small_square(3.0)
+    fields = validation.random_fields(inst, 200, seed=1012)
+    worst_slack = -validation.gap_negativity(inst, fields)
+    worst_agree = validation.gap_formula_defect(inst, fields)
     assert worst_slack >= -1e-10
     assert worst_agree <= 1e-8
 
@@ -312,19 +295,14 @@ def test_criterion_10_duality_cross_checks(random_field_grid, spd_suite,
     checked = 0
     worst_mu = 0.0
     for inst_k, trace in (
-            [(i, t) for i, t, _, _ in spd_suite[0]]
+            [(i, t) for i, t, _ in spd_suite[0]]
             + [(ex1_sweep[p][0], ex1_sweep[p][1]) for p in EX1_PS]
             + [(square_p2_anchor[r][0], square_p2_anchor[r][1])
                for r in square_p2_anchor]):
         if not trace.converged:
             continue
-        u = trace.final_u
-        lam = metrics.rayleigh_quotient(inst_k, u)
-        zeta = inst_k.subgrad_J(u)
-        v, _ = inst_k.inverse_subgrad_J(zeta, warm_start=u)
-        mu = metrics.dual_rayleigh_quotient(inst_k, zeta, v)
-        worst_mu = max(worst_mu,
-                       abs(mu - lam ** (1.0 - inst_k.q)) / abs(mu))
+        worst_mu = max(worst_mu, validation.eigenvalue_relation_defect(
+            inst_k, [trace.final_u]))
         checked += 1
     assert checked >= 20
     assert worst_mu <= 1e-6
@@ -333,3 +311,15 @@ def test_criterion_10_duality_cross_checks(random_field_grid, spd_suite,
           f"(<=1e-8) on 200 random pairs; primal-dual eigenvalue relation "
           f"defect {worst_mu:.2e} (<=1e-6) across {checked} converged "
           f"eigenpairs")
+
+
+def test_fenchel_routes_agree_in_ipm_fixtures(fenchel_routes, spd_suite,
+                                              ex1_sweep, square_p2_anchor):
+    worst = max(fenchel_routes)
+    print(f"\n[fenchel routes] PASS: J* through the subgradient pair vs the "
+          f"Euler route at {len(fenchel_routes)} evaluations in the SPD, "
+          f"ex1 (p=1.5 included) and p=2 anchor runs, worst relative defect "
+          f"{worst:.2e} (<=1e-8)")
+    # the dual RQ and the gap of every IPM record, the gap of every PPM one
+    assert len(fenchel_routes) == 2 * (20 * 40 + 4 * 30 + 2 * 40) + 20 * 160
+    assert worst <= 1e-8

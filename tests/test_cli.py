@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nonlin_eig
 from nonlin_eig import validation
 from nonlin_eig.cli import main
 
@@ -83,14 +88,32 @@ class TestRun:
         assert main(["run", spd_config, "--out", str(other)]) == 0
         assert (other / "metrics.csv").exists()
 
-    def test_invalid_p_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "bad.json", {
+    @pytest.mark.parametrize("section, key, value", [
+        ("problem", "p", 0.5),
+        ("problem", "h", "0.2"),
+        ("problem", "side", True),
+        ("problem", "r", "0.45"),
+        ("solver", "tau", "0.5"),
+        ("solver", "iters", True),
+        ("solver", "iters", 2.5),
+        ("newton", "tol_abs", "1e-12"),
+        ("newton", "max_iter", True),
+        ("newton", "cg_tol", "1e-10"),
+        ("newton", "cg_max_iter", 10.5),
+    ])
+    def test_invalid_value_exits_1(self, tmp_path, capsys, section, key, value):
+        raw = {
             "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
-                        "h": 0.2, "r": 0.45, "p": 0.5},
-            "solver": {"kind": "ipm"},
-        })
+                        "h": 0.2, "r": 0.45, "p": 3.0},
+            "solver": {"kind": "ipm", "iters": 2},
+            "newton": {},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        raw[section][key] = value
+        cfg = write_config(tmp_path / "bad.json", raw)
         assert main(["run", cfg]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{section}.{key}" in err
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -125,18 +148,36 @@ class TestDescribe:
 class TestValidate:
     def test_quick_suite_passes(self, capsys):
         assert main(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS  ") == len(validation.QUICK_CHECKS)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(validation.QUICK_CHECKS)
+        for line, (name, _, bound) in zip(lines, validation.QUICK_CHECKS):
+            assert line.startswith(f"PASS  {name}: ")
+            assert line.endswith(f" (<= {bound:g})")
 
     def test_failing_check_exits_2(self, monkeypatch, capsys):
-        def broken():
-            raise AssertionError("deliberately broken")
-
         monkeypatch.setattr(validation, "QUICK_CHECKS",
                             [validation.QUICK_CHECKS[0],
-                             ("broken-check", broken)])
+                             ("broken-check", lambda: 1.0, 0.5),
+                             ("nan-check", lambda: float("nan"), 1.0)])
         assert main(["validate"]) == 2
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("PASS  ")
-        assert lines[1] == "FAIL  broken-check: deliberately broken"
+        assert lines[0].startswith("PASS  euler-identity: ")
+        assert lines[1] == "FAIL  broken-check: 1.00e+00 (<= 0.5)"
+        assert lines[2] == "FAIL  nan-check: nan (<= 1)"
+
+    def test_broken_energy_fails_under_optimize(self):
+        # the checks must not be asserts, which `python -O` strips
+        script = (
+            "import sys\n"
+            "from nonlin_eig import cli, plaplace\n"
+            "energy = plaplace.PLaplaceInstance.dirichlet_energy\n"
+            "plaplace.PLaplaceInstance.dirichlet_energy = "
+            "lambda self, u: 2.0 * energy(self, u)\n"
+            "sys.exit(cli.main(['validate']))\n")
+        src = str(Path(nonlin_eig.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "FAIL  euler-identity: " in proc.stdout

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nonlin_eig.functional import power_map
 from nonlin_eig.grid import build_domain, build_stencil
 from nonlin_eig.plaplace import PLaplaceInstance
+from nonlin_eig.validation import euler_defect, jacobian_fd_error, random_fields
 
 
 def make_instance(p=3.0, h=0.1, r=0.25, shape="square", epsilon=1e-9):
@@ -17,14 +18,6 @@ def spike_instance(p):
     """side 8, h=1, r=1: 4-neighbor stencil with a deep interior."""
     dom = build_domain("square", 8.0, 1.0)
     return PLaplaceInstance(dom, build_stencil(dom, 1.0, p), p)
-
-
-def random_interior(inst, seed, count=1):
-    rng = np.random.default_rng(seed)
-    mask = inst.domain.interior_mask
-    fields = [np.where(mask, rng.standard_normal(mask.shape), 0.0)
-              for _ in range(count)]
-    return fields if count > 1 else fields[0]
 
 
 class TestOperator:
@@ -59,7 +52,7 @@ class TestOperator:
 
     def test_zero_outside_interior(self):
         inst = make_instance(p=1.5, shape="lshape")
-        u = random_interior(inst, 1)
+        u = random_fields(inst, 1, 1)[0]
         out = inst.neg_plaplacian(u)
         assert np.all(out[~inst.domain.interior_mask] == 0.0)
 
@@ -71,7 +64,7 @@ class TestEnergy:
 
     def test_positive_unless_zero(self):
         inst = make_instance()
-        u = random_interior(inst, 2)
+        u = random_fields(inst, 1, 2)[0]
         assert inst.dirichlet_energy(u) > 0.0
 
     def test_unit_spike_p2_by_hand(self):
@@ -86,16 +79,13 @@ class TestEnergy:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_discrete_euler_identity(self, p):
         inst = make_instance(p=p, shape="lshape")
-        for u in random_interior(inst, 3, count=10):
-            lhs = p * inst.dirichlet_energy(u)
-            rhs = inst.pairing(inst.neg_plaplacian(u), u)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+        assert euler_defect(inst, random_fields(inst, 10, seed=3)) <= 1e-10
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_energy_gradient_matches_operator(self, p):
         inst = make_instance(p=p)
-        u = random_interior(inst, 4)
-        v = random_interior(inst, 5)
+        u = random_fields(inst, 1, 4)[0]
+        v = random_fields(inst, 1, 5)[0]
         step = 1e-6
         fd = (inst.dirichlet_energy(u + step * v)
               - inst.dirichlet_energy(u - step * v)) / (2 * step)
@@ -106,8 +96,8 @@ class TestEnergy:
 class TestJacobian:
     def test_p2_is_constant_graph_laplacian(self):
         inst = make_instance(p=2.0)
-        u1 = random_interior(inst, 6)
-        u2 = random_interior(inst, 7)
+        u1 = random_fields(inst, 1, 6)[0]
+        u2 = random_fields(inst, 1, 7)[0]
         A1 = inst.jacobian_matrix(u1).toarray()
         A2 = inst.jacobian_matrix(u2).toarray()
         assert np.allclose(A1, A2, atol=1e-12)
@@ -118,16 +108,8 @@ class TestJacobian:
 
     def test_matches_finite_differences(self):
         inst = make_instance(p=3.0)
-        u = random_interior(inst, 8)
-        v = random_interior(inst, 9)
-        A = inst.jacobian_matrix(u)
-        jv = A @ v[inst.domain.interior_mask]
-        step = 1e-6
-        mask = inst.domain.interior_mask
-        fd = (inst.neg_plaplacian(u + step * v)
-              - inst.neg_plaplacian(u - step * v))[mask] / (2 * step)
-        scale = max(1.0, float(np.max(np.abs(fd))))
-        assert np.max(np.abs(jv - fd)) / scale <= 1e-5
+        assert jacobian_fd_error(inst, random_fields(inst, 1, seed=8),
+                                 random_fields(inst, 1, seed=9)) <= 1e-5
 
     def test_constant_field_epsilon_zero_gives_zero_matrix(self):
         inst = make_instance(p=3.0)
@@ -146,7 +128,7 @@ class TestJacobian:
 
     def test_symmetric_and_psd(self):
         inst = make_instance(p=3.0, h=0.2, r=0.45)
-        u = random_interior(inst, 10)
+        u = random_fields(inst, 1, 10)[0]
         A = inst.jacobian_matrix(u).toarray()
         assert np.max(np.abs(A - A.T)) <= 1e-12 * max(1.0, np.max(np.abs(A)))
         eigs = np.linalg.eigvalsh(A)
@@ -156,7 +138,7 @@ class TestJacobian:
 class TestNormsAndDualityMap:
     def test_formulas(self):
         inst = make_instance(p=3.0)
-        u = random_interior(inst, 11)
+        u = random_fields(inst, 1, 11)[0]
         h2 = inst.domain.h ** 2
         assert inst.norm_H(u) == pytest.approx(
             (h2 * np.sum(np.abs(u) ** 3)) ** (1 / 3), rel=1e-12)
@@ -167,7 +149,7 @@ class TestNormsAndDualityMap:
 
     def test_normalized_field_unit_dual_norm(self):
         inst = make_instance(p=3.0)
-        u = random_interior(inst, 12)
+        u = random_fields(inst, 1, 12)[0]
         u = u / inst.norm_H(u)
         z = inst.duality_map_H(u)
         assert inst.dual_norm_H(z) == pytest.approx(1.0, rel=1e-10)
@@ -180,7 +162,7 @@ class TestNormsAndDualityMap:
 
     def test_p2_duality_map_is_identity(self):
         inst = make_instance(p=2.0)
-        u = random_interior(inst, 13)
+        u = random_fields(inst, 1, 13)[0]
         z = inst.duality_map_H(u)
         assert np.allclose(z, u)
 
@@ -298,7 +280,7 @@ class TestMatchesPerOffsetLoops:
         h = 2.0 / cells
         dom = build_domain(shape, 2.0, h)
         inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p)
-        u = scale * random_interior(inst, seed)
+        u = scale * random_fields(inst, 1, seed)[0]
         if levels:
             # coarse values give exactly zero differences between neighbours
             u = np.round(u * levels) / levels
