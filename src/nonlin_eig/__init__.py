@@ -16,7 +16,7 @@ from .newton import NewtonSettings, solve_p_poisson, solve_prox
 from .metrics import (IterationRecord, cosine_similarity, duality_gap,
                       dual_rayleigh_quotient, eigen_residual,
                       rayleigh_quotient)
-from .eigensolvers import (EigenTrace, ridders, run_balanced_ipm,
+from .eigensolvers import (EigenTrace, illinois, run_balanced_ipm,
                            run_geometric, run_ipm, run_ppm)
 from .config import ExperimentConfig, build_instance, load_config, parse_config
 
@@ -30,7 +30,7 @@ __all__ = [
     "NewtonSettings", "solve_p_poisson", "solve_prox",
     "IterationRecord", "cosine_similarity", "duality_gap",
     "dual_rayleigh_quotient", "eigen_residual", "rayleigh_quotient",
-    "EigenTrace", "ridders", "run_balanced_ipm", "run_geometric",
+    "EigenTrace", "illinois", "run_balanced_ipm", "run_geometric",
     "run_ipm", "run_ppm",
     "ExperimentConfig", "build_instance", "load_config", "parse_config",
 ]

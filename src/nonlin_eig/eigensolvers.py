@@ -164,47 +164,38 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
                    res)
 
 
-def ridders(f, a, b, fa, fb, ftol: float, max_iter: int = 60):
-    """Ridders' bracketing root finder, stopping on |f| <= ftol.
+SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
 
-    SciPy's version only exposes an x-tolerance stop, but here every f
-    evaluation is a Newton solve, so we stop as soon as the balancing
-    defect is small enough.
+
+def illinois(f, a, b, fa, fb, ftol: float, max_iter: int = 60):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 1971) on [a, b], stopping
+    on |f| <= ftol, with one f evaluation (here a Newton solve) per step.
+
+    x replaces the latest end b when f(x) has its sign, and the kept end's
+    value is halved so that the iteration cannot stall there.  While either
+    end holds a +-SENTINEL it bisects and halves nothing.
     """
-    if fa == 0.0:
+    if abs(fa) <= ftol:
         return a, fa, 0
-    if fb == 0.0:
+    if abs(fb) <= ftol:
         return b, fb, 0
     if fa * fb > 0:
         raise ValueError("root not bracketed")
     best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    evals = 0
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        evals += 1
-        if abs(fm) < abs(best_f):
-            best_x, best_f = m, fm
-        if abs(fm) <= ftol:
-            return m, fm, evals
-        s = np.sqrt(fm * fm - fa * fb)
-        if s == 0.0:
-            break
-        x = m + (m - a) * (np.sign(fa - fb) * fm / s)
+    for evals in range(1, max_iter + 1):  # a: kept end, b: latest end
+        bisect = max(abs(fa), abs(fb)) >= SENTINEL
+        x = 0.5 * (a + b) if bisect else (a * fb - b * fa) / (fb - fa)
         fx = f(x)
-        evals += 1
         if abs(fx) < abs(best_f):
             best_x, best_f = x, fx
         if abs(fx) <= ftol:
             return x, fx, evals
-        # keep the sub-bracket containing the sign change
-        if fm * fx < 0:
-            a, fa, b, fb = m, fm, x, fx
-        elif fa * fx < 0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    return best_x, best_f, evals
+        if fx * fb < 0:
+            a, fa = b, fb
+        elif not bisect:
+            fa *= 0.5
+        b, fb = x, fx
+    return best_x, best_f, max_iter
 
 
 def secant_predictor(cache: dict, s: float, warm: np.ndarray) -> np.ndarray:
@@ -227,12 +218,14 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     match; targets the sign-changing second eigenfunction.
 
     inst must be a PLaplaceInstance (the balancing uses clipped grid
-    fields).  The scalar balance is the one-parameter family
-    zeta_s = s*zeta^+ - zeta^-, rooted with Ridders' method.  Within one
-    outer step every solve along the family starts from the secant
-    predictor through the two cached solutions at the balances nearest the
-    new s (continuation in s); the first two start from u and from the
-    previous solution.
+    fields).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
+    phi(s) = R(w^+) - R(w^-) of the solve w.  phi > 0 as s -> 0, where w^+
+    vanishes, and phi < 0 as s -> inf, so the sign of phi(1) tells on which
+    side of 1 to expand s = 2^(+-m); Illinois regula falsi roots the
+    bracket.  Each solve starts from the secant predictor through the two
+    cached solutions at the balances nearest s (continuation in s); the
+    first two start from u and from the previous solution.  extras lists
+    each step's root s, its solve count, and the steps with a failed solve.
     """
     if settings is None:
         settings = NewtonSettings()
@@ -240,7 +233,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     if not (np.any(u > 0) and np.any(u < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
     records = []
-    fallback_steps = []
+    fallback_steps, failed, roots, solves = [], [], [], []
     stop_reason = "max_iter"
 
     def partial_rq(w, sign):
@@ -255,17 +248,19 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        inner_total = [0]
+        inner_total, step_failed = 0, False
         cache: dict[float, np.ndarray] = {}
 
         def solve_w(s):
+            nonlocal inner_total, step_failed
             if s in cache:
                 return cache[s]
             last = next(reversed(cache.values()), u)
             w, rep = solve_p_poisson(inst, s * zp - zm,
                                      secant_predictor(cache, s, last),
                                      settings)
-            inner_total[0] += rep.iterations
+            inner_total += rep.iterations
+            step_failed |= not rep.converged
             cache[s] = w
             return w
 
@@ -278,41 +273,33 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             if rp is None and rm is None:
                 return np.nan
             if rp is None:
-                return 1e12
+                return SENTINEL
             if rm is None:
-                return -1e12
+                return -SENTINEL
             return rp - rm
 
         s_root = 1.0
         f1 = phi(1.0)
-        flagged = False
         if np.isnan(f1):
             stop_reason = "stalled"
         elif abs(f1) > balance_tol:
-            # bracket by geometric expansion around s = 1
+            # bracket by expanding s = 2^(+-m) on the side of the root only
             a, fa = 1.0, f1
             b, fb = None, None
             for mexp in range(1, 13):
-                for cand in (2.0 ** mexp, 2.0 ** -mexp):
-                    fc = phi(cand)
-                    if np.isnan(fc):
-                        continue
-                    if fc * f1 < 0:
-                        b, fb = cand, fc
-                        a, fa = 1.0, f1
-                        break
-                    if abs(fc) < abs(fa):
-                        a, fa = cand, fc
-                if b is not None:
+                c = (2.0 if f1 > 0 else 0.5) ** mexp
+                fc = phi(c)
+                if np.isnan(fc):
+                    continue
+                if fc * f1 < 0:
+                    b, fb = c, fc
                     break
-            if b is None:
-                flagged = True  # no bracket; fall back to s = 1
+                a, fa = c, fc
+            if b is None:  # no bracket; fall back to s = 1
                 fallback_steps.append(k)
-                s_root = 1.0
             else:
-                lo, hi = (a, b) if a < b else (b, a)
-                flo, fhi = (fa, fb) if a < b else (fb, fa)
-                s_root, _, _ = ridders(phi, lo, hi, flo, fhi, balance_tol)
+                (lo, flo), (hi, fhi) = sorted([(a, fa), (b, fb)])
+                s_root, _, _ = illinois(phi, lo, hi, flo, fhi, balance_tol)
         w = solve_w(s_root)
         zJ = inst.subgrad_J(u)
         rec = metrics.IterationRecord(
@@ -321,9 +308,13 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             cosim=metrics.cosine_similarity(inst, u, zJ),
             gap=metrics.duality_gap(inst, u, zJ, u),
             residual=metrics.eigen_residual(inst, u),
-            inner_iters=inner_total[0],
+            inner_iters=inner_total,
             wall_time=time.perf_counter() - t0)
         records.append(rec)
+        roots.append(s_root)
+        solves.append(len(cache))
+        if step_failed:
+            failed.append(k)
         if stop_reason == "stalled":
             break
         u_new = _normalize(inst, w)
@@ -333,7 +324,8 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         u = u_new
         if snapshot_cb is not None:
             snapshot_cb(k + 1, u)
-    extras = {"fallback_steps": fallback_steps}
+    extras = {"fallback_steps": fallback_steps, "failed_inner_solves": failed,
+              "balance_roots": roots, "balance_solves": solves}
     return _finish(inst, records, u, "balanced", stop_reason, None, extras)
 
 

@@ -15,9 +15,10 @@ lexsorted offsets of build_stencil.  A neighbour that is not an interior
 node reads the appended zero slot n.  One gather of the interior values
 extended by that zero gives u(y) - u(x) for every (offset, node) at once:
 - the operator sums power_map of it over the offsets (the centre adds 0);
-- the energy sums |u(y)-u(x)|^p and counts each edge to a non-interior
-  node twice, once from each end, because the double sum also runs over
-  the non-interior nodes, whose values are 0;
+- the energy sums |u(y)-u(x)|^p and adds c(x)|u(x)|^p, for the cached
+  count c(x) of x's non-interior neighbours: the double sum also runs over
+  the non-interior nodes, whose values are 0, so it counts each such edge
+  twice, once from each end;
 - the Jacobian writes its weights into CSR data on a fixed pattern read
   from the transposed table, whose columns come sorted in each row; the
   centre slot is the diagonal and zero-slot entries are left out.
@@ -110,6 +111,12 @@ class PLaplaceInstance(FunctionalPair):
         indices.flags.writeable = indptr.flags.writeable = False
         return slots * n + rows, indices, indptr
 
+    @cached_property
+    def _outside_count(self) -> np.ndarray:
+        """Per interior node, the number of its non-interior neighbours."""
+        return np.count_nonzero(self._table == self.n_interior,
+                                axis=0).astype(float)
+
     def _differences(self, u) -> np.ndarray:
         """u(y) - u(x), one row per table row, one column per interior x."""
         ext = np.zeros(self.n_interior + 1)
@@ -130,7 +137,8 @@ class PLaplaceInstance(FunctionalPair):
         a = self._differences(u)
         np.abs(a, out=a)
         a **= self.p
-        total = float(np.sum(a) + np.sum(a[self._table == self.n_interior]))
+        x = np.abs(_values(u)[self._mask]) ** self.p
+        total = float(np.sum(a) + self._outside_count @ x)
         return self.stencil.weight * self._h2 * total / (2.0 * self.p)
 
     def kernel_derivative(self, d: np.ndarray, epsilon: float | None = None

@@ -68,6 +68,21 @@ class TestRun:
         info = json.loads((tmp_path / "out_geo" / "run.json").read_text())
         assert info["extras"]["candidate"] == ["polish"]
 
+    def test_balanced_run_reports_root_search(self, tmp_path):
+        config = write_config(tmp_path / "bal.json", {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.1, "r": 0.25, "p": 3.0},
+            "initial": {"kind": "ex2"},
+            "solver": {"kind": "balanced", "iters": 2},
+            "output": {"dir": str(tmp_path / "out_bal")},
+        })
+        assert main(["run", config]) == 0
+        extras = json.loads(
+            (tmp_path / "out_bal" / "run.json").read_text())["extras"]
+        assert extras["balance_solves"] == [16, 8]
+        assert len(extras["balance_roots"]) == 2
+        assert extras["failed_inner_solves"] == []
+
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0
         out = tmp_path / "out_grid"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
 from nonlin_eig.eigensolvers import (EigenTrace, _polish, _sweep,
-                                     ridders, run_balanced_ipm,
+                                     illinois, run_balanced_ipm,
                                      run_geometric, run_ipm, run_ppm,
                                      secant_predictor)
 from nonlin_eig.functional import SpdInstance, power_map
@@ -27,20 +27,31 @@ def small_grid():
     return PLaplaceInstance(dom, build_stencil(dom, 0.25, 3.0), 3.0)
 
 
-class TestRidders:
+class TestIllinois:
     def test_polynomial_root(self):
-        x, fx, evals = ridders(lambda t: t ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0,
-                               ftol=1e-12)
+        x, fx, evals = illinois(lambda t: t ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0,
+                                ftol=1e-12)
         assert abs(x - 2.0 ** (1 / 3)) <= 1e-10
         assert abs(fx) <= 1e-12
+        assert evals < 10  # Ridders' method takes 10 evaluations here
 
     def test_endpoint_root(self):
-        x, fx, evals = ridders(lambda t: t, 0.0, 1.0, 0.0, 1.0, ftol=1e-12)
+        x, fx, evals = illinois(lambda t: t, 0.0, 1.0, 0.0, 1.0, ftol=1e-12)
         assert x == 0.0 and evals == 0
 
     def test_not_bracketed(self):
         with pytest.raises(ValueError):
-            ridders(lambda t: t, 1.0, 2.0, 1.0, 2.0, ftol=1e-12)
+            illinois(lambda t: t, 1.0, 2.0, 1.0, 2.0, ftol=1e-12)
+
+    def test_sentinel_end_bisects(self):
+        # the balance defect is a sentinel where one part of the solve
+        # vanishes; a secant through it would creep along the other end
+        def f(t):
+            return eigensolvers.SENTINEL if t < 0.3 else 1.0 - t
+
+        x, fx, evals = illinois(f, 0.1, 2.0, f(0.1), f(2.0), ftol=1e-12)
+        assert abs(fx) <= 1e-12 and abs(x - 1.0) <= 1e-12
+        assert evals <= 6
 
 
 @pytest.mark.parametrize("run", [
@@ -191,14 +202,29 @@ class TestBalanced:
         assert abs(rp - rm) <= 1e-6 * max(rp, rm)
 
     def test_four_steps_pinned(self, small_grid):
-        # recorded with every inner solve warm-started from the previous
-        # solution and CG run to cg_tol alone
+        # recorded with the balance rooted by Illinois regula falsi on the
+        # one-sided bracket, each solve started from the secant predictor
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
-        assert trace.final_lambda == pytest.approx(88.10019383184857,
+        assert trace.final_lambda == pytest.approx(88.10019383023001,
                                                    rel=1e-10)
         assert metrics.eigen_residual(small_grid, trace.final_u) \
-            == pytest.approx(0.456011143567228, rel=1e-10)
+            == pytest.approx(0.4560111429534977, rel=1e-10)
+
+    def test_four_steps_solve_count(self, small_grid):
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
+        trace = run_balanced_ipm(small_grid, u0, 4)
+        solves = trace.extras["balance_solves"]
+        assert sum(solves) == 39
+        assert sum(solves) < 56  # two-sided bracket and Ridders' method
+        assert len(trace.extras["balance_roots"]) == len(solves) == 4
+        assert trace.extras["failed_inner_solves"] == []
+
+    def test_failed_inner_solves_listed(self, small_grid):
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
+        trace = run_balanced_ipm(small_grid, u0, 2,
+                                 settings=NewtonSettings(max_iter=1))
+        assert trace.extras["failed_inner_solves"] == [0, 1]
 
     def test_final_normalized(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values
