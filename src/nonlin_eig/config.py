@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ class ExperimentConfig:
     solver: dict
     newton: NewtonSettings
     output: dict
-    path: str | None = None
 
 
 def _require(cond, msg):
@@ -43,10 +42,10 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return parse_config(raw, path=str(path))
+    return parse_config(raw)
 
 
-def parse_config(raw: dict, path: str | None = None) -> ExperimentConfig:
+def parse_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     for key in ("problem", "solver"):
         _require(key in raw, f"missing config section {key!r}")
@@ -76,8 +75,8 @@ def parse_config(raw: dict, path: str | None = None) -> ExperimentConfig:
         _require(_number(tau) and tau > 0, "solver.tau must be a positive number")
 
     newton_raw = raw.get("newton", {})
-    newton_kw = {key: newton_raw.get(key, default) for key, default in (
-        ("tol_abs", 1e-12), ("max_iter", 500), ("cg_tol", 1e-10), ("cg_max_iter", None))}
+    newton_kw = {f.name: newton_raw.get(f.name, f.default)
+                 for f in fields(NewtonSettings)}
     for key, value in newton_kw.items():
         kind = int if key.endswith("max_iter") else (int, float)
         _require(_number(value, kind) or (key == "cg_max_iter" and value is None),
@@ -90,7 +89,7 @@ def parse_config(raw: dict, path: str | None = None) -> ExperimentConfig:
 
     output = raw.get("output", {})
     return ExperimentConfig(problem=problem, initial=initial, solver=solver,
-                            newton=newton, output=output, path=path)
+                            newton=newton, output=output)
 
 
 def resolve_radius(problem: dict) -> float:
@@ -117,10 +116,7 @@ def build_instance(cfg: ExperimentConfig):
     """
     problem = cfg.problem
     resolved = {"problem": dict(problem), "solver": dict(cfg.solver),
-                "newton": {"tol_abs": cfg.newton.tol_abs,
-                           "max_iter": cfg.newton.max_iter,
-                           "cg_tol": cfg.newton.cg_tol,
-                           "cg_max_iter": cfg.newton.cg_max_iter}}
+                "newton": asdict(cfg.newton)}
     if problem["kind"] == "spd":
         pair = SpdInstance(problem["matrix"])
         init = cfg.initial

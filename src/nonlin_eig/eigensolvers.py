@@ -1,6 +1,18 @@
 """The four iterative eigensolvers: inverse power method, proximal power
 method, balanced higher-order inverse iteration, and the cosine-ascent
-(geometric characterization) scheme."""
+(geometric characterization) scheme.
+
+All four run on one outer loop, `_iterate`.  It normalizes the start, times
+each step, records each iterate u^k (R, the cosine similarity and the
+duality gap from one dJ(u^k), and the eigen-residual, reused from the
+residual_tol stop test) and passes each new iterate to snapshot_cb.  It
+stops after iters steps (max_iter), once a new iterate's eigen-residual is
+<= residual_tol (residual_tol) or when a step stalls (stalled, keeping
+u^k), and sets converged from the final eigen-residual (<= residual_tol,
+else 1e-6).  A scheme supplies only its step, step(k, u) -> (v, dual_rq,
+inner_iters): the next iterate before normalization or None for a stall,
+the record's dual Rayleigh quotient or None, and the step's inner work.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +26,13 @@ import scipy.sparse.linalg
 from .functional import FunctionalPair, power_map
 from .newton import NewtonSettings, damped_newton, solve_p_poisson
 from . import metrics
+
+SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
+BALANCE_TOL = 1e-6  # |phi| at the root of the balance
+TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
+LADDER_LEN = 12
+SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
+N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
 
 
 @dataclass
@@ -34,9 +53,38 @@ def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
     return u / n
 
 
-def _finish(pair, records, u, tag, stop_reason, residual_tol, extras,
-            res=None):
-    if res is None:  # the eigen-residual of u, unless the caller has it
+def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
+             snapshot_cb=None) -> EigenTrace:
+    """The outer loop of every scheme, described in the module docstring."""
+    u = _normalize(pair, np.asarray(u0, dtype=float))
+    records = []
+    stop_reason = "max_iter"
+    res = None  # eigen-residual of u, when the stop test computed it
+    for k in range(iters):
+        t0 = time.perf_counter()
+        v, dual_rq, inner_iters = step(k, u)
+        zJ = pair.subgrad_J(u)
+        records.append(metrics.IterationRecord(
+            k=k, rq=metrics.rayleigh_quotient(pair, u),
+            dual_rq=dual_rq,
+            cosim=metrics.cosine_similarity(pair, u, zJ),
+            gap=metrics.duality_gap(pair, u, zJ, u),
+            residual=(res if res is not None
+                      else metrics.eigen_residual(pair, u)),
+            inner_iters=inner_iters,
+            wall_time=time.perf_counter() - t0))
+        if v is None:
+            stop_reason = "stalled"
+            break
+        u = _normalize(pair, v)
+        if snapshot_cb is not None:
+            snapshot_cb(k + 1, u)
+        if residual_tol is not None:
+            res = metrics.eigen_residual(pair, u)
+            if res <= residual_tol:
+                stop_reason = "residual_tol"
+                break
+    if res is None:
         res = metrics.eigen_residual(pair, u)
     tol = residual_tol if residual_tol is not None else 1e-6
     return EigenTrace(records=records, final_u=u,
@@ -56,44 +104,24 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     the half-step v).  The eigenvalue is tracked both as R(u^k) and as
     |v|_H^(1-p); both histories live in extras.
     """
-    u = _normalize(pair, np.asarray(u0, dtype=float))
-    records = []
-    lam_rq, lam_half, failed, inner_res = [], [], [], []
-    stop_reason = "max_iter"
-    res = None  # eigen-residual of u, when the stop test computed it
-    for k in range(iters):
-        t0 = time.perf_counter()
+    lam_half, failed, inner_res = [], [], []
+
+    def step(k, u):
         zeta = pair.duality_map_H(u)
         v, rep = pair.inverse_subgrad_J(zeta, settings, warm_start=u)
         inner_res.append(rep.final_residual)
         if not rep.converged:
             failed.append(k)
-        zJ = pair.subgrad_J(u)
-        rq = metrics.rayleigh_quotient(pair, u)
-        rec = metrics.IterationRecord(
-            k=k, rq=rq,
-            dual_rq=metrics.dual_rayleigh_quotient(pair, zeta, v),
-            cosim=metrics.cosine_similarity(pair, u, zJ),
-            gap=metrics.duality_gap(pair, u, zJ, u),
-            residual=(res if res is not None
-                      else metrics.eigen_residual(pair, u)),
-            inner_iters=rep.iterations,
-            wall_time=time.perf_counter() - t0)
-        records.append(rec)
-        lam_rq.append(rq)
         lam_half.append(pair.norm_H(v) ** (1.0 - pair.p))
-        u = _normalize(pair, v)
-        if snapshot_cb is not None:
-            snapshot_cb(k + 1, u)
-        if residual_tol is not None:
-            res = metrics.eigen_residual(pair, u)
-            if res <= residual_tol:
-                stop_reason = "residual_tol"
-                break
-    extras = {"lambda_rq": lam_rq, "lambda_half_step": lam_half,
+        return v, metrics.dual_rayleigh_quotient(pair, zeta, v), \
+            rep.iterations
+
+    extras = {"lambda_rq": [], "lambda_half_step": lam_half,
               "failed_inner_solves": failed, "inner_residuals": inner_res}
-    return _finish(pair, records, u, "ipm", stop_reason, residual_tol, extras,
-                   res)
+    trace = _iterate(pair, u0, iters, step, "ipm", extras, residual_tol,
+                     snapshot_cb)
+    extras["lambda_rq"] = [rec.rq for rec in trace.records]
+    return trace
 
 
 def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
@@ -112,11 +140,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
         raise ValueError("tau_tilde must be positive")
     p, q = pair.p, pair.q
     tau = tau_tilde ** (p - 1.0)
-    u = _normalize(pair, np.asarray(u0, dtype=float))
-    records = []
     lam_taus, failed = [], []
-    stop_reason = "max_iter"
-    res = None  # eigen-residual of u, when the stop test computed it
 
     def moreau_data(u_cur, v_cur):
         eta = pair.duality_map_H(u_cur - v_cur) / tau
@@ -128,43 +152,24 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
         lam_tau = pair.energy_J(u_cur) / J_tau
         return rstar_tau, lam_tau
 
-    for k in range(iters):
-        t0 = time.perf_counter()
+    def step(k, u):
         v, rep = pair.prox_J(u, tau, settings)
         if not rep.converged:
             failed.append(k)
         rstar_tau, lam_tau = moreau_data(u, v)
         lam_taus.append(lam_tau)
-        zJ = pair.subgrad_J(u)
-        rec = metrics.IterationRecord(
-            k=k, rq=metrics.rayleigh_quotient(pair, u),
-            dual_rq=rstar_tau,
-            cosim=metrics.cosine_similarity(pair, u, zJ),
-            gap=metrics.duality_gap(pair, u, zJ, u),
-            residual=(res if res is not None
-                      else metrics.eigen_residual(pair, u)),
-            inner_iters=rep.iterations,
-            wall_time=time.perf_counter() - t0)
-        records.append(rec)
-        u = _normalize(pair, v)
-        if snapshot_cb is not None:
-            snapshot_cb(k + 1, u)
-        if residual_tol is not None:
-            res = metrics.eigen_residual(pair, u)
-            if res <= residual_tol:
-                stop_reason = "residual_tol"
-                break
+        return v, rstar_tau, rep.iterations
+
+    extras = {"lambda_tau": lam_taus, "lambda_recovered": None, "tau": tau,
+              "failed_inner_solves": failed}
+    trace = _iterate(pair, u0, iters, step, "ppm", extras, residual_tol,
+                     snapshot_cb)
     # eigenvalue recovery at the final iterate
-    v, _ = pair.prox_J(u, tau, settings)
-    _, lam_tau = moreau_data(u, v)
-    lam_rec = (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
-    extras = {"lambda_tau": lam_taus, "lambda_recovered": lam_rec,
-              "tau": tau, "failed_inner_solves": failed}
-    return _finish(pair, records, u, "ppm", stop_reason, residual_tol, extras,
-                   res)
-
-
-SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
+    v, _ = pair.prox_J(trace.final_u, tau, settings)
+    _, lam_tau = moreau_data(trace.final_u, v)
+    extras["lambda_recovered"] = \
+        (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
+    return trace
 
 
 def illinois(f, a, b, fa, fb, ftol: float, max_iter: int = 60):
@@ -211,7 +216,6 @@ def secant_predictor(cache: dict, s: float, warm: np.ndarray) -> np.ndarray:
 
 def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
                      settings: NewtonSettings | None = None,
-                     balance_tol: float = 1e-6,
                      snapshot_cb=None) -> EigenTrace:
     """Inverse iteration with the dual iterate's positive part rescaled so
     the Rayleigh quotients of the positive and negative parts of the solve
@@ -219,22 +223,20 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
     inst must be a PLaplaceInstance (the balancing uses clipped grid
     fields).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
-    phi(s) = R(w^+) - R(w^-) of the solve w.  phi > 0 as s -> 0, where w^+
-    vanishes, and phi < 0 as s -> inf, so the sign of phi(1) tells on which
-    side of 1 to expand s = 2^(+-m); Illinois regula falsi roots the
-    bracket.  Each solve starts from the secant predictor through the two
-    cached solutions at the balances nearest s (continuation in s); the
-    first two start from u and from the previous solution.  extras lists
-    each step's root s, its solve count, and the steps with a failed solve.
+    phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL.
+    phi > 0 as s -> 0, where w^+ vanishes, and phi < 0 as s -> inf, so the
+    sign of phi(1) tells on which side of 1 to expand s = 2^(+-m); Illinois
+    regula falsi roots the bracket.  Each solve starts from the secant
+    predictor through the two cached solutions at the balances nearest s
+    (continuation in s); the first two start from u and from the previous
+    solution.  The scheme stalls when both parts of the solve vanish or the
+    solve does not change sign.  extras lists each step's root s, its solve
+    count, and the steps with a failed solve.
     """
-    if settings is None:
-        settings = NewtonSettings()
-    u = _normalize(inst, np.asarray(u0, dtype=float))
-    if not (np.any(u > 0) and np.any(u < 0)):
+    u0 = np.asarray(u0, dtype=float)
+    if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
-    records = []
     fallback_steps, failed, roots, solves = [], [], [], []
-    stop_reason = "max_iter"
 
     def partial_rq(w, sign):
         clipped = np.maximum(sign * w, 0.0)
@@ -243,8 +245,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             return None
         return inst.energy_J(clipped) / Hc
 
-    for k in range(iters):
-        t0 = time.perf_counter()
+    def step(k, u):
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
@@ -280,9 +281,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
         s_root = 1.0
         f1 = phi(1.0)
-        if np.isnan(f1):
-            stop_reason = "stalled"
-        elif abs(f1) > balance_tol:
+        if abs(f1) > BALANCE_TOL:  # False for NaN, which stalls below
             # bracket by expanding s = 2^(+-m) on the side of the root only
             a, fa = 1.0, f1
             b, fb = None, None
@@ -299,41 +298,23 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
                 fallback_steps.append(k)
             else:
                 (lo, flo), (hi, fhi) = sorted([(a, fa), (b, fb)])
-                s_root, _, _ = illinois(phi, lo, hi, flo, fhi, balance_tol)
+                s_root, _, _ = illinois(phi, lo, hi, flo, fhi, BALANCE_TOL)
         w = solve_w(s_root)
-        zJ = inst.subgrad_J(u)
-        rec = metrics.IterationRecord(
-            k=k, rq=metrics.rayleigh_quotient(inst, u),
-            dual_rq=None,
-            cosim=metrics.cosine_similarity(inst, u, zJ),
-            gap=metrics.duality_gap(inst, u, zJ, u),
-            residual=metrics.eigen_residual(inst, u),
-            inner_iters=inner_total,
-            wall_time=time.perf_counter() - t0)
-        records.append(rec)
         roots.append(s_root)
         solves.append(len(cache))
         if step_failed:
             failed.append(k)
-        if stop_reason == "stalled":
-            break
-        u_new = _normalize(inst, w)
-        if not (np.any(u_new > 0) and np.any(u_new < 0)):
-            stop_reason = "stalled"
-            break
-        u = u_new
-        if snapshot_cb is not None:
-            snapshot_cb(k + 1, u)
+        stalled = np.isnan(f1) or not (np.any(w > 0) and np.any(w < 0))
+        return (None if stalled else w), None, inner_total
+
     extras = {"fallback_steps": fallback_steps, "failed_inner_solves": failed,
               "balance_roots": roots, "balance_solves": solves}
-    return _finish(inst, records, u, "balanced", stop_reason, None, extras)
+    return _iterate(inst, u0, iters, step, "balanced", extras,
+                    snapshot_cb=snapshot_cb)
 
 
 def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
                   settings: NewtonSettings | None = None,
-                  tau0: float = 2.0,
-                  sufficient_decrease: float = 0.2,
-                  ladder_len: int = 12,
                   snapshot_cb=None) -> EigenTrace:
     """Descent on F(u) = 1 - cosim(u, dJ(u)) via a semi-implicit step.
 
@@ -341,75 +322,59 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         dH((w - u)/tau) = [p dJ(w) - cosim * (G_H |z|_* + d2J(u) G_H* |u|_H)]
                           / (|u|_H |z|_*),
     where z = dJ(u) and G_H, G_H* are the gradients of the primal and dual
-    norms at u and z.  A step screens the ladder tau0 2^-j with the cheap
-    fixed-point sweep, stopping once a sweep halves F, then polishes once
-    with damped Newton from the lowest sweep at its tau: a polish costs up
-    to settings.max_iter sparse LU solves, so polishing every rung spent
-    nearly the whole run on polishes the sweeps then beat.  Sweeps and the
-    polish are line-search candidates (for large tau the equation may have
-    no solution, leaving only the partially resolved iterate).  The lowest
-    F after normalization is accepted if it drops by the
-    sufficient_decrease fraction; otherwise the scheme reports a stall,
-    which at a non-eigenvector extremum of the cosine similarity leaves a
-    large eigen-residual behind.  extras["candidate"] names each accepted
-    step's winner, "sweep" or "polish".
+    norms at u and z.  A step screens the ladder TAU0 2^-j (LADDER_LEN
+    rungs) with the cheap fixed-point sweep, stopping once a sweep halves
+    F, then polishes once with damped Newton from the lowest sweep at its
+    tau: a polish costs up to settings.max_iter sparse LU solves, so
+    polishing every rung spent nearly the whole run on polishes the sweeps
+    then beat.  Sweeps and the polish are line-search candidates (for large
+    tau the equation may have no solution, leaving only the partially
+    resolved iterate).  The lowest F after normalization is accepted if it
+    drops by the SUFFICIENT_DECREASE fraction; otherwise the scheme reports
+    a stall, which at a non-eigenvector extremum of the cosine similarity
+    leaves a large eigen-residual behind.  extras["candidate"] names each
+    accepted step's winner, "sweep" or "polish".
     """
     if settings is None:
         settings = NewtonSettings(tol_abs=1e-10, max_iter=12)
     p, q = pair.p, pair.q
-    u = _normalize(pair, np.asarray(u0, dtype=float))
-    records = []
     F_hist, tau_hist, winners = [], [], []
-    stop_reason = "max_iter"
 
-    def F_of(u_cur, zeta_cur):
-        return 1.0 - metrics.cosine_similarity(pair, u_cur, zeta_cur)
-
-    def normalized_F(x_free):  # F after normalizing, with (w, dJ(w))
+    def normalized_F(x_free):  # F after normalizing, with the lifted field
+        lifted = pair.lift_free(x_free)
         try:
-            w = _normalize(pair, pair.lift_free(x_free))
+            w = _normalize(pair, lifted)
         except ValueError:
             return np.nan, None
-        zeta_w = pair.subgrad_J(w)
-        return F_of(w, zeta_w), (w, zeta_w)
+        return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w)), \
+            lifted
 
-    zeta = pair.subgrad_J(u)
-    F_u = F_of(u, zeta)
-
-    for k in range(iters):
-        t0 = time.perf_counter()
+    def step(k, u):
+        zeta = pair.subgrad_J(u)
         nu = pair.norm_H(u)
         nz = pair.dual_norm_H(zeta)
         cos = pair.pairing(zeta, u) / (nu * nz)
+        F_u = 1.0 - cos
         G_H = nu ** (1.0 - p) * pair.duality_map_H(u)
         G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
         hess_u = pair.hess_J_matrix(u)
         E = pair.free_flatten(G_H) * nz \
             + (hess_u @ pair.free_flatten(G_Hs)) * nu
         D = nu * nz
-        rec = metrics.IterationRecord(
-            k=k, rq=metrics.rayleigh_quotient(pair, u),
-            dual_rq=None,
-            cosim=cos,
-            gap=metrics.duality_gap(pair, u, zeta, u),
-            residual=metrics.eigen_residual(pair, u),
-            inner_iters=0,
-            wall_time=0.0)
-        records.append(rec)
         F_hist.append(F_u)
 
         u_free = pair.free_flatten(u)
         explicit = cos * E / D
         seed_F, seed = np.inf, None  # the lowest finite sweep
-        for j in range(ladder_len):
-            tau = tau0 * 0.5 ** j
+        for j in range(LADDER_LEN):
+            tau = TAU0 * 0.5 ** j
             sweep = _sweep(pair, u_free, tau, explicit, D)
             F_w, w = normalized_F(sweep[0]) if sweep else (np.nan, None)
             if np.isfinite(F_w) and F_w < seed_F:
                 seed_F, seed = F_w, (w, tau, *sweep)
             if seed_F < F_u and seed_F <= 0.5 * F_u:
                 break
-        best = (F_u, None, None, 0, None)  # F, (w, dJ(w)), tau, count, kind
+        best = (F_u, None, None, 0, None)  # F, lifted w, tau, count, kind
         if seed is not None:
             w, tau, x, sweeps = seed
             if seed_F < F_u:
@@ -419,19 +384,15 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
             if np.isfinite(F_w) and F_w < best[0]:
                 best = (F_w, w, tau, sweeps + polish[1], "polish")
         best_F, best_w, best_tau, best_n, best_kind = best
-        rec.wall_time = time.perf_counter() - t0
         tau_hist.append(best_tau or 0.0)
-        if best_w is None or best_F > (1.0 - sufficient_decrease) * F_u:
-            stop_reason = "stalled"
-            break
-        u, zeta = best_w
-        F_u = best_F
-        rec.inner_iters = best_n
+        if best_w is None or best_F > (1.0 - SUFFICIENT_DECREASE) * F_u:
+            return None, None, 0
         winners.append(best_kind)
-        if snapshot_cb is not None:
-            snapshot_cb(k + 1, u)
+        return best_w, None, best_n
+
     extras = {"F": F_hist, "tau": tau_hist, "candidate": winners}
-    return _finish(pair, records, u, "geometric", stop_reason, None, extras)
+    return _iterate(pair, u0, iters, step, "geometric", extras,
+                    snapshot_cb=snapshot_cb)
 
 
 def _implicit_rhs(pair, x_free, explicit, D):
@@ -440,13 +401,14 @@ def _implicit_rhs(pair, x_free, explicit, D):
         / D - explicit
 
 
-def _sweep(pair, u_free, tau, explicit, D, n_sweeps: int = 10):
+def _sweep(pair, u_free, tau, explicit, D):
     """Fixed-point sweep x <- u + tau rhs(x)^(q-1) of the semi-implicit
-    step from x = u (its first pass is the explicit step) until the next
-    iterate overflows; (x, sweeps done), or None if none is finite."""
+    step from x = u (its first pass is the explicit step), N_SWEEPS times
+    or until the next iterate overflows; (x, sweeps done), or None if none
+    is finite."""
     x = u_free.copy()
     sweeps = 0
-    for _ in range(n_sweeps):
+    for _ in range(N_SWEEPS):
         xn = u_free + tau * power_map(_implicit_rhs(pair, x, explicit, D),
                                       pair.q)
         if not np.all(np.isfinite(xn)):

@@ -141,16 +141,14 @@ class PLaplaceInstance(FunctionalPair):
         total = float(np.sum(a) + self._outside_count @ x)
         return self.stencil.weight * self._h2 * total / (2.0 * self.p)
 
-    def kernel_derivative(self, d: np.ndarray, epsilon: float | None = None
-                          ) -> np.ndarray:
+    def kernel_derivative(self, d: np.ndarray) -> np.ndarray:
         """(p-1)(d^2 + eps^2)^((p-2)/2), the smoothed derivative of power_map.
 
         The smoothing keeps Newton's Jacobian nonsingular (p<2: singular
         kernel, p>2: degenerate at flat regions); the residual itself is
         never modified.
         """
-        if epsilon is None:
-            epsilon = self.epsilon * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
+        epsilon = self.epsilon * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
         return (self.p - 1.0) * (d * d + epsilon * epsilon) ** ((self.p - 2.0) / 2.0)
 
     def jacobian_matrix(self, u, epsilon: float | None = None):

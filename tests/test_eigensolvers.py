@@ -98,6 +98,43 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
     assert all(rtol >= 1e-3 for rtol, _ in seen)
 
 
+@pytest.fixture(scope="module")
+def square11():
+    dom = build_domain("square", 2.0, 0.2)
+    return PLaplaceInstance(dom, build_stencil(dom, 0.45, 3.0), 3.0)
+
+
+@pytest.mark.parametrize("run,start", [
+    (lambda inst, u0, cb: run_ipm(inst, u0, 5, snapshot_cb=cb), "ex1"),
+    (lambda inst, u0, cb: run_ipm(inst, u0, 40, residual_tol=1e-6,
+                                  snapshot_cb=cb), "ex1"),
+    (lambda inst, u0, cb: run_ppm(inst, u0, 0.5, 5, snapshot_cb=cb), "ex1"),
+    (lambda inst, u0, cb: run_balanced_ipm(inst, u0, 3, snapshot_cb=cb),
+     "ex2"),
+    (lambda inst, u0, cb: run_geometric(inst, u0, 25, snapshot_cb=cb),
+     "ex1"),
+], ids=["ipm", "ipm-residual-tol", "ppm", "balanced", "geometric"])
+def test_records_hold_metrics_of_each_iterate(square11, run, start):
+    # u^0 is the normalized start, u^k the field snapshot_cb(k, .) received
+    u0 = eval_initial_guess(start, square11.domain).values
+    iterates = [u0 / square11.norm_H(u0)]
+
+    def snapshot(k, u):
+        assert k == len(iterates)
+        iterates.append(u.copy())
+
+    trace = run(square11, u0, snapshot)
+    assert len(trace.records) \
+        == len(iterates) - 1 + (trace.stop_reason == "stalled")
+    for k, (rec, u) in enumerate(zip(trace.records, iterates)):
+        zJ = square11.subgrad_J(u)
+        assert rec.k == k
+        assert rec.rq == metrics.rayleigh_quotient(square11, u)
+        assert rec.cosim == metrics.cosine_similarity(square11, u, zJ)
+        assert rec.gap == metrics.duality_gap(square11, u, zJ, u)
+        assert rec.residual == metrics.eigen_residual(square11, u)
+
+
 class TestIpm:
     def test_spd_ground_state(self, spd):
         trace = run_ipm(spd, np.array([1.0, 1.0]), 60)

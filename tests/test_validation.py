@@ -1,6 +1,7 @@
-"""Properties of the paper's claims on random SPD pairs, measured with the
-shared invariant functions of `nonlin_eig.validation`, and a guard that
-keeps `assert` statements out of the package."""
+"""Properties of the paper's claims on random SPD pairs and small grids with
+random p, measured with the shared invariant functions of
+`nonlin_eig.validation` against its bounds, and a guard that keeps `assert`
+statements out of the package."""
 
 import ast
 from pathlib import Path
@@ -11,8 +12,14 @@ from hypothesis import given, settings, strategies as st
 import nonlin_eig
 from nonlin_eig.eigensolvers import run_ipm
 from nonlin_eig.functional import SpdInstance
-from nonlin_eig.validation import (dual_rq_decrease, eigenvalue_relation_defect,
-                                   gap_negativity)
+from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
+from nonlin_eig.plaplace import PLaplaceInstance
+from nonlin_eig.validation import (QUICK_CHECKS, dual_rq_decrease,
+                                   eigenvalue_relation_defect,
+                                   gap_formula_defect, gap_negativity,
+                                   random_fields)
+
+BOUND = {name: bound for name, _, bound in QUICK_CHECKS}
 
 spd_pairs = st.tuples(st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
 
@@ -52,6 +59,35 @@ def test_gap_zero_exactly_at_eigenvectors(case):
     mixtures = [vecs[:, i] + vecs[:, j]
                 for i in range(pair.n) for j in range(i + 1, pair.n)]
     assert gap_negativity(pair, mixtures) < -1e-6
+
+
+# shape, lattice steps a side, p, and the radius r in units of h
+grid_cases = st.tuples(st.sampled_from(["square", "lshape"]),
+                       st.integers(9, 13), st.floats(1.5, 5.0),
+                       st.floats(1.0, 3.0))
+
+
+def grid_instance(shape, cells, p, r_over_h):
+    h = 2.0 / cells
+    domain = build_domain(shape, 2.0, h)
+    return PLaplaceInstance(domain, build_stencil(domain, r_over_h * h, p), p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid_cases, st.integers(0, 2 ** 32 - 1))
+def test_grid_duality_gap(case, seed):
+    inst = grid_instance(*case)
+    fields = random_fields(inst, 5, seed)
+    assert gap_negativity(inst, fields) <= BOUND["duality-gap-nonnegative"]
+    assert gap_formula_defect(inst, fields) <= BOUND["duality-gap-cross-check"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid_cases)
+def test_grid_ipm_dual_rq_monotone(case):
+    inst = grid_instance(*case)
+    u0 = eval_initial_guess("ex1", inst.domain).values
+    assert dual_rq_decrease(run_ipm(inst, u0, 3)) <= BOUND["ipm-dual-rq-monotone"]
 
 
 def test_no_assert_statements_in_package():
