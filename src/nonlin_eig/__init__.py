@@ -16,8 +16,8 @@ from .newton import NewtonSettings, solve_p_poisson, solve_prox
 from .metrics import (IterationRecord, cosine_similarity, duality_gap,
                       dual_rayleigh_quotient, eigen_residual,
                       rayleigh_quotient)
-from .eigensolvers import (EigenTrace, illinois, run_balanced_ipm,
-                           run_geometric, run_ipm, run_ppm)
+from .eigensolvers import (EigenTrace, run_balanced_ipm, run_geometric,
+                           run_ipm, run_ppm)
 from .config import ExperimentConfig, build_instance, load_config, parse_config
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "NewtonSettings", "solve_p_poisson", "solve_prox",
     "IterationRecord", "cosine_similarity", "duality_gap",
     "dual_rayleigh_quotient", "eigen_residual", "rayleigh_quotient",
-    "EigenTrace", "illinois", "run_balanced_ipm", "run_geometric",
-    "run_ipm", "run_ppm",
+    "EigenTrace", "run_balanced_ipm", "run_geometric", "run_ipm", "run_ppm",
     "ExperimentConfig", "build_instance", "load_config", "parse_config",
 ]

@@ -3,19 +3,26 @@ method, balanced higher-order inverse iteration, and the cosine-ascent
 (geometric characterization) scheme.
 
 All four run on one outer loop, `_iterate`.  It normalizes the start, times
-each step, records each iterate u^k (R, the cosine similarity and the
-duality gap from one dJ(u^k), and the eigen-residual, reused from the
-residual_tol stop test) and passes each new iterate to snapshot_cb.  It
-stops after iters steps (max_iter), once a new iterate's eigen-residual is
-<= residual_tol (residual_tol) or when a step stalls (stalled, keeping
-u^k), and sets converged from the final eigen-residual (<= residual_tol,
-else 1e-6).  A scheme supplies only its step, step(k, u) -> (v, dual_rq,
-inner_iters): the next iterate before normalization or None for a stall,
-the record's dual Rayleigh quotient or None, and the step's inner work.
+each step, records each iterate u^k (R; the cosine similarity, the duality
+gap and the eigen-residual from one dJ(u^k), the eigen-residual reused from
+the residual_tol stop test where that computed it) and passes each new
+iterate to snapshot_cb.  It stops after iters steps (max_iter), once a new
+iterate's eigen-residual is <= residual_tol (residual_tol) or when a step
+stalls (stalled, keeping u^k), and sets converged from the final
+eigen-residual (<= residual_tol, else 1e-6).  A scheme supplies only its
+step, step(k, u) -> (v, dual_rq, inner_iters): the next iterate before
+normalization or None for a stall, the record's dual Rayleigh quotient or
+None, and the step's inner work.
+
+The balanced scheme's step roots the balance of its inner solve by
+safeguarded Newton in log s (balance_root), whose slope comes from the
+solve's own sensitivity dw/ds (log_balance_slope), one CG solve per
+Newton point; dw/ds also predicts the start of the next solve.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,11 +31,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .functional import FunctionalPair, power_map
-from .newton import NewtonSettings, damped_newton, solve_p_poisson
+from .newton import (NewtonSettings, cg_solve, damped_newton,
+                     solve_p_poisson)
 from . import metrics
 
 SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
 BALANCE_TOL = 1e-6  # |phi| at the root of the balance
+BALANCE_RANGE = 2.0 ** 12  # the balance s stays in [1/BALANCE_RANGE, this]
 TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
 SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
@@ -70,7 +79,7 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
             cosim=metrics.cosine_similarity(pair, u, zJ),
             gap=metrics.duality_gap(pair, u, zJ, u),
             residual=(res if res is not None
-                      else metrics.eigen_residual(pair, u)),
+                      else metrics.eigen_residual(pair, u, zJ)),
             inner_iters=inner_iters,
             wall_time=time.perf_counter() - t0))
         if v is None:
@@ -172,35 +181,47 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     return trace
 
 
-def illinois(f, a, b, fa, fb, ftol: float, max_iter: int = 60):
-    """Illinois regula falsi (Dowell & Jarratt, BIT 1971) on [a, b], stopping
-    on |f| <= ftol, with one f evaluation (here a Newton solve) per step.
+def balance_root(defect, log_slope, max_evals: int = 60):
+    """Root of the balance defect phi(s) by safeguarded Newton in
+    sigma = log s, one defect evaluation (here an inner solve) per step.
 
-    x replaces the latest end b when f(x) has its sign, and the kept end's
-    value is halved so that the iteration cannot stall there.  While either
-    end holds a +-SENTINEL it bisects and halves nothing.
+    phi > 0 as s -> 0 and phi < 0 as s -> inf.  log_slope(s), called
+    after defect(s) while |phi(s)| > BALANCE_TOL, gives (psi, dpsi/dsigma)
+    for psi = log R(w^+) - log R(w^-), which has phi's sign and root, or
+    None where phi holds +-SENTINEL and psi is undefined.  From s = 1 the
+    Newton point -psi/(dpsi/dsigma) is taken inside a known sign bracket
+    (lo, hi), else the geometric midpoint sqrt(lo hi); before a bracket it
+    steps at most x2 toward the root, and exactly x2 without a Newton point
+    in that direction.  Returns (s, phi(s)) once |phi| <= BALANCE_TOL or
+    phi is NaN, the point of least |phi| after max_evals evaluations, and
+    (None, phi(1)) once s would leave [1/BALANCE_RANGE, BALANCE_RANGE].
     """
-    if abs(fa) <= ftol:
-        return a, fa, 0
-    if abs(fb) <= ftol:
-        return b, fb, 0
-    if fa * fb > 0:
-        raise ValueError("root not bracketed")
-    best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    for evals in range(1, max_iter + 1):  # a: kept end, b: latest end
-        bisect = max(abs(fa), abs(fb)) >= SENTINEL
-        x = 0.5 * (a + b) if bisect else (a * fb - b * fa) / (fb - fa)
-        fx = f(x)
-        if abs(fx) < abs(best_f):
-            best_x, best_f = x, fx
-        if abs(fx) <= ftol:
-            return x, fx, evals
-        if fx * fb < 0:
-            a, fa = b, fb
-        elif not bisect:
-            fa *= 0.5
-        b, fb = x, fx
-    return best_x, best_f, max_iter
+    s, lo, hi = 1.0, 0.0, math.inf  # phi(lo) > 0 > phi(hi)
+    seen = []  # (|phi|, s, phi) of every evaluation
+    for _ in range(max_evals):
+        f = defect(s)
+        if not abs(f) > BALANCE_TOL:  # a root, or NaN: the caller stalls
+            return s, f
+        seen.append((abs(f), s, f))
+        if f > 0:
+            lo = s
+        else:
+            hi = s
+        slope = log_slope(s)
+        step = -slope[0] / slope[1] if slope is not None and slope[1] \
+            else math.nan
+        if 0.0 < lo and hi < math.inf:
+            t = s * math.exp(step) \
+                if math.log(lo) < math.log(s) + step < math.log(hi) \
+                else math.sqrt(lo * hi)
+        else:
+            toward = 1.0 if f > 0 else -1.0
+            t = s * math.exp(step) if 0.0 < toward * step < math.log(2.0) \
+                else s * 2.0 ** toward
+        if not 1.0 / BALANCE_RANGE <= t <= BALANCE_RANGE:
+            return None, seen[0][2]
+        s = t
+    return min(seen)[1:]
 
 
 def secant_predictor(cache: dict, s: float, warm: np.ndarray) -> np.ndarray:
@@ -214,6 +235,35 @@ def secant_predictor(cache: dict, s: float, warm: np.ndarray) -> np.ndarray:
     return cache[s0] + theta * (cache[s1] - cache[s0])
 
 
+def _part(inst, w, sign):
+    """(w^+, J, H) for sign = 1, (w^-, J, H) for sign = -1, or None where
+    that part of w vanishes."""
+    clipped = np.maximum(sign * w, 0.0)
+    Hc = inst.H(clipped)
+    return (clipped, inst.energy_J(clipped), Hc) if Hc > 0.0 else None
+
+
+def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
+    """(dpsi/dsigma, dw/ds) at the solve w of -Delta_p w = s zeta^+ - zeta^-.
+
+    psi = log R(w^+) - log R(w^-) and sigma = log s; parts are
+    (_part(inst, w, 1), _part(inst, w, -1)), neither None.  Differentiating
+    the solve in s gives A(w) dw/ds = zeta^+ for the Jacobian A, solved by
+    Jacobi-PCG to the relative tolerance settings.cg_tol; then
+    dpsi/dsigma = s <g, dw/ds> with
+    g = sum over the parts of (dJ(w^+-)/J - dH(w^+-)/H) on that part's
+    support (Keller 1977, differentiating a solve in its parameter).
+    """
+    dw, _ = cg_solve(inst.jacobian_matrix(w), inst.free_flatten(zp),
+                     settings.cg_tol,
+                     settings.cg_max_iter or max(50, 10 * inst.n_interior))
+    dw = inst.lift_free(dw)
+    g = sum((inst.subgrad_J(c) / J - inst.duality_map_H(c) / H)
+            * (sign * w > 0.0)
+            for sign, (c, J, H) in zip((1.0, -1.0), parts))
+    return s * inst.pairing(g, dw), dw
+
+
 def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
                      settings: NewtonSettings | None = None,
                      snapshot_cb=None) -> EigenTrace:
@@ -223,92 +273,89 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
     inst must be a PLaplaceInstance (the balancing uses clipped grid
     fields).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
-    phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL.
-    phi > 0 as s -> 0, where w^+ vanishes, and phi < 0 as s -> inf, so the
-    sign of phi(1) tells on which side of 1 to expand s = 2^(+-m); Illinois
-    regula falsi roots the bracket.  Each solve starts from the secant
-    predictor through the two cached solutions at the balances nearest s
-    (continuation in s); the first two start from u and from the previous
-    solution.  The scheme stalls when both parts of the solve vanish or the
-    solve does not change sign.  extras lists each step's root s, its solve
-    count, and the steps with a failed solve.
+    phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL, by
+    balance_root: safeguarded Newton on psi = log R(w^+) - log R(w^-) in
+    log s, whose slope comes from one CG solve for dw/ds after each solve
+    (log_balance_slope).  Each solve after the first starts from the
+    tangent w + (s_new - s) dw/ds at the previous balance when that one has
+    a slope, else from the secant predictor through the two cached
+    solutions at the balances nearest s.  The first, at s = 1, starts from
+    R(u)^(-1/(p-1)) u, the solve itself when u is an eigenfunction.  When
+    the search leaves the balance range the step falls back to s = 1.  The
+    scheme stalls when both parts of the solve vanish or the solve does not
+    change sign.  extras list each step's root s, its |phi|, its solve
+    count, and the steps that fell back or had a failed solve.
     """
     u0 = np.asarray(u0, dtype=float)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
-    fallback_steps, failed, roots, solves = [], [], [], []
-
-    def partial_rq(w, sign):
-        clipped = np.maximum(sign * w, 0.0)
-        Hc = inst.H(clipped)
-        if Hc <= 0.0:
-            return None
-        return inst.energy_J(clipped) / Hc
+    if settings is None:
+        settings = NewtonSettings()
+    fallback_steps, failed, roots, defects, solves = [], [], [], [], []
 
     def step(k, u):
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        inner_total, step_failed = 0, False
-        cache: dict[float, np.ndarray] = {}
+        inner_total, n_solves, step_failed = 0, 0, False
+        cache: dict[float, np.ndarray] = {}  # s -> solve w
+        parts = None  # the two parts of the latest solve
+        tangent = None  # (s, w, dw/ds) of the latest solve, with a slope
+        scaled_u = metrics.rayleigh_quotient(inst, u) \
+            ** (-1.0 / (inst.p - 1.0)) * u
 
-        def solve_w(s):
-            nonlocal inner_total, step_failed
-            if s in cache:
-                return cache[s]
-            last = next(reversed(cache.values()), u)
-            w, rep = solve_p_poisson(inst, s * zp - zm,
-                                     secant_predictor(cache, s, last),
-                                     settings)
-            inner_total += rep.iterations
-            step_failed |= not rep.converged
-            cache[s] = w
-            return w
-
-        def phi(s):
+        def defect(s):
             # missing positive part -> need larger s (treat as huge positive
             # defect); missing negative part -> huge negative defect
-            w = solve_w(s)
-            rp = partial_rq(w, +1.0)
-            rm = partial_rq(w, -1.0)
-            if rp is None and rm is None:
-                return np.nan
-            if rp is None:
-                return SENTINEL
-            if rm is None:
-                return -SENTINEL
-            return rp - rm
-
-        s_root = 1.0
-        f1 = phi(1.0)
-        if abs(f1) > BALANCE_TOL:  # False for NaN, which stalls below
-            # bracket by expanding s = 2^(+-m) on the side of the root only
-            a, fa = 1.0, f1
-            b, fb = None, None
-            for mexp in range(1, 13):
-                c = (2.0 if f1 > 0 else 0.5) ** mexp
-                fc = phi(c)
-                if np.isnan(fc):
-                    continue
-                if fc * f1 < 0:
-                    b, fb = c, fc
-                    break
-                a, fa = c, fc
-            if b is None:  # no bracket; fall back to s = 1
-                fallback_steps.append(k)
+            nonlocal inner_total, n_solves, step_failed, parts, tangent
+            if tangent is not None:
+                t_s, t_w, t_dw = tangent
+                start = t_w + (s - t_s) * t_dw
             else:
-                (lo, flo), (hi, fhi) = sorted([(a, fa), (b, fb)])
-                s_root, _, _ = illinois(phi, lo, hi, flo, fhi, BALANCE_TOL)
-        w = solve_w(s_root)
+                start = secant_predictor(
+                    cache, s, next(reversed(cache.values()), scaled_u))
+            tangent = None
+            w, rep = solve_p_poisson(inst, s * zp - zm, start, settings)
+            inner_total += rep.iterations
+            n_solves += 1
+            step_failed |= not rep.converged
+            cache[s] = w
+            parts = pp, pm = _part(inst, w, 1.0), _part(inst, w, -1.0)
+            if pp is None and pm is None:
+                return np.nan
+            if pp is None:
+                return SENTINEL
+            if pm is None:
+                return -SENTINEL
+            return pp[1] / pp[2] - pm[1] / pm[2]
+
+        def log_slope(s):
+            nonlocal tangent
+            pp, pm = parts
+            if pp is None or pm is None:
+                return None
+            dpsi, dw = log_balance_slope(inst, cache[s], parts, zp, s,
+                                         settings)
+            tangent = (s, cache[s], dw)
+            return (math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2]),
+                    float(dpsi))
+
+        s_root, phi = balance_root(defect, log_slope)
+        if s_root is None:  # no root in the balance range; fall back to s = 1
+            fallback_steps.append(k)
+            s_root = 1.0
+        w = cache[s_root]
         roots.append(s_root)
-        solves.append(len(cache))
+        defects.append(abs(phi))
+        solves.append(n_solves)
         if step_failed:
             failed.append(k)
-        stalled = np.isnan(f1) or not (np.any(w > 0) and np.any(w < 0))
+        stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
         return (None if stalled else w), None, inner_total
 
     extras = {"fallback_steps": fallback_steps, "failed_inner_solves": failed,
-              "balance_roots": roots, "balance_solves": solves}
+              "balance_roots": roots, "balance_defects": defects,
+              "balance_solves": solves}
     return _iterate(inst, u0, iters, step, "balanced", extras,
                     snapshot_cb=snapshot_cb)
 

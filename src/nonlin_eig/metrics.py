@@ -75,14 +75,16 @@ def duality_gap(pair: FunctionalPair, u, zeta, v) -> float:
     return R ** (-1.0 / pair.p) - np.sign(Rs) * abs(Rs) ** (1.0 / pair.q)
 
 
-def eigen_residual(pair: FunctionalPair, u) -> float:
+def eigen_residual(pair: FunctionalPair, u, zeta=None) -> float:
     """l2 norm of the normalized eigenproblem defect.
 
     || zeta/|zeta|_q - eta/|eta|_q ||_2 with zeta = dJ(u), eta = dH(u);
     the outer norm is plain Euclidean over the free coordinates (no volume
-    weight), the inner normalizations use the weighted dual norm.
+    weight), the inner normalizations use the weighted dual norm.  zeta is
+    evaluated here unless the caller passes dJ(u).
     """
-    zeta = pair.subgrad_J(u)
+    if zeta is None:
+        zeta = pair.subgrad_J(u)
     eta = pair.duality_map_H(u)
     nz = pair.dual_norm_H(zeta)
     ne = pair.dual_norm_H(eta)

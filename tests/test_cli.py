@@ -79,8 +79,10 @@ class TestRun:
         assert main(["run", config]) == 0
         extras = json.loads(
             (tmp_path / "out_bal" / "run.json").read_text())["extras"]
-        assert extras["balance_solves"] == [16, 8]
+        assert extras["balance_solves"] == [12, 4]
         assert len(extras["balance_roots"]) == 2
+        assert len(extras["balance_defects"]) == 2
+        assert all(d <= 1e-6 for d in extras["balance_defects"])
         assert extras["failed_inner_solves"] == []
 
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):

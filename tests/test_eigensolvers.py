@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -5,10 +7,10 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
-from nonlin_eig.eigensolvers import (EigenTrace, _polish, _sweep,
-                                     illinois, run_balanced_ipm,
-                                     run_geometric, run_ipm, run_ppm,
-                                     secant_predictor)
+from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
+                                     _sweep, balance_root, log_balance_slope,
+                                     run_balanced_ipm, run_geometric,
+                                     run_ipm, run_ppm, secant_predictor)
 from nonlin_eig.functional import SpdInstance, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
@@ -27,31 +29,119 @@ def small_grid():
     return PLaplaceInstance(dom, build_stencil(dom, 0.25, 3.0), 3.0)
 
 
-class TestIllinois:
-    def test_polynomial_root(self):
-        x, fx, evals = illinois(lambda t: t ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0,
-                                ftol=1e-12)
-        assert abs(x - 2.0 ** (1 / 3)) <= 1e-10
-        assert abs(fx) <= 1e-12
-        assert evals < 10  # Ridders' method takes 10 evaluations here
+class RootProbe:
+    """A balance defect phi(s) = R+(s) - R-(s) given in closed form, with
+    psi = log R+ - log R- and its slope in sigma = log s; records the
+    balances evaluated.  Below `vanish` the positive part vanishes: phi
+    holds the +SENTINEL and psi has no slope."""
 
-    def test_endpoint_root(self):
-        x, fx, evals = illinois(lambda t: t, 0.0, 1.0, 0.0, 1.0, ftol=1e-12)
-        assert x == 0.0 and evals == 0
+    def __init__(self, r_plus, r_minus, dlog_plus, dlog_minus, vanish=0.0):
+        self.parts = r_plus, r_minus, dlog_plus, dlog_minus
+        self.vanish = vanish
+        self.seen = []
 
-    def test_not_bracketed(self):
-        with pytest.raises(ValueError):
-            illinois(lambda t: t, 1.0, 2.0, 1.0, 2.0, ftol=1e-12)
+    def defect(self, s):
+        self.seen.append(s)
+        if s < self.vanish:
+            return SENTINEL
+        r_plus, r_minus = self.parts[0](s), self.parts[1](s)
+        return r_plus - r_minus
 
-    def test_sentinel_end_bisects(self):
-        # the balance defect is a sentinel where one part of the solve
-        # vanishes; a secant through it would creep along the other end
-        def f(t):
-            return eigensolvers.SENTINEL if t < 0.3 else 1.0 - t
+    def log_slope(self, s):
+        if s < self.vanish:
+            return None
+        r_plus, r_minus, d_plus, d_minus = self.parts
+        return (math.log(r_plus(s)) - math.log(r_minus(s)),
+                d_plus(s) - d_minus(s))
 
-        x, fx, evals = illinois(f, 0.1, 2.0, f(0.1), f(2.0), ftol=1e-12)
-        assert abs(fx) <= 1e-12 and abs(x - 1.0) <= 1e-12
-        assert evals <= 6
+    def mirrored(self):
+        """The probe of s -> 1/s: the root moves to 1/root and the search
+        halves where it doubled."""
+        r_plus, r_minus, d_plus, d_minus = self.parts
+        return RootProbe(lambda s: r_minus(1 / s), lambda s: r_plus(1 / s),
+                         lambda s: -d_minus(1 / s), lambda s: -d_plus(1 / s))
+
+
+def power_probe(root, **kw):
+    """R+ = root / s, R- = 1: psi = log(root) - sigma, Newton is exact."""
+    return RootProbe(lambda s: root / s, lambda s: 1.0,
+                     lambda s: -1.0, lambda s: 0.0, **kw)
+
+
+class TestBalanceRoot:
+    def test_closed_form_root(self):
+        # R+ = 1 + 1/s, R- = s: the root is the golden ratio and psi is
+        # not linear in sigma
+        probe = RootProbe(lambda s: 1 + 1 / s, lambda s: s,
+                          lambda s: -1 / (s + 1), lambda s: 1.0)
+        s, phi = balance_root(probe.defect, probe.log_slope)
+        assert abs(phi) <= eigensolvers.BALANCE_TOL
+        assert s == pytest.approx((1 + 5 ** 0.5) / 2, rel=1e-6)
+        assert len(probe.seen) <= 4
+
+    def test_sentinel_region_crossed_by_doubling(self):
+        probe = power_probe(40.0, vanish=20.0)
+        s, phi = balance_root(probe.defect, probe.log_slope)
+        assert probe.seen[:6] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        assert s == pytest.approx(40.0, rel=1e-12)
+
+    def test_newton_point_outside_bracket_takes_midpoint(self):
+        # phi holds the sentinel below 3 and at s = 4 the slope is so
+        # small that the Newton point leaves the bracket (2, 4)
+        probe = RootProbe(lambda s: 3.5 / s, lambda s: 1.0,
+                          lambda s: -0.01, lambda s: 0.0, vanish=3.0)
+        balance_root(probe.defect, probe.log_slope)
+        assert probe.seen[:4] == [1.0, 2.0, 4.0, math.sqrt(8.0)]
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_step_at_most_doubles(self, mirror):
+        probe = power_probe(100.0)
+        probe = probe.mirrored() if mirror else probe
+        s, _ = balance_root(probe.defect, probe.log_slope)
+        seen = [1 / t for t in probe.seen] if mirror else probe.seen
+        assert seen[:7] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert len(seen) == 8 and seen[7] == pytest.approx(100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_leaving_the_range_falls_back(self, mirror):
+        probe = power_probe(1e5)
+        probe = probe.mirrored() if mirror else probe
+        s, phi = balance_root(probe.defect, probe.log_slope)
+        seen = [1 / t for t in probe.seen] if mirror else probe.seen
+        assert seen == [2.0 ** m for m in range(13)]
+        assert s is None and phi == probe.defect(1.0)
+
+    def test_best_point_after_max_evals(self):
+        probe = power_probe(100.0)
+        s, phi = balance_root(probe.defect, probe.log_slope, max_evals=3)
+        assert (s, phi) == (4.0, 24.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_log_balance_slope_matches_central_difference(small_grid, p):
+    inst = PLaplaceInstance(small_grid.domain, build_stencil(
+        small_grid.domain, 0.25, p), p)
+    X, Y = inst.domain.coords()
+    u = np.where(inst.domain.interior_mask, np.sin(np.pi * X)
+                 + 0.5 * np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2), 0.0)
+    zeta = inst.duality_map_H(u / inst.norm_H(u))
+    zp, zm = np.maximum(zeta, 0.0), np.maximum(-zeta, 0.0)
+    settings = NewtonSettings()
+
+    def solve(s):
+        w, rep = newton.solve_p_poisson(inst, s * zp - zm, u, settings)
+        assert rep.converged
+        parts = (_part(inst, w, 1.0), _part(inst, w, -1.0))
+        psi = math.log(parts[0][1] / parts[0][2]) \
+            - math.log(parts[1][1] / parts[1][2])
+        return w, parts, psi
+
+    s, delta = 1.3, 1e-4
+    w, parts, _ = solve(s)
+    slope, _ = log_balance_slope(inst, w, parts, zp, s, settings)
+    central = (solve(s * math.exp(delta))[2]
+               - solve(s * math.exp(-delta))[2]) / (2 * delta)
+    assert slope == pytest.approx(central, rel=1e-6)
 
 
 @pytest.mark.parametrize("run", [
@@ -64,9 +154,9 @@ def test_eigen_residual_once_per_step(spd, monkeypatch, run):
     calls = [0]
     original = metrics.eigen_residual
 
-    def counted(pair, u):
+    def counted(pair, u, zeta=None):
         calls[0] += 1
-        return original(pair, u)
+        return original(pair, u, zeta)
 
     monkeypatch.setattr(metrics, "eigen_residual", counted)
     trace = run(spd, u0, residual_tol=1e-300)
@@ -239,24 +329,58 @@ class TestBalanced:
         assert abs(rp - rm) <= 1e-6 * max(rp, rm)
 
     def test_four_steps_pinned(self, small_grid):
-        # recorded with the balance rooted by Illinois regula falsi on the
-        # one-sided bracket, each solve started from the secant predictor
+        # lambda recorded with the balance rooted by Illinois regula falsi,
+        # which the Newton root in log s reproduces to 3.5e-11; the
+        # eigen-residual recorded with the Newton root (0.4560111429534977
+        # with Illinois, 2.0e-9 away)
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
         assert trace.final_lambda == pytest.approx(88.10019383023001,
                                                    rel=1e-10)
         assert metrics.eigen_residual(small_grid, trace.final_u) \
-            == pytest.approx(0.4560111429534977, rel=1e-10)
+            == pytest.approx(0.45601114387115205, rel=1e-10)
 
     def test_four_steps_solve_count(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
         solves = trace.extras["balance_solves"]
-        assert sum(solves) == 39
-        assert sum(solves) < 56  # two-sided bracket and Ridders' method
+        assert sum(solves) == 23
+        assert sum(solves) < 39  # one-sided bracket and Illinois
+        # Newton steps per outer step: [57, 28, 21, 24] with Illinois; the
+        # tangent and scaled-ray starts each save some of them
+        assert [rec.inner_iters for rec in trace.records] == [50, 12, 7, 7]
         assert len(trace.extras["balance_roots"]) == len(solves) == 4
+        assert all(d <= eigensolvers.BALANCE_TOL
+                   for d in trace.extras["balance_defects"])
         assert trace.extras["failed_inner_solves"] == []
 
+    # 6 steps on the 19x19 grids, r = 0.25, from the ex2 start: the final
+    # lambda, the steps that fell back to s = 1 and the stop reason,
+    # recorded with the balance rooted by Illinois regula falsi
+    @pytest.mark.parametrize("shape,p,lam,fallback,stop", [
+        ("square", 2, 24.517331265631753, [], "max_iter"),
+        ("square", 3, 87.95600051458665, [], "max_iter"),
+        ("square", 4, 271.56281719878535, [], "max_iter"),
+        ("square", 5, 1037.5430646817563, [0], "stalled"),
+        ("lshape", 2, 19.66047566497462, [], "max_iter"),
+        ("lshape", 3, 59.91645776523257, [], "max_iter"),
+        ("lshape", 4, 330.4803358174672, [0], "stalled"),
+        ("lshape", 5, 1379.2601429501779, [0], "stalled"),
+    ])
+    def test_trajectory_pinned(self, shape, p, lam, fallback, stop):
+        dom = build_domain(shape, 2.0, 0.1)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.25, p), p)
+        trace = run_balanced_ipm(inst, eval_initial_guess("ex2", dom).values,
+                                 6)
+        assert trace.final_lambda == pytest.approx(lam, rel=1e-8)
+        assert trace.extras["fallback_steps"] == fallback
+        assert trace.extras["failed_inner_solves"] == []
+        assert trace.stop_reason == stop
+        rooted = [d for k, d in enumerate(trace.extras["balance_defects"])
+                  if k not in fallback]
+        assert all(d <= eigensolvers.BALANCE_TOL for d in rooted)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_inner_solves_listed(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 2,
