@@ -10,9 +10,10 @@ iterate to snapshot_cb.  It stops after iters steps (max_iter), once a new
 iterate's eigen-residual is <= residual_tol (residual_tol) or when a step
 stalls (stalled, keeping u^k), and sets converged from the final
 eigen-residual (<= residual_tol, else 1e-6).  A scheme supplies only its
-step, step(k, u) -> (v, dual_rq, inner_iters): the next iterate before
-normalization or None for a stall, the record's dual Rayleigh quotient or
-None, and the step's inner work.
+step, step(k, u, R(u), dJ(u)) -> (v, dual_rq, inner_iters): the next
+iterate before normalization or None for a stall, the record's dual
+Rayleigh quotient or None, and the step's inner work.  R(u^k) and dJ(u^k)
+are evaluated once, before the step, which reads them.
 
 The balanced scheme's step roots the balance of its inner solve by
 safeguarded Newton in log s (balance_root), whose slope comes from the
@@ -71,11 +72,11 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
     res = None  # eigen-residual of u, when the stop test computed it
     for k in range(iters):
         t0 = time.perf_counter()
-        v, dual_rq, inner_iters = step(k, u)
+        rq = metrics.rayleigh_quotient(pair, u)
         zJ = pair.subgrad_J(u)
+        v, dual_rq, inner_iters = step(k, u, rq, zJ)
         records.append(metrics.IterationRecord(
-            k=k, rq=metrics.rayleigh_quotient(pair, u),
-            dual_rq=dual_rq,
+            k=k, rq=rq, dual_rq=dual_rq,
             cosim=metrics.cosine_similarity(pair, u, zJ),
             gap=metrics.duality_gap(pair, u, zJ, u),
             residual=(res if res is not None
@@ -102,6 +103,14 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
                       stop_reason=stop_reason, extras=extras)
 
 
+def ray_start(pair: FunctionalPair, u: np.ndarray, rq: float) -> np.ndarray:
+    """R(u)^(-1/(p-1)) u for rq = R(u), the start of the inner solves of IPM
+    and the balanced scheme.  It solves dJ(w) = dH(u) when u is an
+    eigenvector: J is absolutely p-homogeneous, so there
+    dJ(c u) = c^(p-1) dJ(u) = c^(p-1) R(u) dH(u)."""
+    return rq ** (-1.0 / (pair.p - 1.0)) * u
+
+
 def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
             settings: NewtonSettings | None = None,
             residual_tol: float | None = None,
@@ -111,14 +120,23 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     Per iteration the record holds the metrics of the current iterate u^k
     together with the dual Rayleigh quotient of zeta^k (evaluated through
     the half-step v).  The eigenvalue is tracked both as R(u^k) and as
-    |v|_H^(1-p); both histories live in extras.
-    """
-    lam_half, failed, inner_res = [], [], []
+    |v|_H^(1-p); both histories live in extras, with each step's inner
+    residual and its CG iterations and unconverged CG calls.
 
-    def step(k, u):
+    For p >= 2 the inner solve starts on the eigen-ray (ray_start), so
+    late solves take one or two Newton steps.  For p < 2 it starts from u:
+    there the Newton step does not contract, and the ray start left every
+    inner solve of a 30-step p=1.5 run short of its tolerance.
+    """
+    lam_half, failed, inner_res, cg_iters, cg_bad = [], [], [], [], []
+
+    def step(k, u, rq, zJ):
         zeta = pair.duality_map_H(u)
-        v, rep = pair.inverse_subgrad_J(zeta, settings, warm_start=u)
+        start = ray_start(pair, u, rq) if pair.p >= 2 else u
+        v, rep = pair.inverse_subgrad_J(zeta, settings, warm_start=start)
         inner_res.append(rep.final_residual)
+        cg_iters.append(rep.cg_iterations_total)
+        cg_bad.append(rep.cg_unconverged)
         if not rep.converged:
             failed.append(k)
         lam_half.append(pair.norm_H(v) ** (1.0 - pair.p))
@@ -126,7 +144,8 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
             rep.iterations
 
     extras = {"lambda_rq": [], "lambda_half_step": lam_half,
-              "failed_inner_solves": failed, "inner_residuals": inner_res}
+              "failed_inner_solves": failed, "inner_residuals": inner_res,
+              "cg_iterations": cg_iters, "cg_unconverged": cg_bad}
     trace = _iterate(pair, u0, iters, step, "ipm", extras, residual_tol,
                      snapshot_cb)
     extras["lambda_rq"] = [rec.rq for rec in trace.records]
@@ -161,7 +180,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
         lam_tau = pair.energy_J(u_cur) / J_tau
         return rstar_tau, lam_tau
 
-    def step(k, u):
+    def step(k, u, rq, zJ):
         v, rep = pair.prox_J(u, tau, settings)
         if not rep.converged:
             failed.append(k)
@@ -244,7 +263,8 @@ def _part(inst, w, sign):
 
 
 def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
-    """(dpsi/dsigma, dw/ds) at the solve w of -Delta_p w = s zeta^+ - zeta^-.
+    """(dpsi/dsigma, dw/ds, CG iterations, CG converged) at the solve w of
+    -Delta_p w = s zeta^+ - zeta^-.
 
     psi = log R(w^+) - log R(w^-) and sigma = log s; parts are
     (_part(inst, w, 1), _part(inst, w, -1)), neither None.  Differentiating
@@ -254,14 +274,15 @@ def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
     g = sum over the parts of (dJ(w^+-)/J - dH(w^+-)/H) on that part's
     support (Keller 1977, differentiating a solve in its parameter).
     """
-    dw, _ = cg_solve(inst.jacobian_matrix(w), inst.free_flatten(zp),
-                     settings.cg_tol,
-                     settings.cg_max_iter or max(50, 10 * inst.n_interior))
+    cg = cg_solve(inst.jacobian_matrix(w), inst.free_flatten(zp),
+                  settings.cg_tol,
+                  settings.cg_max_iter or max(50, 10 * inst.n_interior))
+    dw, cg_it = cg
     dw = inst.lift_free(dw)
     g = sum((inst.subgrad_J(c) / J - inst.duality_map_H(c) / H)
             * (sign * w > 0.0)
             for sign, (c, J, H) in zip((1.0, -1.0), parts))
-    return s * inst.pairing(g, dw), dw
+    return s * inst.pairing(g, dw), dw, cg_it, cg.converged
 
 
 def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
@@ -280,11 +301,12 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     tangent w + (s_new - s) dw/ds at the previous balance when that one has
     a slope, else from the secant predictor through the two cached
     solutions at the balances nearest s.  The first, at s = 1, starts from
-    R(u)^(-1/(p-1)) u, the solve itself when u is an eigenfunction.  When
-    the search leaves the balance range the step falls back to s = 1.  The
+    the eigen-ray R(u)^(-1/(p-1)) u (ray_start), for every p.  When the
+    search leaves the balance range the step falls back to s = 1.  The
     scheme stalls when both parts of the solve vanish or the solve does not
     change sign.  extras list each step's root s, its |phi|, its solve
-    count, and the steps that fell back or had a failed solve.
+    count, its CG iterations and unconverged CG calls (the slope solves
+    included), and the steps that fell back or had a failed solve.
     """
     u0 = np.asarray(u0, dtype=float)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
@@ -292,22 +314,24 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     if settings is None:
         settings = NewtonSettings()
     fallback_steps, failed, roots, defects, solves = [], [], [], [], []
+    cg_iters, cg_bad = [], []
 
-    def step(k, u):
+    def step(k, u, rq, zJ):
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
         inner_total, n_solves, step_failed = 0, 0, False
+        cg_total, cg_unconverged = 0, 0
         cache: dict[float, np.ndarray] = {}  # s -> solve w
         parts = None  # the two parts of the latest solve
         tangent = None  # (s, w, dw/ds) of the latest solve, with a slope
-        scaled_u = metrics.rayleigh_quotient(inst, u) \
-            ** (-1.0 / (inst.p - 1.0)) * u
+        scaled_u = ray_start(inst, u, rq)
 
         def defect(s):
             # missing positive part -> need larger s (treat as huge positive
             # defect); missing negative part -> huge negative defect
             nonlocal inner_total, n_solves, step_failed, parts, tangent
+            nonlocal cg_total, cg_unconverged
             if tangent is not None:
                 t_s, t_w, t_dw = tangent
                 start = t_w + (s - t_s) * t_dw
@@ -317,6 +341,8 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             tangent = None
             w, rep = solve_p_poisson(inst, s * zp - zm, start, settings)
             inner_total += rep.iterations
+            cg_total += rep.cg_iterations_total
+            cg_unconverged += rep.cg_unconverged
             n_solves += 1
             step_failed |= not rep.converged
             cache[s] = w
@@ -330,12 +356,14 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             return pp[1] / pp[2] - pm[1] / pm[2]
 
         def log_slope(s):
-            nonlocal tangent
+            nonlocal tangent, cg_total, cg_unconverged
             pp, pm = parts
             if pp is None or pm is None:
                 return None
-            dpsi, dw = log_balance_slope(inst, cache[s], parts, zp, s,
-                                         settings)
+            dpsi, dw, cg_it, cg_ok = log_balance_slope(
+                inst, cache[s], parts, zp, s, settings)
+            cg_total += cg_it
+            cg_unconverged += not cg_ok
             tangent = (s, cache[s], dw)
             return (math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2]),
                     float(dpsi))
@@ -348,6 +376,8 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         roots.append(s_root)
         defects.append(abs(phi))
         solves.append(n_solves)
+        cg_iters.append(cg_total)
+        cg_bad.append(cg_unconverged)
         if step_failed:
             failed.append(k)
         stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
@@ -355,7 +385,8 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
     extras = {"fallback_steps": fallback_steps, "failed_inner_solves": failed,
               "balance_roots": roots, "balance_defects": defects,
-              "balance_solves": solves}
+              "balance_solves": solves, "cg_iterations": cg_iters,
+              "cg_unconverged": cg_bad}
     return _iterate(inst, u0, iters, step, "balanced", extras,
                     snapshot_cb=snapshot_cb)
 
@@ -396,8 +427,7 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w)), \
             lifted
 
-    def step(k, u):
-        zeta = pair.subgrad_J(u)
+    def step(k, u, rq, zeta):
         nu = pair.norm_H(u)
         nz = pair.dual_norm_H(zeta)
         cos = pair.pairing(zeta, u) / (nu * nz)

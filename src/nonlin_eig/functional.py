@@ -27,7 +27,7 @@ class SolveReport:
     final_residual: float = 0.0
     converged: bool = True
     cg_iterations_total: int = 0
-    cg_unconverged: int = 0  # CG calls that used up their iteration budget
+    cg_unconverged: int = 0  # CG calls that did not converge (info != 0)
 
 
 def power_map(t: np.ndarray, p: float) -> np.ndarray:

@@ -245,6 +245,25 @@ def test_criterion_07_inner_newton(ex1_sweep):
     assert worst_it <= 500
 
 
+# final lambda of the IPM fixtures, recorded before the inner solves started
+# on the eigen-ray with Eisenstat-Walker forcing (both only for p >= 2)
+EX1_LAMBDAS = {2.0: 8.165281802442031, 3.0: 18.75646668156805,
+               5.0: 79.49362072994049}
+ANCHOR_LAMBDAS = {0.2: 4.347831373947049, 0.125: 5.047118522017966}
+
+
+def test_ipm_eigenvalues_pinned(ex1_sweep, square_p2_anchor):
+    worst = max(
+        [abs(ex1_sweep[p][1].final_lambda - lam) / lam
+         for p, lam in EX1_LAMBDAS.items()]
+        + [abs(square_p2_anchor[r][1].final_lambda - lam) / lam
+           for r, lam in ANCHOR_LAMBDAS.items()])
+    print(f"\n[ipm eigenvalues] PASS: final lambda of ex1 p=2, 3, 5 and "
+          f"the p=2 anchors against the recorded values, worst relative "
+          f"defect {worst:.2e} (<=1e-10)")
+    assert worst <= 1e-10
+
+
 def test_criterion_08_balanced_scheme(balanced_run):
     inst, trace = balanced_run
     rq = [rec.rq for rec in trace.records]

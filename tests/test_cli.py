@@ -84,6 +84,9 @@ class TestRun:
         assert len(extras["balance_defects"]) == 2
         assert all(d <= 1e-6 for d in extras["balance_defects"])
         assert extras["failed_inner_solves"] == []
+        assert len(extras["cg_iterations"]) == 2
+        assert all(n > 0 for n in extras["cg_iterations"])
+        assert extras["cg_unconverged"] == [0, 0]
 
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0
@@ -99,6 +102,10 @@ class TestRun:
         assert echoed["d2p"] > 0.0
         assert echoed["r"] == 0.45
         assert echoed["nx"] == 11
+        extras = info["extras"]
+        assert len(extras["cg_iterations"]) == 5
+        assert all(n > 0 for n in extras["cg_iterations"])
+        assert extras["cg_unconverged"] == [0] * 5
 
     def test_out_override(self, spd_config, tmp_path):
         other = tmp_path / "elsewhere"

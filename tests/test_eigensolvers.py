@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from nonlin_eig import eigensolvers, metrics, newton
 from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
                                      _sweep, balance_root, log_balance_slope,
-                                     run_balanced_ipm, run_geometric,
-                                     run_ipm, run_ppm, secant_predictor)
+                                     ray_start, run_balanced_ipm,
+                                     run_geometric, run_ipm, run_ppm,
+                                     secant_predictor)
 from nonlin_eig.functional import SpdInstance, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
@@ -138,7 +139,7 @@ def test_log_balance_slope_matches_central_difference(small_grid, p):
 
     s, delta = 1.3, 1e-4
     w, parts, _ = solve(s)
-    slope, _ = log_balance_slope(inst, w, parts, zp, s, settings)
+    slope = log_balance_slope(inst, w, parts, zp, s, settings)[0]
     central = (solve(s * math.exp(delta))[2]
                - solve(s * math.exp(-delta))[2]) / (2 * delta)
     assert slope == pytest.approx(central, rel=1e-6)
@@ -186,6 +187,50 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
     assert seen
     assert all(maxiter == 7 for _, maxiter in seen)
     assert all(rtol >= 1e-3 for rtol, _ in seen)
+
+
+@pytest.mark.parametrize("run,start", [
+    (lambda inst, u0: run_ipm(inst, u0, 3), "ex1"),
+    (lambda inst, u0: run_balanced_ipm(inst, u0, 3), "ex2"),
+], ids=["ipm", "balanced"])
+def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
+    # every CG call, the balanced scheme's slope solves included
+    calls = []
+    original = newton.cg_solve
+
+    def recording(A, b, rtol, maxiter):
+        result = original(A, b, rtol, maxiter)
+        calls.append((result[1], result.converged))
+        return result
+
+    monkeypatch.setattr(newton, "cg_solve", recording)
+    monkeypatch.setattr(eigensolvers, "cg_solve", recording)
+    trace = run(small_grid, eval_initial_guess(start, small_grid.domain).values)
+    cg_iters, cg_bad = (trace.extras["cg_iterations"],
+                        trace.extras["cg_unconverged"])
+    assert len(cg_iters) == len(cg_bad) == len(trace.records) == 3
+    assert sum(cg_iters) == sum(it for it, _ in calls) > 0
+    assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst, u0: run_ipm(inst, u0, 3),
+    lambda inst, u0: run_balanced_ipm(inst, u0, 3),
+], ids=["ipm", "balanced"])
+def test_step_reads_the_records_r(square11, monkeypatch, run):
+    # R(u^k) is evaluated once per step for the record and the step's ray
+    # start, once more inside the record's duality gap, and once for the
+    # final eigenvalue
+    calls = [0]
+    original = metrics.rayleigh_quotient
+
+    def counted(pair, u):
+        calls[0] += 1
+        return original(pair, u)
+
+    monkeypatch.setattr(metrics, "rayleigh_quotient", counted)
+    trace = run(square11, eval_initial_guess("ex2", square11.domain).values)
+    assert calls[0] == 2 * len(trace.records) + 1
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +300,24 @@ class TestIpm:
         trace = run_ipm(small_grid, u0, 5)
         assert len(trace.extras["inner_residuals"]) == 5
         assert all(r <= 1e-12 for r in trace.extras["inner_residuals"])
+
+    @pytest.mark.parametrize("shape,h,r", [("square", 0.1, 0.25),
+                                           ("lshape", 0.05, 0.2)])
+    def test_ray_start_solves_p2_eigenvector(self, shape, h, r):
+        dom = build_domain(shape, 2.0, h)
+        inst = PLaplaceInstance(dom, build_stencil(dom, r, 2.0), 2.0)
+        M = inst.jacobian_matrix(np.zeros((dom.ny, dom.nx)))
+        _, vec = scipy.sparse.linalg.eigsh(M, k=1, sigma=0,
+                                           v0=np.ones(M.shape[0]))
+        u = inst.lift_free(vec[:, 0])
+        u /= inst.norm_H(u)
+        zeta = inst.duality_map_H(u)
+        start = ray_start(inst, u, metrics.rayleigh_quotient(inst, u))
+        _, rep = newton.solve_p_poisson(inst, zeta, start)
+        assert rep.converged and rep.iterations <= 1
+        assert run_ipm(inst, u, 1).records[0].inner_iters == rep.iterations
+        _, from_u = newton.solve_p_poisson(inst, zeta, u)
+        assert from_u.converged and from_u.iterations > rep.iterations
 
     def test_residual_tol_stop(self, spd):
         trace = run_ipm(spd, np.array([1.0, 0.2]), 200, residual_tol=1e-12)

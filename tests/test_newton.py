@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,18 @@ class TestCgSolve:
         x, iters = cg_solve(-A, b, 1e-12, 100)
         assert 0 < iters <= 100
         assert np.linalg.norm(-A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_exhausted_budget_reported(self):
+        # SciPy's info != 0 reaches the caller as converged=False
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((6, 6))
+        A = B @ B.T + 6.0 * np.eye(6)
+        b = rng.standard_normal(6)
+        result = cg_solve(A, b, 1e-12, 1)
+        x, iters = result
+        assert iters == 1 and not result.converged
+        assert np.linalg.norm(A @ x - b) > 1e-12 * np.linalg.norm(b)
+        assert cg_solve(A, b, 1e-12, 100).converged
 
 
 class TestDampedNewton:
@@ -128,6 +142,53 @@ class TestPPoisson:
         start = random_interior(inst, rng)
         _, rep = solve_p_poisson(inst, zeta, start)
         assert rep.converged and rep.final_residual <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(2.0, 5.0), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-2, 1.0, 1e2]))
+    def test_forcing_saves_cg_and_keeps_the_solve(self, p, seed, scale):
+        inst = make_instance(p, h=0.2, r=0.45)
+        rng = np.random.default_rng(seed)
+        zeta = random_interior(inst, rng, scale)
+        start = random_interior(inst, rng)
+        mask = inst.domain.interior_mask
+
+        def residual(x):
+            return inst.neg_plaplacian(inst.lift_free(x))[mask] - zeta[mask]
+
+        def jacobian(x):
+            return inst.jacobian_matrix(inst.lift_free(x))
+
+        x_tight, tight = damped_newton(start[mask], residual, jacobian,
+                                       NewtonSettings())
+        x_forced, forced = damped_newton(start[mask], residual, jacobian,
+                                         NewtonSettings(), forcing=True)
+        assert forced.converged and forced.final_residual <= 1e-12
+        assert forced.cg_iterations_total <= tight.cg_iterations_total
+        # 2-norm: at scale 1e-2 the absolute tolerance is a relative
+        # residual of 1e-10, and two converged solves then differ by up to
+        # 9e-11 in their largest entry
+        assert np.linalg.norm(x_forced - x_tight) \
+            <= 1e-10 * np.linalg.norm(x_tight)
+        # solve_p_poisson forces for p >= 2
+        u, rep = solve_p_poisson(inst, zeta, start)
+        assert rep == forced and np.array_equal(u[mask], x_forced)
+
+    def test_p15_solve_unchanged(self):
+        # below p = 2 neither the forcing nor the ray start applies: the
+        # Newton steps, CG iterations and result of this solve, which
+        # misses its tolerance, are those recorded before either existed
+        dom = build_domain("lshape", 2.0, 0.1)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.25, 1.5), 1.5)
+        u0 = eval_initial_guess("ex1", dom).values
+        u0 = u0 / inst.norm_H(u0)
+        u, rep = solve_p_poisson(inst, inst.duality_map_H(u0), u0,
+                                 NewtonSettings(max_iter=60))
+        assert (rep.iterations, rep.cg_iterations_total) == (51, 3879)
+        assert rep.final_residual == 8.438865023441267e-10
+        assert not rep.converged
+        assert hashlib.sha256(u.tobytes()).hexdigest() == \
+            "f15442d008edf3c8926905e9f74f4cefd294760e386cc19fe6b4d8cfa1060fe7"
 
     def test_boundary_stays_zero(self):
         inst = make_instance(1.5, shape="lshape")
