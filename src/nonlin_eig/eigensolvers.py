@@ -33,7 +33,7 @@ import scipy.sparse.linalg
 
 from .functional import FunctionalPair, power_map
 from .newton import (NewtonSettings, cg_solve, damped_newton,
-                     solve_p_poisson)
+                     locally_quadratic, solve_p_poisson)
 from . import metrics
 
 SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
@@ -124,15 +124,14 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     residual and its CG iterations and unconverged CG calls.
 
     For p >= 2 the inner solve starts on the eigen-ray (ray_start), so
-    late solves take one or two Newton steps.  For p < 2 it starts from u:
-    there the Newton step does not contract, and the ray start left every
-    inner solve of a 30-step p=1.5 run short of its tolerance.
+    late solves take one or two Newton steps; below, it starts from u, for
+    the reason given in the newton module docstring (locally_quadratic).
     """
     lam_half, failed, inner_res, cg_iters, cg_bad = [], [], [], [], []
 
     def step(k, u, rq, zJ):
         zeta = pair.duality_map_H(u)
-        start = ray_start(pair, u, rq) if pair.p >= 2 else u
+        start = ray_start(pair, u, rq) if locally_quadratic(pair.p) else u
         v, rep = pair.inverse_subgrad_J(zeta, settings, warm_start=start)
         inner_res.append(rep.final_residual)
         cg_iters.append(rep.cg_iterations_total)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonlin_eig import newton
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
                                solve_p_poisson, solve_prox)
@@ -143,7 +144,10 @@ class TestPPoisson:
         _, rep = solve_p_poisson(inst, zeta, start)
         assert rep.converged and rep.final_residual <= 1e-12
 
-    @settings(max_examples=15, deadline=None)
+    # derandomize: the CG count below is compared along two different
+    # Newton paths (they part after the first step), so it is an observed
+    # property, not a theorem; the fixed examples make the test repeat
+    @settings(max_examples=15, deadline=None, derandomize=True)
     @given(p=st.floats(2.0, 5.0), seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1e-2, 1.0, 1e2]))
     def test_forcing_saves_cg_and_keeps_the_solve(self, p, seed, scale):
@@ -161,9 +165,25 @@ class TestPPoisson:
 
         x_tight, tight = damped_newton(start[mask], residual, jacobian,
                                        NewtonSettings())
-        x_forced, forced = damped_newton(start[mask], residual, jacobian,
-                                         NewtonSettings(), forcing=True)
+        cg_calls = []  # (|b|_2, rtol) of each CG call of the forced solve
+
+        def recording_cg(A, b, rtol, maxiter):
+            cg_calls.append((np.linalg.norm(b), rtol))
+            return cg_solve(A, b, rtol, maxiter)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "cg_solve", recording_cg)
+            x_forced, forced = damped_newton(start[mask], residual, jacobian,
+                                             NewtonSettings(), forcing=True)
         assert forced.converged and forced.final_residual <= 1e-12
+        # at each iterate the forced tolerance is the unforced rule's,
+        # raised to at most 0.1, and the first step is not forced
+        s = NewtonSettings()
+        tight_rtols = [max(s.cg_tol, 0.01 * s.tol_abs / norm)
+                       for norm, _ in cg_calls]
+        for tight_rtol, (_, rtol) in zip(tight_rtols, cg_calls):
+            assert tight_rtol <= rtol <= max(tight_rtol, 0.1)
+        assert cg_calls[0][1] == tight_rtols[0]
         assert forced.cg_iterations_total <= tight.cg_iterations_total
         # 2-norm: at scale 1e-2 the absolute tolerance is a relative
         # residual of 1e-10, and two converged solves then differ by up to
