@@ -58,13 +58,14 @@ def cmd_run(args) -> int:
     def snapshot_cb(k, u):
         if is_grid and snapshot_every and k % snapshot_every == 0:
             save_snapshot(out_dir / f"{solver_kind}_iter{k}.csv",
-                          GridFunction(u, pair.domain))
+                          GridFunction(pair.lift_free(u), pair.domain))
 
     trace = _run_solver(pair, u0, cfg, snapshot_cb)
 
     metrics.records_to_csv(trace.records, out_dir / "metrics.csv")
     if is_grid:
-        save_snapshot(out_dir / "final.csv", GridFunction(trace.final_u, pair.domain))
+        save_snapshot(out_dir / "final.csv",
+                      GridFunction(pair.lift_free(trace.final_u), pair.domain))
     else:
         np.savetxt(out_dir / "final.csv", trace.final_u, delimiter=",")
     run_info = {

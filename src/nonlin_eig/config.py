@@ -99,8 +99,6 @@ def resolve_radius(problem: dict) -> float:
     rule = problem["r_rule"]
     h = float(problem["h"])
     kind = rule.get("type")
-    if kind == "fixed":
-        return float(rule["value"])
     if kind == "h_pow":
         return h ** float(rule["exponent"])
     if kind == "consistency":

@@ -48,7 +48,7 @@ N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
 @dataclass
 class EigenTrace:
     records: list[metrics.IterationRecord]
-    final_u: np.ndarray
+    final_u: np.ndarray  # a vector of the pair: interior nodes on a grid
     final_lambda: float
     solver_tag: str
     converged: bool
@@ -66,7 +66,7 @@ def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
 def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
              snapshot_cb=None) -> EigenTrace:
     """The outer loop of every scheme, described in the module docstring."""
-    u = _normalize(pair, np.asarray(u0, dtype=float))
+    u = _normalize(pair, pair.as_vector(u0))
     records = []
     stop_reason = "max_iter"
     res = None  # eigen-residual of u, when the stop test computed it
@@ -273,11 +273,9 @@ def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
     g = sum over the parts of (dJ(w^+-)/J - dH(w^+-)/H) on that part's
     support (Keller 1977, differentiating a solve in its parameter).
     """
-    cg = cg_solve(inst.jacobian_matrix(w), inst.free_flatten(zp),
-                  settings.cg_tol,
-                  settings.cg_max_iter or max(50, 10 * inst.n_interior))
+    cg = cg_solve(inst.jacobian_matrix(w), zp, settings.cg_tol,
+                  settings.cg_budget(inst.n_interior))
     dw, cg_it = cg
-    dw = inst.lift_free(dw)
     g = sum((inst.subgrad_J(c) / J - inst.duality_map_H(c) / H)
             * (sign * w > 0.0)
             for sign, (c, J, H) in zip((1.0, -1.0), parts))
@@ -291,8 +289,8 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     the Rayleigh quotients of the positive and negative parts of the solve
     match; targets the sign-changing second eigenfunction.
 
-    inst must be a PLaplaceInstance (the balancing uses clipped grid
-    fields).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
+    inst must be a PLaplaceInstance (the slope solve for dw/ds uses its
+    Jacobian).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
     phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL, by
     balance_root: safeguarded Newton on psi = log R(w^+) - log R(w^-) in
     log s, whose slope comes from one CG solve for dw/ds after each solve
@@ -417,14 +415,12 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     p, q = pair.p, pair.q
     F_hist, tau_hist, winners = [], [], []
 
-    def normalized_F(x_free):  # F after normalizing, with the lifted field
-        lifted = pair.lift_free(x_free)
+    def normalized_F(x):  # (F of x normalized, x)
         try:
-            w = _normalize(pair, lifted)
+            w = _normalize(pair, x)
         except ValueError:
             return np.nan, None
-        return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w)), \
-            lifted
+        return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w)), x
 
     def step(k, u, rq, zeta):
         nu = pair.norm_H(u)
@@ -433,29 +429,26 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         F_u = 1.0 - cos
         G_H = nu ** (1.0 - p) * pair.duality_map_H(u)
         G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
-        hess_u = pair.hess_J_matrix(u)
-        E = pair.free_flatten(G_H) * nz \
-            + (hess_u @ pair.free_flatten(G_Hs)) * nu
+        E = G_H * nz + (pair.hess_J_matrix(u) @ G_Hs) * nu
         D = nu * nz
         F_hist.append(F_u)
 
-        u_free = pair.free_flatten(u)
         explicit = cos * E / D
         seed_F, seed = np.inf, None  # the lowest finite sweep
         for j in range(LADDER_LEN):
             tau = TAU0 * 0.5 ** j
-            sweep = _sweep(pair, u_free, tau, explicit, D)
+            sweep = _sweep(pair, u, tau, explicit, D)
             F_w, w = normalized_F(sweep[0]) if sweep else (np.nan, None)
             if np.isfinite(F_w) and F_w < seed_F:
                 seed_F, seed = F_w, (w, tau, *sweep)
             if seed_F < F_u and seed_F <= 0.5 * F_u:
                 break
-        best = (F_u, None, None, 0, None)  # F, lifted w, tau, count, kind
+        best = (F_u, None, None, 0, None)  # F, w, tau, count, kind
         if seed is not None:
             w, tau, x, sweeps = seed
             if seed_F < F_u:
                 best = (seed_F, w, tau, sweeps, "sweep")
-            polish = _polish(pair, u_free, tau, explicit, D, x, settings)
+            polish = _polish(pair, u, tau, explicit, D, x, settings)
             F_w, w = normalized_F(polish[0]) if polish else (np.nan, None)
             if np.isfinite(F_w) and F_w < best[0]:
                 best = (F_w, w, tau, sweeps + polish[1], "polish")
@@ -471,22 +464,20 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
                     snapshot_cb=snapshot_cb)
 
 
-def _implicit_rhs(pair, x_free, explicit, D):
-    """Right-hand side of the semi-implicit step at the free vector x."""
-    return pair.p * pair.free_flatten(pair.subgrad_J(pair.lift_free(x_free))) \
-        / D - explicit
+def _implicit_rhs(pair, x, explicit, D):
+    """Right-hand side of the semi-implicit step at x."""
+    return pair.p * pair.subgrad_J(x) / D - explicit
 
 
-def _sweep(pair, u_free, tau, explicit, D):
+def _sweep(pair, u, tau, explicit, D):
     """Fixed-point sweep x <- u + tau rhs(x)^(q-1) of the semi-implicit
     step from x = u (its first pass is the explicit step), N_SWEEPS times
     or until the next iterate overflows; (x, sweeps done), or None if none
     is finite."""
-    x = u_free.copy()
+    x = u.copy()
     sweeps = 0
     for _ in range(N_SWEEPS):
-        xn = u_free + tau * power_map(_implicit_rhs(pair, x, explicit, D),
-                                      pair.q)
+        xn = u + tau * power_map(_implicit_rhs(pair, x, explicit, D), pair.q)
         if not np.all(np.isfinite(xn)):
             break
         x = xn
@@ -494,7 +485,7 @@ def _sweep(pair, u_free, tau, explicit, D):
     return (x, sweeps) if sweeps else None
 
 
-def _polish(pair, u_free, tau, explicit, D, x, settings):
+def _polish(pair, u, tau, explicit, D, x, settings):
     """Damped Newton polish of the sweep result x at step size tau.
 
     Returns (x, Newton steps), or None when the sweep's residual is not
@@ -509,14 +500,12 @@ def _polish(pair, u_free, tau, explicit, D, x, settings):
     p = pair.p
 
     def resid(xv):
-        s_field = pair.lift_free((xv - u_free) / tau)
-        return pair.free_flatten(pair.duality_map_H(s_field)) \
+        return pair.duality_map_H((xv - u) / tau) \
             - _implicit_rhs(pair, xv, explicit, D)
 
     def jacobian(xv):
-        s_field = pair.lift_free((xv - u_free) / tau)
-        M_diag = pair.duality_map_H_prime(s_field) / tau
-        H = pair.hess_J_matrix(pair.lift_free(xv))
+        M_diag = pair.duality_map_H_prime((xv - u) / tau) / tau
+        H = pair.hess_J_matrix(xv)
         if scipy.sparse.issparse(H):
             return scipy.sparse.diags(M_diag) - (p / D) * H
         return np.diag(M_diag) - (p / D) * np.asarray(H)

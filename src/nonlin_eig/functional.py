@@ -108,18 +108,15 @@ class FunctionalPair(ABC):
     def H(self, u: np.ndarray) -> float:
         return self.norm_H(u) ** self.p / self.p
 
+    def as_vector(self, u) -> np.ndarray:
+        """u as a vector of the pair's space; the outer loop reads its start
+        through this once."""
+        return np.asarray(u, dtype=float)
+
     # --- hooks used by the geometric (cosine-ascent) scheme -----------------
 
-    def free_flatten(self, u: np.ndarray) -> np.ndarray:
-        """Flatten a vector to the free (unconstrained) coordinates."""
-        return np.asarray(u, dtype=float).ravel().copy()
-
-    def lift_free(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of free_flatten."""
-        return np.asarray(x, dtype=float).copy()
-
     def hess_J_matrix(self, u: np.ndarray):
-        """Second derivative of J at u over free coordinates."""
+        """Second derivative of J at u."""
         raise NotImplementedError
 
     def duality_map_H_prime(self, w: np.ndarray) -> np.ndarray:

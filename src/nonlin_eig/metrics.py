@@ -79,7 +79,7 @@ def eigen_residual(pair: FunctionalPair, u, zeta=None) -> float:
     """l2 norm of the normalized eigenproblem defect.
 
     || zeta/|zeta|_q - eta/|eta|_q ||_2 with zeta = dJ(u), eta = dH(u);
-    the outer norm is plain Euclidean over the free coordinates (no volume
+    the outer norm is plain Euclidean over the vector's entries (no volume
     weight), the inner normalizations use the weighted dual norm.  zeta is
     evaluated here unless the caller passes dJ(u).
     """
@@ -90,5 +90,4 @@ def eigen_residual(pair: FunctionalPair, u, zeta=None) -> float:
     ne = pair.dual_norm_H(eta)
     if nz <= 0.0 or ne <= 0.0:
         raise ValueError("eigen residual undefined: zero operator output")
-    diff = pair.free_flatten(zeta) / nz - pair.free_flatten(eta) / ne
-    return float(np.linalg.norm(diff))
+    return float(np.linalg.norm(zeta / nz - eta / ne))

@@ -45,13 +45,17 @@ class NewtonSettings:
     tol_abs: float = 1e-12
     max_iter: int = 500
     cg_tol: float = 1e-10
-    cg_max_iter: int | None = None  # default 10 * number of unknowns
+    cg_max_iter: int | None = None  # None: max(50, 10 * unknowns)
 
     def __post_init__(self):
         if self.tol_abs <= 0:
             raise ValueError("tol_abs must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+
+    def cg_budget(self, n: int) -> int:
+        """The iteration budget of one CG solve in n unknowns."""
+        return self.cg_max_iter or max(50, 10 * n)
 
 
 def locally_quadratic(p: float) -> bool:
@@ -112,7 +116,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     r = residual_fn(x)
     rn = float(np.max(np.abs(r))) if r.size else 0.0
     cg_total = cg_unconverged = 0
-    maxiter_cg = settings.cg_max_iter or max(50, 10 * x.size)
+    maxiter_cg = settings.cg_budget(x.size)
     it = 0
     norm_prev = None  # |r|_2 at the previous Newton step
     while settings.tol_abs < rn < np.inf and it < settings.max_iter:
@@ -152,23 +156,16 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
                     ) -> tuple[np.ndarray, SolveReport]:
     """Solve -Delta_p^h u = zeta at interior nodes, zero Dirichlet boundary.
 
-    inst is a PLaplaceInstance; zeta and u_init are full-lattice fields.
+    inst is a PLaplaceInstance; zeta and u_init are interior vectors.
     """
     if settings is None:
         settings = NewtonSettings()
-    mask = inst.domain.interior_mask
-    z_int = np.asarray(zeta, dtype=float)[mask]
 
     def residual(x):
-        return inst.neg_plaplacian(inst.lift_free(x))[mask] - z_int
+        return inst.neg_plaplacian(x) - zeta
 
-    def jacobian(x):
-        return inst.jacobian_matrix(inst.lift_free(x))
-
-    x0 = np.asarray(u_init, dtype=float)[mask]
-    x, report = damped_newton(x0, residual, jacobian, settings,
-                              forcing=locally_quadratic(inst.p))
-    return inst.lift_free(x), report
+    return damped_newton(u_init, residual, inst.jacobian_matrix, settings,
+                         forcing=locally_quadratic(inst.p))
 
 
 def solve_prox(inst, u_ref: np.ndarray, tau: float,
@@ -178,27 +175,21 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
 
     This is the optimality condition of argmin_v H(v - u_ref) + tau J(v);
     the caller applies the tau = tau_tilde^(p-1) reparameterization.
-    Warm-started from u_ref.
+    inst is a PLaplaceInstance and u_ref an interior vector, from which
+    the solve starts.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if settings is None:
         settings = NewtonSettings()
-    mask = inst.domain.interior_mask
-    u_int = np.asarray(u_ref, dtype=float)[mask]
     p = inst.p
 
     def residual(x):
-        d = x - u_int
-        field = inst.lift_free(x)
-        return power_map(d, p) + tau * inst.neg_plaplacian(field)[mask]
+        return power_map(x - u_ref, p) + tau * inst.neg_plaplacian(x)
 
     def jacobian(x):
-        d = x - u_int
-        diag = inst.kernel_derivative(d)
-        field = inst.lift_free(x)
-        return scipy.sparse.diags(diag) + tau * inst.jacobian_matrix(field)
+        return scipy.sparse.diags(inst.duality_map_H_prime(x - u_ref)) \
+            + tau * inst.jacobian_matrix(x)
 
-    x, report = damped_newton(u_int.copy(), residual, jacobian, settings,
-                              forcing=locally_quadratic(p))
-    return inst.lift_free(x), report
+    return damped_newton(u_ref, residual, jacobian, settings,
+                         forcing=locally_quadratic(p))

@@ -1,6 +1,13 @@
 """Mean-value discrete p-Laplacian, its Jacobian, energy and norms.
 
-The operator on the lattice is
+The vector space of an instance is R^n over its n interior nodes, numbered
+row-major as a lattice field read at domain.interior_mask, with the
+h^2-weighted pairing.  Every method returns interior vectors and accepts
+either an interior vector or a (ny, nx) lattice field, whose values off
+the interior it ignores (as_vector); lift_free writes an interior vector
+back onto the lattice, zero off the interior, for snapshots and plots.
+
+The operator is
     Delta_p^h u(x) = C_h * sum_{y in B_r(x)} |u(y)-u(x)|^(p-2) (u(y)-u(x))
 with C_h = h^2 / (D_{2,p} pi r^(p+2)).  Reads outside the domain (and at
 non-interior nodes) are 0.  The discrete Dirichlet energy is defined as the
@@ -8,12 +15,12 @@ symmetrized double sum whose exact gradient under the h^2-weighted pairing
 is -Delta_p^h, which makes the discrete Euler identity hold to roundoff.
 
 The operator, the energy and the Jacobian read the stencil through one
-neighbour table of shape (K+1, n), for K stencil offsets and n interior
-nodes numbered row-major.  Row k holds every node's neighbour at offset k;
-the node itself sits in a centre row, at the place of (0, 0) among the
-lexsorted offsets of build_stencil.  A neighbour that is not an interior
-node reads the appended zero slot n.  One gather of the interior values
-extended by that zero gives u(y) - u(x) for every (offset, node) at once:
+neighbour table of shape (K+1, n), for K stencil offsets.  Row k holds
+every node's neighbour at offset k; the node itself sits in a centre row,
+at the place of (0, 0) among the lexsorted offsets of build_stencil.  A
+neighbour that is not an interior node reads the appended zero slot n.
+One gather of the interior vector extended by that zero gives u(y) - u(x)
+for every (offset, node) at once:
 - the operator sums power_map of it over the offsets (the centre adds 0);
 - the energy sums |u(y)-u(x)|^p and adds c(x)|u(x)|^p, for the cached
   count c(x) of x's non-interior neighbours: the double sum also runs over
@@ -25,9 +32,9 @@ extended by that zero gives u(y) - u(x) for every (offset, node) at once:
 The table and the CSR pattern are built on first use, not in __init__, so
 that building an instance stays cheap.
 
-Two rules scale the smoothing epsilon: kernel_derivative (the prox
-diagonal) scales it by max|d| of its argument, jacobian_matrix by max|u|
-over the interior nodes.  Unifying them would change Newton iterates.
+Two rules scale the smoothing epsilon: duality_map_H_prime (the diagonal
+of the prox and polish systems) scales it by max|w| of its argument,
+jacobian_matrix by max|u|.  Unifying them would change Newton iterates.
 """
 
 from __future__ import annotations
@@ -38,18 +45,12 @@ import numpy as np
 import scipy.sparse
 
 from .functional import FunctionalPair, power_map
-from .grid import GridDomain, GridFunction, Stencil
+from .grid import GridDomain, Stencil
 from . import newton
 
 
-def _values(u) -> np.ndarray:
-    if isinstance(u, GridFunction):
-        return u.values
-    return np.asarray(u, dtype=float)
-
-
 class PLaplaceInstance(FunctionalPair):
-    """FunctionalPair for the grid p-Laplacian.
+    """FunctionalPair for the grid p-Laplacian on the interior vectors.
 
     J is the discrete p-Dirichlet energy, H(u) = (1/p) ||u||_p^p, and the
     pairing carries the volume weight h^2 so that discrete quantities
@@ -68,16 +69,20 @@ class PLaplaceInstance(FunctionalPair):
         self._mask = domain.interior_mask
         self._h2 = domain.h ** 2
 
-    # --- array plumbing ------------------------------------------------------
+    # --- the vector space -----------------------------------------------------
 
     @property
     def n_interior(self) -> int:
         return self.domain.n_interior
 
-    def free_flatten(self, u):
-        return _values(u)[self._mask].copy()
+    def as_vector(self, u) -> np.ndarray:
+        """u as an interior vector: a (ny, nx) lattice field is read at the
+        interior nodes, a vector is taken as it is."""
+        u = np.asarray(u, dtype=float)
+        return u[self._mask] if u.ndim == 2 else u
 
-    def lift_free(self, x):
+    def lift_free(self, x) -> np.ndarray:
+        """The (ny, nx) lattice field of the interior vector x, 0 elsewhere."""
         out = np.zeros((self.domain.ny, self.domain.nx))
         out[self._mask] = x
         return out
@@ -117,10 +122,11 @@ class PLaplaceInstance(FunctionalPair):
         return np.count_nonzero(self._table == self.n_interior,
                                 axis=0).astype(float)
 
-    def _differences(self, u) -> np.ndarray:
-        """u(y) - u(x), one row per table row, one column per interior x."""
+    def _differences(self, x: np.ndarray) -> np.ndarray:
+        """u(y) - u(x) of the interior vector x, one row per table row, one
+        column per interior node."""
         ext = np.zeros(self.n_interior + 1)
-        ext[:-1] = _values(u)[self._mask]
+        ext[:-1] = x
         d = ext[self._table]
         d -= ext[:-1]
         return d
@@ -128,36 +134,27 @@ class PLaplaceInstance(FunctionalPair):
     # --- operator, energy, Jacobian ------------------------------------------
 
     def neg_plaplacian(self, u) -> np.ndarray:
-        """-Delta_p^h u; zero at non-interior nodes (= subgrad of J)."""
-        acc = np.sum(power_map(self._differences(u), self.p), axis=0)
-        return self.lift_free(-self.stencil.weight * acc)
+        """-Delta_p^h u (= subgrad of J)."""
+        acc = np.sum(power_map(self._differences(self.as_vector(u)), self.p),
+                     axis=0)
+        return -self.stencil.weight * acc
 
     def dirichlet_energy(self, u) -> float:
         """J_h(u) = (C_h h^2 / (2p)) * sum over directed stencil pairs."""
-        a = self._differences(u)
+        x = self.as_vector(u)
+        a = self._differences(x)
         np.abs(a, out=a)
         a **= self.p
-        x = np.abs(_values(u)[self._mask]) ** self.p
-        total = float(np.sum(a) + self._outside_count @ x)
+        total = float(np.sum(a) + self._outside_count @ np.abs(x) ** self.p)
         return self.stencil.weight * self._h2 * total / (2.0 * self.p)
 
-    def kernel_derivative(self, d: np.ndarray) -> np.ndarray:
-        """(p-1)(d^2 + eps^2)^((p-2)/2), the smoothed derivative of power_map.
-
-        The smoothing keeps Newton's Jacobian nonsingular (p<2: singular
-        kernel, p>2: degenerate at flat regions); the residual itself is
-        never modified.
-        """
-        epsilon = self.epsilon * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
-        return (self.p - 1.0) * (d * d + epsilon * epsilon) ** ((self.p - 2.0) / 2.0)
-
-    def jacobian_matrix(self, u, epsilon: float | None = None):
-        """Sparse symmetric PSD Jacobian of -Delta_p^h over interior nodes."""
+    def jacobian_matrix(self, u):
+        """Sparse symmetric PSD Jacobian of -Delta_p^h, smoothed by epsilon
+        scaled by max(1, max|u|)."""
         n, c = self.n_interior, self._centre
-        if epsilon is None:
-            scale = float(np.max(np.abs(_values(u)[self._mask]), initial=0.0))
-            epsilon = self.epsilon * max(1.0, scale)
-        w = self._differences(u)
+        x = self.as_vector(u)
+        epsilon = self.epsilon * max(1.0, float(np.max(np.abs(x), initial=0.0)))
+        w = self._differences(x)
         w *= w
         w += epsilon * epsilon
         w **= (self.p - 2.0) / 2.0
@@ -179,32 +176,39 @@ class PLaplaceInstance(FunctionalPair):
         return self.neg_plaplacian(u)
 
     def inverse_subgrad_J(self, zeta, settings=None, warm_start=None):
-        init = _values(warm_start) if warm_start is not None \
-            else np.zeros((self.domain.ny, self.domain.nx))
-        return newton.solve_p_poisson(self, _values(zeta), init, settings)
+        init = np.zeros(self.n_interior) if warm_start is None \
+            else self.as_vector(warm_start)
+        return newton.solve_p_poisson(self, self.as_vector(zeta), init,
+                                      settings)
 
     def prox_J(self, u_ref, tau, settings=None):
-        return newton.solve_prox(self, _values(u_ref), tau, settings)
+        return newton.solve_prox(self, self.as_vector(u_ref), tau, settings)
 
     def duality_map_H(self, u):
-        vals = np.where(self._mask, _values(u), 0.0)
-        return np.where(self._mask, power_map(vals, self.p), 0.0)
+        return power_map(self.as_vector(u), self.p)
 
     def norm_H(self, u):
-        vals = np.where(self._mask, _values(u), 0.0)
-        return float((self._h2 * np.sum(np.abs(vals) ** self.p)) ** (1.0 / self.p))
+        x = self.as_vector(u)
+        return float((self._h2 * np.sum(np.abs(x) ** self.p)) ** (1.0 / self.p))
 
     def dual_norm_H(self, zeta):
-        vals = np.where(self._mask, _values(zeta), 0.0)
-        return float((self._h2 * np.sum(np.abs(vals) ** self.q)) ** (1.0 / self.q))
+        z = self.as_vector(zeta)
+        return float((self._h2 * np.sum(np.abs(z) ** self.q)) ** (1.0 / self.q))
 
     def pairing(self, zeta, u):
-        return float(self._h2 * np.sum(_values(zeta) * _values(u)))
+        return float(self._h2 * np.sum(self.as_vector(zeta) * self.as_vector(u)))
 
     def hess_J_matrix(self, u):
         return self.jacobian_matrix(u)
 
     def duality_map_H_prime(self, w):
-        vals = _values(w)
-        return self.kernel_derivative(vals[self._mask])
+        """(p-1)(w^2 + eps^2)^((p-2)/2), the derivative of duality_map_H
+        smoothed by eps = epsilon max(1, max|w|).
 
+        The smoothing keeps Newton's Jacobian nonsingular (p<2: singular
+        kernel, p>2: degenerate at flat regions); the residual itself is
+        never modified.
+        """
+        d = self.as_vector(w)
+        epsilon = self.epsilon * max(1.0, float(np.max(np.abs(d), initial=0.0)))
+        return (self.p - 1.0) * (d * d + epsilon * epsilon) ** ((self.p - 2.0) / 2.0)

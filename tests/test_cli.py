@@ -139,6 +139,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{section}.{key}" in err
 
+    def test_unknown_r_rule_exits_1(self, tmp_path, capsys):
+        # "r" sets a fixed radius; there is no r_rule type for it
+        cfg = write_config(tmp_path / "fixed.json", {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.2, "r_rule": {"type": "fixed", "value": 0.45},
+                        "p": 3.0},
+            "solver": {"kind": "ipm", "iters": 2},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 1
+        assert "unknown r_rule type 'fixed'" in capsys.readouterr().err
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

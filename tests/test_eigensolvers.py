@@ -123,8 +123,8 @@ def test_log_balance_slope_matches_central_difference(small_grid, p):
     inst = PLaplaceInstance(small_grid.domain, build_stencil(
         small_grid.domain, 0.25, p), p)
     X, Y = inst.domain.coords()
-    u = np.where(inst.domain.interior_mask, np.sin(np.pi * X)
-                 + 0.5 * np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2), 0.0)
+    u = inst.as_vector(np.sin(np.pi * X)
+                       + 0.5 * np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2))
     zeta = inst.duality_map_H(u / inst.norm_H(u))
     zp, zm = np.maximum(zeta, 0.0), np.maximum(-zeta, 0.0)
     settings = NewtonSettings()
@@ -309,8 +309,7 @@ class TestIpm:
         M = inst.jacobian_matrix(np.zeros((dom.ny, dom.nx)))
         _, vec = scipy.sparse.linalg.eigsh(M, k=1, sigma=0,
                                            v0=np.ones(M.shape[0]))
-        u = inst.lift_free(vec[:, 0])
-        u /= inst.norm_H(u)
+        u = vec[:, 0] / inst.norm_H(vec[:, 0])
         zeta = inst.duality_map_H(u)
         start = ray_start(inst, u, metrics.rayleigh_quotient(inst, u))
         _, rep = newton.solve_p_poisson(inst, zeta, start)
@@ -493,9 +492,9 @@ class TestGeometric:
         # polishes once, from the first of the equally low sweeps (tau0).
         taus = []
 
-        def recording(pair, u_free, tau, *args):
+        def recording(pair, u, tau, *args):
             taus.append(tau)
-            return polish(pair, u_free, tau, *args)
+            return polish(pair, u, tau, *args)
 
         polish = eigensolvers._polish
         monkeypatch.setattr(eigensolvers, "_polish", recording)
@@ -506,8 +505,12 @@ class TestGeometric:
     # steps): final lambda, record count and the winner of each accepted
     # step (s = sweep, p = polish), recorded with a polish at every rung of
     # the ladder, which one polish per step must reproduce.  All stall.
+    # The two p = 1.5 ex1 values were recorded again once the norms and
+    # the pairing summed over the interior nodes only instead of the
+    # zero-padded lattice (before: 40.63222733667498, 40.73758720749166);
+    # at p = 1.5 these trajectories follow the rounding of those sums.
     @pytest.mark.parametrize("shape,p,start,lam,n_records,winners", [
-        ("square", 1.5, "ex1", 40.63222733667498, 3, "ss"),
+        ("square", 1.5, "ex1", 40.63224395922126, 3, "ss"),
         ("square", 1.5, "ex2", 40.69395557216665, 2, "s"),
         ("square", 2, "ex1", 101.44863734808045, 2, "s"),
         ("square", 2, "ex2", 97.81286478987003, 2, "s"),
@@ -517,7 +520,7 @@ class TestGeometric:
         ("square", 4, "ex2", 7371.741864248301, 5, "ppss"),
         ("square", 5, "ex1", 60741.46862433419, 2, "s"),
         ("square", 5, "ex2", 58899.63690247838, 2, "p"),
-        ("lshape", 1.5, "ex1", 40.73758720749166, 2, "s"),
+        ("lshape", 1.5, "ex1", 40.73758785771548, 2, "s"),
         ("lshape", 1.5, "ex2", 40.74194039446166, 3, "ss"),
         ("lshape", 2, "ex1", 101.10078751764041, 2, "s"),
         ("lshape", 2, "ex2", 98.04740781751401, 2, "s"),
@@ -578,18 +581,16 @@ class TestGeometric:
 # own backtracking Newton loop, before it ran on newton.damped_newton; kept
 # as the reference _sweep and _polish must reproduce bit for bit.  The
 # polish is counted as sweeps + the Newton steps that solved a system.
-def _reference_candidates(pair, u_free, tau, explicit, D, settings,
-                          n_sweeps=10):
+def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
     p = pair.p
 
     def implicit_rhs(xv):
-        return p * pair.free_flatten(pair.subgrad_J(pair.lift_free(xv))) / D \
-            - explicit
+        return p * pair.subgrad_J(xv) / D - explicit
 
-    x = u_free.copy()
+    x = u.copy()
     sweeps = 0
     for _ in range(n_sweeps):
-        xn = u_free + tau * power_map(implicit_rhs(x), pair.q)
+        xn = u + tau * power_map(implicit_rhs(x), pair.q)
         if not np.all(np.isfinite(xn)):
             break
         x = xn
@@ -599,9 +600,7 @@ def _reference_candidates(pair, u_free, tau, explicit, D, settings,
     yield x, sweeps
 
     def resid(xv):
-        s_field = pair.lift_free((xv - u_free) / tau)
-        return pair.free_flatten(pair.duality_map_H(s_field)) \
-            - implicit_rhs(xv)
+        return pair.duality_map_H((xv - u) / tau) - implicit_rhs(xv)
 
     G = resid(x)
     gn = float(np.max(np.abs(G))) if G.size else 0.0
@@ -611,9 +610,8 @@ def _reference_candidates(pair, u_free, tau, explicit, D, settings,
     for it in range(settings.max_iter):
         if gn <= settings.tol_abs:
             break
-        s_field = pair.lift_free((x - u_free) / tau)
-        M_diag = pair.duality_map_H_prime(s_field) / tau
-        H = pair.hess_J_matrix(pair.lift_free(x))
+        M_diag = pair.duality_map_H_prime((x - u) / tau) / tau
+        H = pair.hess_J_matrix(x)
         if scipy.sparse.issparse(H):
             M = scipy.sparse.diags(M_diag) - (p / D) * H
             delta = scipy.sparse.linalg.spsolve(M.tocsc(), -G,
@@ -648,34 +646,35 @@ POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12)  # and its settings
 
 
 def first_step(pair, u):
-    """(u_free, explicit, D) of run_geometric's first step from u."""
+    """(u, explicit, D) of run_geometric's first step from u, for u
+    normalized."""
     p, q = pair.p, pair.q
+    u = pair.as_vector(u)
     u = u / pair.norm_H(u)
     zeta = pair.subgrad_J(u)
     nu, nz = pair.norm_H(u), pair.dual_norm_H(zeta)
     G_H = nu ** (1.0 - p) * pair.duality_map_H(u)
     G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
-    E = pair.free_flatten(G_H) * nz \
-        + (pair.hess_J_matrix(u) @ pair.free_flatten(G_Hs)) * nu
+    E = G_H * nz + (pair.hess_J_matrix(u) @ G_Hs) * nu
     D = nu * nz
     cos = pair.pairing(zeta, u) / D
-    return pair.free_flatten(u), cos * E / D, D
+    return u, cos * E / D, D
 
 
-def candidates(pair, u_free, tau, explicit, D):
-    """The sweep at tau, then its polish, as (free vector, count) pairs."""
-    sweep = _sweep(pair, u_free, tau, explicit, D)
+def candidates(pair, u, tau, explicit, D):
+    """The sweep at tau, then its polish, as (vector, count) pairs."""
+    sweep = _sweep(pair, u, tau, explicit, D)
     if sweep is None:
         return []
-    polish = _polish(pair, u_free, tau, explicit, D, sweep[0], POLISH)
+    polish = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
     if polish is None:
         return [sweep]
     return [sweep, (polish[0], sweep[1] + polish[1])]
 
 
-def assert_same_candidates(pair, u_free, tau, explicit, D, expect=None):
-    got = candidates(pair, u_free, tau, explicit, D)
-    ref = list(_reference_candidates(pair, u_free, tau, explicit, D, POLISH))
+def assert_same_candidates(pair, u, tau, explicit, D, expect=None):
+    got = candidates(pair, u, tau, explicit, D)
+    ref = list(_reference_candidates(pair, u, tau, explicit, D, POLISH))
     assert [n for _, n in got] == [n for _, n in ref]
     assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, ref))
     if expect is not None:
@@ -700,24 +699,23 @@ class TestPolishMatchesReference:
                          rng.standard_normal(dom.interior_mask.shape), 0.0)
         else:
             u = eval_initial_guess(start, dom).values
-        u_free, explicit, D = first_step(inst, u)
-        assert_same_candidates(inst, u_free, LADDER[j], explicit, D)
+        u, explicit, D = first_step(inst, u)
+        assert_same_candidates(inst, u, LADDER[j], explicit, D)
 
     @pytest.mark.parametrize("tau", LADDER)
     def test_spd_dense(self, tau):
         rng = np.random.default_rng(5)
         B = rng.standard_normal((6, 6))
         pair = SpdInstance(B @ B.T + 0.5 * np.eye(6))
-        u_free, explicit, D = first_step(pair, rng.standard_normal(6))
-        assert_same_candidates(pair, u_free, tau, explicit, D, expect=2)
+        u, explicit, D = first_step(pair, rng.standard_normal(6))
+        assert_same_candidates(pair, u, tau, explicit, D, expect=2)
 
     def test_nan_step_drops_polish(self, small_grid, monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                             lambda A, b, **kw: np.full(len(b), np.nan))
         u = eval_initial_guess("ex2", small_grid.domain).values
-        u_free, explicit, D = first_step(small_grid, u)
-        assert_same_candidates(small_grid, u_free, 0.5, explicit, D,
-                               expect=1)
+        u, explicit, D = first_step(small_grid, u)
+        assert_same_candidates(small_grid, u, 0.5, explicit, D, expect=1)
 
     @pytest.mark.parametrize("case", ["grid-nan", "spd-inf"])
     def test_overflowing_sweep_residual_drops_polish(self, small_grid, spd,
@@ -727,7 +725,7 @@ class TestPolishMatchesReference:
         # (SPD, explicit step 1e300).
         if case == "grid-nan":
             u = eval_initial_guess("ex1", small_grid.domain).values
-            args = (small_grid, small_grid.free_flatten(u), 1e20,
+            args = (small_grid, small_grid.as_vector(u), 1e20,
                     np.zeros(small_grid.n_interior), 1.0)
         else:
             args = (spd, np.array([0.8, 0.6]), 1.0, np.full(2, 1e300), 1.0)
@@ -740,5 +738,5 @@ class TestPolishMatchesReference:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        u_free, explicit, D = first_step(spd, np.array([1.0, 0.6]))
-        assert_same_candidates(spd, u_free, 0.5, explicit, D, expect=1)
+        u, explicit, D = first_step(spd, np.array([1.0, 0.6]))
+        assert_same_candidates(spd, u, 0.5, explicit, D, expect=1)

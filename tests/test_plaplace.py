@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonlin_eig.functional import power_map
 from nonlin_eig.grid import build_domain, build_stencil
+from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import euler_defect, jacobian_fd_error, random_fields
 
@@ -24,7 +25,7 @@ class TestOperator:
     def test_constant_field_zero_away_from_boundary(self):
         inst = make_instance(p=3.0)
         vals = np.where(inst.domain.interior_mask, 2.5, 0.0)
-        out = -inst.neg_plaplacian(vals)
+        out = -inst.lift_free(inst.neg_plaplacian(vals))
         margin = inst.stencil.margin
         core = out[1 + margin:-1 - margin, 1 + margin:-1 - margin]
         assert np.max(np.abs(core)) == 0.0
@@ -35,7 +36,7 @@ class TestOperator:
         inst = make_instance(p=3.0)
         X, Y = inst.domain.coords()
         vals = np.where(inst.domain.interior_mask, 0.7 * X - 0.3 * Y, 0.0)
-        out = -inst.neg_plaplacian(vals)
+        out = -inst.lift_free(inst.neg_plaplacian(vals))
         # a node whose whole stencil consists of interior nodes
         j = i = inst.domain.ny // 2 + 1
         assert abs(out[j, i]) <= 1e-12
@@ -44,17 +45,20 @@ class TestOperator:
         inst = spike_instance(3.0)
         vals = np.zeros((9, 9))
         vals[4, 4] = 1.0
-        out = -inst.neg_plaplacian(vals)
+        out = -inst.lift_free(inst.neg_plaplacian(vals))
         C = inst.stencil.weight
         assert out[4, 4] == pytest.approx(-4.0 * C, rel=1e-12)
         for j, i in ((3, 4), (5, 4), (4, 3), (4, 5)):
             assert out[j, i] == pytest.approx(C, rel=1e-12)
 
     def test_zero_outside_interior(self):
+        # the output is an interior vector, whose lattice field is zero off
+        # the interior
         inst = make_instance(p=1.5, shape="lshape")
         u = random_fields(inst, 1, 1)[0]
         out = inst.neg_plaplacian(u)
-        assert np.all(out[~inst.domain.interior_mask] == 0.0)
+        assert out.shape == (inst.n_interior,)
+        assert np.all(inst.lift_free(out)[~inst.domain.interior_mask] == 0.0)
 
 
 class TestEnergy:
@@ -112,10 +116,10 @@ class TestJacobian:
                                  random_fields(inst, 1, seed=9)) <= 1e-5
 
     def test_constant_field_epsilon_zero_gives_zero_matrix(self):
-        inst = make_instance(p=3.0)
+        inst = make_instance(p=3.0, epsilon=0.0)
         mask = inst.domain.interior_mask
         vals = np.where(mask, 1.0, 0.0)
-        A = inst.jacobian_matrix(vals, epsilon=0.0)
+        A = inst.jacobian_matrix(vals)
         row_mass = inst.lift_free(np.asarray(abs(A).sum(axis=1)).ravel())
         # constant interior: differences vanish except towards the boundary,
         # so rows of nodes whose whole ball is interior are exactly zero
@@ -167,6 +171,72 @@ class TestNormsAndDualityMap:
         assert np.allclose(z, u)
 
 
+# Every public method of the instance, called on an input pair (u, v); the
+# inner solves stop after 3 Newton steps, which is enough to compare them.
+COERCED_METHODS = {
+    "neg_plaplacian": lambda inst, u, v: inst.neg_plaplacian(u),
+    "subgrad_J": lambda inst, u, v: inst.subgrad_J(u),
+    "dirichlet_energy": lambda inst, u, v: inst.dirichlet_energy(u),
+    "energy_J": lambda inst, u, v: inst.energy_J(u),
+    "jacobian_matrix": lambda inst, u, v: inst.jacobian_matrix(u),
+    "hess_J_matrix": lambda inst, u, v: inst.hess_J_matrix(u),
+    "duality_map_H": lambda inst, u, v: inst.duality_map_H(u),
+    "duality_map_H_prime": lambda inst, u, v: inst.duality_map_H_prime(u),
+    "norm_H": lambda inst, u, v: inst.norm_H(u),
+    "dual_norm_H": lambda inst, u, v: inst.dual_norm_H(u),
+    "H": lambda inst, u, v: inst.H(u),
+    "pairing": lambda inst, u, v: inst.pairing(u, v),
+    "inverse_subgrad_J": lambda inst, u, v: inst.inverse_subgrad_J(
+        u, NewtonSettings(max_iter=3), warm_start=v),
+    "prox_J": lambda inst, u, v: inst.prox_J(u, 0.5,
+                                             NewtonSettings(max_iter=3)),
+}
+
+
+def same(a, b):
+    """Bit for bit equal results: arrays, CSR matrices, numbers, tuples."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if scipy.sparse.issparse(a):
+        return all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("data", "indices", "indptr"))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestInputCoercion:
+    def test_every_public_method_checked(self):
+        public = {name for name in dir(PLaplaceInstance)
+                  if not name.startswith("_")
+                  and callable(getattr(PLaplaceInstance, name))}
+        assert public - {"as_vector", "lift_free"} == set(COERCED_METHODS)
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=st.floats(1.1, 6.0),
+           shape=st.sampled_from(["square", "lshape"]),
+           cells=st.integers(6, 10),
+           radius=st.floats(1.0, 3.2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lattice_field_same_as_its_interior_vector(self, p, shape, cells,
+                                                       radius, seed):
+        # the fields are nonzero off the interior too, where every method
+        # must ignore them
+        h = 2.0 / cells
+        dom = build_domain(shape, 2.0, h)
+        inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p)
+        fields = np.random.default_rng(seed).standard_normal((2, dom.ny, dom.nx))
+        u, v = (inst.as_vector(f) for f in fields)
+        assert np.array_equal(u, fields[0][dom.interior_mask])
+        assert np.array_equal(inst.lift_free(u),
+                              np.where(dom.interior_mask, fields[0], 0.0))
+        for name, call in COERCED_METHODS.items():
+            expect = call(inst, u, v)
+            for pair in ((fields[0], fields[1]), (fields[0], v),
+                         (u, fields[1])):
+                assert same(call(inst, *pair), expect), name
+
+
 class TestConsistency:
     def test_p2_laplacian_consistency_refines_monotonically(self):
         # -Delta of sin(pi(x+1)/2) sin(pi(y+1)/2) is (pi^2/2) times itself;
@@ -183,7 +253,7 @@ class TestConsistency:
             u = np.where(dom.interior_mask,
                          np.sin(np.pi * (X + 1) / 2) * np.sin(np.pi * (Y + 1) / 2),
                          0.0)
-            out = inst.neg_plaplacian(u)
+            out = inst.lift_free(inst.neg_plaplacian(u))
             far = dom.interior_mask & (np.abs(X) < 1 - 2 * r) & (np.abs(Y) < 1 - 2 * r)
             rel = np.abs(out[far] - (np.pi ** 2 / 2) * u[far]) / np.abs(u[far]).max()
             errs.append(float(rel.max()))
@@ -191,9 +261,10 @@ class TestConsistency:
 
 
 # --- per-offset loop versions of the operator, energy and Jacobian ----------
-# These walk the stencil one offset at a time over a zero-padded lattice.
-# The table-based methods must reproduce the operator and the Jacobian bit
-# for bit and the energy (summed in another order) to 1e-14 relative.
+# These walk the stencil one offset at a time over a zero-padded lattice
+# field.  The table-based methods must reproduce the operator and the
+# Jacobian bit for bit and the energy (summed in another order) to 1e-14
+# relative.
 
 def _pad(values, margin):
     ny, nx = values.shape
@@ -228,7 +299,7 @@ def ref_dirichlet_energy(inst, u):
     return inst.stencil.weight * inst.domain.h ** 2 * total / (2.0 * inst.p)
 
 
-def ref_jacobian_matrix(inst, u, epsilon=None):
+def ref_jacobian_matrix(inst, u):
     mask = inst.domain.interior_mask
     vals = np.where(mask, u, 0.0)
     m = inst.stencil.margin
@@ -242,9 +313,8 @@ def ref_jacobian_matrix(inst, u, epsilon=None):
     rows_int = index[mask]
     diag = np.zeros(n)
     rows, cols, data = [], [], []
-    if epsilon is None:
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-        epsilon = inst.epsilon * max(1.0, scale)
+    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    epsilon = inst.epsilon * max(1.0, scale)
     for dy, dx in inst.stencil.offsets:
         nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
         d = (nb - vals)[mask]
@@ -279,20 +349,25 @@ class TestMatchesPerOffsetLoops:
                                       scale, levels, epsilon):
         h = 2.0 / cells
         dom = build_domain(shape, 2.0, h)
-        inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p)
+        inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p,
+                                **({} if epsilon is None
+                                   else {"epsilon": epsilon}))
         u = scale * random_fields(inst, 1, seed)[0]
         if levels:
             # coarse values give exactly zero differences between neighbours
             u = np.round(u * levels) / levels
+        field = inst.lift_free(u)
 
-        assert np.array_equal(inst.neg_plaplacian(u), ref_neg_plaplacian(inst, u))
+        assert np.array_equal(inst.neg_plaplacian(u),
+                              ref_neg_plaplacian(inst, field)[dom.interior_mask])
 
-        A = inst.jacobian_matrix(u, epsilon=epsilon)
-        ref = ref_jacobian_matrix(inst, u, epsilon=epsilon)
+        A = inst.jacobian_matrix(u)
+        ref = ref_jacobian_matrix(inst, field)
         ref.sort_indices()
         assert np.array_equal(A.data, ref.data)
         assert np.array_equal(A.indices, ref.indices)
         assert np.array_equal(A.indptr, ref.indptr)
 
-        energy, expect = inst.dirichlet_energy(u), ref_dirichlet_energy(inst, u)
+        energy = inst.dirichlet_energy(u)
+        expect = ref_dirichlet_energy(inst, field)
         assert abs(energy - expect) <= 1e-14 * abs(expect)

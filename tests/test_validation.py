@@ -1,7 +1,7 @@
 """Properties of the paper's claims on random SPD pairs and small grids with
 random p, measured with the shared invariant functions of
-`nonlin_eig.validation` against its bounds, and a guard that keeps `assert`
-statements out of the package."""
+`nonlin_eig.validation` against its bounds, and guards that keep `assert`
+statements out of the package and the lattice format out of the solvers."""
 
 import ast
 from pathlib import Path
@@ -97,3 +97,16 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_lattice_format_stays_at_the_edge():
+    # the solvers, metrics and checks work on the vectors of a pair; only
+    # the grid, the p-Laplace instance and the config/CLI edge know the
+    # (ny, nx) lattice and how an interior vector sits in it
+    package = Path(nonlin_eig.__file__).parent
+    found = [f"{module}: {name}"
+             for module in ("newton.py", "eigensolvers.py", "metrics.py",
+                            "validation.py", "functional.py")
+             for name in ("interior_mask", "lift_free", "free_flatten")
+             if name in (package / module).read_text()]
+    assert not found, f"lattice format outside the edge: {found}"
