@@ -33,7 +33,7 @@ import scipy.sparse.linalg
 
 from .functional import FunctionalPair, power_map
 from .newton import (NewtonSettings, cg_solve, damped_newton,
-                     locally_quadratic, solve_p_poisson)
+                     solve_p_poisson)
 from . import metrics
 
 SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
@@ -123,16 +123,15 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     |v|_H^(1-p); both histories live in extras, with each step's inner
     residual and its CG iterations and unconverged CG calls.
 
-    For p >= 2 the inner solve starts on the eigen-ray (ray_start), so
-    late solves take one or two Newton steps; below, it starts from u, for
-    the reason given in the newton module docstring (locally_quadratic).
+    Each inner solve starts on the eigen-ray (ray_start), so late solves
+    take one to three Newton steps.
     """
     lam_half, failed, inner_res, cg_iters, cg_bad = [], [], [], [], []
 
     def step(k, u, rq, zJ):
         zeta = pair.duality_map_H(u)
-        start = ray_start(pair, u, rq) if locally_quadratic(pair.p) else u
-        v, rep = pair.inverse_subgrad_J(zeta, settings, warm_start=start)
+        v, rep = pair.inverse_subgrad_J(zeta, settings,
+                                        warm_start=ray_start(pair, u, rq))
         inner_res.append(rep.final_residual)
         cg_iters.append(rep.cg_iterations_total)
         cg_bad.append(rep.cg_unconverged)

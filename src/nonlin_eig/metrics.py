@@ -72,7 +72,8 @@ def duality_gap(pair: FunctionalPair, u, zeta, v) -> float:
     """
     R = rayleigh_quotient(pair, u)
     Rs = dual_rayleigh_quotient(pair, zeta, v)
-    return R ** (-1.0 / pair.p) - np.sign(Rs) * abs(Rs) ** (1.0 / pair.q)
+    return float(R ** (-1.0 / pair.p)
+                 - np.sign(Rs) * abs(Rs) ** (1.0 / pair.q))
 
 
 def eigen_residual(pair: FunctionalPair, u, zeta=None) -> float:

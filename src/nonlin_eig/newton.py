@@ -1,32 +1,57 @@
-"""Damped Newton solvers for the inner p-Poisson and proximal subproblems.
+"""Newton solvers for the inner p-Poisson and proximal subproblems.
 
 damped_newton is the package's one Newton loop.  It serves the CG solves
-below and the direct solve of the geometric scheme's polish, and it
-backtracks by halving the step, 31 tries at most.  Jacobi-preconditioned
-CG suits the many-armed mean-value stencil, whose sparse Jacobian-vector
-product is cheap where a factorization would be wasteful.  CG stops at the
-relative tolerance max(cg_tol, 0.01 tol_abs / |r|_2) for the Newton
-residual r, so near convergence it is not asked for a linear residual far
-below the Newton tolerance, yet that residual stays two orders below it.
+below and the direct solve of the geometric scheme's polish.
+Jacobi-preconditioned CG suits the many-armed mean-value stencil, whose
+sparse Jacobian-vector product is cheap where a factorization would be
+wasteful.  CG stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
+|b|_2) for the right-hand side b of the Newton system, so near convergence
+it is not asked for a linear residual far below the Newton tolerance, yet
+that residual stays two orders below it.
 
 For p >= 2 (locally_quadratic), where Newton converges locally
-quadratically, solve_p_poisson and solve_prox also loosen CG by
-Eisenstat-Walker forcing (choice 2, "Choosing the forcing terms in an
-inexact Newton method", SIAM J. Sci. Comput. 1996): from a solve's second
-Newton step on, the relative tolerance is at least
+quadratically, a step solves the Newton system of the residual and is
+backtracked by halving, 31 tries at most.  solve_p_poisson and solve_prox
+also loosen CG by Eisenstat-Walker forcing (choice 2, "Choosing the
+forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 1996):
+from a solve's second Newton step on, the relative tolerance is at least
 eta = min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2).  While the residual falls
 slowly CG need not solve far past what the step achieves; once it falls
 fast, eta drops below the rule above, which again controls the last steps.
 The stop test |r|_max <= tol_abs is the same, so a forced solve converges
-as tightly as an unforced one.  The inverse power method also starts its
-inner solves on the eigen-ray for p >= 2 only (eigensolvers.run_ipm).
+as tightly as an unforced one.
 
-Below p = 2 the Newton step does not contract, and both would cost more
-than they save.  On a 30-step p=1.5 inverse power run (the ex1 L-shape at
-h = 0.05, r = 0.2, at most 150 Newton steps per solve), the forcing raised
-the worst inner residual from 1.3e-7 to 1.6e-4, with all 30 solves missing
-their tolerance; the ray start made all 30 miss (14 from u), with 3878
-Newton steps (2937 from u).
+Below p = 2 that step does not contract.  On a lone edge the kernel
+phi(d) = |d|^(p-2) d has phi / phi' = d / (p-1), so the step maps d to
+d (p-2)/(p-1), which is -d at p = 1.5, and the halving does the work.
+There solve_p_poisson and solve_prox take primal-dual steps, as Chan,
+Golub & Mulet do for total variation ("A nonlinear primal-dual method for
+total variation-based image restoration", SIAM J. Sci. Comput. 1999): the
+flux sigma = phi(d) of every stencil edge is a Newton unknown beside u,
+linearized through its inverse psi(sigma) = |sigma|^(q-2) sigma, whose
+exponent q - 1 > 1 makes Newton contract; the prox also carries the nodal
+flux rho = phi(v - u_ref).  Eliminating the flux steps leaves one n x n SPD
+system per step, the Jacobian on the edge weights 1/psi'(sigma) in place
+of phi'(d) (the two agree at sigma = phi(d)), solved by the same CG.
+Steps are taken in full: the residual may rise for a step, so the loop
+keeps its best iterate and stops once STALL_STEPS steps have not improved
+it; on random prox problems a run of up to 6 such steps preceded
+convergence.  The residual has a rounding floor, as phi is only
+(p-1)-Hoelder: two nodes of equal value that differ by one ulp read as a
+flux of order ulp^(p-1).  Moving each entry of the 30 converged iterates
+below by one ulp, in random directions, raises their residuals from at
+most 6.2e-13 to 1.8e-9-5.2e-9.  Those iterates end under the floor; on the
+81 x 81 L-shape 29 of 30 solves stop on it, at 1.2e-10 to 6.5e-10.
+
+Measured on a 30-step p=1.5 inverse power run (the ex1 L-shape at
+h = 0.05, r = 0.2, tol_abs 1e-12, at most 150 Newton steps per solve): the
+halving step took 3157 Newton steps and 287224 CG iterations, and 14 of
+its 30 solves missed the tolerance (worst 1.3e-7).  The primal-dual step
+takes 302 Newton steps from u and 225 from the eigen-ray (CG 23504 and
+17633), where the inverse power method now starts for every p
+(eigensolvers.run_ipm), and every solve reaches the tolerance.  Forcing CG
+as well cut CG iterations to 9135 but took 358 Newton steps and left two
+solves above 1e-9, so forcing stays off below p = 2.
 """
 
 from __future__ import annotations
@@ -59,10 +84,14 @@ class NewtonSettings:
 
 
 def locally_quadratic(p: float) -> bool:
-    """Whether the inner Newton solves at exponent p converge locally
-    quadratically, p >= 2: there, and only there, CG is forced and the
-    inverse power method starts on the eigen-ray (module docstring)."""
+    """Whether Newton on the residual converges locally quadratically at
+    exponent p, p >= 2: there the inner solves take that step, with forced
+    CG; below they take the primal-dual step (module docstring)."""
     return p >= 2
+
+
+STALL_STEPS = 10  # primal-dual steps without a new least residual, at most
+HALVINGS = tuple(0.5 ** k for k in range(31))  # trial lengths of a step
 
 
 class CgResult(tuple):
@@ -96,59 +125,148 @@ def cg_solve(A, b, rtol: float, maxiter: int) -> CgResult:
 
 def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
                   settings: NewtonSettings, linear_solve=None,
-                  forcing: bool = False) -> tuple[np.ndarray, SolveReport]:
-    """Newton iteration with residual-decrease backtracking.
+                  forcing: bool = False,
+                  flux=None) -> tuple[np.ndarray, SolveReport]:
+    """Newton iteration on residual_fn, globalized by halving or by a flux.
 
-    A step is accepted when it lowers the residual max-norm; its length
-    starts at 1 and is halved at most 30 times (31 tries).  If no try is
-    accepted, or the starting residual is not finite, the iterate so far
-    is returned with converged=False.  linear_solve(A, b) solves
-    A delta = b for A = jacobian_fn(x); by default CG runs to the relative
-    tolerance max(cg_tol, 0.01 * tol_abs / |r|_2), and CG calls that do
-    not converge are counted in the report's cg_unconverged.  With forcing,
-    from the second Newton step on that tolerance is raised to at least the
-    Eisenstat-Walker term eta = min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2) of
-    the module docstring.  Their safeguard max(eta, 0.9 eta_prev^2), taken
-    only when 0.9 eta_prev^2 > 0.1, cannot fire under the cap 0.1 and is
-    left out.
+    Without flux each step solves A delta = -r for A = jacobian_fn(x) and is
+    accepted when it lowers the residual max-norm; its length starts at 1
+    and is halved at most 30 times (31 tries).  If no try is accepted the
+    loop stops.  With flux, a primal-dual state of the module docstring,
+    flux.system(x) gives the system A delta = b of the step (jacobian_fn is
+    not called), every step is taken in full, and flux.advance(delta) moves
+    the linearized flux along it; as the residual may rise for a step, the
+    loop also stops once STALL_STEPS steps have set no new least residual.
+    Either way it returns the iterate of least residual, with
+    converged=False unless that residual is <= tol_abs, and returns the
+    start at once when its residual is not finite.
+
+    linear_solve(A, b) solves the system; by default CG runs to the
+    relative tolerance max(cg_tol, 0.01 * tol_abs / |b|_2), and CG calls
+    that do not converge are counted in the report's cg_unconverged.  With
+    forcing, from the second Newton step on that tolerance is raised to at
+    least the Eisenstat-Walker term eta = min(0.1, 0.9 (|b_k|_2 /
+    |b_k-1|_2)^2) of the module docstring.  Their safeguard max(eta,
+    0.9 eta_prev^2), taken only when 0.9 eta_prev^2 > 0.1, cannot fire under
+    the cap 0.1 and is left out.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
     rn = float(np.max(np.abs(r))) if r.size else 0.0
+    best, best_rn, stalled = x, rn, 0
     cg_total = cg_unconverged = 0
     maxiter_cg = settings.cg_budget(x.size)
+    lengths = HALVINGS if flux is None else (1.0,)
     it = 0
-    norm_prev = None  # |r|_2 at the previous Newton step
-    while settings.tol_abs < rn < np.inf and it < settings.max_iter:
-        A = jacobian_fn(x)
+    norm_prev = None  # |b|_2 at the previous Newton step
+    while (settings.tol_abs < rn < np.inf and it < settings.max_iter
+           and stalled < STALL_STEPS):
+        A, b = (jacobian_fn(x), -r) if flux is None else flux.system(x)
         if linear_solve is None:
-            norm = np.linalg.norm(r)
+            norm = np.linalg.norm(b)
             rtol = max(settings.cg_tol, 0.01 * settings.tol_abs / norm)
             if forcing and norm_prev is not None:
                 rtol = max(rtol, min(0.1, 0.9 * (norm / norm_prev) ** 2))
             norm_prev = norm
-            cg = cg_solve(A, -r, rtol, maxiter_cg)
+            cg = cg_solve(A, b, rtol, maxiter_cg)
             delta, cg_it = cg
             cg_total += cg_it
             cg_unconverged += not cg.converged
         else:
-            delta = linear_solve(A, -r)
+            delta = linear_solve(A, b)
         it += 1
-        t = 1.0
-        for _ in range(31):
+        for t in lengths:
             xt = x + t * delta
             rt = residual_fn(xt)
             rtn = float(np.max(np.abs(rt)))
-            if rtn < rn:
+            if flux is not None or rtn < rn:
                 x, r, rn = xt, rt, rtn
                 break
-            t *= 0.5
         else:  # no try lowered the residual
             break
-    return x, SolveReport(iterations=it, final_residual=rn,
-                          converged=rn <= settings.tol_abs,
-                          cg_iterations_total=cg_total,
-                          cg_unconverged=cg_unconverged)
+        if flux is not None:
+            flux.advance(delta)
+        if rn < best_rn:
+            best, best_rn, stalled = x, rn, 0
+        else:
+            stalled += 1
+    return best, SolveReport(iterations=it, final_residual=best_rn,
+                             converged=best_rn <= settings.tol_abs,
+                             cg_iterations_total=cg_total,
+                             cg_unconverged=cg_unconverged)
+
+
+def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,
+                    smoothing: float) -> np.ndarray:
+    """Newton-update the flux sigma of the argument t, sigma = phi(t) for
+    phi = power_map(., p), in place; t is overwritten.
+
+    Newton's step on t = psi(sigma), for the inverse psi = power_map(., q),
+    moves sigma to sigma + slope (t - psi(sigma)), slope = 1/psi'(sigma),
+    and the slope is returned: along a step dt of the argument, the
+    linearized flux then moves by slope dt.  psi' is smoothed to
+    (q-1)(sigma^2 + s^2)^((q-2)/2) by s = phi(smoothing), which keeps the
+    slope finite where sigma = 0.
+    """
+    q = p / (p - 1.0)
+    s = smoothing ** (p - 1.0)
+    slope = sigma * sigma
+    slope += s * s
+    slope **= (2.0 - q) / 2.0
+    slope *= p - 1.0
+    t -= power_map(sigma, q)
+    t *= slope
+    sigma += t
+    return slope
+
+
+class _PoissonFlux:
+    """Primal-dual state of -Delta_p^h u = zeta: the flux sigma = phi(u(y) -
+    u(x)) of every stencil edge, laid out as inst.edge_differences."""
+
+    def __init__(self, inst, zeta: np.ndarray, x: np.ndarray):
+        self.inst, self.zeta = inst, zeta
+        self.sigma = power_map(inst.edge_differences(x), inst.p)
+
+    def linearize(self, x: np.ndarray):
+        """Newton-update the flux at the iterate x; returns the Jacobian on
+        the edge weights 1/psi'(sigma) and -Delta_p^h of the flux."""
+        inst = self.inst
+        self.slope = _linearize_flux(self.sigma, inst.edge_differences(x),
+                                     inst.p, inst.smoothing(x))
+        return (inst.jacobian_matrix(x, self.slope),
+                -inst.stencil.weight * np.sum(self.sigma, axis=0))
+
+    def system(self, x: np.ndarray):
+        J, lap = self.linearize(x)
+        return J, self.zeta - lap
+
+    def advance(self, delta: np.ndarray) -> None:
+        d = self.inst.edge_differences(delta)
+        d *= self.slope
+        self.sigma += d
+
+
+class _ProxFlux(_PoissonFlux):
+    """Primal-dual state of the prox equation from v = u_ref, which also
+    carries the nodal flux rho = phi(v - u_ref)."""
+
+    def __init__(self, inst, u_ref: np.ndarray, tau: float):
+        super().__init__(inst, None, u_ref)
+        self.u_ref, self.tau = u_ref, tau
+        self.rho = np.zeros_like(u_ref)
+
+    def system(self, x: np.ndarray):
+        J, lap = self.linearize(x)
+        w = x - self.u_ref
+        self.rho_slope = _linearize_flux(self.rho, w, self.inst.p,
+                                         self.inst.smoothing(w))
+        A = scipy.sparse.diags(self.rho_slope) + self.tau * J
+        return A, -(self.rho + self.tau * lap)
+
+    def advance(self, delta: np.ndarray) -> None:
+        super().advance(delta)
+        self.rho += self.rho_slope * delta
 
 
 def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
@@ -164,8 +282,11 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
     def residual(x):
         return inst.neg_plaplacian(x) - zeta
 
-    return damped_newton(u_init, residual, inst.jacobian_matrix, settings,
-                         forcing=locally_quadratic(inst.p))
+    if locally_quadratic(inst.p):
+        return damped_newton(u_init, residual, inst.jacobian_matrix,
+                             settings, forcing=True)
+    return damped_newton(u_init, residual, None, settings,
+                         flux=_PoissonFlux(inst, zeta, u_init))
 
 
 def solve_prox(inst, u_ref: np.ndarray, tau: float,
@@ -191,5 +312,8 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
         return scipy.sparse.diags(inst.duality_map_H_prime(x - u_ref)) \
             + tau * inst.jacobian_matrix(x)
 
-    return damped_newton(u_ref, residual, jacobian, settings,
-                         forcing=locally_quadratic(p))
+    if locally_quadratic(p):
+        return damped_newton(u_ref, residual, jacobian, settings,
+                             forcing=True)
+    return damped_newton(u_ref, residual, None, settings,
+                         flux=_ProxFlux(inst, u_ref, tau))

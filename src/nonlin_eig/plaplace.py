@@ -32,9 +32,12 @@ for every (offset, node) at once:
 The table and the CSR pattern are built on first use, not in __init__, so
 that building an instance stays cheap.
 
-Two rules scale the smoothing epsilon: duality_map_H_prime (the diagonal
-of the prox and polish systems) scales it by max|w| of its argument,
-jacobian_matrix by max|u|.  Unifying them would change Newton iterates.
+One rule, smoothing(x) = epsilon max(1, max|x|), smooths every kernel
+derivative near zero; only the vector x differs.  duality_map_H_prime (the
+diagonal of the prox and polish systems) reads its argument w,
+jacobian_matrix its point u, and the newton module's primal-dual step the
+iterate of its flux.  Reading one vector for all would change Newton
+iterates.
 """
 
 from __future__ import annotations
@@ -122,11 +125,11 @@ class PLaplaceInstance(FunctionalPair):
         return np.count_nonzero(self._table == self.n_interior,
                                 axis=0).astype(float)
 
-    def _differences(self, x: np.ndarray) -> np.ndarray:
-        """u(y) - u(x) of the interior vector x, one row per table row, one
-        column per interior node."""
+    def edge_differences(self, u) -> np.ndarray:
+        """u(y) - u(x), one row per table row, one column per interior node:
+        a fresh (K+1, n) array, 0 in the centre row."""
         ext = np.zeros(self.n_interior + 1)
-        ext[:-1] = x
+        ext[:-1] = self.as_vector(u)
         d = ext[self._table]
         d -= ext[:-1]
         return d
@@ -135,30 +138,42 @@ class PLaplaceInstance(FunctionalPair):
 
     def neg_plaplacian(self, u) -> np.ndarray:
         """-Delta_p^h u (= subgrad of J)."""
-        acc = np.sum(power_map(self._differences(self.as_vector(u)), self.p),
-                     axis=0)
+        acc = np.sum(power_map(self.edge_differences(u), self.p), axis=0)
         return -self.stencil.weight * acc
 
     def dirichlet_energy(self, u) -> float:
         """J_h(u) = (C_h h^2 / (2p)) * sum over directed stencil pairs."""
         x = self.as_vector(u)
-        a = self._differences(x)
+        a = self.edge_differences(x)
         np.abs(a, out=a)
         a **= self.p
         total = float(np.sum(a) + self._outside_count @ np.abs(x) ** self.p)
         return self.stencil.weight * self._h2 * total / (2.0 * self.p)
 
-    def jacobian_matrix(self, u):
-        """Sparse symmetric PSD Jacobian of -Delta_p^h, smoothed by epsilon
-        scaled by max(1, max|u|)."""
-        n, c = self.n_interior, self._centre
+    def smoothing(self, u) -> float:
+        """epsilon scaled by max(1, max|u|), the smoothing of the kernel
+        derivatives near zero."""
         x = self.as_vector(u)
-        epsilon = self.epsilon * max(1.0, float(np.max(np.abs(x), initial=0.0)))
-        w = self._differences(x)
-        w *= w
-        w += epsilon * epsilon
-        w **= (self.p - 2.0) / 2.0
-        w *= self.stencil.weight * (self.p - 1.0)
+        return self.epsilon * max(1.0, float(np.max(np.abs(x), initial=0.0)))
+
+    def jacobian_matrix(self, u, slopes=None):
+        """Sparse symmetric PSD Jacobian of -Delta_p^h at u, whose edge
+        weights are the kernel slopes phi'(u(y) - u(x)), smoothed by
+        smoothing(u).  slopes, a (K+1, n) array laid out as
+        edge_differences, replaces them: the primal-dual Newton step of the
+        newton module passes 1/psi'(sigma) of its edge flux sigma, which is
+        phi'(d) at sigma = phi(d)."""
+        n, c = self.n_interior, self._centre
+        if slopes is None:
+            x = self.as_vector(u)
+            epsilon = self.smoothing(x)
+            w = self.edge_differences(x)
+            w *= w
+            w += epsilon * epsilon
+            w **= (self.p - 2.0) / 2.0
+            w *= self.stencil.weight * (self.p - 1.0)
+        else:
+            w = self.stencil.weight * slopes
         w[c] = 0.0
         diag = np.sum(w, axis=0)
         np.negative(w, out=w)
@@ -210,5 +225,5 @@ class PLaplaceInstance(FunctionalPair):
         never modified.
         """
         d = self.as_vector(w)
-        epsilon = self.epsilon * max(1.0, float(np.max(np.abs(d), initial=0.0)))
+        epsilon = self.smoothing(d)
         return (self.p - 1.0) * (d * d + epsilon * epsilon) ** ((self.p - 2.0) / 2.0)

@@ -3,7 +3,7 @@
 Each measure returns the worst value of one invariant over an instance (or
 a trace) and samples, NaN if any sample gives NaN; its caller compares that
 against a bound.  The rows of `QUICK_CHECKS` and `FULL_CHECKS` are `(name,
-measure, bound)` and pass when the worst is <= the bound (full: 20-50 min).
+measure, bound)` and pass when the worst is <= the bound (full: about 2 min).
 """
 
 from __future__ import annotations

@@ -87,9 +87,8 @@ EX1_PS = (1.5, 2.0, 3.0, 5.0)
 def ex1_sweep(fenchel_routes):
     """30 inverse-power iterations on the L-shape start profile at desk
     scale (41x41, r=0.2) for each exponent; inner solves at 1e-12 absolute.
-    The p=1.5 inner kernel is non-Lipschitz, so its iteration cap is reduced
-    for runtime (monotonicity is unaffected; the inner-convergence criterion
-    is asserted for p >= 2 only)."""
+    The p=1.5 inner solves are capped at 150 Newton steps; their residual
+    has a rounding floor (criterion 7)."""
     traces = {}
     for p in EX1_PS:
         inst = _grid_instance("lshape", 0.05, 0.2, p)
@@ -238,11 +237,21 @@ def test_criterion_07_inner_newton(ex1_sweep):
         assert not trace.extras["failed_inner_solves"]
         worst_res = max(worst_res, max(trace.extras["inner_residuals"]))
         worst_it = max(worst_it, max(r.inner_iters for r in trace.records))
+    # at p = 1.5 the kernel is only 1/2-Hoelder, and one ulp more or less
+    # in the iterate's entries can move the residual by 1e-9 (newton module
+    # docstring): not every p = 1.5 solve gets under 1e-12 (see ledger)
+    _, trace15 = ex1_sweep[1.5]
+    worst_res15 = max(trace15.extras["inner_residuals"])
+    worst_it15 = max(r.inner_iters for r in trace15.records)
     print(f"\n[criterion 7] PASS: inner Newton solves for p in (2, 3, 5), "
           f"worst final residual {worst_res:.2e} (<=1e-12), worst iteration "
-          f"count {worst_it} (<=500); p=1.5 scoped out (see ledger)")
+          f"count {worst_it} (<=500); p=1.5 worst residual "
+          f"{worst_res15:.2e} (<=1e-9), worst iteration count {worst_it15} "
+          f"(<=150)")
     assert worst_res <= 1e-12
     assert worst_it <= 500
+    assert worst_res15 <= 1e-9
+    assert worst_it15 <= 150
 
 
 # final lambda of the IPM fixtures, recorded before the inner solves started

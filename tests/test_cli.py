@@ -55,6 +55,15 @@ class TestRun:
         final = np.loadtxt(out / "final.csv", delimiter=",")
         assert final.shape == (2,)
 
+    def test_metrics_csv_cells_parse_as_floats(self, spd_config, tmp_path):
+        assert main(["run", spd_config]) == 0
+        with open(tmp_path / "out_spd" / "metrics.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        cells = [cell for row in rows for cell in row if cell]
+        assert len(cells) == 20 * 8
+        for cell in cells:
+            float(cell)
+
     def test_geometric_run_names_winners(self, tmp_path):
         config = write_config(tmp_path / "geo.json", {
             "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,

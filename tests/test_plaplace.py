@@ -178,6 +178,8 @@ COERCED_METHODS = {
     "subgrad_J": lambda inst, u, v: inst.subgrad_J(u),
     "dirichlet_energy": lambda inst, u, v: inst.dirichlet_energy(u),
     "energy_J": lambda inst, u, v: inst.energy_J(u),
+    "edge_differences": lambda inst, u, v: inst.edge_differences(u),
+    "smoothing": lambda inst, u, v: inst.smoothing(u),
     "jacobian_matrix": lambda inst, u, v: inst.jacobian_matrix(u),
     "hess_J_matrix": lambda inst, u, v: inst.hess_J_matrix(u),
     "duality_map_H": lambda inst, u, v: inst.duality_map_H(u),
