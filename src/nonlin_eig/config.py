@@ -62,6 +62,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                      f"problem.{key} must be a positive number")
         _require("r" in problem or "r_rule" in problem,
                  "problem needs either r or r_rule")
+        rule = problem.get("r_rule", {"type": "consistency"})
+        _require(isinstance(rule, dict), "problem.r_rule must be an object")
+        _require(rule.get("type") in ("h_pow", "consistency"),
+                 f"unknown r_rule type {rule.get('type')!r}")
+        _require(rule["type"] != "h_pow" or (_number(rule.get("exponent"))
+                                             and rule["exponent"] > 0),
+                 "problem.r_rule.exponent must be a positive number")
     else:
         _require("matrix" in problem, "spd problem needs a matrix literal")
 
@@ -97,13 +104,8 @@ def resolve_radius(problem: dict) -> float:
     if "r" in problem:
         return float(problem["r"])
     rule = problem["r_rule"]
-    h = float(problem["h"])
-    kind = rule.get("type")
-    if kind == "h_pow":
-        return h ** float(rule["exponent"])
-    if kind == "consistency":
-        return h ** (1.0 / 1.6)
-    raise ConfigError(f"unknown r_rule type {kind!r}")
+    exponent = rule["exponent"] if rule["type"] == "h_pow" else 1.0 / 1.6
+    return float(problem["h"]) ** float(exponent)
 
 
 def build_instance(cfg: ExperimentConfig):

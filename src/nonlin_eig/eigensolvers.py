@@ -10,10 +10,14 @@ iterate to snapshot_cb.  It stops after iters steps (max_iter), once a new
 iterate's eigen-residual is <= residual_tol (residual_tol) or when a step
 stalls (stalled, keeping u^k), and sets converged from the final
 eigen-residual (<= residual_tol, else 1e-6).  A scheme supplies only its
-step, step(k, u, R(u), dJ(u)) -> (v, dual_rq, inner_iters): the next
-iterate before normalization or None for a stall, the record's dual
-Rayleigh quotient or None, and the step's inner work.  R(u^k) and dJ(u^k)
-are evaluated once, before the step, which reads them.
+step, step(k, u, R(u), dJ(u)) -> (v, dual_rq, report): the next iterate
+before normalization or None for a stall, the record's dual Rayleigh
+quotient or None, and the SolveReport of the step's inner solves, summed
+if several.  R(u^k) and dJ(u^k) are evaluated once, before the step.
+_iterate alone keeps the ledger of the reports, alike for every scheme:
+the record's inner_iters is the report's iterations, extras list per
+record its "inner_residuals", "cg_iterations" and "cg_unconverged", and
+"failed_inner_solves" lists the steps whose report has not converged.
 
 The balanced scheme's step roots the balance of its inner solve by
 safeguarded Newton in log s (balance_root), whose slope comes from the
@@ -25,13 +29,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .functional import FunctionalPair, power_map
+from .functional import FunctionalPair, SolveReport, power_map
 from .newton import (NewtonSettings, cg_solve, damped_newton,
                      solve_p_poisson)
 from . import metrics
@@ -67,6 +71,10 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
              snapshot_cb=None) -> EigenTrace:
     """The outer loop of every scheme, described in the module docstring."""
     u = _normalize(pair, pair.as_vector(u0))
+    failed, residuals, cg_iters, cg_bad = (
+        extras.setdefault(key, []) for key in (
+            "failed_inner_solves", "inner_residuals", "cg_iterations",
+            "cg_unconverged"))
     records = []
     stop_reason = "max_iter"
     res = None  # eigen-residual of u, when the stop test computed it
@@ -74,14 +82,19 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         t0 = time.perf_counter()
         rq = metrics.rayleigh_quotient(pair, u)
         zJ = pair.subgrad_J(u)
-        v, dual_rq, inner_iters = step(k, u, rq, zJ)
+        v, dual_rq, report = step(k, u, rq, zJ)
+        residuals.append(report.final_residual)
+        cg_iters.append(report.cg_iterations_total)
+        cg_bad.append(report.cg_unconverged)
+        if not report.converged:
+            failed.append(k)
         records.append(metrics.IterationRecord(
             k=k, rq=rq, dual_rq=dual_rq,
             cosim=metrics.cosine_similarity(pair, u, zJ),
             gap=metrics.duality_gap(pair, u, zJ, u),
             residual=(res if res is not None
                       else metrics.eigen_residual(pair, u, zJ)),
-            inner_iters=inner_iters,
+            inner_iters=report.iterations,
             wall_time=time.perf_counter() - t0))
         if v is None:
             stop_reason = "stalled"
@@ -120,30 +133,21 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     Per iteration the record holds the metrics of the current iterate u^k
     together with the dual Rayleigh quotient of zeta^k (evaluated through
     the half-step v).  The eigenvalue is tracked both as R(u^k) and as
-    |v|_H^(1-p); both histories live in extras, with each step's inner
-    residual and its CG iterations and unconverged CG calls.
+    |v|_H^(1-p); both histories live in extras.
 
     Each inner solve starts on the eigen-ray (ray_start), so late solves
     take one to three Newton steps.
     """
-    lam_half, failed, inner_res, cg_iters, cg_bad = [], [], [], [], []
+    lam_half = []
 
     def step(k, u, rq, zJ):
         zeta = pair.duality_map_H(u)
         v, rep = pair.inverse_subgrad_J(zeta, settings,
                                         warm_start=ray_start(pair, u, rq))
-        inner_res.append(rep.final_residual)
-        cg_iters.append(rep.cg_iterations_total)
-        cg_bad.append(rep.cg_unconverged)
-        if not rep.converged:
-            failed.append(k)
         lam_half.append(pair.norm_H(v) ** (1.0 - pair.p))
-        return v, metrics.dual_rayleigh_quotient(pair, zeta, v), \
-            rep.iterations
+        return v, metrics.dual_rayleigh_quotient(pair, zeta, v), rep
 
-    extras = {"lambda_rq": [], "lambda_half_step": lam_half,
-              "failed_inner_solves": failed, "inner_residuals": inner_res,
-              "cg_iterations": cg_iters, "cg_unconverged": cg_bad}
+    extras = {"lambda_rq": [], "lambda_half_step": lam_half}
     trace = _iterate(pair, u0, iters, step, "ipm", extras, residual_tol,
                      snapshot_cb)
     extras["lambda_rq"] = [rec.rq for rec in trace.records]
@@ -160,13 +164,14 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     Rayleigh quotient R*_tau of the prox-as-inverse-iteration formulation
     (always < 1).  extras carries lambda_tau = J(u)/J_tau(u) per step and
     the recovered eigenvalue lambda = (lambda_tau/tau)(1-lambda_tau^(1-q))^(p-1)
-    at the final iterate.
+    at the final iterate, with whether the prox solve it takes there
+    converged ("recovery_converged").
     """
     if tau_tilde <= 0:
         raise ValueError("tau_tilde must be positive")
     p, q = pair.p, pair.q
     tau = tau_tilde ** (p - 1.0)
-    lam_taus, failed = [], []
+    lam_taus = []
 
     def moreau_data(u_cur, v_cur):
         eta = pair.duality_map_H(u_cur - v_cur) / tau
@@ -180,18 +185,16 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
 
     def step(k, u, rq, zJ):
         v, rep = pair.prox_J(u, tau, settings)
-        if not rep.converged:
-            failed.append(k)
         rstar_tau, lam_tau = moreau_data(u, v)
         lam_taus.append(lam_tau)
-        return v, rstar_tau, rep.iterations
+        return v, rstar_tau, rep
 
-    extras = {"lambda_tau": lam_taus, "lambda_recovered": None, "tau": tau,
-              "failed_inner_solves": failed}
+    extras = {"lambda_tau": lam_taus, "lambda_recovered": None, "tau": tau}
     trace = _iterate(pair, u0, iters, step, "ppm", extras, residual_tol,
                      snapshot_cb)
     # eigenvalue recovery at the final iterate
-    v, _ = pair.prox_J(trace.final_u, tau, settings)
+    v, rep = pair.prox_J(trace.final_u, tau, settings)
+    extras["recovery_converged"] = rep.converged
     _, lam_tau = moreau_data(trace.final_u, v)
     extras["lambda_recovered"] = \
         (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
@@ -261,7 +264,7 @@ def _part(inst, w, sign):
 
 
 def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
-    """(dpsi/dsigma, dw/ds, CG iterations, CG converged) at the solve w of
+    """(dpsi/dsigma, dw/ds, the CG solve's SolveReport) at the solve w of
     -Delta_p w = s zeta^+ - zeta^-.
 
     psi = log R(w^+) - log R(w^-) and sigma = log s; parts are
@@ -270,7 +273,8 @@ def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
     Jacobi-PCG to the relative tolerance settings.cg_tol; then
     dpsi/dsigma = s <g, dw/ds> with
     g = sum over the parts of (dJ(w^+-)/J - dH(w^+-)/H) on that part's
-    support (Keller 1977, differentiating a solve in its parameter).
+    support (Keller 1977, differentiating a solve in its parameter).  The
+    report counts CG only, so an unconverged slope solve fails no step.
     """
     cg = cg_solve(inst.jacobian_matrix(w), zp, settings.cg_tol,
                   settings.cg_budget(inst.n_interior))
@@ -278,7 +282,8 @@ def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
     g = sum((inst.subgrad_J(c) / J - inst.duality_map_H(c) / H)
             * (sign * w > 0.0)
             for sign, (c, J, H) in zip((1.0, -1.0), parts))
-    return s * inst.pairing(g, dw), dw, cg_it, cg.converged
+    return s * inst.pairing(g, dw), dw, SolveReport(
+        cg_iterations_total=cg_it, cg_unconverged=int(not cg.converged))
 
 
 def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
@@ -301,23 +306,21 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     search leaves the balance range the step falls back to s = 1.  The
     scheme stalls when both parts of the solve vanish or the solve does not
     change sign.  extras list each step's root s, its |phi|, its solve
-    count, its CG iterations and unconverged CG calls (the slope solves
-    included), and the steps that fell back or had a failed solve.
+    count and the steps that fell back.  The step's report sums its solves
+    and slope solves.
     """
     u0 = np.asarray(u0, dtype=float)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
     if settings is None:
         settings = NewtonSettings()
-    fallback_steps, failed, roots, defects, solves = [], [], [], [], []
-    cg_iters, cg_bad = [], []
+    fallback_steps, roots, defects, solves = [], [], [], []
 
     def step(k, u, rq, zJ):
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        inner_total, n_solves, step_failed = 0, 0, False
-        cg_total, cg_unconverged = 0, 0
+        report, n_solves = SolveReport(), 0
         cache: dict[float, np.ndarray] = {}  # s -> solve w
         parts = None  # the two parts of the latest solve
         tangent = None  # (s, w, dw/ds) of the latest solve, with a slope
@@ -326,8 +329,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         def defect(s):
             # missing positive part -> need larger s (treat as huge positive
             # defect); missing negative part -> huge negative defect
-            nonlocal inner_total, n_solves, step_failed, parts, tangent
-            nonlocal cg_total, cg_unconverged
+            nonlocal report, n_solves, parts, tangent
             if tangent is not None:
                 t_s, t_w, t_dw = tangent
                 start = t_w + (s - t_s) * t_dw
@@ -336,11 +338,8 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
                     cache, s, next(reversed(cache.values()), scaled_u))
             tangent = None
             w, rep = solve_p_poisson(inst, s * zp - zm, start, settings)
-            inner_total += rep.iterations
-            cg_total += rep.cg_iterations_total
-            cg_unconverged += rep.cg_unconverged
+            report += rep
             n_solves += 1
-            step_failed |= not rep.converged
             cache[s] = w
             parts = pp, pm = _part(inst, w, 1.0), _part(inst, w, -1.0)
             if pp is None and pm is None:
@@ -352,14 +351,13 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             return pp[1] / pp[2] - pm[1] / pm[2]
 
         def log_slope(s):
-            nonlocal tangent, cg_total, cg_unconverged
+            nonlocal tangent, report
             pp, pm = parts
             if pp is None or pm is None:
                 return None
-            dpsi, dw, cg_it, cg_ok = log_balance_slope(
-                inst, cache[s], parts, zp, s, settings)
-            cg_total += cg_it
-            cg_unconverged += not cg_ok
+            dpsi, dw, rep = log_balance_slope(inst, cache[s], parts, zp, s,
+                                              settings)
+            report += rep
             tangent = (s, cache[s], dw)
             return (math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2]),
                     float(dpsi))
@@ -372,17 +370,11 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         roots.append(s_root)
         defects.append(abs(phi))
         solves.append(n_solves)
-        cg_iters.append(cg_total)
-        cg_bad.append(cg_unconverged)
-        if step_failed:
-            failed.append(k)
         stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
-        return (None if stalled else w), None, inner_total
+        return (None if stalled else w), None, report
 
-    extras = {"fallback_steps": fallback_steps, "failed_inner_solves": failed,
-              "balance_roots": roots, "balance_defects": defects,
-              "balance_solves": solves, "cg_iterations": cg_iters,
-              "cg_unconverged": cg_bad}
+    extras = {"fallback_steps": fallback_steps, "balance_roots": roots,
+              "balance_defects": defects, "balance_solves": solves}
     return _iterate(inst, u0, iters, step, "balanced", extras,
                     snapshot_cb=snapshot_cb)
 
@@ -407,7 +399,8 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     drops by the SUFFICIENT_DECREASE fraction; otherwise the scheme reports
     a stall, which at a non-eigenvector extremum of the cosine similarity
     leaves a large eigen-residual behind.  extras["candidate"] names each
-    accepted step's winner, "sweep" or "polish".
+    accepted step's winner, "sweep" or "polish".  The step reports its
+    polish, counting the winner's sweeps and polish steps (0 on a stall).
     """
     if settings is None:
         settings = NewtonSettings(tol_abs=1e-10, max_iter=12)
@@ -443,20 +436,21 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
             if seed_F < F_u and seed_F <= 0.5 * F_u:
                 break
         best = (F_u, None, None, 0, None)  # F, w, tau, count, kind
+        report = SolveReport()
         if seed is not None:
             w, tau, x, sweeps = seed
             if seed_F < F_u:
                 best = (seed_F, w, tau, sweeps, "sweep")
-            polish = _polish(pair, u, tau, explicit, D, x, settings)
-            F_w, w = normalized_F(polish[0]) if polish else (np.nan, None)
+            x, report = _polish(pair, u, tau, explicit, D, x, settings)
+            F_w, w = normalized_F(x) if x is not None else (np.nan, None)
             if np.isfinite(F_w) and F_w < best[0]:
-                best = (F_w, w, tau, sweeps + polish[1], "polish")
+                best = (F_w, w, tau, sweeps + report.iterations, "polish")
         best_F, best_w, best_tau, best_n, best_kind = best
         tau_hist.append(best_tau or 0.0)
         if best_w is None or best_F > (1.0 - SUFFICIENT_DECREASE) * F_u:
-            return None, None, 0
+            return None, None, replace(report, iterations=0)
         winners.append(best_kind)
-        return best_w, None, best_n
+        return best_w, None, replace(report, iterations=best_n)
 
     extras = {"F": F_hist, "tau": tau_hist, "candidate": winners}
     return _iterate(pair, u0, iters, step, "geometric", extras,
@@ -487,14 +481,14 @@ def _sweep(pair, u, tau, explicit, D):
 def _polish(pair, u, tau, explicit, D, x, settings):
     """Damped Newton polish of the sweep result x at step size tau.
 
-    Returns (x, Newton steps), or None when the sweep's residual is not
-    finite or a solve fails (a singular system gives NaN from SuperLU or
-    LinAlgError from the dense solve).  The p != 2 kernel degenerates where
-    the nodewise step is small and for large tau the equation may have no
-    solution, so Newton may not converge; the caller's line search
-    arbitrates.  The system diag - (p/D) H is symmetric but often
-    indefinite, which rules out CG; SuperLU factors it under the
-    minimum-degree ordering MMD_AT_PLUS_A, faster than COLAMD here.
+    Returns (x, the Newton report), x None and the report unconverged when
+    the sweep's residual is not finite or a solve fails (a singular system
+    gives NaN from SuperLU or LinAlgError from the dense solve).  The p != 2
+    kernel degenerates where the nodewise step is small and for large tau
+    the equation may have no solution, so Newton may not converge; the
+    caller's line search arbitrates.  The system diag - (p/D) H is
+    symmetric but often indefinite, which rules out CG; SuperLU factors it
+    under the minimum-degree ordering MMD_AT_PLUS_A, faster than COLAMD here.
     """
     p = pair.p
 
@@ -522,6 +516,5 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     try:
         x, report = damped_newton(x, resid, jacobian, settings, direct_solve)
     except np.linalg.LinAlgError:
-        return None
-    return (x, report.iterations) if np.isfinite(report.final_residual) \
-        else None
+        return None, SolveReport(final_residual=math.nan, converged=False)
+    return (x if np.isfinite(report.final_residual) else None), report

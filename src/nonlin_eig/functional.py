@@ -21,13 +21,22 @@ if TYPE_CHECKING:
 
 @dataclass
 class SolveReport:
-    """Outcome of an inner (Newton/linear) solve."""
+    """Outcome of an inner (Newton/linear) solve; a + b sums their work,
+    keeps the worse residual (NaN if either is) and converges if both do."""
 
     iterations: int = 0
     final_residual: float = 0.0
     converged: bool = True
     cg_iterations_total: int = 0
     cg_unconverged: int = 0  # CG calls that did not converge (info != 0)
+
+    def __add__(self, other: SolveReport) -> SolveReport:
+        return SolveReport(
+            self.iterations + other.iterations,
+            float(np.maximum(self.final_residual, other.final_residual)),
+            self.converged and other.converged,
+            self.cg_iterations_total + other.cg_iterations_total,
+            self.cg_unconverged + other.cg_unconverged)
 
 
 def power_map(t: np.ndarray, p: float) -> np.ndarray:

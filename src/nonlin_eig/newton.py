@@ -11,8 +11,8 @@ that residual stays two orders below it.
 
 For p >= 2 (locally_quadratic), where Newton converges locally
 quadratically, a step solves the Newton system of the residual and is
-backtracked by halving, 31 tries at most.  solve_p_poisson and solve_prox
-also loosen CG by Eisenstat-Walker forcing (choice 2, "Choosing the
+backtracked by halving, 31 tries at most.  damped_newton loosens the CG
+of that step by Eisenstat-Walker forcing (choice 2, "Choosing the
 forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 1996):
 from a solve's second Newton step on, the relative tolerance is at least
 eta = min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2).  While the residual falls
@@ -77,6 +77,10 @@ class NewtonSettings:
             raise ValueError("tol_abs must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not 0 < self.cg_tol < 1:
+            raise ValueError("cg_tol must lie in (0, 1)")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be >= 1 or null")
 
     def cg_budget(self, n: int) -> int:
         """The iteration budget of one CG solve in n unknowns."""
@@ -124,8 +128,7 @@ def cg_solve(A, b, rtol: float, maxiter: int) -> CgResult:
 
 
 def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
-                  settings: NewtonSettings, linear_solve=None,
-                  forcing: bool = False,
+                  settings: NewtonSettings | None, linear_solve=None,
                   flux=None) -> tuple[np.ndarray, SolveReport]:
     """Newton iteration on residual_fn, globalized by halving or by a flux.
 
@@ -143,13 +146,14 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
 
     linear_solve(A, b) solves the system; by default CG runs to the
     relative tolerance max(cg_tol, 0.01 * tol_abs / |b|_2), and CG calls
-    that do not converge are counted in the report's cg_unconverged.  With
-    forcing, from the second Newton step on that tolerance is raised to at
-    least the Eisenstat-Walker term eta = min(0.1, 0.9 (|b_k|_2 /
-    |b_k-1|_2)^2) of the module docstring.  Their safeguard max(eta,
-    0.9 eta_prev^2), taken only when 0.9 eta_prev^2 > 0.1, cannot fire under
-    the cap 0.1 and is left out.
+    that do not converge are counted in the report's cg_unconverged.  On
+    the halving step (no flux) that default CG is forced: from the second
+    Newton step on its tolerance is raised to at least the Eisenstat-Walker
+    term eta = min(0.1, 0.9 (|b_k|_2 / |b_k-1|_2)^2) of the module
+    docstring.  Their safeguard max(eta, 0.9 eta_prev^2), taken only when
+    0.9 eta_prev^2 > 0.1, cannot fire under the cap 0.1 and is left out.
     """
+    settings = settings or NewtonSettings()
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
     rn = float(np.max(np.abs(r))) if r.size else 0.0
@@ -165,7 +169,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
         if linear_solve is None:
             norm = np.linalg.norm(b)
             rtol = max(settings.cg_tol, 0.01 * settings.tol_abs / norm)
-            if forcing and norm_prev is not None:
+            if flux is None and norm_prev is not None:
                 rtol = max(rtol, min(0.1, 0.9 * (norm / norm_prev) ** 2))
             norm_prev = norm
             cg = cg_solve(A, b, rtol, maxiter_cg)
@@ -276,17 +280,13 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
 
     inst is a PLaplaceInstance; zeta and u_init are interior vectors.
     """
-    if settings is None:
-        settings = NewtonSettings()
 
     def residual(x):
         return inst.neg_plaplacian(x) - zeta
 
-    if locally_quadratic(inst.p):
-        return damped_newton(u_init, residual, inst.jacobian_matrix,
-                             settings, forcing=True)
-    return damped_newton(u_init, residual, None, settings,
-                         flux=_PoissonFlux(inst, zeta, u_init))
+    return damped_newton(u_init, residual, inst.jacobian_matrix, settings,
+                         flux=None if locally_quadratic(inst.p)
+                         else _PoissonFlux(inst, zeta, u_init))
 
 
 def solve_prox(inst, u_ref: np.ndarray, tau: float,
@@ -301,8 +301,6 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if settings is None:
-        settings = NewtonSettings()
     p = inst.p
 
     def residual(x):
@@ -312,8 +310,6 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
         return scipy.sparse.diags(inst.duality_map_H_prime(x - u_ref)) \
             + tau * inst.jacobian_matrix(x)
 
-    if locally_quadratic(p):
-        return damped_newton(u_ref, residual, jacobian, settings,
-                             forcing=True)
-    return damped_newton(u_ref, residual, None, settings,
-                         flux=_ProxFlux(inst, u_ref, tau))
+    return damped_newton(u_ref, residual, jacobian, settings,
+                         flux=None if locally_quadratic(p)
+                         else _ProxFlux(inst, u_ref, tau))

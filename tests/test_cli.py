@@ -133,6 +133,10 @@ class TestRun:
         ("newton", "max_iter", True),
         ("newton", "cg_tol", "1e-10"),
         ("newton", "cg_max_iter", 10.5),
+        # these three once ended in a traceback
+        ("problem", "r_rule", "consistency"),
+        ("problem", "r_rule", {"type": "h_pow"}),
+        ("problem", "r_rule", {"type": "h_pow", "exponent": 0}),
     ])
     def test_invalid_value_exits_1(self, tmp_path, capsys, section, key, value):
         raw = {
@@ -159,6 +163,25 @@ class TestRun:
         })
         assert main(["run", cfg]) == 1
         assert "unknown r_rule type 'fixed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("cg_max_iter", 0), ("cg_max_iter", -3), ("cg_tol", 0),
+        ("cg_tol", 1.0)])
+    def test_out_of_range_newton_setting_exits_1(self, tmp_path, capsys, key,
+                                                 value):
+        # each of these once ran to exit 0: a zero CG budget meant the
+        # default, a negative one failed every solve, cg_tol 0 stalled
+        cfg = write_config(tmp_path / "bad.json", {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.2, "r": 0.45, "p": 3.0},
+            "solver": {"kind": "balanced", "iters": 2},
+            "newton": {key: value},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

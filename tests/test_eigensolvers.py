@@ -192,9 +192,12 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
 @pytest.mark.parametrize("run,start", [
     (lambda inst, u0: run_ipm(inst, u0, 3), "ex1"),
     (lambda inst, u0: run_balanced_ipm(inst, u0, 3), "ex2"),
-], ids=["ipm", "balanced"])
+    (lambda inst, u0: run_ppm(inst, u0, 0.5, 3), "ex1"),
+    (lambda inst, u0: run_geometric(inst, u0, 3), "ex2"),
+], ids=["ipm", "balanced", "ppm", "geometric"])
 def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
-    # every CG call, the balanced scheme's slope solves included
+    # every CG call, the balanced scheme's slope solves included; the
+    # geometric polish solves directly and makes none
     calls = []
     original = newton.cg_solve
 
@@ -206,10 +209,20 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
     monkeypatch.setattr(newton, "cg_solve", recording)
     monkeypatch.setattr(eigensolvers, "cg_solve", recording)
     trace = run(small_grid, eval_initial_guess(start, small_grid.domain).values)
+    if trace.solver_tag == "ppm":
+        # the eigenvalue recovery's prox solve after the loop is no step's:
+        # solve it again to count its CG calls, and drop both copies
+        n = len(calls)
+        small_grid.prox_J(trace.final_u, trace.extras["tau"])
+        recovery = len(calls) - n
+        assert recovery > 0
+        del calls[n - recovery:]
     cg_iters, cg_bad = (trace.extras["cg_iterations"],
                         trace.extras["cg_unconverged"])
     assert len(cg_iters) == len(cg_bad) == len(trace.records) == 3
-    assert sum(cg_iters) == sum(it for it, _ in calls) > 0
+    assert len(trace.extras["inner_residuals"]) == 3
+    assert sum(cg_iters) == sum(it for it, _ in calls)
+    assert (sum(cg_iters) > 0) == (trace.solver_tag != "geometric")
     assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
 
 
@@ -353,6 +366,21 @@ class TestPpm:
         t_ppm = run_ppm(small_grid, u0, tau_tilde=0.5, iters=60)
         assert t_ppm.extras["lambda_recovered"] == pytest.approx(
             t_ipm.final_lambda, rel=1e-4)
+
+    def test_unconverged_cg_listed(self, small_grid):
+        u0 = eval_initial_guess("ex1", small_grid.domain).values
+        trace = run_ppm(small_grid, u0, 0.5, 2,
+                        NewtonSettings(max_iter=5, cg_max_iter=1))
+        assert len(trace.extras["cg_unconverged"]) == 2
+        assert sum(trace.extras["cg_unconverged"]) > 0
+        assert trace.extras["failed_inner_solves"] == [0, 1]
+
+    @pytest.mark.parametrize("settings,converged", [
+        (None, True), (NewtonSettings(max_iter=1), False)])
+    def test_recovery_solve_reported(self, small_grid, settings, converged):
+        u0 = eval_initial_guess("ex1", small_grid.domain).values
+        trace = run_ppm(small_grid, u0, 0.5, 1, settings)
+        assert trace.extras["recovery_converged"] is converged
 
 
 class TestSecantPredictor:
@@ -666,10 +694,11 @@ def candidates(pair, u, tau, explicit, D):
     sweep = _sweep(pair, u, tau, explicit, D)
     if sweep is None:
         return []
-    polish = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
-    if polish is None:
+    x, report = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
+    if x is None:
+        assert not report.converged
         return [sweep]
-    return [sweep, (polish[0], sweep[1] + polish[1])]
+    return [sweep, (x, sweep[1] + report.iterations)]
 
 
 def assert_same_candidates(pair, u, tau, explicit, D, expect=None):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nonlin_eig.functional import (SpdInstance, fenchel_conjugate_value,
-                                   power_map)
+from nonlin_eig.functional import (SolveReport, SpdInstance,
+                                   fenchel_conjugate_value, power_map)
 from nonlin_eig.grid import build_domain, build_stencil
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import (euler_defect, fenchel_route_defect,
@@ -29,6 +29,26 @@ class TestPowerMap:
     def test_matches_definition(self):
         t = np.array([0.5, -1.5, 2.0])
         assert np.allclose(power_map(t, 3.0), np.abs(t) * t)
+
+
+class TestSolveReport:
+    def test_sum_of_two_solves(self):
+        a = SolveReport(iterations=3, final_residual=1e-13,
+                        cg_iterations_total=40, cg_unconverged=1)
+        b = SolveReport(iterations=2, final_residual=1e-9, converged=False,
+                        cg_iterations_total=7)
+        assert a + b == SolveReport(iterations=5, final_residual=1e-9,
+                                    converged=False, cg_iterations_total=47,
+                                    cg_unconverged=1)
+        assert b + a == a + b
+        assert a + SolveReport() == a
+        total = SolveReport()
+        total += a
+        total += a
+        assert total.iterations == 6 and total.converged
+        nan = SolveReport(final_residual=float("nan"), converged=False)
+        assert np.isnan((a + nan).final_residual)
+        assert np.isnan((nan + a).final_residual)
 
 
 class TestSpdConstruction:

@@ -25,6 +25,10 @@ class TestSettings:
             NewtonSettings(tol_abs=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iter=0)
+        for bad in ({"cg_tol": 0.0}, {"cg_tol": 1.0}, {"cg_max_iter": 0}):
+            with pytest.raises(ValueError):
+                NewtonSettings(**bad)
+        assert NewtonSettings(cg_max_iter=None).cg_budget(3) == 50
 
 
 def random_interior(inst, rng, scale=1.0):
@@ -156,8 +160,18 @@ class TestPPoisson:
         def residual(x):
             return inst.neg_plaplacian(x) - zeta
 
+        # the unforced reference: the same CG at the unforced rule
+        s = NewtonSettings()
+        tight_cg = [0]  # its CG iterations
+
+        def unforced_cg(A, b):
+            rtol = max(s.cg_tol, 0.01 * s.tol_abs / np.linalg.norm(b))
+            x, iters = cg_solve(A, b, rtol, s.cg_budget(len(b)))
+            tight_cg[0] += iters
+            return x
+
         x_tight, tight = damped_newton(start, residual, inst.jacobian_matrix,
-                                       NewtonSettings())
+                                       s, linear_solve=unforced_cg)
         cg_calls = []  # (|b|_2, rtol) of each CG call of the forced solve
 
         def recording_cg(A, b, rtol, maxiter):
@@ -168,17 +182,16 @@ class TestPPoisson:
             mp.setattr(newton, "cg_solve", recording_cg)
             x_forced, forced = damped_newton(start, residual,
                                              inst.jacobian_matrix,
-                                             NewtonSettings(), forcing=True)
+                                             NewtonSettings())
         assert forced.converged and forced.final_residual <= 1e-12
         # at each iterate the forced tolerance is the unforced rule's,
         # raised to at most 0.1, and the first step is not forced
-        s = NewtonSettings()
         tight_rtols = [max(s.cg_tol, 0.01 * s.tol_abs / norm)
                        for norm, _ in cg_calls]
         for tight_rtol, (_, rtol) in zip(tight_rtols, cg_calls):
             assert tight_rtol <= rtol <= max(tight_rtol, 0.1)
         assert cg_calls[0][1] == tight_rtols[0]
-        assert forced.cg_iterations_total <= tight.cg_iterations_total
+        assert forced.cg_iterations_total <= tight_cg[0]
         # 2-norm: at scale 1e-2 the absolute tolerance is a relative
         # residual of 1e-10, and two converged solves then differ by up to
         # 9e-11 in their largest entry
