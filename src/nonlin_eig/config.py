@@ -77,6 +77,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
              f"solver.kind must be one of {SOLVERS}")
     iters = solver.get("iters", 30)
     _require(_number(iters, int) and iters >= 1, "solver.iters must be an integer >= 1")
+    _require(solver["kind"] in ("ipm", "ppm") or "residual_tol" not in solver,
+             "solver.residual_tol applies to ipm and ppm only")
+    tol = solver.get("residual_tol", 1.0)
+    _require(_number(tol) and tol > 0, "solver.residual_tol must be a positive number")
     if solver.get("kind") == "ppm" or "tau" in solver:
         tau = solver.get("tau")
         _require(_number(tau) and tau > 0, "solver.tau must be a positive number")

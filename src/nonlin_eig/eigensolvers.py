@@ -2,27 +2,24 @@
 method, balanced higher-order inverse iteration, and the cosine-ascent
 (geometric characterization) scheme.
 
-All four run on one outer loop, `_iterate`.  It normalizes the start, times
-each step, records each iterate u^k (R; the cosine similarity, the duality
-gap and the eigen-residual from one dJ(u^k), the eigen-residual reused from
-the residual_tol stop test where that computed it) and passes each new
-iterate to snapshot_cb.  It stops after iters steps (max_iter), once a new
-iterate's eigen-residual is <= residual_tol (residual_tol) or when a step
-stalls (stalled, keeping u^k), and sets converged from the final
-eigen-residual (<= residual_tol, else 1e-6).  A scheme supplies only its
-step, step(k, u, R(u), dJ(u)) -> (v, dual_rq, report): the next iterate
-before normalization or None for a stall, the record's dual Rayleigh
-quotient or None, and the SolveReport of the step's inner solves, summed
-if several.  R(u^k) and dJ(u^k) are evaluated once, before the step.
-_iterate alone keeps the ledger of the reports, alike for every scheme:
-the record's inner_iters is the report's iterations, extras list per
-record its "inner_residuals", "cg_iterations" and "cg_unconverged", and
-"failed_inner_solves" lists the steps whose report has not converged.
-
-The balanced scheme's step roots the balance of its inner solve by
-safeguarded Newton in log s (balance_root), whose slope comes from the
-solve's own sensitivity dw/ds (log_balance_slope), one CG solve per
-Newton point; dw/ds also predicts the start of the next solve.
+All four run on one outer loop, `_iterate`.  It evaluates each iterate u^k
+once, when it is formed (the normalized start, then each normalized step):
+R(u^k), J(u^k), dJ(u^k) and the eigen-residual.  That evaluation feeds the
+step, the record of u^k (R; the cosine similarity, the duality gap and the
+eigen-residual), the residual_tol stop test and the final eigenpair, and a
+record's wall_time covers it, the step and the record.  The loop passes
+each new iterate to snapshot_cb.  It stops after iters steps (max_iter),
+once a new iterate's eigen-residual is <= residual_tol (residual_tol) or
+when a step stalls (stalled, keeping u^k), and sets converged from the
+final eigen-residual (<= residual_tol, else 1e-6).  A scheme supplies only
+its step, step(k, u, R(u), J(u), dJ(u)) -> (v, dual_rq, report): the next
+iterate before normalization or None for a stall, the record's dual
+Rayleigh quotient or None, and the SolveReport of the step's inner solves,
+summed if several.  _iterate alone keeps the ledger of the reports, alike
+for every scheme: the record's inner_iters is the report's iterations,
+extras list per record its "inner_residuals", "cg_iterations" and
+"cg_unconverged", and "failed_inner_solves" lists the steps whose report
+has not converged.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
 SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
 N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
+POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12)  # the geometric polish
 
 
 @dataclass
@@ -67,6 +65,12 @@ def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
     return u / n
 
 
+def _evaluate(pair, u):
+    """(R(u), J(u), dJ(u), eigen-residual of u), from one J and one dJ."""
+    Ju, zJ = pair.energy_J(u), pair.subgrad_J(u)
+    return Ju / pair.H(u), Ju, zJ, metrics.eigen_residual(pair, u, zJ)
+
+
 def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
              snapshot_cb=None) -> EigenTrace:
     """The outer loop of every scheme, described in the module docstring."""
@@ -75,14 +79,11 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         extras.setdefault(key, []) for key in (
             "failed_inner_solves", "inner_residuals", "cg_iterations",
             "cg_unconverged"))
-    records = []
-    stop_reason = "max_iter"
-    res = None  # eigen-residual of u, when the stop test computed it
+    records, stop_reason = [], "max_iter"
+    t0 = time.perf_counter()
+    rq, Ju, zJ, res = _evaluate(pair, u)
     for k in range(iters):
-        t0 = time.perf_counter()
-        rq = metrics.rayleigh_quotient(pair, u)
-        zJ = pair.subgrad_J(u)
-        v, dual_rq, report = step(k, u, rq, zJ)
+        v, dual_rq, report = step(k, u, rq, Ju, zJ)
         residuals.append(report.final_residual)
         cg_iters.append(report.cg_iterations_total)
         cg_bad.append(report.cg_unconverged)
@@ -91,9 +92,9 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         records.append(metrics.IterationRecord(
             k=k, rq=rq, dual_rq=dual_rq,
             cosim=metrics.cosine_similarity(pair, u, zJ),
-            gap=metrics.duality_gap(pair, u, zJ, u),
-            residual=(res if res is not None
-                      else metrics.eigen_residual(pair, u, zJ)),
+            gap=metrics.duality_gap(  # of (u, dJ(u)): u is in dJ*(dJ(u))
+                pair, rq, metrics.dual_rayleigh_quotient(pair, zJ, u, Ju)),
+            residual=res,
             inner_iters=report.iterations,
             wall_time=time.perf_counter() - t0))
         if v is None:
@@ -102,16 +103,13 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         u = _normalize(pair, v)
         if snapshot_cb is not None:
             snapshot_cb(k + 1, u)
-        if residual_tol is not None:
-            res = metrics.eigen_residual(pair, u)
-            if res <= residual_tol:
-                stop_reason = "residual_tol"
-                break
-    if res is None:
-        res = metrics.eigen_residual(pair, u)
-    tol = residual_tol if residual_tol is not None else 1e-6
-    return EigenTrace(records=records, final_u=u,
-                      final_lambda=metrics.rayleigh_quotient(pair, u),
+        t0 = time.perf_counter()
+        rq, Ju, zJ, res = _evaluate(pair, u)
+        if residual_tol is not None and res <= residual_tol:
+            stop_reason = "residual_tol"
+            break
+    tol = 1e-6 if residual_tol is None else residual_tol
+    return EigenTrace(records=records, final_u=u, final_lambda=rq,
                       solver_tag=tag, converged=res <= tol,
                       stop_reason=stop_reason, extras=extras)
 
@@ -132,26 +130,24 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
 
     Per iteration the record holds the metrics of the current iterate u^k
     together with the dual Rayleigh quotient of zeta^k (evaluated through
-    the half-step v).  The eigenvalue is tracked both as R(u^k) and as
-    |v|_H^(1-p); both histories live in extras.
+    the half-step v).  Besides the records' R(u^k), the eigenvalue is
+    tracked as |v|_H^(1-p) in extras["lambda_half_step"].
 
     Each inner solve starts on the eigen-ray (ray_start), so late solves
     take one to three Newton steps.
     """
     lam_half = []
 
-    def step(k, u, rq, zJ):
+    def step(k, u, rq, Ju, zJ):
         zeta = pair.duality_map_H(u)
         v, rep = pair.inverse_subgrad_J(zeta, settings,
                                         warm_start=ray_start(pair, u, rq))
         lam_half.append(pair.norm_H(v) ** (1.0 - pair.p))
-        return v, metrics.dual_rayleigh_quotient(pair, zeta, v), rep
+        return v, metrics.dual_rayleigh_quotient(
+            pair, zeta, v, pair.energy_J(v)), rep
 
-    extras = {"lambda_rq": [], "lambda_half_step": lam_half}
-    trace = _iterate(pair, u0, iters, step, "ipm", extras, residual_tol,
-                     snapshot_cb)
-    extras["lambda_rq"] = [rec.rq for rec in trace.records]
-    return trace
+    return _iterate(pair, u0, iters, step, "ipm",
+                    {"lambda_half_step": lam_half}, residual_tol, snapshot_cb)
 
 
 def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
@@ -173,19 +169,19 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     tau = tau_tilde ** (p - 1.0)
     lam_taus = []
 
-    def moreau_data(u_cur, v_cur):
+    def moreau_data(u_cur, v_cur, Ju):
         eta = pair.duality_map_H(u_cur - v_cur) / tau
         Jv = pair.energy_J(v_cur)
         Jstar = pair.pairing(eta, v_cur) - Jv
         Hstar = pair.dual_norm_H(eta) ** q / q
         rstar_tau = Jstar / (tau ** (q - 1.0) * Hstar + Jstar)
         J_tau = pair.H(v_cur - u_cur) / tau + Jv
-        lam_tau = pair.energy_J(u_cur) / J_tau
+        lam_tau = Ju / J_tau
         return rstar_tau, lam_tau
 
-    def step(k, u, rq, zJ):
+    def step(k, u, rq, Ju, zJ):
         v, rep = pair.prox_J(u, tau, settings)
-        rstar_tau, lam_tau = moreau_data(u, v)
+        rstar_tau, lam_tau = moreau_data(u, v, Ju)
         lam_taus.append(lam_tau)
         return v, rstar_tau, rep
 
@@ -195,7 +191,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     # eigenvalue recovery at the final iterate
     v, rep = pair.prox_J(trace.final_u, tau, settings)
     extras["recovery_converged"] = rep.converged
-    _, lam_tau = moreau_data(trace.final_u, v)
+    _, lam_tau = moreau_data(trace.final_u, v, pair.energy_J(trace.final_u))
     extras["lambda_recovered"] = \
         (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
     return trace
@@ -295,10 +291,9 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
     inst must be a PLaplaceInstance (the slope solve for dw/ds uses its
     Jacobian).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
-    phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL, by
-    balance_root: safeguarded Newton on psi = log R(w^+) - log R(w^-) in
-    log s, whose slope comes from one CG solve for dw/ds after each solve
-    (log_balance_slope).  Each solve after the first starts from the
+    phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL by
+    balance_root, whose slope comes from one CG solve for dw/ds after each
+    solve (log_balance_slope).  Each solve after the first starts from the
     tangent w + (s_new - s) dw/ds at the previous balance when that one has
     a slope, else from the secant predictor through the two cached
     solutions at the balances nearest s.  The first, at s = 1, starts from
@@ -316,7 +311,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         settings = NewtonSettings()
     fallback_steps, roots, defects, solves = [], [], [], []
 
-    def step(k, u, rq, zJ):
+    def step(k, u, rq, Ju, zJ):
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
@@ -380,7 +375,6 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
 
 def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
-                  settings: NewtonSettings | None = None,
                   snapshot_cb=None) -> EigenTrace:
     """Descent on F(u) = 1 - cosim(u, dJ(u)) via a semi-implicit step.
 
@@ -390,8 +384,8 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     where z = dJ(u) and G_H, G_H* are the gradients of the primal and dual
     norms at u and z.  A step screens the ladder TAU0 2^-j (LADDER_LEN
     rungs) with the cheap fixed-point sweep, stopping once a sweep halves
-    F, then polishes once with damped Newton from the lowest sweep at its
-    tau: a polish costs up to settings.max_iter sparse LU solves, so
+    F, then polishes once with damped Newton (settings POLISH) from the
+    lowest sweep at its tau: a polish costs up to 12 sparse LU solves, so
     polishing every rung spent nearly the whole run on polishes the sweeps
     then beat.  Sweeps and the polish are line-search candidates (for large
     tau the equation may have no solution, leaving only the partially
@@ -402,8 +396,6 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     accepted step's winner, "sweep" or "polish".  The step reports its
     polish, counting the winner's sweeps and polish steps (0 on a stall).
     """
-    if settings is None:
-        settings = NewtonSettings(tol_abs=1e-10, max_iter=12)
     p, q = pair.p, pair.q
     F_hist, tau_hist, winners = [], [], []
 
@@ -414,7 +406,7 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
             return np.nan, None
         return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w)), x
 
-    def step(k, u, rq, zeta):
+    def step(k, u, rq, Ju, zeta):
         nu = pair.norm_H(u)
         nz = pair.dual_norm_H(zeta)
         cos = pair.pairing(zeta, u) / (nu * nz)
@@ -441,7 +433,7 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
             w, tau, x, sweeps = seed
             if seed_F < F_u:
                 best = (seed_F, w, tau, sweeps, "sweep")
-            x, report = _polish(pair, u, tau, explicit, D, x, settings)
+            x, report = _polish(pair, u, tau, explicit, D, x, POLISH)
             F_w, w = normalized_F(x) if x is not None else (np.nan, None)
             if np.isfinite(F_w) and F_w < best[0]:
                 best = (F_w, w, tau, sweeps + report.iterations, "polish")
@@ -490,8 +482,6 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     symmetric but often indefinite, which rules out CG; SuperLU factors it
     under the minimum-degree ordering MMD_AT_PLUS_A, faster than COLAMD here.
     """
-    p = pair.p
-
     def resid(xv):
         return pair.duality_map_H((xv - u) / tau) \
             - _implicit_rhs(pair, xv, explicit, D)
@@ -500,8 +490,8 @@ def _polish(pair, u, tau, explicit, D, x, settings):
         M_diag = pair.duality_map_H_prime((xv - u) / tau) / tau
         H = pair.hess_J_matrix(xv)
         if scipy.sparse.issparse(H):
-            return scipy.sparse.diags(M_diag) - (p / D) * H
-        return np.diag(M_diag) - (p / D) * np.asarray(H)
+            return scipy.sparse.diags(M_diag) - (pair.p / D) * H
+        return np.diag(M_diag) - (pair.p / D) * np.asarray(H)
 
     def direct_solve(M, b):
         if scipy.sparse.issparse(M):

@@ -72,7 +72,6 @@ class FunctionalPair(ABC):
     @abstractmethod
     def subgrad_J(self, u: np.ndarray) -> np.ndarray:
         """An element of the subdifferential of J at u (dual vector)."""
-        ...
 
     @abstractmethod
     def inverse_subgrad_J(
@@ -82,7 +81,6 @@ class FunctionalPair(ABC):
         warm_start: np.ndarray | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
         """Solve zeta in dJ(v) for v, i.e. apply the inverse operator dJ*."""
-        ...
 
     @abstractmethod
     def prox_J(
@@ -92,27 +90,22 @@ class FunctionalPair(ABC):
         settings: NewtonSettings | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
         """argmin_v H(v - u_ref) + tau * J(v)."""
-        ...
 
     @abstractmethod
     def duality_map_H(self, u: np.ndarray) -> np.ndarray:
         """The duality map dH(u) (dual vector)."""
-        ...
 
     @abstractmethod
     def norm_H(self, u: np.ndarray) -> float:
         """|u|_H = (p H(u))^(1/p)."""
-        ...
 
     @abstractmethod
     def dual_norm_H(self, zeta: np.ndarray) -> float:
         """|zeta|_{H*}."""
-        ...
 
     @abstractmethod
     def pairing(self, zeta: np.ndarray, u: np.ndarray) -> float:
         """Dual pairing <zeta, u>."""
-        ...
 
     def H(self, u: np.ndarray) -> float:
         return self.norm_H(u) ** self.p / self.p
@@ -198,12 +191,14 @@ class SpdInstance(FunctionalPair):
         return np.ones_like(np.asarray(w, dtype=float))
 
 
-def fenchel_conjugate_value(pair: FunctionalPair, zeta: np.ndarray, v: np.ndarray) -> float:
-    """J*(zeta) evaluated through a subgradient pair, zeta in dJ(v).
+def fenchel_conjugate_value(pair: FunctionalPair, zeta: np.ndarray,
+                            v: np.ndarray, Jv: float) -> float:
+    """J*(zeta) evaluated through a subgradient pair zeta in dJ(v), given
+    Jv = J(v).
 
     Returns <zeta, v> - J(v).  For absolutely p-homogeneous J this equals
     (1/q) <zeta, v> by the Euler identity; `validation.fenchel_route_defect`
     cross-checks the two routes.  Garbage in, garbage out if the
     precondition fails.
     """
-    return pair.pairing(zeta, v) - pair.energy_J(v)
+    return pair.pairing(zeta, v) - Jv

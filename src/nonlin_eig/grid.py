@@ -79,8 +79,7 @@ def build_domain(shape_tag: str, side_length: float, h: float) -> GridDomain:
     half = side_length / 2.0
     origin = (-half, -half)
     x = origin[0] + h * np.arange(nx)
-    y = origin[1] + h * np.arange(ny)
-    X, Y = np.meshgrid(x, y)
+    X, Y = np.meshgrid(x, x)  # nx == ny, one origin for both axes
     tol = 1e-12 * max(1.0, side_length)
     mask = (X > origin[0] + tol) & (X < half - tol) & \
            (Y > origin[1] + tol) & (Y < half - tol)
@@ -181,8 +180,6 @@ def eval_expression(expr: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise ConfigError(f"cannot parse expression: {exc}") from exc
 
     def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return float(node.value)
         if isinstance(node, ast.Name):
@@ -201,7 +198,7 @@ def eval_expression(expr: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             return np.abs(ev(node.args[0]))
         raise ConfigError(f"disallowed syntax in expression: {ast.dump(node)}")
 
-    return np.asarray(ev(tree), dtype=float)
+    return np.asarray(ev(tree.body), dtype=float)
 
 
 def save_snapshot(path, gf: GridFunction) -> None:

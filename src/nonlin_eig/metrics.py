@@ -46,13 +46,13 @@ def rayleigh_quotient(pair: FunctionalPair, u) -> float:
     return pair.energy_J(u) / Hu
 
 
-def dual_rayleigh_quotient(pair: FunctionalPair, zeta, v) -> float:
-    """R*(zeta) = J*(zeta) / H*(zeta), with J* evaluated through v in dJ*(zeta)."""
+def dual_rayleigh_quotient(pair: FunctionalPair, zeta, v, Jv) -> float:
+    """R*(zeta) = J*(zeta) / H*(zeta), J* through v in dJ*(zeta), Jv = J(v)."""
     nz = pair.dual_norm_H(zeta)
     if nz <= 0.0:
         raise ValueError("dual Rayleigh quotient undefined at zeta = 0")
     Hstar = nz ** pair.q / pair.q
-    return fenchel_conjugate_value(pair, zeta, v) / Hstar
+    return fenchel_conjugate_value(pair, zeta, v, Jv) / Hstar
 
 
 def cosine_similarity(pair: FunctionalPair, u, zeta) -> float:
@@ -64,16 +64,15 @@ def cosine_similarity(pair: FunctionalPair, u, zeta) -> float:
     return pair.pairing(zeta, u) / (nu * nz)
 
 
-def duality_gap(pair: FunctionalPair, u, zeta, v) -> float:
-    """g(u, zeta) = R(u)^(-1/p) - sign(J*(zeta)) |R*(zeta)|^(1/q).
+def duality_gap(pair: FunctionalPair, rq: float, dual_rq: float) -> float:
+    """g(u, zeta) = R(u)^(-1/p) - sign(J*(zeta)) |R*(zeta)|^(1/q) for
+    rq = R(u) and dual_rq = R*(zeta).
 
-    Requires v in dJ*(zeta).  Zero exactly at primal-dual eigenpairs when
-    zeta in dJ(u); for p-homogeneous J it equals (1-cosim) R^(-1/p).
+    Zero exactly at primal-dual eigenpairs when zeta in dJ(u); for
+    p-homogeneous J it equals (1-cosim) R^(-1/p).
     """
-    R = rayleigh_quotient(pair, u)
-    Rs = dual_rayleigh_quotient(pair, zeta, v)
-    return float(R ** (-1.0 / pair.p)
-                 - np.sign(Rs) * abs(Rs) ** (1.0 / pair.q))
+    return float(rq ** (-1.0 / pair.p)
+                 - np.sign(dual_rq) * abs(dual_rq) ** (1.0 / pair.q))
 
 
 def eigen_residual(pair: FunctionalPair, u, zeta=None) -> float:

@@ -43,15 +43,11 @@ below by one ulp, in random directions, raises their residuals from at
 most 6.2e-13 to 1.8e-9-5.2e-9.  Those iterates end under the floor; on the
 81 x 81 L-shape 29 of 30 solves stop on it, at 1.2e-10 to 6.5e-10.
 
-Measured on a 30-step p=1.5 inverse power run (the ex1 L-shape at
-h = 0.05, r = 0.2, tol_abs 1e-12, at most 150 Newton steps per solve): the
-halving step took 3157 Newton steps and 287224 CG iterations, and 14 of
-its 30 solves missed the tolerance (worst 1.3e-7).  The primal-dual step
-takes 302 Newton steps from u and 225 from the eigen-ray (CG 23504 and
-17633), where the inverse power method now starts for every p
-(eigensolvers.run_ipm), and every solve reaches the tolerance.  Forcing CG
-as well cut CG iterations to 9135 but took 358 Newton steps and left two
-solves above 1e-9, so forcing stays off below p = 2.
+On a 30-step p=1.5 inverse power run (the ex1 L-shape at h = 0.05,
+r = 0.2, tol_abs 1e-12) the halving step took 3157 Newton steps and left
+14 of 30 solves above the tolerance; the primal-dual step takes 225 from
+the eigen-ray and every solve converges.  Forcing CG as well took 358
+Newton steps and left two solves above 1e-9, so it stays off below p = 2.
 """
 
 from __future__ import annotations
@@ -145,13 +141,12 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     start at once when its residual is not finite.
 
     linear_solve(A, b) solves the system; by default CG runs to the
-    relative tolerance max(cg_tol, 0.01 * tol_abs / |b|_2), and CG calls
-    that do not converge are counted in the report's cg_unconverged.  On
-    the halving step (no flux) that default CG is forced: from the second
-    Newton step on its tolerance is raised to at least the Eisenstat-Walker
-    term eta = min(0.1, 0.9 (|b_k|_2 / |b_k-1|_2)^2) of the module
-    docstring.  Their safeguard max(eta, 0.9 eta_prev^2), taken only when
-    0.9 eta_prev^2 > 0.1, cannot fire under the cap 0.1 and is left out.
+    relative tolerance of the module docstring, and CG calls that do not
+    converge are counted in the report's cg_unconverged.  On the halving
+    step (no flux) that CG is forced by the module docstring's
+    Eisenstat-Walker term eta from the second Newton step on; their
+    safeguard max(eta, 0.9 eta_prev^2), taken only when 0.9 eta_prev^2 >
+    0.1, cannot fire under the cap 0.1 and is left out.
     """
     settings = settings or NewtonSettings()
     x = np.asarray(x0, dtype=float).copy()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.sparse.linalg
 
 from . import eigensolvers, metrics
 from .functional import SpdInstance, fenchel_conjugate_value
@@ -79,18 +80,24 @@ def spd_oracle_error(runs):
     return np.max([error(pair, lam) for pair, lam in runs])
 
 
+def duality_gap_at(pair, u):
+    """The duality gap g(u, dJ(u)), through u in dJ*(dJ(u))."""
+    Ju = pair.energy_J(u)
+    return metrics.duality_gap(pair, Ju / pair.H(u), metrics.dual_rayleigh_quotient(
+        pair, pair.subgrad_J(u), u, Ju))
+
+
 def gap_negativity(pair, fields):
     """Largest -g(u, dJ(u)); the duality gap is nonnegative and vanishes
     exactly at eigenvectors."""
-    return np.max([-metrics.duality_gap(pair, u, pair.subgrad_J(u), u) for u in fields])
+    return np.max([-duality_gap_at(pair, u) for u in fields])
 
 
 def gap_formula_defect(pair, fields):
     """Worst relative disagreement of g(u, dJ(u)) with (1 - cosim) R^(-1/p)."""
     def defect(u):
-        zeta = pair.subgrad_J(u)
-        g = metrics.duality_gap(pair, u, zeta, u)
-        alt = (1.0 - metrics.cosine_similarity(pair, u, zeta)) \
+        g = duality_gap_at(pair, u)
+        alt = (1.0 - metrics.cosine_similarity(pair, u, pair.subgrad_J(u))) \
             * metrics.rayleigh_quotient(pair, u) ** (-1.0 / pair.p)
         return abs(g - alt) / max(abs(g), 1e-300)
     return np.max(list(map(defect, fields)))
@@ -110,7 +117,7 @@ def eigenvalue_relation_defect(pair, fields):
         lam = metrics.rayleigh_quotient(pair, u)
         zeta = pair.subgrad_J(u)
         v, _ = pair.inverse_subgrad_J(zeta, warm_start=u)
-        mu = metrics.dual_rayleigh_quotient(pair, zeta, v)
+        mu = metrics.dual_rayleigh_quotient(pair, zeta, v, pair.energy_J(v))
         return abs(mu - lam ** (1.0 - pair.q)) / abs(mu)
     return np.max(list(map(defect, fields)))
 
@@ -120,15 +127,16 @@ def fenchel_young_defect(pair, us, ws):
     def excess(u, w):
         zeta = pair.subgrad_J(w)
         lhs = pair.pairing(zeta, u)
-        rhs = pair.energy_J(u) + fenchel_conjugate_value(pair, zeta, w)
+        rhs = pair.energy_J(u) + fenchel_conjugate_value(pair, zeta, w,
+                                                         pair.energy_J(w))
         return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
     return np.max(list(map(excess, us, ws)))
 
 
-def fenchel_route_defect(pair, zeta, v):
-    """Relative disagreement of J*(zeta) = <zeta, v> - J(v) with the Euler
+def fenchel_route_defect(pair, zeta, v, Jv):
+    """Relative disagreement of J*(zeta) = <zeta, v> - Jv with the Euler
     route <zeta, v> / q, for zeta in dJ(v); 0 when both are below 1e-14."""
-    val = fenchel_conjugate_value(pair, zeta, v)
+    val = fenchel_conjugate_value(pair, zeta, v, Jv)
     alt = pair.pairing(zeta, v) / pair.q
     if abs(val) <= 1e-14 and abs(alt) <= 1e-14:
         return 0.0
@@ -139,6 +147,18 @@ def growth_ratio(pair, samples):
     """min J(u) / H(u) over the nonzero samples: the coercivity constant
     lambda* in H(u) <= J(u) / lambda* is at most this value."""
     return np.min([pair.energy_J(u) / pair.H(u) for u in samples if pair.H(u) > 0.0])
+
+
+def p2_oracle(inst):
+    """(lambda, eigenvector) of the least eigenvalue of a p = 2 instance's
+    operator M: shift-invert Lanczos from the fixed v0 = 1 (bit-repeatable)
+    on SuperLU's MMD_AT_PLUS_A factor, much faster than eigsh's COLAMD."""
+    M = inst.jacobian_matrix(np.zeros(inst.n_interior)).tocsc()
+    solve = scipy.sparse.linalg.splu(M, permc_spec="MMD_AT_PLUS_A").solve
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        M, k=1, sigma=0, v0=np.ones(M.shape[0]),
+        OPinv=scipy.sparse.linalg.LinearOperator(M.shape, matvec=solve))
+    return float(vals[0]), vecs[:, 0]
 
 
 def _desk(measure, p=3.0, n=21, count=10, seed=0):

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from nonlin_eig import metrics, validation
 from nonlin_eig.eigensolvers import (run_balanced_ipm, run_geometric,
@@ -39,9 +38,9 @@ def checking_fenchel_routes(defects):
     inside the dual Rayleigh quotient, without changing its value."""
     original = metrics.fenchel_conjugate_value
 
-    def checked(pair, zeta, v):
-        defects.append(validation.fenchel_route_defect(pair, zeta, v))
-        return original(pair, zeta, v)
+    def checked(pair, zeta, v, Jv):
+        defects.append(validation.fenchel_route_defect(pair, zeta, v, Jv))
+        return original(pair, zeta, v, Jv)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "fenchel_conjugate_value", checked)
@@ -103,21 +102,16 @@ def ex1_sweep(fenchel_routes):
 @pytest.fixture(scope="module")
 def square_p2_anchor(fenchel_routes):
     """p=2 runs on (-1,1)^2 at h=0.025 with the operator's smallest
-    eigenvalue from shift-invert Lanczos (eigsh, sigma=0, started from a
-    fixed vector so that the oracle repeats bit for bit): one at the wide
-    radius r=0.2 (solver-vs-oracle check) and one at r=0.125 where the
-    discretization error is small enough for the continuum anchor."""
+    eigenvalue from `validation.p2_oracle`: one at the wide radius r=0.2
+    (solver-vs-oracle check) and one at r=0.125 where the discretization
+    error is small enough for the continuum anchor."""
     out = {}
     for r in (0.2, 0.125):
         inst = _grid_instance("square", 0.025, r, 2.0)
         u0 = eval_initial_guess("ex1", inst.domain).values
         with checking_fenchel_routes(fenchel_routes):
             trace = run_ipm(inst, u0, 40)
-        M = inst.hess_J_matrix(np.zeros((inst.domain.ny, inst.domain.nx)))
-        lam_oracle = float(scipy.sparse.linalg.eigsh(
-            M, k=1, sigma=0, v0=np.ones(M.shape[0]),
-            return_eigenvectors=False)[0])
-        out[r] = (inst, trace, lam_oracle)
+        out[r] = (inst, trace, validation.p2_oracle(inst)[0])
     return out
 
 
@@ -181,7 +175,7 @@ def test_criterion_03_duality_gap_roots(ex1_sweep):
     inst, trace = ex1_sweep[3.0]
     gap0 = trace.records[0].gap
     u = trace.final_u
-    gap_final = metrics.duality_gap(inst, u, inst.subgrad_J(u), u)
+    gap_final = validation.duality_gap_at(inst, u)
     res_final = metrics.eigen_residual(inst, u)
     print(f"\n[criterion 3] PASS: gap at start {gap0:.2e} (>1e-2), gap at "
           f"final iterate {gap_final:.2e} (<=1e-5), eigen-residual "

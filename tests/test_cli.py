@@ -137,6 +137,10 @@ class TestRun:
         ("problem", "r_rule", "consistency"),
         ("problem", "r_rule", {"type": "h_pow"}),
         ("problem", "r_rule", {"type": "h_pow", "exponent": 0}),
+        # a string ended in a traceback, -1 ran and reported unconverged
+        ("solver", "residual_tol", "abc"),
+        ("solver", "residual_tol", -1),
+        ("solver", "residual_tol", 0),
     ])
     def test_invalid_value_exits_1(self, tmp_path, capsys, section, key, value):
         raw = {
@@ -151,6 +155,21 @@ class TestRun:
         assert main(["run", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{section}.{key}" in err
+
+    @pytest.mark.parametrize("kind", ["balanced", "geometric"])
+    def test_residual_tol_of_other_schemes_exits_1(self, tmp_path, capsys,
+                                                   kind):
+        # these schemes have no residual stop test; a run once ignored it
+        cfg = write_config(tmp_path / "tol.json", {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.2, "r": 0.45, "p": 3.0},
+            "solver": {"kind": kind, "iters": 2, "residual_tol": 0.5},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "solver.residual_tol" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_r_rule_exits_1(self, tmp_path, capsys):
         # "r" sets a fixed radius; there is no r_rule type for it

@@ -16,7 +16,8 @@ from nonlin_eig.functional import SpdInstance, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
-from nonlin_eig.validation import dual_rq_decrease
+from nonlin_eig.validation import (dual_rq_decrease, duality_gap_at,
+                                   p2_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -162,8 +163,8 @@ def test_eigen_residual_once_per_step(spd, monkeypatch, run):
     monkeypatch.setattr(metrics, "eigen_residual", counted)
     trace = run(spd, u0, residual_tol=1e-300)
     assert trace.stop_reason == "max_iter"
-    # the start and the stop test after each of the 6 steps, which the
-    # final trace reuses
+    # one per iterate: the start and each of the 6 steps, read by the
+    # record, the stop test and the final trace alike
     assert calls[0] == 6 + 1
     assert [r.residual for r in trace.records] \
         == [r.residual for r in plain.records]
@@ -226,30 +227,47 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
     assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
 
 
-@pytest.mark.parametrize("run", [
-    lambda inst, u0: run_ipm(inst, u0, 3),
-    lambda inst, u0: run_balanced_ipm(inst, u0, 3),
-], ids=["ipm", "balanced"])
-def test_step_reads_the_records_r(square11, monkeypatch, run):
-    # R(u^k) is evaluated once per step for the record and the step's ray
-    # start, once more inside the record's duality gap, and once for the
-    # final eigenvalue
-    calls = [0]
-    original = metrics.rayleigh_quotient
-
-    def counted(pair, u):
-        calls[0] += 1
-        return original(pair, u)
-
-    monkeypatch.setattr(metrics, "rayleigh_quotient", counted)
-    trace = run(square11, eval_initial_guess("ex2", square11.domain).values)
-    assert calls[0] == 2 * len(trace.records) + 1
-
-
 @pytest.fixture(scope="module")
 def square11():
     dom = build_domain("square", 2.0, 0.2)
     return PLaplaceInstance(dom, build_stencil(dom, 0.45, 3.0), 3.0)
+
+
+@pytest.mark.parametrize("run,start", [
+    (lambda inst, u0, cb: run_ipm(inst, u0, 4, residual_tol=1e-300,
+                                  snapshot_cb=cb), "ex1"),
+    (lambda inst, u0, cb: run_ppm(inst, u0, 0.5, 4, snapshot_cb=cb), "ex1"),
+    (lambda inst, u0, cb: run_balanced_ipm(inst, u0, 3, snapshot_cb=cb),
+     "ex2"),
+    (lambda inst, u0, cb: run_geometric(inst, u0, 25, snapshot_cb=cb),
+     "ex1"),
+], ids=["ipm", "ppm", "balanced", "geometric"])
+def test_each_iterate_evaluated_once(square11, monkeypatch, run, start):
+    # J(u^k) and dJ(u^k) are evaluated once per iterate u^k, for its record,
+    # the step, the residual_tol stop test and the final eigenpair alike;
+    # calls are matched to the iterate objects themselves, since a step's
+    # own candidates may equal the next iterate bit for bit
+    calls = {"energy_J": [], "subgrad_J": []}
+    for name, seen in calls.items():
+        def counted(self, u, original=getattr(PLaplaceInstance, name),
+                    seen=seen):
+            seen.append(u)
+            return original(self, u)
+        monkeypatch.setattr(PLaplaceInstance, name, counted)
+    starts = []  # the normalized start u^0 is _normalize's first result
+    normalize = eigensolvers._normalize
+    monkeypatch.setattr(eigensolvers, "_normalize", lambda pair, u: (
+        starts.append(normalize(pair, u)) or starts[-1]))
+    snapshots = []
+    trace = run(square11, eval_initial_guess(start, square11.domain).values,
+                lambda k, u: snapshots.append(u))
+    iterates = starts[:1] + snapshots
+    assert trace.final_u is iterates[-1] and len(iterates) > 2
+    for name, seen in calls.items():
+        counts = [sum(arg is u for arg in seen) for u in iterates]
+        if trace.solver_tag == "ppm" and name == "energy_J":
+            counts[-1] -= 1  # the eigenvalue recovery after the loop
+        assert counts == [1] * len(iterates), name
 
 
 @pytest.mark.parametrize("run,start", [
@@ -279,7 +297,7 @@ def test_records_hold_metrics_of_each_iterate(square11, run, start):
         assert rec.k == k
         assert rec.rq == metrics.rayleigh_quotient(square11, u)
         assert rec.cosim == metrics.cosine_similarity(square11, u, zJ)
-        assert rec.gap == metrics.duality_gap(square11, u, zJ, u)
+        assert rec.gap == duality_gap_at(square11, u)
         assert rec.residual == metrics.eigen_residual(square11, u)
 
 
@@ -303,10 +321,9 @@ class TestIpm:
     def test_lambda_histories_agree(self, small_grid):
         u0 = eval_initial_guess("ex1", small_grid.domain).values
         trace = run_ipm(small_grid, u0, 15)
-        lam_rq = trace.extras["lambda_rq"]
         lam_half = trace.extras["lambda_half_step"]
         # R(u^k) and |v^k|^{1-p} both converge to the eigenvalue
-        assert lam_rq[-1] == pytest.approx(lam_half[-1], rel=1e-6)
+        assert trace.records[-1].rq == pytest.approx(lam_half[-1], rel=1e-6)
 
     def test_inner_residuals_recorded(self, small_grid):
         u0 = eval_initial_guess("ex1", small_grid.domain).values
@@ -319,10 +336,8 @@ class TestIpm:
     def test_ray_start_solves_p2_eigenvector(self, shape, h, r):
         dom = build_domain(shape, 2.0, h)
         inst = PLaplaceInstance(dom, build_stencil(dom, r, 2.0), 2.0)
-        M = inst.jacobian_matrix(np.zeros((dom.ny, dom.nx)))
-        _, vec = scipy.sparse.linalg.eigsh(M, k=1, sigma=0,
-                                           v0=np.ones(M.shape[0]))
-        u = vec[:, 0] / inst.norm_H(vec[:, 0])
+        _, vec = p2_oracle(inst)
+        u = vec / inst.norm_H(vec)
         zeta = inst.duality_map_H(u)
         start = ray_start(inst, u, metrics.rayleigh_quotient(inst, u))
         _, rep = newton.solve_p_poisson(inst, zeta, start)

@@ -95,16 +95,19 @@ class TestHomogeneityIdentities:
 
 class TestFenchelConjugate:
     def test_spd_example(self, diag_pair):
-        val = fenchel_conjugate_value(diag_pair, np.array([2.0, 0.0]),
-                                      np.array([1.0, 0.0]))
+        v = np.array([1.0, 0.0])
+        val = fenchel_conjugate_value(diag_pair, np.array([2.0, 0.0]), v,
+                                      diag_pair.energy_J(v))
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_origin(self, diag_pair):
-        assert fenchel_conjugate_value(diag_pair, np.zeros(2), np.zeros(2)) == 0.0
+        assert fenchel_conjugate_value(diag_pair, np.zeros(2), np.zeros(2),
+                                       0.0) == 0.0
 
     def test_two_routes_agree_on_grid(self, grid_pair):
         for u in random_fields(grid_pair, 5, seed=6):
-            assert fenchel_route_defect(grid_pair, grid_pair.subgrad_J(u), u) <= 1e-8
+            assert fenchel_route_defect(grid_pair, grid_pair.subgrad_J(u), u,
+                                        grid_pair.energy_J(u)) <= 1e-8
 
     def test_fenchel_young_inequality(self, grid_pair):
         fields = random_fields(grid_pair, 20, seed=7)
@@ -153,5 +156,5 @@ class TestSpdEigenpairDuality:
         pair = SpdInstance(np.diag([2.0, 5.0]))
         u = np.array([1.0, 0.0])
         zeta = pair.subgrad_J(u)
-        mu = dual_rayleigh_quotient(pair, zeta, u)
+        mu = dual_rayleigh_quotient(pair, zeta, u, pair.energy_J(u))
         assert mu == pytest.approx(0.5, abs=1e-10)

@@ -38,7 +38,8 @@ class TestRayleighQuotients:
         u = np.array([1.0, 0.0])
         zeta = spd.subgrad_J(u)
         v, _ = spd.inverse_subgrad_J(zeta)
-        assert dual_rayleigh_quotient(spd, zeta, v) == pytest.approx(0.5, abs=1e-12)
+        assert dual_rayleigh_quotient(spd, zeta, v, spd.energy_J(v)) \
+            == pytest.approx(0.5, abs=1e-12)
 
     def test_dual_rq_two_routes_on_grid(self, grid):
         u = eval_initial_guess("ex1", grid.domain).values
@@ -46,7 +47,7 @@ class TestRayleighQuotients:
         zeta = grid.duality_map_H(u)
         v, rep = grid.inverse_subgrad_J(zeta)
         assert rep.converged
-        mu = dual_rayleigh_quotient(grid, zeta, v)
+        mu = dual_rayleigh_quotient(grid, zeta, v, grid.energy_J(v))
         # J*(zeta) = <zeta, v> / q for q-homogeneous conjugates
         Jstar = grid.pairing(zeta, v) / grid.q
         Hstar = grid.dual_norm_H(zeta) ** grid.q / grid.q
@@ -84,7 +85,8 @@ class TestDualityGap:
         u = np.array([1.0, 0.0])
         zeta = spd.subgrad_J(u)
         v, _ = spd.inverse_subgrad_J(zeta)
-        assert abs(duality_gap(spd, u, zeta, v)) <= 1e-12
+        mu = dual_rayleigh_quotient(spd, zeta, v, spd.energy_J(v))
+        assert abs(duality_gap(spd, rayleigh_quotient(spd, u), mu)) <= 1e-12
 
     def test_grid_formula_agreement(self, grid):
         fields = random_fields(grid, 10, seed=1)
