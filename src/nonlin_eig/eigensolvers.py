@@ -44,7 +44,8 @@ TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
 SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
 N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
-POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12)  # the geometric polish
+POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12, cg_tol=1e-13,
+                        cg_max_iter=200)  # the geometric polish
 
 
 @dataclass
@@ -385,19 +386,22 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     norms at u and z.  A step screens the ladder TAU0 2^-j (LADDER_LEN
     rungs) with the cheap fixed-point sweep, stopping once a sweep halves
     F, then polishes once with damped Newton (settings POLISH) from the
-    lowest sweep at its tau: a polish costs up to 12 sparse LU solves, so
-    polishing every rung spent nearly the whole run on polishes the sweeps
-    then beat.  Sweeps and the polish are line-search candidates (for large
-    tau the equation may have no solution, leaving only the partially
-    resolved iterate).  The lowest F after normalization is accepted if it
-    drops by the SUFFICIENT_DECREASE fraction; otherwise the scheme reports
-    a stall, which at a non-eigenvector extremum of the cosine similarity
-    leaves a large eigen-residual behind.  extras["candidate"] names each
-    accepted step's winner, "sweep" or "polish".  The step reports its
-    polish, counting the winner's sweeps and polish steps (0 on a stall).
+    lowest sweep at its tau: a polish costs up to 12 linear solves
+    (polish_solve), so polishing every rung spent nearly the whole run on
+    polishes the sweeps then beat.  Sweeps and the polish are line-search
+    candidates (for large tau the equation may have no solution, leaving
+    only the partially resolved iterate).  The lowest F after normalization
+    is accepted if it drops by the SUFFICIENT_DECREASE fraction; otherwise
+    the scheme reports a stall, which at a non-eigenvector extremum of the
+    cosine similarity leaves a large eigen-residual behind.
+    extras["candidate"] names each accepted step's winner, "sweep" or
+    "polish", and extras["polish_direct_solves"] each step's polish systems
+    that went to an LU factorization.  The step reports its polish, with
+    the CG work of its linear solves, counting the winner's sweeps and
+    polish steps (0 on a stall).
     """
     p, q = pair.p, pair.q
-    F_hist, tau_hist, winners = [], [], []
+    F_hist, tau_hist, winners, direct = [], [], [], []
 
     def normalized_F(x):  # (F of x normalized, x)
         try:
@@ -418,10 +422,11 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         F_hist.append(F_u)
 
         explicit = cos * E / D
+        first = power_map(_implicit_rhs(pair, zeta, explicit, D), q)
         seed_F, seed = np.inf, None  # the lowest finite sweep
         for j in range(LADDER_LEN):
             tau = TAU0 * 0.5 ** j
-            sweep = _sweep(pair, u, tau, explicit, D)
+            sweep = _sweep(pair, u, tau, explicit, D, first)
             F_w, w = normalized_F(sweep[0]) if sweep else (np.nan, None)
             if np.isfinite(F_w) and F_w < seed_F:
                 seed_F, seed = F_w, (w, tau, *sweep)
@@ -439,52 +444,96 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
                 best = (F_w, w, tau, sweeps + report.iterations, "polish")
         best_F, best_w, best_tau, best_n, best_kind = best
         tau_hist.append(best_tau or 0.0)
+        direct.append(report.direct_solves)
         if best_w is None or best_F > (1.0 - SUFFICIENT_DECREASE) * F_u:
             return None, None, replace(report, iterations=0)
         winners.append(best_kind)
         return best_w, None, replace(report, iterations=best_n)
 
-    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners}
+    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners,
+              "polish_direct_solves": direct}
     return _iterate(pair, u0, iters, step, "geometric", extras,
                     snapshot_cb=snapshot_cb)
 
 
-def _implicit_rhs(pair, x, explicit, D):
-    """Right-hand side of the semi-implicit step at x."""
-    return pair.p * pair.subgrad_J(x) / D - explicit
+def _implicit_rhs(pair, zx, explicit, D):
+    """Right-hand side of the semi-implicit step at x, for zx = dJ(x)."""
+    return pair.p * zx / D - explicit
 
 
-def _sweep(pair, u, tau, explicit, D):
+def _sweep(pair, u, tau, explicit, D, first):
     """Fixed-point sweep x <- u + tau rhs(x)^(q-1) of the semi-implicit
-    step from x = u (its first pass is the explicit step), N_SWEEPS times
-    or until the next iterate overflows; (x, sweeps done), or None if none
-    is finite."""
-    x = u.copy()
-    sweeps = 0
+    step from x = u, N_SWEEPS times or until the next iterate overflows;
+    (x, sweeps done), or None if none is finite.  first is rhs(u)^(q-1),
+    the same on every rung of the ladder, so the first pass (the explicit
+    step) evaluates no dJ."""
+    x, sweeps, direction = u, 0, first
     for _ in range(N_SWEEPS):
-        xn = u + tau * power_map(_implicit_rhs(pair, x, explicit, D), pair.q)
+        xn = u + tau * direction
         if not np.all(np.isfinite(xn)):
             break
         x = xn
         sweeps += 1
+        if sweeps < N_SWEEPS:
+            direction = power_map(
+                _implicit_rhs(pair, pair.subgrad_J(x), explicit, D), pair.q)
     return (x, sweeps) if sweeps else None
 
 
-def _polish(pair, u, tau, explicit, D, x, settings):
-    """Damped Newton polish of the sweep result x at step size tau.
+def polish_solve(M, b, settings: NewtonSettings):
+    """Solve a Newton system M delta = b of the geometric polish; returns
+    (delta, a SolveReport of its CG iterations, failed CG attempts and LU
+    solves).
 
-    Returns (x, the Newton report), x None and the report unconverged when
-    the sweep's residual is not finite or a solve fails (a singular system
-    gives NaN from SuperLU or LinAlgError from the dense solve).  The p != 2
-    kernel degenerates where the nodewise step is small and for large tau
-    the equation may have no solution, so Newton may not converge; the
-    caller's line search arbitrates.  The system diag - (p/D) H is
-    symmetric but often indefinite, which rules out CG; SuperLU factors it
-    under the minimum-degree ordering MMD_AT_PLUS_A, faster than COLAMD here.
+    M = diag - (p/D) H is symmetric but often indefinite, so CG cannot be
+    trusted with it alone.  Where M is sparse and its diagonal has one sign
+    sigma, Jacobi-PCG (cg_solve to settings.cg_tol within
+    settings.cg_budget) runs on sigma M, and its delta is taken only if CG
+    converged and the recomputed |M delta - b|_2 is <= 1e-12 |b|_2.
+    Otherwise SuperLU factors M under the minimum-degree ordering
+    MMD_AT_PLUS_A, faster than COLAMD here; a dense M goes to LAPACK.  On
+    the 51x51 square, p = 3, from the ex2 start, CG solves all 24 polish
+    systems in 30-41 iterations (9-16 ms) each, the indefinite ones of the
+    second step (eigenvalues -2.15e5 to 1.28e4) too, to true residuals of
+    at most 7.3e-14 relative and within 1.9e-12 of SuperLU's delta, which
+    takes 65-109 ms a system.  The budget of 200 iterations hands systems
+    on which CG is slower than the LU, such as the 19x19 p = 2 ones
+    (347-747 iterations), to SuperLU.
+    """
+    if not scipy.sparse.issparse(M):
+        return np.linalg.solve(M, b), SolveReport(direct_solves=1)
+    diag = M.diagonal()
+    sign = 1.0 if diag[0] > 0.0 else -1.0
+    cg_iters = cg_failed = 0
+    if np.all(sign * diag > 0.0):
+        cg = cg_solve(sign * M, sign * b, settings.cg_tol,
+                      settings.cg_budget(b.size))
+        delta, cg_iters = cg
+        if cg.converged and np.linalg.norm(M @ delta - b) \
+                <= 1e-12 * np.linalg.norm(b):
+            return delta, SolveReport(cg_iterations_total=cg_iters)
+        cg_failed = 1
+    delta = scipy.sparse.linalg.spsolve(M.tocsc(), b,
+                                        permc_spec="MMD_AT_PLUS_A")
+    return delta, SolveReport(cg_iterations_total=cg_iters,
+                              cg_unconverged=cg_failed, direct_solves=1)
+
+
+def _polish(pair, u, tau, explicit, D, x, settings):
+    """Damped Newton polish of the sweep result x at step size tau, each
+    Newton system solved by polish_solve.
+
+    Returns (x, the Newton report with the CG work and LU solves of its
+    linear solves), x None and the report unconverged when the sweep's
+    residual is not finite or a solve fails (a singular system gives NaN
+    from SuperLU or LinAlgError from the dense solve).  The p != 2 kernel
+    degenerates where the nodewise step is small and for large tau the
+    equation may have no solution, so Newton may not converge; the
+    caller's line search arbitrates.
     """
     def resid(xv):
         return pair.duality_map_H((xv - u) / tau) \
-            - _implicit_rhs(pair, xv, explicit, D)
+            - _implicit_rhs(pair, pair.subgrad_J(xv), explicit, D)
 
     def jacobian(xv):
         M_diag = pair.duality_map_H_prime((xv - u) / tau) / tau
@@ -493,18 +542,19 @@ def _polish(pair, u, tau, explicit, D, x, settings):
             return scipy.sparse.diags(M_diag) - (pair.p / D) * H
         return np.diag(M_diag) - (pair.p / D) * np.asarray(H)
 
-    def direct_solve(M, b):
-        if scipy.sparse.issparse(M):
-            delta = scipy.sparse.linalg.spsolve(M.tocsc(), b,
-                                                permc_spec="MMD_AT_PLUS_A")
-        else:
-            delta = np.linalg.solve(M, b)
+    solves = SolveReport()
+
+    def linear_solve(M, b):
+        nonlocal solves
+        delta, report = polish_solve(M, b, settings)
+        solves += report
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError("non-finite polish step")
         return delta
 
     try:
-        x, report = damped_newton(x, resid, jacobian, settings, direct_solve)
+        x, report = damped_newton(x, resid, jacobian, settings, linear_solve)
     except np.linalg.LinAlgError:
-        return None, SolveReport(final_residual=math.nan, converged=False)
-    return (x if np.isfinite(report.final_residual) else None), report
+        return None, replace(solves, final_residual=math.nan, converged=False)
+    return (x if np.isfinite(report.final_residual) else None), \
+        report + solves

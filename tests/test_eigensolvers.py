@@ -197,18 +197,23 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
     (lambda inst, u0: run_geometric(inst, u0, 3), "ex2"),
 ], ids=["ipm", "balanced", "ppm", "geometric"])
 def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
-    # every CG call, the balanced scheme's slope solves included; the
-    # geometric polish solves directly and makes none
-    calls = []
-    original = newton.cg_solve
+    # every CG call, the balanced scheme's slope solves and the geometric
+    # polish's CG attempts included; the polish lists its SuperLU solves
+    calls, lu_calls = [], [0]
+    original, spsolve = newton.cg_solve, scipy.sparse.linalg.spsolve
 
     def recording(A, b, rtol, maxiter):
         result = original(A, b, rtol, maxiter)
         calls.append((result[1], result.converged))
         return result
 
+    def counted(*args, **kwargs):
+        lu_calls[0] += 1
+        return spsolve(*args, **kwargs)
+
     monkeypatch.setattr(newton, "cg_solve", recording)
     monkeypatch.setattr(eigensolvers, "cg_solve", recording)
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
     trace = run(small_grid, eval_initial_guess(start, small_grid.domain).values)
     if trace.solver_tag == "ppm":
         # the eigenvalue recovery's prox solve after the loop is no step's:
@@ -222,9 +227,14 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
                         trace.extras["cg_unconverged"])
     assert len(cg_iters) == len(cg_bad) == len(trace.records) == 3
     assert len(trace.extras["inner_residuals"]) == 3
-    assert sum(cg_iters) == sum(it for it, _ in calls)
-    assert (sum(cg_iters) > 0) == (trace.solver_tag != "geometric")
+    assert sum(cg_iters) == sum(it for it, _ in calls) > 0
     assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
+    if trace.solver_tag == "geometric":
+        # the 19x19 p=3 polish systems need both solvers
+        direct = trace.extras["polish_direct_solves"]
+        assert len(direct) == 3 and sum(direct) == lu_calls[0] > 0
+    else:
+        assert lu_calls[0] == 0
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +562,9 @@ class TestGeometric:
     # the pairing summed over the interior nodes only instead of the
     # zero-padded lattice (before: 40.63222733667498, 40.73758720749166);
     # at p = 1.5 these trajectories follow the rounding of those sums.
+    # The square p = 4 ex2 and L-shape p = 3 ex2 values were recorded again
+    # once the polish solved its systems by verified CG where it can
+    # (before: 7371.741864248301, 861.8148330949883; winners unchanged).
     @pytest.mark.parametrize("shape,p,start,lam,n_records,winners", [
         ("square", 1.5, "ex1", 40.63224395922126, 3, "ss"),
         ("square", 1.5, "ex2", 40.69395557216665, 2, "s"),
@@ -560,7 +573,7 @@ class TestGeometric:
         ("square", 3, "ex1", 869.1100304324036, 2, "p"),
         ("square", 3, "ex2", 885.8575735660813, 7, "psssss"),
         ("square", 4, "ex1", 7476.541940244013, 2, "s"),
-        ("square", 4, "ex2", 7371.741864248301, 5, "ppss"),
+        ("square", 4, "ex2", 7371.741864239004, 5, "ppss"),
         ("square", 5, "ex1", 60741.46862433419, 2, "s"),
         ("square", 5, "ex2", 58899.63690247838, 2, "p"),
         ("lshape", 1.5, "ex1", 40.73758785771548, 2, "s"),
@@ -568,7 +581,7 @@ class TestGeometric:
         ("lshape", 2, "ex1", 101.10078751764041, 2, "s"),
         ("lshape", 2, "ex2", 98.04740781751401, 2, "s"),
         ("lshape", 3, "ex1", 853.0049718280575, 2, "s"),
-        ("lshape", 3, "ex2", 861.8148330949883, 7, "ppssss"),
+        ("lshape", 3, "ex2", 861.8148330323462, 7, "ppssss"),
         ("lshape", 4, "ex1", 7029.324334188518, 2, "s"),
         ("lshape", 4, "ex2", 7080.883278552417, 2, "p"),
         ("lshape", 5, "ex1", 56979.381280957896, 2, "s"),
@@ -588,16 +601,16 @@ class TestGeometric:
     @pytest.mark.parametrize("shape", ["square", "lshape"])
     def test_one_polish_per_step(self, shape, monkeypatch):
         # p=3 from ex2 on the 19x19 grids: 7 outer steps, each of which
-        # polishes once, the stalled one too, so it factors the polish
+        # polishes once, the stalled one too, so it solves the polish
         # system at least once and at most max_iter = 12 times
         calls = [0]
-        spsolve = scipy.sparse.linalg.spsolve
+        polish_solve = eigensolvers.polish_solve
 
         def counted(*args, **kwargs):
             calls[0] += 1
-            return spsolve(*args, **kwargs)
+            return polish_solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
+        monkeypatch.setattr(eigensolvers, "polish_solve", counted)
         dom = build_domain(shape, 2.0, 0.1)
         inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 3.0), 3.0)
         u0 = eval_initial_guess("ex2", dom).values
@@ -614,16 +627,93 @@ class TestGeometric:
         def broken_spsolve(*args, **kwargs):
             raise ValueError("factorization failed")
 
+        monkeypatch.setattr(eigensolvers, "cg_solve", failing_cg)
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken_spsolve)
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         with pytest.raises(ValueError, match="factorization failed"):
             run_geometric(small_grid, u0, 3)
 
 
+def failing_cg(A, b, rtol, maxiter):
+    """A CG that never converges: every polish system goes to SuperLU."""
+    return newton.CgResult(np.zeros_like(b), maxiter, False)
+
+
+class TestPolishSolve:
+    def test_workload_systems_take_cg(self, monkeypatch):
+        # the polish systems of the 51x51 p=3 square from the ex2 start,
+        # the second step's indefinite ones included, all pass CG's check
+        dom = build_domain("square", 2.0, 0.04)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.2, 3.0), 3.0)
+        systems = []
+        polish_solve = eigensolvers.polish_solve
+
+        def recording(M, b, settings):
+            result = polish_solve(M, b, settings)
+            systems.append((M, b, *result))
+            return result
+
+        monkeypatch.setattr(eigensolvers, "polish_solve", recording)
+        trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 2)
+        assert trace.extras["polish_direct_solves"] == [0, 0]
+        assert len(systems) == 24
+        for i, (M, b, delta, report) in enumerate(systems):
+            assert report.direct_solves == report.cg_unconverged == 0
+            assert 0 < report.cg_iterations_total <= 200
+            assert np.linalg.norm(M @ delta - b) <= 1e-12 * np.linalg.norm(b)
+            if i in (0, 11, 12, 23):  # the first and last of each polish
+                lu = scipy.sparse.linalg.spsolve(M.tocsc(), b,
+                                                 permc_spec="MMD_AT_PLUS_A")
+                assert np.linalg.norm(delta - lu) \
+                    <= 1e-10 * np.linalg.norm(lu)
+
+    @staticmethod
+    def mixed_sign_system():
+        M = scipy.sparse.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                              [1.0, -3.0, 1.0],
+                                              [0.0, 1.0, 4.0]]))
+        return M, np.array([1.0, 2.0, 3.0])
+
+    def test_mixed_sign_diagonal_goes_to_superlu(self, monkeypatch):
+        def no_cg(*args):
+            raise AssertionError("CG attempted")
+
+        monkeypatch.setattr(eigensolvers, "cg_solve", no_cg)
+        M, b = self.mixed_sign_system()
+        delta, report = eigensolvers.polish_solve(M, b, eigensolvers.POLISH)
+        assert np.allclose(M @ delta, b, rtol=0.0, atol=1e-14)
+        assert (report.direct_solves, report.cg_iterations_total,
+                report.cg_unconverged) == (1, 0, 0)
+
+    def test_unverified_cg_goes_to_superlu(self, monkeypatch):
+        # a CG that claims convergence at a residual far above the check
+        monkeypatch.setattr(eigensolvers, "cg_solve", lambda A, b, *args:
+                            newton.CgResult(1.001 * np.linalg.solve(
+                                A.toarray(), b), 7, True))
+        M = scipy.sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        b = np.array([1.0, 2.0])
+        delta, report = eigensolvers.polish_solve(-M, -b, eigensolvers.POLISH)
+        assert np.array_equal(delta, scipy.sparse.linalg.spsolve(
+            (-M).tocsc(), -b, permc_spec="MMD_AT_PLUS_A"))
+        assert (report.direct_solves, report.cg_iterations_total,
+                report.cg_unconverged) == (1, 7, 1)
+
+    def test_superlu_error_propagates(self, monkeypatch):
+        def broken_spsolve(*args, **kwargs):
+            raise ValueError("factorization failed")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken_spsolve)
+        M, b = self.mixed_sign_system()
+        with pytest.raises(ValueError, match="factorization failed"):
+            eigensolvers.polish_solve(M, b, eigensolvers.POLISH)
+
+
 # The geometric sweep and polish as they were written with the polish's
 # own backtracking Newton loop, before it ran on newton.damped_newton; kept
 # as the reference _sweep and _polish must reproduce bit for bit.  The
-# polish is counted as sweeps + the Newton steps that solved a system.
+# polish is counted as sweeps + the Newton steps that solved a system.  Its
+# systems go to the same eigensolvers.polish_solve, so the Newton loop is
+# checked bit for bit whichever solver that picks.
 def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
     p = pair.p
 
@@ -657,14 +747,12 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
         H = pair.hess_J_matrix(x)
         if scipy.sparse.issparse(H):
             M = scipy.sparse.diags(M_diag) - (p / D) * H
-            delta = scipy.sparse.linalg.spsolve(M.tocsc(), -G,
-                                                permc_spec="MMD_AT_PLUS_A")
         else:
             M = np.diag(M_diag) - (p / D) * np.asarray(H)
-            try:
-                delta = np.linalg.solve(M, -G)
-            except np.linalg.LinAlgError:
-                return
+        try:
+            delta = eigensolvers.polish_solve(M, -G, settings)[0]
+        except np.linalg.LinAlgError:
+            return
         if not np.all(np.isfinite(delta)):
             return
         steps += 1
@@ -685,7 +773,7 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
 
 
 LADDER = [2.0 * 0.5 ** j for j in range(12)]  # run_geometric's tau ladder
-POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12)  # and its settings
+POLISH = eigensolvers.POLISH  # and its settings
 
 
 def first_step(pair, u):
@@ -706,7 +794,10 @@ def first_step(pair, u):
 
 def candidates(pair, u, tau, explicit, D):
     """The sweep at tau, then its polish, as (vector, count) pairs."""
-    sweep = _sweep(pair, u, tau, explicit, D)
+    first = power_map(
+        eigensolvers._implicit_rhs(pair, pair.subgrad_J(u), explicit, D),
+        pair.q)
+    sweep = _sweep(pair, u, tau, explicit, D, first)
     if sweep is None:
         return []
     x, report = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
@@ -755,6 +846,7 @@ class TestPolishMatchesReference:
         assert_same_candidates(pair, u, tau, explicit, D, expect=2)
 
     def test_nan_step_drops_polish(self, small_grid, monkeypatch):
+        monkeypatch.setattr(eigensolvers, "cg_solve", failing_cg)
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                             lambda A, b, **kw: np.full(len(b), np.nan))
         u = eval_initial_guess("ex2", small_grid.domain).values

@@ -36,10 +36,10 @@ class TestSolveReport:
         a = SolveReport(iterations=3, final_residual=1e-13,
                         cg_iterations_total=40, cg_unconverged=1)
         b = SolveReport(iterations=2, final_residual=1e-9, converged=False,
-                        cg_iterations_total=7)
+                        cg_iterations_total=7, direct_solves=2)
         assert a + b == SolveReport(iterations=5, final_residual=1e-9,
                                     converged=False, cg_iterations_total=47,
-                                    cg_unconverged=1)
+                                    cg_unconverged=1, direct_solves=2)
         assert b + a == a + b
         assert a + SolveReport() == a
         total = SolveReport()
