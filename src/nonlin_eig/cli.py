@@ -36,14 +36,10 @@ def _run_solver(pair, u0, cfg: ExperimentConfig, snapshot_cb):
                                     residual_tol=residual_tol,
                                     snapshot_cb=snapshot_cb)
     if kind == "balanced":
-        if not isinstance(pair, PLaplaceInstance):
-            raise ConfigError("balanced solver requires a plaplace problem")
         return eigensolvers.run_balanced_ipm(pair, u0, iters, cfg.newton,
                                              snapshot_cb=snapshot_cb)
-    if kind == "geometric":
-        return eigensolvers.run_geometric(pair, u0, iters,
-                                          snapshot_cb=snapshot_cb)
-    raise ConfigError(f"unknown solver {kind!r}")
+    return eigensolvers.run_geometric(pair, u0, iters,
+                                      snapshot_cb=snapshot_cb)
 
 
 def cmd_run(args) -> int:

@@ -79,6 +79,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(_number(iters, int) and iters >= 1, "solver.iters must be an integer >= 1")
     _require(solver["kind"] in ("ipm", "ppm") or "residual_tol" not in solver,
              "solver.residual_tol applies to ipm and ppm only")
+    _require(solver["kind"] != "balanced" or kind == "plaplace",
+             "solver.kind balanced needs a plaplace problem")
     tol = solver.get("residual_tol", 1.0)
     _require(_number(tol) and tol > 0, "solver.residual_tol must be a positive number")
     if solver.get("kind") == "ppm" or "tau" in solver:

@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .functional import FunctionalPair, SolveReport, power_map
+from .functional import (FunctionalPair, SolveReport,
+                         fenchel_conjugate_value, power_map)
 from .newton import (NewtonSettings, cg_solve, damped_newton,
                      solve_p_poisson)
 from . import metrics
@@ -173,7 +174,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     def moreau_data(u_cur, v_cur, Ju):
         eta = pair.duality_map_H(u_cur - v_cur) / tau
         Jv = pair.energy_J(v_cur)
-        Jstar = pair.pairing(eta, v_cur) - Jv
+        Jstar = fenchel_conjugate_value(pair, eta, v_cur, Jv)
         Hstar = pair.dual_norm_H(eta) ** q / q
         rstar_tau = Jstar / (tau ** (q - 1.0) * Hstar + Jstar)
         J_tau = pair.H(v_cur - u_cur) / tau + Jv
@@ -316,7 +317,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         zeta = inst.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        report, n_solves = SolveReport(), 0
+        report = SolveReport()
         cache: dict[float, np.ndarray] = {}  # s -> solve w
         parts = None  # the two parts of the latest solve
         tangent = None  # (s, w, dw/ds) of the latest solve, with a slope
@@ -325,7 +326,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         def defect(s):
             # missing positive part -> need larger s (treat as huge positive
             # defect); missing negative part -> huge negative defect
-            nonlocal report, n_solves, parts, tangent
+            nonlocal report, parts, tangent
             if tangent is not None:
                 t_s, t_w, t_dw = tangent
                 start = t_w + (s - t_s) * t_dw
@@ -335,7 +336,6 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
             tangent = None
             w, rep = solve_p_poisson(inst, s * zp - zm, start, settings)
             report += rep
-            n_solves += 1
             cache[s] = w
             parts = pp, pm = _part(inst, w, 1.0), _part(inst, w, -1.0)
             if pp is None and pm is None:
@@ -365,7 +365,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         w = cache[s_root]
         roots.append(s_root)
         defects.append(abs(phi))
-        solves.append(n_solves)
+        solves.append(len(cache))
         stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
         return (None if stalled else w), None, report
 
@@ -403,12 +403,12 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     p, q = pair.p, pair.q
     F_hist, tau_hist, winners, direct = [], [], [], []
 
-    def normalized_F(x):  # (F of x normalized, x)
+    def normalized_F(x):  # F of x normalized
         try:
             w = _normalize(pair, x)
         except ValueError:
-            return np.nan, None
-        return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w)), x
+            return np.nan
+        return 1.0 - metrics.cosine_similarity(pair, w, pair.subgrad_J(w))
 
     def step(k, u, rq, Ju, zeta):
         nu = pair.norm_H(u)
@@ -427,21 +427,21 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         for j in range(LADDER_LEN):
             tau = TAU0 * 0.5 ** j
             sweep = _sweep(pair, u, tau, explicit, D, first)
-            F_w, w = normalized_F(sweep[0]) if sweep else (np.nan, None)
+            F_w = normalized_F(sweep[0]) if sweep else np.nan
             if np.isfinite(F_w) and F_w < seed_F:
-                seed_F, seed = F_w, (w, tau, *sweep)
+                seed_F, seed = F_w, (tau, *sweep)
             if seed_F < F_u and seed_F <= 0.5 * F_u:
                 break
         best = (F_u, None, None, 0, None)  # F, w, tau, count, kind
         report = SolveReport()
         if seed is not None:
-            w, tau, x, sweeps = seed
+            tau, x, sweeps = seed
             if seed_F < F_u:
-                best = (seed_F, w, tau, sweeps, "sweep")
+                best = (seed_F, x, tau, sweeps, "sweep")
             x, report = _polish(pair, u, tau, explicit, D, x, POLISH)
-            F_w, w = normalized_F(x) if x is not None else (np.nan, None)
+            F_w = normalized_F(x) if x is not None else np.nan
             if np.isfinite(F_w) and F_w < best[0]:
-                best = (F_w, w, tau, sweeps + report.iterations, "polish")
+                best = (F_w, x, tau, sweeps + report.iterations, "polish")
         best_F, best_w, best_tau, best_n, best_kind = best
         tau_hist.append(best_tau or 0.0)
         direct.append(report.direct_solves)
@@ -485,23 +485,21 @@ def polish_solve(M, b, settings: NewtonSettings):
     (delta, a SolveReport of its CG iterations, failed CG attempts and LU
     solves).
 
-    M = diag - (p/D) H is symmetric but often indefinite, so CG cannot be
-    trusted with it alone.  Where M is sparse and its diagonal has one sign
+    M = diag - (p/D) H is sparse and symmetric but often indefinite, so CG
+    cannot be trusted with it alone.  Where its diagonal has one sign
     sigma, Jacobi-PCG (cg_solve to settings.cg_tol within
     settings.cg_budget) runs on sigma M, and its delta is taken only if CG
     converged and the recomputed |M delta - b|_2 is <= 1e-12 |b|_2.
     Otherwise SuperLU factors M under the minimum-degree ordering
-    MMD_AT_PLUS_A, faster than COLAMD here; a dense M goes to LAPACK.  On
-    the 51x51 square, p = 3, from the ex2 start, CG solves all 24 polish
-    systems in 30-41 iterations (9-16 ms) each, the indefinite ones of the
-    second step (eigenvalues -2.15e5 to 1.28e4) too, to true residuals of
-    at most 7.3e-14 relative and within 1.9e-12 of SuperLU's delta, which
-    takes 65-109 ms a system.  The budget of 200 iterations hands systems
-    on which CG is slower than the LU, such as the 19x19 p = 2 ones
-    (347-747 iterations), to SuperLU.
+    MMD_AT_PLUS_A, faster than COLAMD here.  On the 51x51 square, p = 3,
+    from the ex2 start, CG solves all 24 polish systems in 30-41
+    iterations (9-16 ms) each, the indefinite ones of the second step
+    (eigenvalues -2.15e5 to 1.28e4) too, to true residuals of at most
+    7.3e-14 relative and within 1.9e-12 of SuperLU's delta, which takes
+    65-109 ms a system.  The budget of 200 iterations hands systems on
+    which CG is slower than the LU, such as the 19x19 p = 2 ones (347-747
+    iterations), to SuperLU.
     """
-    if not scipy.sparse.issparse(M):
-        return np.linalg.solve(M, b), SolveReport(direct_solves=1)
     diag = M.diagonal()
     sign = 1.0 if diag[0] > 0.0 else -1.0
     cg_iters = cg_failed = 0
@@ -524,12 +522,12 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     Newton system solved by polish_solve.
 
     Returns (x, the Newton report with the CG work and LU solves of its
-    linear solves), x None and the report unconverged when the sweep's
-    residual is not finite or a solve fails (a singular system gives NaN
-    from SuperLU or LinAlgError from the dense solve).  The p != 2 kernel
-    degenerates where the nodewise step is small and for large tau the
-    equation may have no solution, so Newton may not converge; the
-    caller's line search arbitrates.
+    linear solves), x None when the report's residual is not finite: the
+    sweep's residual is not, or a solve gave a non-finite step (SuperLU
+    gives NaN on a singular system).  The p != 2 kernel degenerates where
+    the nodewise step is small and for large tau the equation may have no
+    solution, so Newton may not converge; the caller's line search
+    arbitrates.
     """
     def resid(xv):
         return pair.duality_map_H((xv - u) / tau) \
@@ -537,24 +535,9 @@ def _polish(pair, u, tau, explicit, D, x, settings):
 
     def jacobian(xv):
         M_diag = pair.duality_map_H_prime((xv - u) / tau) / tau
-        H = pair.hess_J_matrix(xv)
-        if scipy.sparse.issparse(H):
-            return scipy.sparse.diags(M_diag) - (pair.p / D) * H
-        return np.diag(M_diag) - (pair.p / D) * np.asarray(H)
+        return scipy.sparse.diags(M_diag) \
+            - (pair.p / D) * pair.hess_J_matrix(xv)
 
-    solves = SolveReport()
-
-    def linear_solve(M, b):
-        nonlocal solves
-        delta, report = polish_solve(M, b, settings)
-        solves += report
-        if not np.all(np.isfinite(delta)):
-            raise np.linalg.LinAlgError("non-finite polish step")
-        return delta
-
-    try:
-        x, report = damped_newton(x, resid, jacobian, settings, linear_solve)
-    except np.linalg.LinAlgError:
-        return None, replace(solves, final_residual=math.nan, converged=False)
-    return (x if np.isfinite(report.final_residual) else None), \
-        report + solves
+    x, report = damped_newton(x, resid, jacobian, settings,
+                              lambda M, b: polish_solve(M, b, settings))
+    return (x if np.isfinite(report.final_residual) else None), report

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 if TYPE_CHECKING:
     from .newton import NewtonSettings
@@ -122,7 +123,7 @@ class FunctionalPair(ABC):
     # --- hooks used by the geometric (cosine-ascent) scheme -----------------
 
     def hess_J_matrix(self, u: np.ndarray):
-        """Second derivative of J at u."""
+        """Second derivative of J at u, as a scipy.sparse matrix."""
         raise NotImplementedError
 
     def duality_map_H_prime(self, w: np.ndarray) -> np.ndarray:
@@ -151,6 +152,7 @@ class SpdInstance(FunctionalPair):
         self.A = 0.5 * (A + A.T)
         self.p = 2.0
         self._cho = scipy.linalg.cho_factor(self.A)
+        self._hess = scipy.sparse.csr_matrix(self.A)
 
     @property
     def n(self) -> int:
@@ -189,7 +191,7 @@ class SpdInstance(FunctionalPair):
                             np.asarray(u, dtype=float).ravel()))
 
     def hess_J_matrix(self, u):
-        return self.A
+        return self._hess
 
     def duality_map_H_prime(self, w):
         return np.ones_like(np.asarray(w, dtype=float))

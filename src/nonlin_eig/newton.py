@@ -54,7 +54,7 @@ Newton steps and left two solves above 1e-9, so it stays off below p = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -110,7 +110,7 @@ class CgResult(tuple):
 def cg_solve(A, b, rtol: float, maxiter: int) -> CgResult:
     """Jacobi-preconditioned CG; returns the iterate even on non-convergence
     (converged=False: the iteration budget ran out or CG broke down)."""
-    diag = A.diagonal() if scipy.sparse.issparse(A) else np.diag(A)
+    diag = A.diagonal()
     inv = np.ones_like(diag, dtype=float)
     nonzero = np.abs(diag) > 1e-300
     inv[nonzero] = 1.0 / diag[nonzero]
@@ -142,20 +142,24 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     converged=False unless that residual is <= tol_abs, and returns the
     start at once when its residual is not finite.
 
-    linear_solve(A, b) solves the system; by default CG runs to the
-    relative tolerance of the module docstring, and CG calls that do not
-    converge are counted in the report's cg_unconverged.  On the halving
+    linear_solve(A, b) -> (delta, SolveReport) solves the system; the
+    returned report sums the reports of the solves, with the loop's own
+    iterations, final_residual and converged.  By default CG runs to the
+    relative tolerance of the module docstring and reports its iterations
+    and, in cg_unconverged, whether it did not converge.  On the halving
     step (no flux) that CG is forced by the module docstring's
     Eisenstat-Walker term eta from the second Newton step on; their
     safeguard max(eta, 0.9 eta_prev^2), taken only when 0.9 eta_prev^2 >
-    0.1, cannot fire under the cap 0.1 and is left out.
+    0.1, cannot fire under the cap 0.1 and is left out.  A delta that is
+    not finite ends the loop at once with final_residual NaN and
+    converged=False; its solve's work counts, the step does not.
     """
     settings = settings or NewtonSettings()
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
     rn = float(np.max(np.abs(r))) if r.size else 0.0
     best, best_rn, stalled = x, rn, 0
-    cg_total = cg_unconverged = 0
+    report = SolveReport()
     maxiter_cg = settings.cg_budget(x.size)
     lengths = HALVINGS if flux is None else (1.0,)
     it = 0
@@ -171,10 +175,14 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
             norm_prev = norm
             cg = cg_solve(A, b, rtol, maxiter_cg)
             delta, cg_it = cg
-            cg_total += cg_it
-            cg_unconverged += not cg.converged
+            solved = SolveReport(cg_iterations_total=cg_it,
+                                 cg_unconverged=int(not cg.converged))
         else:
-            delta = linear_solve(A, b)
+            delta, solved = linear_solve(A, b)
+        report += solved
+        if not np.all(np.isfinite(delta)):
+            best_rn = np.nan
+            break
         it += 1
         for t in lengths:
             xt = x + t * delta
@@ -191,10 +199,8 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
             best, best_rn, stalled = x, rn, 0
         else:
             stalled += 1
-    return best, SolveReport(iterations=it, final_residual=best_rn,
-                             converged=best_rn <= settings.tol_abs,
-                             cg_iterations_total=cg_total,
-                             cg_unconverged=cg_unconverged)
+    return best, replace(report, iterations=it, final_residual=best_rn,
+                         converged=best_rn <= settings.tol_abs)
 
 
 def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,

@@ -116,6 +116,43 @@ class TestRun:
         assert all(n > 0 for n in extras["cg_iterations"])
         assert extras["cg_unconverged"] == [0] * 5
 
+    def test_ppm_starts_from_an_earlier_run(self, grid_config, tmp_path):
+        assert main(["run", grid_config]) == 0
+        config = write_config(tmp_path / "ppm.json", {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.2, "r": 0.45, "p": 3.0},
+            "initial": {"kind": "file",
+                        "path": str(tmp_path / "out_grid" / "final.csv")},
+            "solver": {"kind": "ppm", "tau": 0.5, "iters": 3},
+            "output": {"dir": str(tmp_path / "out_ppm")},
+        })
+        assert main(["run", config]) == 0
+        ipm = json.loads((tmp_path / "out_grid" / "run.json").read_text())
+        with open(tmp_path / "out_ppm" / "metrics.csv", newline="") as f:
+            first = next(csv.DictReader(f))
+        # the run starts from the IPM run's final iterate
+        assert float(first["rq"]) == pytest.approx(ipm["final_lambda"],
+                                                   rel=1e-12)
+        extras = json.loads(
+            (tmp_path / "out_ppm" / "run.json").read_text())["extras"]
+        assert extras["recovery_converged"] is True
+        assert np.isfinite(extras["lambda_recovered"])
+
+    def test_spd_starts_from_a_csv_vector(self, tmp_path):
+        start = tmp_path / "start.csv"
+        np.savetxt(start, [0.3, 0.9], delimiter=",")
+        config = write_config(tmp_path / "spd_file.json", {
+            "problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
+            "initial": {"kind": "file", "path": str(start)},
+            "solver": {"kind": "ipm", "iters": 1},
+            "output": {"dir": str(tmp_path / "out_file")},
+        })
+        assert main(["run", config]) == 0
+        info = json.loads((tmp_path / "out_file" / "run.json").read_text())
+        # one inverse power step from (0.3, 0.9): (0.15, 0.18), normalized
+        u = np.array([0.15, 0.18]) / np.hypot(0.15, 0.18)
+        assert info["final_lambda"] == pytest.approx(u @ (np.array([2.0, 5.0]) * u))
+
     def test_out_override(self, spd_config, tmp_path):
         other = tmp_path / "elsewhere"
         assert main(["run", spd_config, "--out", str(other)]) == 0
@@ -170,6 +207,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "solver.residual_tol" in err
         assert not (tmp_path / "out").exists()
+
+    def test_balanced_on_spd_exits_1(self, tmp_path, capsys):
+        # the balanced scheme needs the grid Jacobian; run once failed only
+        # after creating the output directory, and describe accepted it
+        cfg = write_config(tmp_path / "bal.json", {
+            "problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
+            "initial": {"kind": "ex1", "vector": [1.0, -1.0]},
+            "solver": {"kind": "balanced", "iters": 2},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "balanced" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["describe", cfg]) == 1
 
     def test_unknown_r_rule_exits_1(self, tmp_path, capsys):
         # "r" sets a fixed radius; there is no r_rule type for it

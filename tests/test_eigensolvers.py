@@ -744,15 +744,8 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
         if gn <= settings.tol_abs:
             break
         M_diag = pair.duality_map_H_prime((x - u) / tau) / tau
-        H = pair.hess_J_matrix(x)
-        if scipy.sparse.issparse(H):
-            M = scipy.sparse.diags(M_diag) - (p / D) * H
-        else:
-            M = np.diag(M_diag) - (p / D) * np.asarray(H)
-        try:
-            delta = eigensolvers.polish_solve(M, -G, settings)[0]
-        except np.linalg.LinAlgError:
-            return
+        M = scipy.sparse.diags(M_diag) - (p / D) * pair.hess_J_matrix(x)
+        delta = eigensolvers.polish_solve(M, -G, settings)[0]
         if not np.all(np.isfinite(delta)):
             return
         steps += 1
@@ -868,11 +861,3 @@ class TestPolishMatchesReference:
         with np.errstate(over="ignore", invalid="ignore"):
             got = assert_same_candidates(*args, expect=1)
         assert got[0][1] < 10
-
-    def test_linalg_error_drops_polish(self, spd, monkeypatch):
-        def singular(M, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        u, explicit, D = first_step(spd, np.array([1.0, 0.6]))
-        assert_same_candidates(spd, u, 0.5, explicit, D, expect=1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nonlin_eig.functional import (SolveReport, SpdInstance,
                                    fenchel_conjugate_value, power_map)
@@ -65,6 +66,19 @@ class TestSpdConstruction:
         v, rep = diag_pair.inverse_subgrad_J(zeta)
         assert rep.converged
         assert np.max(np.abs(diag_pair.A @ v - zeta)) <= 1e-10 * np.max(np.abs(zeta))
+
+
+class TestHessian:
+    @pytest.mark.parametrize("pair_name", ["diag_pair", "grid_pair"])
+    def test_sparse(self, pair_name, request):
+        # the geometric polish builds its Newton systems on it
+        pair = request.getfixturevalue(pair_name)
+        u = random_fields(pair, 1, seed=6)[0] if pair_name == "grid_pair" \
+            else np.array([0.3, -1.2])
+        H = pair.hess_J_matrix(u)
+        assert scipy.sparse.issparse(H) and H.shape == (len(u), len(u))
+        if pair_name == "diag_pair":
+            assert np.array_equal(H.toarray(), pair.A)
 
 
 class TestHomogeneityIdentities:

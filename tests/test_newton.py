@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import newton
-from nonlin_eig.functional import power_map
+from nonlin_eig.functional import SolveReport, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
                                solve_p_poisson, solve_prox)
@@ -73,9 +73,47 @@ class TestDampedNewton:
 
         x, rep = damped_newton(np.zeros(1), residual, lambda x: None,
                                NewtonSettings(tol_abs=0.6),
-                               linear_solve=lambda A, b: b)
+                               linear_solve=lambda A, b: (b, SolveReport()))
         assert x[0] == 2.0 ** -30
         assert rep.iterations == 1 and rep.converged
+
+    def test_sums_the_reports_of_a_custom_solve(self):
+        # x^2 = 4 from x = 3 takes four Newton steps to 1e-6; the solves'
+        # work is summed, LU solves included, and the loop's own
+        # iterations, residual and convergence replace theirs
+        def solve(A, b):
+            return b / A, SolveReport(iterations=5, final_residual=0.5,
+                                      converged=False, cg_iterations_total=3,
+                                      cg_unconverged=1, direct_solves=1)
+
+        x, rep = damped_newton(np.array([3.0]), lambda x: x * x - 4.0,
+                               lambda x: 2.0 * x, NewtonSettings(tol_abs=1e-6),
+                               linear_solve=solve)
+        assert abs(x[0] - 2.0) <= 1e-6
+        assert rep.iterations == 4 and rep.converged
+        assert rep.final_residual <= 1e-6
+        assert (rep.cg_iterations_total, rep.cg_unconverged,
+                rep.direct_solves) == (12, 4, 4)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_step_ends_the_solve(self, bad):
+        calls = []
+
+        def solve(A, b):
+            calls.append(b)
+            return np.array([1.0, bad]), SolveReport(cg_iterations_total=4,
+                                                     direct_solves=1)
+
+        def residual(x):
+            assert np.all(np.isfinite(x)), "a non-finite step was tried"
+            return x - 5.0
+
+        x, rep = damped_newton(np.zeros(2), residual, lambda x: None,
+                               NewtonSettings(), linear_solve=solve)
+        assert len(calls) == 1 and np.array_equal(x, np.zeros(2))
+        assert rep.iterations == 0 and not rep.converged
+        assert np.isnan(rep.final_residual)
+        assert (rep.cg_iterations_total, rep.direct_solves) == (4, 1)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_start_returns_at_once(self, bad):
@@ -162,13 +200,11 @@ class TestPPoisson:
 
         # the unforced reference: the same CG at the unforced rule
         s = NewtonSettings()
-        tight_cg = [0]  # its CG iterations
 
         def unforced_cg(A, b):
             rtol = max(s.cg_tol, 0.01 * s.tol_abs / np.linalg.norm(b))
             x, iters = cg_solve(A, b, rtol, s.cg_budget(len(b)))
-            tight_cg[0] += iters
-            return x
+            return x, SolveReport(cg_iterations_total=iters)
 
         x_tight, tight = damped_newton(start, residual, inst.jacobian_matrix,
                                        s, linear_solve=unforced_cg)
@@ -191,7 +227,7 @@ class TestPPoisson:
         for tight_rtol, (_, rtol) in zip(tight_rtols, cg_calls):
             assert tight_rtol <= rtol <= max(tight_rtol, 0.1)
         assert cg_calls[0][1] == tight_rtols[0]
-        assert forced.cg_iterations_total <= tight_cg[0]
+        assert forced.cg_iterations_total <= tight.cg_iterations_total
         # 2-norm: at scale 1e-2 the absolute tolerance is a relative
         # residual of 1e-10, and two converged solves then differ by up to
         # 9e-11 in their largest entry
