@@ -47,7 +47,7 @@ def cmd_run(args) -> int:
     pair, u0, resolved = build_instance(cfg)
     out_dir = Path(args.out or cfg.output.get("dir", "runs/latest"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot_every = int(cfg.output.get("snapshot_every", 0))
+    snapshot_every = cfg.output.get("snapshot_every", 0)
     solver_kind = cfg.solver["kind"]
     is_grid = isinstance(pair, PLaplaceInstance)
 

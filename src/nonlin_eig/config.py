@@ -10,11 +10,22 @@ import numpy as np
 
 from .functional import SpdInstance
 from .grid import ConfigError, build_domain, build_stencil, eval_initial_guess, \
-    load_snapshot, mean_value_constant
+    load_snapshot
 from .newton import NewtonSettings
 from .plaplace import PLaplaceInstance
 
 SOLVERS = ("ipm", "ppm", "balanced", "geometric")
+
+# The keys each section may hold (None: the top level); any other key is
+# rejected, so that a misspelled one does not fall back to its default.
+KEYS = {
+    None: ("problem", "initial", "solver", "newton", "output"),
+    "problem": ("kind", "p", "shape", "h", "side", "r", "r_rule", "matrix"),
+    "initial": ("kind", "path", "vector"),
+    "solver": ("kind", "iters", "tau", "residual_tol"),
+    "newton": tuple(f.name for f in fields(NewtonSettings)),
+    "output": ("dir", "snapshot_every"),
+}
 
 
 @dataclass
@@ -47,6 +58,13 @@ def load_config(path) -> ExperimentConfig:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
+    for name, allowed in KEYS.items():
+        section = raw if name is None else raw.get(name, {})
+        _require(isinstance(section, dict),
+                 f"config section {name} must be a JSON object")
+        for key in section:
+            _require(key in allowed, "unknown config key "
+                     + (key if name is None else f"{name}.{key}"))
     for key in ("problem", "solver"):
         _require(key in raw, f"missing config section {key!r}")
     problem = raw["problem"]
@@ -97,10 +115,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     newton = NewtonSettings(**newton_kw)
 
     initial = raw.get("initial", {"kind": "ex1"})
-    _require(initial.get("kind") in ("ex1", "ex2", "expression", "file"),
-             "initial.kind must be ex1, ex2, expression or file")
+    _require(initial.get("kind") in ("ex1", "ex2", "file"),
+             "initial.kind must be ex1, ex2 or file")
+    _require(initial["kind"] != "file" or isinstance(initial.get("path"), str),
+             "initial.path must name a CSV file")
 
     output = raw.get("output", {})
+    _require(isinstance(output.get("dir", ""), str), "output.dir must be a string")
+    every = output.get("snapshot_every", 0)
+    _require(_number(every, int) and every >= 0,
+             "output.snapshot_every must be an integer >= 0")
     return ExperimentConfig(problem=problem, initial=initial, solver=solver,
                             newton=newton, output=output)
 
@@ -117,8 +141,11 @@ def resolve_radius(problem: dict) -> float:
 def build_instance(cfg: ExperimentConfig):
     """Instantiate the functional pair and initial vector from a config.
 
-    Returns (pair, u0, resolved) where resolved echoes every derived
-    parameter (D_{2,p}, epsilon, radius, node counts) for run.json.
+    The start is the SPD problem's initial.vector (all ones by default),
+    the grid field ex1 or ex2, or a CSV file.  Returns (pair, u0, resolved)
+    where resolved echoes every derived parameter for run.json: the radius,
+    node counts, and the fixed D_{2,p} (mean_value_constant) and
+    smoothing epsilon of the grid pair.
     """
     problem = cfg.problem
     resolved = {"problem": dict(problem), "solver": dict(cfg.solver),
@@ -127,9 +154,15 @@ def build_instance(cfg: ExperimentConfig):
         pair = SpdInstance(problem["matrix"])
         init = cfg.initial
         if init["kind"] == "file":
-            u0 = np.loadtxt(init["path"], delimiter=",")
+            u0 = np.loadtxt(init["path"], delimiter=",", ndmin=1)
+            _require(u0.shape == (pair.n,),
+                     f"initial.path must hold {pair.n} numbers")
         else:
-            u0 = np.asarray(init.get("vector", np.ones(pair.n)), dtype=float)
+            vector = init.get("vector", [1.0] * pair.n)
+            _require(isinstance(vector, list) and len(vector) == pair.n
+                     and all(map(_number, vector)),
+                     f"initial.vector must hold {pair.n} numbers")
+            u0 = np.array(vector, dtype=float)
         resolved["n"] = pair.n
         return pair, u0, resolved
 
@@ -139,22 +172,18 @@ def build_instance(cfg: ExperimentConfig):
     r = resolve_radius(problem)
     _require(r >= h, f"resolved radius r={r} < h={h}")
     domain = build_domain(problem["shape"], side, h)
-    d2p = problem.get("d2p")
-    stencil = build_stencil(domain, r, p, d2p=d2p)
-    epsilon = float(problem.get("epsilon", 1e-9))
-    pair = PLaplaceInstance(domain, stencil, p, epsilon=epsilon)
+    stencil = build_stencil(domain, r, p)
+    pair = PLaplaceInstance(domain, stencil, p)
     init = cfg.initial
     if init["kind"] == "file":
         u0 = load_snapshot(init["path"], domain).values
     else:
-        u0 = eval_initial_guess(init["kind"], domain,
-                                expression=init.get("expression")).values
+        u0 = eval_initial_guess(init["kind"], domain).values
     resolved.update({
-        "r": r, "d2p": stencil.d2p, "epsilon": epsilon,
+        "r": r, "d2p": stencil.d2p, "epsilon": pair.epsilon,
         "stencil_offsets": int(len(stencil.offsets)),
         "stencil_weight": stencil.weight,
         "nx": domain.nx, "ny": domain.ny,
         "n_interior": domain.n_interior,
-        "d2p_default": mean_value_constant(p),
     })
     return pair, u0, resolved

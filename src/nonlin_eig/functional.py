@@ -122,13 +122,13 @@ class FunctionalPair(ABC):
 
     # --- hooks used by the geometric (cosine-ascent) scheme -----------------
 
+    @abstractmethod
     def hess_J_matrix(self, u: np.ndarray):
         """Second derivative of J at u, as a scipy.sparse matrix."""
-        raise NotImplementedError
 
+    @abstractmethod
     def duality_map_H_prime(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the derivative of duality_map_H at w (nodewise)."""
-        raise NotImplementedError
 
 
 class SpdInstance(FunctionalPair):

@@ -7,7 +7,6 @@ mask carries the value 0 (homogeneous Dirichlet extension).
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass
 
@@ -102,13 +101,11 @@ def mean_value_constant(p: float) -> float:
     return 2.0 * integral / (math.pi * (p + 2.0))
 
 
-def build_stencil(domain: GridDomain, r: float, p: float,
-                  d2p: float | None = None) -> Stencil:
+def build_stencil(domain: GridDomain, r: float, p: float) -> Stencil:
     """All integer offsets with Euclidean length in (0, r] plus the weight.
 
-    The weight is C_h = h^2 / (D_{2,p} * pi * r^(p+2)); D_{2,p} defaults to
-    the quadrature value of mean_value_constant and may be overridden for
-    reproducing runs with a different normalization.
+    The weight is C_h = h^2 / (D_{2,p} * pi * r^(p+2)) with D_{2,p} the
+    quadrature value of mean_value_constant, which the stencil records.
     """
     h = domain.h
     if r < h:
@@ -121,8 +118,7 @@ def build_stencil(domain: GridDomain, r: float, p: float,
                 continue
             if math.hypot(dx * h, dy * h) <= r * (1 + 1e-12):
                 offsets.append((dy, dx))
-    if d2p is None:
-        d2p = mean_value_constant(p)
+    d2p = mean_value_constant(p)
     weight = h ** 2 / (d2p * math.pi * r ** (p + 2))
     return Stencil(offsets=np.array(offsets, dtype=int), r=r,
                    weight=weight, d2p=d2p)
@@ -137,68 +133,21 @@ def _ex2(X, Y):
     return 100.0 * (X + 1) * (Y + 1) * (X - 1) * (Y - 1) * (0.0625 - X ** 2 - Y ** 2)
 
 
-def eval_initial_guess(tag: str, domain: GridDomain,
-                       expression: str | None = None) -> GridFunction:
-    """Evaluate a named or user-supplied initial guess on the lattice.
+def eval_initial_guess(tag: str, domain: GridDomain) -> GridFunction:
+    """Evaluate the named initial guess ex1 or ex2 on the lattice.
 
     No normalization is applied; values at non-interior nodes are pinned
-    to 0.
+    to 0.  Any other start is read from a CSV snapshot (load_snapshot).
     """
     X, Y = domain.coords()
     if tag == "ex1":
         vals = _ex1(X, Y)
     elif tag == "ex2":
         vals = _ex2(X, Y)
-    elif tag == "expression":
-        if not expression:
-            raise ConfigError("initial guess tag 'expression' needs an expression")
-        vals = eval_expression(expression, X, Y)
     else:
         raise ConfigError(f"unknown initial guess tag {tag!r}")
     vals = np.where(domain.interior_mask, vals, 0.0)
     return GridFunction(vals.astype(float), domain)
-
-
-_ALLOWED_BINOPS = {
-    ast.Add: np.add,
-    ast.Sub: np.subtract,
-    ast.Mult: np.multiply,
-    ast.Div: np.divide,
-    ast.Pow: np.power,
-}
-
-
-def eval_expression(expr: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Evaluate a small arithmetic expression over x1, x2.
-
-    Supported: x1, x2, numeric literals, + - * / **, unary minus, abs(.),
-    and parentheses.  Anything else raises ConfigError.
-    """
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse expression: {exc}") from exc
-
-    def ev(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id == "x1":
-                return X
-            if node.id == "x2":
-                return Y
-            raise ConfigError(f"unknown name {node.id!r} in expression")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            return _ALLOWED_BINOPS[type(node.op)](ev(node.left), ev(node.right))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "abs" and len(node.args) == 1 and not node.keywords:
-            return np.abs(ev(node.args[0]))
-        raise ConfigError(f"disallowed syntax in expression: {ast.dump(node)}")
-
-    return np.asarray(ev(tree.body), dtype=float)
 
 
 def save_snapshot(path, gf: GridFunction) -> None:

@@ -52,6 +52,17 @@ from .grid import GridDomain, Stencil
 from . import newton
 
 
+def _smoothed_slope(t: np.ndarray, p: float, epsilon: float,
+                    scale: float) -> np.ndarray:
+    """scale (t^2 + epsilon^2)^((p-2)/2), computed in place on the array t:
+    the smoothed derivative of power_map times scale/(p-1)."""
+    t *= t
+    t += epsilon * epsilon
+    t **= (p - 2.0) / 2.0
+    t *= scale
+    return t
+
+
 class PLaplaceInstance(FunctionalPair):
     """FunctionalPair for the grid p-Laplacian on the interior vectors.
 
@@ -166,12 +177,9 @@ class PLaplaceInstance(FunctionalPair):
         n, c = self.n_interior, self._centre
         if slopes is None:
             x = self.as_vector(u)
-            epsilon = self.smoothing(x)
-            w = self.edge_differences(x)
-            w *= w
-            w += epsilon * epsilon
-            w **= (self.p - 2.0) / 2.0
-            w *= self.stencil.weight * (self.p - 1.0)
+            w = _smoothed_slope(self.edge_differences(x), self.p,
+                                self.smoothing(x),
+                                self.stencil.weight * (self.p - 1.0))
         else:
             w = self.stencil.weight * slopes
         w[c] = 0.0
@@ -225,5 +233,4 @@ class PLaplaceInstance(FunctionalPair):
         never modified.
         """
         d = self.as_vector(w)
-        epsilon = self.smoothing(d)
-        return (self.p - 1.0) * (d * d + epsilon * epsilon) ** ((self.p - 2.0) / 2.0)
+        return _smoothed_slope(d.copy(), self.p, self.smoothing(d), self.p - 1.0)

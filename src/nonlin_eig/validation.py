@@ -233,7 +233,7 @@ FULL_CHECKS = QUICK_CHECKS + [
 ]
 
 
-def run_suite(scale: str = "quick", out=print) -> bool:
+def run_suite(scale: str = "quick") -> bool:
     """Measure every row of the scale and print PASS/FAIL with the value."""
     checks = QUICK_CHECKS if scale == "quick" else FULL_CHECKS
     ok = True
@@ -241,5 +241,5 @@ def run_suite(scale: str = "quick", out=print) -> bool:
         worst = measure()
         passed = worst <= bound  # False for NaN
         ok = ok and passed
-        out(f"{'PASS' if passed else 'FAIL'}  {name}: {worst:.2e} (<= {bound:g})")
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {worst:.2e} (<= {bound:g})")
     return ok

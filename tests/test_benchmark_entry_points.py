@@ -1,19 +1,32 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps the package's entry
-points by name and stops a traced run when one is missing, so a rename is
-caught here rather than by the benchmark."""
+"""The benchmark under perfbench/ drives the package from outside: its
+tracer wraps the package's entry points by name, and its workloads write
+configs that the package must accept.  A rename, or a config key the
+package stops reading, is caught here rather than by a failed benchmark."""
 
+import contextlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
-from nonlin_eig import eigensolvers, metrics
+import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from nonlin_eig import cli, config, eigensolvers, metrics
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_wraps_and_restores_entry_points():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     run_ipm, eigen_residual = eigensolvers.run_ipm, metrics.eigen_residual
     patches = tracer.Patches()
     try:
@@ -24,3 +37,19 @@ def test_tracer_wraps_and_restores_entry_points():
         patches.restore()
     assert eigensolvers.run_ipm is run_ipm
     assert metrics.eigen_residual is eigen_residual
+
+
+def test_workload_configs_load_and_build(tmp_path):
+    workloads = load_perfbench("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        path = workloads.write_inputs(workload, ROOT, 0, work)
+        config.build_instance(config.load_config(path))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_bundled_config_describes(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["describe", str(path)]) == 0

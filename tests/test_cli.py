@@ -18,6 +18,17 @@ def write_config(path, payload):
     return str(path)
 
 
+def assert_rejected(tmp_path, capsys, raw, name):
+    """run and describe both exit 1 with an error line naming name, and run
+    creates no output directory."""
+    cfg = write_config(tmp_path / "bad.json", raw)
+    for command in ("run", "describe"):
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def spd_config(tmp_path):
     return write_config(tmp_path / "spd.json", {
@@ -178,6 +189,18 @@ class TestRun:
         ("solver", "residual_tol", "abc"),
         ("solver", "residual_tol", -1),
         ("solver", "residual_tol", 0),
+        # a string failed only in run, after creating the output directory;
+        # -1 wrote a snapshot at every step; a number ended in a traceback
+        ("output", "snapshot_every", "abc"),
+        ("output", "snapshot_every", -1),
+        ("output", "dir", 3),
+        # keys nothing reads: D_{2,p} and epsilon are fixed, and a
+        # misspelled key once fell back to its default
+        ("problem", "d2p", 0.2),
+        ("problem", "epsilon", 1e-9),
+        ("solver", "iter", 5),
+        ("newton", "tol", 1e-12),
+        ("output", "snapshot", 1),
     ])
     def test_invalid_value_exits_1(self, tmp_path, capsys, section, key, value):
         raw = {
@@ -188,10 +211,34 @@ class TestRun:
             "output": {"dir": str(tmp_path / "out")},
         }
         raw[section][key] = value
-        cfg = write_config(tmp_path / "bad.json", raw)
-        assert main(["run", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{section}.{key}" in err
+        assert_rejected(tmp_path, capsys, raw, f"{section}.{key}")
+
+    @pytest.mark.parametrize("sections, name", [
+        ({"outputs": {}}, "outputs"),
+        ({"output": "runs"}, "output"),
+        ({"newton": []}, "newton"),
+        ({"initial": {"kind": "expression",
+                      "expression": "x1 * x2"}}, "initial.expression"),
+        ({"initial": {"kind": "expression"}}, "initial.kind"),
+        # these three ended in a traceback, or failed only in run after
+        # creating the output directory
+        ({"initial": {"kind": "file"}}, "initial.path"),
+        ({"problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
+          "initial": {"kind": "ex1", "vector": [1.0, 1.0, 1.0]}},
+         "initial.vector"),
+        ({"problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
+          "initial": {"kind": "ex1", "vector": [1.0, "a"]}},
+         "initial.vector"),
+    ])
+    def test_invalid_section_exits_1(self, tmp_path, capsys, sections, name):
+        raw = {
+            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                        "h": 0.2, "r": 0.45, "p": 3.0},
+            "solver": {"kind": "ipm", "iters": 2},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        raw.update(sections)
+        assert_rejected(tmp_path, capsys, raw, name)
 
     @pytest.mark.parametrize("kind", ["balanced", "geometric"])
     def test_residual_tol_of_other_schemes_exits_1(self, tmp_path, capsys,

@@ -61,6 +61,12 @@ class TestSpdConstruction:
         with pytest.raises(ValueError):
             SpdInstance([[1.0, 0.0], [0.0, -2.0]])
 
+    @pytest.mark.parametrize("matrix", [[[1.0, 0.0]], [1.0, 2.0],
+                                        [[[1.0]]]])
+    def test_rejects_non_square(self, matrix):
+        with pytest.raises(ValueError, match="square"):
+            SpdInstance(matrix)
+
     def test_inverse_subgrad(self, diag_pair):
         zeta = np.array([3.0, -7.0])
         v, rep = diag_pair.inverse_subgrad_J(zeta)

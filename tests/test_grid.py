@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nonlin_eig.grid import (ConfigError, GridFunction, build_domain,
-                             build_stencil, eval_expression,
-                             eval_initial_guess, load_snapshot,
+                             build_stencil, eval_initial_guess, load_snapshot,
                              mean_value_constant, save_snapshot)
 from nonlin_eig.validation import stencil_count_defect
 
@@ -33,6 +32,13 @@ class TestBuildDomain:
     def test_non_integral_division_rejected(self):
         with pytest.raises(ConfigError):
             build_domain("square", 2.0, 0.3)
+
+    @pytest.mark.parametrize("shape, side, h", [
+        ("disk", 2.0, 0.1), ("square", 0.0, 0.1), ("square", -2.0, 0.1),
+        ("lshape", 2.0, 0.0), ("lshape", 2.0, -0.1)])
+    def test_bad_shape_side_or_spacing_rejected(self, shape, side, h):
+        with pytest.raises(ConfigError):
+            build_domain(shape, side, h)
 
     def test_interior_nodes_strictly_inside(self):
         dom = build_domain("lshape", 2.0, 0.1)
@@ -117,35 +123,10 @@ class TestInitialGuesses:
         gf = eval_initial_guess("ex1", dom)
         assert np.any(gf.values > 0) and np.any(gf.values < 0)
 
-    def test_expression_guess(self):
-        dom = build_domain("square", 2.0, 0.5)
-        gf = eval_initial_guess("expression", dom,
-                                expression="(1 - abs(x1)) * (1 - abs(x2))")
-        X, Y = dom.coords()
-        expect = np.where(dom.interior_mask,
-                          (1 - np.abs(X)) * (1 - np.abs(Y)), 0.0)
-        assert np.allclose(gf.values, expect)
-
     def test_unknown_tag_rejected(self):
         dom = build_domain("square", 2.0, 0.5)
         with pytest.raises(ConfigError):
             eval_initial_guess("nope", dom)
-
-
-class TestExpressionGrammar:
-    def test_arithmetic(self):
-        X = np.array([[2.0]])
-        Y = np.array([[3.0]])
-        assert eval_expression("x1 ** 2 + 2 * x2 - 1", X, Y)[0, 0] == 9.0
-
-    def test_disallowed_name(self):
-        with pytest.raises(ConfigError):
-            eval_expression("__import__('os')", np.zeros((1, 1)),
-                            np.zeros((1, 1)))
-
-    def test_disallowed_call(self):
-        with pytest.raises(ConfigError):
-            eval_expression("min(x1, x2)", np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 class TestSnapshots:

@@ -34,6 +34,18 @@ class TestRayleighQuotients:
         with pytest.raises(ValueError):
             rayleigh_quotient(spd, np.zeros(2))
 
+    @pytest.mark.parametrize("measure", [
+        lambda pair, e: dual_rayleigh_quotient(pair, 0 * e, e, 1.0),
+        lambda pair, e: cosine_similarity(pair, 0 * e, e),
+        lambda pair, e: cosine_similarity(pair, e, 0 * e),
+        lambda pair, e: eigen_residual(pair, 0 * e),
+        lambda pair, e: eigen_residual(pair, e, zeta=0 * e),
+    ], ids=["dual-rq", "cosim-u", "cosim-zeta", "residual-u",
+            "residual-zeta"])
+    def test_zero_input_rejected(self, spd, measure):
+        with pytest.raises(ValueError, match="undefined"):
+            measure(spd, np.array([1.0, 0.0]))
+
     def test_dual_rq_reciprocal_at_eigenvector(self, spd):
         u = np.array([1.0, 0.0])
         zeta = spd.subgrad_J(u)

@@ -21,6 +21,13 @@ def spike_instance(p):
     return PLaplaceInstance(dom, build_stencil(dom, 1.0, p), p)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
+def test_p_at_most_one_rejected(p):
+    dom = build_domain("square", 2.0, 0.5)
+    with pytest.raises(ValueError, match="p must be > 1"):
+        PLaplaceInstance(dom, build_stencil(dom, 0.5, 2.0), p)
+
+
 class TestOperator:
     def test_constant_field_zero_away_from_boundary(self):
         inst = make_instance(p=3.0)
