@@ -14,18 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import eigensolvers, metrics, validation
 from .config import ExperimentConfig, build_instance, load_config
 from .grid import ConfigError, GridFunction, save_snapshot
-from .plaplace import PLaplaceInstance
 
 
 def _run_solver(pair, u0, cfg: ExperimentConfig, snapshot_cb):
     solver = cfg.solver
     kind = solver["kind"]
-    iters = solver.get("iters", 30)
+    iters = solver["iters"]
     residual_tol = solver.get("residual_tol")
     if kind == "ipm":
         return eigensolvers.run_ipm(pair, u0, iters, cfg.newton,
@@ -45,25 +42,21 @@ def _run_solver(pair, u0, cfg: ExperimentConfig, snapshot_cb):
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     pair, u0, resolved = build_instance(cfg)
-    out_dir = Path(args.out or cfg.output.get("dir", "runs/latest"))
+    out_dir = Path(args.out or cfg.output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot_every = cfg.output.get("snapshot_every", 0)
+    snapshot_every = cfg.output["snapshot_every"]
     solver_kind = cfg.solver["kind"]
-    is_grid = isinstance(pair, PLaplaceInstance)
 
     def snapshot_cb(k, u):
-        if is_grid and snapshot_every and k % snapshot_every == 0:
+        if snapshot_every and k % snapshot_every == 0:
             save_snapshot(out_dir / f"{solver_kind}_iter{k}.csv",
                           GridFunction(pair.lift_free(u), pair.domain))
 
     trace = _run_solver(pair, u0, cfg, snapshot_cb)
 
     metrics.records_to_csv(trace.records, out_dir / "metrics.csv")
-    if is_grid:
-        save_snapshot(out_dir / "final.csv",
-                      GridFunction(pair.lift_free(trace.final_u), pair.domain))
-    else:
-        np.savetxt(out_dir / "final.csv", trace.final_u, delimiter=",")
+    save_snapshot(out_dir / "final.csv",
+                  GridFunction(pair.lift_free(trace.final_u), pair.domain))
     run_info = {
         "config": resolved,
         "output_dir": str(out_dir),
@@ -71,8 +64,7 @@ def cmd_run(args) -> int:
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
         "final_lambda": trace.final_lambda,
-        "extras": {k: v for k, v in trace.extras.items()
-                   if isinstance(v, (int, float, str, list))},
+        "extras": trace.extras,  # lists and scalars only, in every scheme
     }
     (out_dir / "run.json").write_text(json.dumps(run_info, indent=2))
     print(f"{trace.solver_tag}: {len(trace.records)} iterations, "

@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 import nonlin_eig
-from nonlin_eig import validation
+from nonlin_eig import config, validation
 from nonlin_eig.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEM = {"kind": "plaplace", "shape": "square", "side": 2.0, "h": 0.2,
+           "r": 0.45, "p": 3.0}
+NO_R = {k: v for k, v in PROBLEM.items() if k != "r"}  # a base for r_rule
 
 
 def write_config(path, payload):
@@ -30,16 +35,6 @@ def assert_rejected(tmp_path, capsys, raw, name):
 
 
 @pytest.fixture
-def spd_config(tmp_path):
-    return write_config(tmp_path / "spd.json", {
-        "problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
-        "initial": {"kind": "ex1", "vector": [1.0, 1.0]},
-        "solver": {"kind": "ipm", "iters": 20},
-        "output": {"dir": str(tmp_path / "out_spd")},
-    })
-
-
-@pytest.fixture
 def grid_config(tmp_path):
     return write_config(tmp_path / "grid.json", {
         "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
@@ -52,26 +47,35 @@ def grid_config(tmp_path):
 
 
 class TestRun:
-    def test_spd_run(self, spd_config, tmp_path, capsys):
-        assert main(["run", spd_config]) == 0
-        out = tmp_path / "out_spd"
+    def test_p2_run_matches_oracle(self, tmp_path):
+        # at p = 2 the run must reach the least eigenvalue of the linear
+        # operator, which validation.p2_oracle computes by shift-invert
+        cfg = write_config(tmp_path / "p2.json", {
+            "problem": dict(PROBLEM, p=2.0),
+            "solver": {"kind": "ipm", "iters": 40},
+            "output": {"dir": str(tmp_path / "out_p2")},
+        })
+        assert main(["run", cfg]) == 0
+        out = tmp_path / "out_p2"
         with open(out / "metrics.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["iter", "rq", "dual_rq", "cosim", "gap",
                            "residual", "inner_iters", "wall_time"]
-        assert len(rows) == 21
+        assert len(rows) == 41
         info = json.loads((out / "run.json").read_text())
         assert info["solver_tag"] == "ipm"
-        assert abs(info["final_lambda"] - 2.0) <= 1e-8
+        pair, _, _ = config.build_instance(config.load_config(cfg))
+        oracle, _ = validation.p2_oracle(pair)
+        assert info["final_lambda"] == pytest.approx(oracle, rel=1e-8)
         final = np.loadtxt(out / "final.csv", delimiter=",")
-        assert final.shape == (2,)
+        assert final.shape == (11, 11)
 
-    def test_metrics_csv_cells_parse_as_floats(self, spd_config, tmp_path):
-        assert main(["run", spd_config]) == 0
-        with open(tmp_path / "out_spd" / "metrics.csv", newline="") as f:
+    def test_metrics_csv_cells_parse_as_floats(self, grid_config, tmp_path):
+        assert main(["run", grid_config]) == 0
+        with open(tmp_path / "out_grid" / "metrics.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
         cells = [cell for row in rows for cell in row if cell]
-        assert len(cells) == 20 * 8
+        assert len(cells) == 5 * 8
         for cell in cells:
             float(cell)
 
@@ -149,25 +153,11 @@ class TestRun:
         assert extras["recovery_converged"] is True
         assert np.isfinite(extras["lambda_recovered"])
 
-    def test_spd_starts_from_a_csv_vector(self, tmp_path):
-        start = tmp_path / "start.csv"
-        np.savetxt(start, [0.3, 0.9], delimiter=",")
-        config = write_config(tmp_path / "spd_file.json", {
-            "problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
-            "initial": {"kind": "file", "path": str(start)},
-            "solver": {"kind": "ipm", "iters": 1},
-            "output": {"dir": str(tmp_path / "out_file")},
-        })
-        assert main(["run", config]) == 0
-        info = json.loads((tmp_path / "out_file" / "run.json").read_text())
-        # one inverse power step from (0.3, 0.9): (0.15, 0.18), normalized
-        u = np.array([0.15, 0.18]) / np.hypot(0.15, 0.18)
-        assert info["final_lambda"] == pytest.approx(u @ (np.array([2.0, 5.0]) * u))
-
-    def test_out_override(self, spd_config, tmp_path):
+    def test_out_override(self, grid_config, tmp_path):
         other = tmp_path / "elsewhere"
-        assert main(["run", spd_config, "--out", str(other)]) == 0
+        assert main(["run", grid_config, "--out", str(other)]) == 0
         assert (other / "metrics.csv").exists()
+        assert not (tmp_path / "out_grid").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("problem", "p", 0.5),
@@ -204,8 +194,8 @@ class TestRun:
     ])
     def test_invalid_value_exits_1(self, tmp_path, capsys, section, key, value):
         raw = {
-            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
-                        "h": 0.2, "r": 0.45, "p": 3.0},
+            # an r_rule row tests the rule's own checks, not its clash with r
+            "problem": dict(NO_R if key == "r_rule" else PROBLEM),
             "solver": {"kind": "ipm", "iters": 2},
             "newton": {},
             "output": {"dir": str(tmp_path / "out")},
@@ -220,20 +210,40 @@ class TestRun:
         ({"initial": {"kind": "expression",
                       "expression": "x1 * x2"}}, "initial.expression"),
         ({"initial": {"kind": "expression"}}, "initial.kind"),
-        # these three ended in a traceback, or failed only in run after
-        # creating the output directory
+        # this ended in a traceback
         ({"initial": {"kind": "file"}}, "initial.path"),
-        ({"problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
-          "initial": {"kind": "ex1", "vector": [1.0, 1.0, 1.0]}},
+        # the SPD problem kind is gone from configs with its start vector,
+        # which a grid run once ignored, from a default or from a file start
+        ({"initial": {"kind": "ex1", "vector": [1.0, 1.0, 1.0]}},
          "initial.vector"),
-        ({"problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
-          "initial": {"kind": "ex1", "vector": [1.0, "a"]}},
-         "initial.vector"),
+        ({"initial": {"kind": "file", "path": "start.csv",
+                      "vector": [1.0, "a"]}}, "initial.vector"),
+        ({"problem": dict(PROBLEM, kind="spd")}, "problem.kind"),
+        ({"problem": dict(PROBLEM, matrix=[[2.0, 0.0], [0.0, 5.0]])},
+         "problem.matrix"),
+        # each of these once ran to exit 0 and ignored a key: r won over
+        # r_rule, consistency ignored its exponent, ex1 its path, the
+        # geometric scheme its newton section and balanced and geometric
+        # their tau
+        ({"problem": dict(PROBLEM, r_rule={"type": "h_pow",
+                                           "exponent": 0.5})},
+         "problem.r_rule"),
+        ({"problem": dict(NO_R, r_rule={"type": "consistency",
+                                        "exponent": 0.5})},
+         "problem.r_rule.exponent"),
+        ({"initial": {"kind": "ex1", "path": "start.csv"}}, "initial.path"),
+        ({"solver": {"kind": "geometric", "iters": 2},
+          "newton": {"tol_abs": 1e-12}}, "newton"),
+        ({"solver": {"kind": "balanced", "iters": 2, "tau": 0.5},
+          "initial": {"kind": "ex2"}}, "solver.tau"),
+        ({"solver": {"kind": "geometric", "iters": 2, "tau": 0.5}},
+         "solver.tau"),
+        # an unhashable type must not end in a traceback
+        ({"problem": dict(NO_R, r_rule={"type": ["h_pow"]})}, "r_rule type"),
     ])
     def test_invalid_section_exits_1(self, tmp_path, capsys, sections, name):
         raw = {
-            "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
-                        "h": 0.2, "r": 0.45, "p": 3.0},
+            "problem": dict(PROBLEM),
             "solver": {"kind": "ipm", "iters": 2},
             "output": {"dir": str(tmp_path / "out")},
         }
@@ -254,21 +264,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "solver.residual_tol" in err
         assert not (tmp_path / "out").exists()
-
-    def test_balanced_on_spd_exits_1(self, tmp_path, capsys):
-        # the balanced scheme needs the grid Jacobian; run once failed only
-        # after creating the output directory, and describe accepted it
-        cfg = write_config(tmp_path / "bal.json", {
-            "problem": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0, 5.0]]},
-            "initial": {"kind": "ex1", "vector": [1.0, -1.0]},
-            "solver": {"kind": "balanced", "iters": 2},
-            "output": {"dir": str(tmp_path / "out")},
-        })
-        assert main(["run", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "balanced" in err
-        assert not (tmp_path / "out").exists()
-        assert main(["describe", cfg]) == 1
 
     def test_unknown_r_rule_exits_1(self, tmp_path, capsys):
         # "r" sets a fixed radius; there is no r_rule type for it
@@ -312,23 +307,40 @@ class TestRun:
 
     def test_unknown_solver_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad2.json", {
-            "problem": {"kind": "spd", "matrix": [[1.0]]},
+            "problem": dict(PROBLEM),
             "solver": {"kind": "magic"},
         })
         assert main(["run", cfg]) == 1
+        assert "solver.kind" in capsys.readouterr().err
 
 
 class TestDescribe:
+    def test_defaults_filled_into_copies(self):
+        raw = {"problem": dict(PROBLEM), "solver": {"kind": "ipm"}}
+        before = json.loads(json.dumps(raw))
+        cfg = config.parse_config(raw)
+        assert raw == before
+        assert cfg.solver == {"kind": "ipm", "iters": 30}
+        assert cfg.output == {"dir": "runs/latest", "snapshot_every": 0}
+        assert cfg.initial == {"kind": "ex1"}
+
     def test_describe_grid(self, grid_config, capsys):
         assert main(["describe", grid_config]) == 0
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["n_interior"] == 81
         assert resolved["stencil_offsets"] >= 4
 
-    def test_describe_spd(self, spd_config, capsys):
-        assert main(["describe", spd_config]) == 0
-        resolved = json.loads(capsys.readouterr().out)
-        assert resolved["n"] == 2
+    def test_readme_lists_every_config_key(self):
+        # a key added to the config tables without its line in README's
+        # config list fails here
+        readme = " ".join((ROOT / "README.md").read_text().split())
+        listing = readme[readme.index("Each section holds only these keys"):
+                         readme.index("A key outside this list")]
+        keys = {key for allowed in config.KEYS.values() for key in allowed}
+        keys |= {key for allowed in config.R_RULE_KEYS.values()
+                 for key in allowed} | set(config.R_RULE_KEYS)
+        missing = sorted(key for key in keys if f"`{key}`" not in listing)
+        assert not missing, missing
 
 
 class TestValidate:

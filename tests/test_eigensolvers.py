@@ -12,7 +12,7 @@ from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
                                      ray_start, run_balanced_ipm,
                                      run_geometric, run_ipm, run_ppm,
                                      secant_predictor)
-from nonlin_eig.functional import SpdInstance, power_map
+from nonlin_eig.functional import SolveReport, SpdInstance, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
@@ -553,6 +553,25 @@ class TestGeometric:
         monkeypatch.setattr(eigensolvers, "_polish", recording)
         trace = run_geometric(spd, np.array([1.0, 0.0]), 5)
         assert trace.stop_reason == "stalled" and taus == [2.0]
+
+    def test_zero_sweeps_stall(self, spd, monkeypatch):
+        # a zero candidate has no direction, so its F is NaN: with every
+        # sweep at 0 the step has no seed to polish and stalls
+        monkeypatch.setattr(eigensolvers, "_sweep",
+                            lambda pair, u, *args: (np.zeros_like(u), 1))
+        monkeypatch.setattr(eigensolvers, "_polish", None)
+        trace = run_geometric(spd, np.array([1.0, 0.6]), 5)
+        assert trace.stop_reason == "stalled" and len(trace.records) == 1
+
+    def test_zero_polish_loses_to_the_sweep(self, monkeypatch):
+        # the first step of test_grid_polish_candidate_wins takes the
+        # polish; a polish that lands on 0 is no candidate, so a sweep wins
+        dom = build_domain("square", 2.0, 0.1)
+        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 5.0), 5.0)
+        monkeypatch.setattr(eigensolvers, "_polish", lambda pair, u, *args:
+                            (np.zeros_like(u), SolveReport()))
+        trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 1)
+        assert trace.extras["candidate"] == ["sweep"]
 
     # The 20 grid runs of the geometric sweep (19x19, r = sqrt(h), 25
     # steps): final lambda, record count and the winner of each accepted

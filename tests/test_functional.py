@@ -124,6 +124,15 @@ class TestFenchelConjugate:
         assert fenchel_conjugate_value(diag_pair, np.zeros(2), np.zeros(2),
                                        0.0) == 0.0
 
+    def test_route_defect_floor(self, diag_pair):
+        # with J(v) given as 0 the two routes differ by half, but below
+        # 1e-14 both count as agreeing
+        v = np.array([1e-8, 1e-8])
+        zeta = diag_pair.subgrad_J(v)
+        assert fenchel_route_defect(diag_pair, zeta, v, 0.0) == 0.0
+        assert fenchel_route_defect(diag_pair, 100 * zeta, 100 * v,
+                                    0.0) == pytest.approx(0.5)
+
     def test_two_routes_agree_on_grid(self, grid_pair):
         for u in random_fields(grid_pair, 5, seed=6):
             assert fenchel_route_defect(grid_pair, grid_pair.subgrad_J(u), u,
