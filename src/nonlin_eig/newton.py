@@ -229,7 +229,9 @@ def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,
 
 class _PoissonFlux:
     """Primal-dual state of -Delta_p^h u = zeta: the flux sigma = phi(u(y) -
-    u(x)) of every stencil edge, laid out as inst.edge_differences."""
+    u(x)) of every stencil edge, laid out as inst.edge_differences, so once
+    per edge, with row 0 the one flux phi(-u(x)) that x's cminus edges to
+    non-interior nodes share; inst.edge_sum gives its -Delta_p^h."""
 
     def __init__(self, inst, zeta: np.ndarray, x: np.ndarray):
         self.inst, self.zeta = inst, zeta
@@ -242,7 +244,7 @@ class _PoissonFlux:
         self.slope = _linearize_flux(self.sigma, inst.edge_differences(x),
                                      inst.p, inst.smoothing(x))
         return (inst.jacobian_matrix(x, self.slope),
-                -inst.stencil.weight * np.sum(self.sigma, axis=0))
+                -inst.stencil.weight * inst.edge_sum(self.sigma))
 
     def system(self, x: np.ndarray):
         J, lap = self.linearize(x)

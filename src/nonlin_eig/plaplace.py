@@ -14,23 +14,28 @@ non-interior nodes) are 0.  The discrete Dirichlet energy is defined as the
 symmetrized double sum whose exact gradient under the h^2-weighted pairing
 is -Delta_p^h, which makes the discrete Euler identity hold to roundoff.
 
-The operator, the energy and the Jacobian read the stencil through one
-neighbour table of shape (K+1, n), for K stencil offsets.  Row k holds
-every node's neighbour at offset k; the node itself sits in a centre row,
-at the place of (0, 0) among the lexsorted offsets of build_stencil.  A
-neighbour that is not an interior node reads the appended zero slot n.
-One gather of the interior vector extended by that zero gives u(y) - u(x)
-for every (offset, node) at once:
-- the operator sums power_map of it over the offsets (the centre adds 0);
-- the energy sums |u(y)-u(x)|^p and adds c(x)|u(x)|^p, for the cached
-  count c(x) of x's non-interior neighbours: the double sum also runs over
-  the non-interior nodes, whose values are 0, so it counts each such edge
-  twice, once from each end;
-- the Jacobian writes its weights into CSR data on a fixed pattern read
-  from the transposed table, whose columns come sorted in each row; the
-  centre slot is the diagonal and zero-slot entries are left out.
-The table and the CSR pattern are built on first use, not in __init__, so
-that building an instance stays cheap.
+The ball is symmetric, so each stencil edge {x, y} is read once, from
+the end that sees the other at a half offset: dy > 0, or dy = 0 and
+dx > 0, H = K/2 of the K offsets.  A neighbour table of shape (H, n) holds
+every node's neighbour at each half offset; a neighbour that is not an
+interior node reads the appended zero slot n.  One gather of the interior
+vector extended by that zero gives edge_differences, an (H+1, n) array
+whose row k >= 1 is u(y) - u(x) at half offset k.  A node's edges to
+non-interior nodes at the negated half offsets all read -u(x); row 0
+holds that value once and a cached per-node count cminus weighs it.
+- The operator sums power_map of the rows over each node's half edges,
+  subtracts it at their far ends (one np.bincount over the table, which
+  drops the zero slot), and adds cminus power_map(-u(x)).
+- The energy is the sum of |u(y)-u(x)|^p over the rows plus cminus
+  |u(x)|^p, divided by p: the double sum over ordered pairs, which also
+  runs over the non-interior nodes (value 0), counts every edge twice and
+  is divided by 2p, so the half sum is that double sum halved.
+- The Jacobian computes each edge weight once and writes it to both CSR
+  slots of its edge; the diagonal is the weights summed over the half
+  edges, their far ends and cminus.  The CSR pattern is fixed, shared and
+  read-only, with the columns of each row sorted.
+The table, the counts and the CSR pattern are built on first use, not in
+__init__, so that building an instance stays cheap.
 
 One rule, smoothing(x) = epsilon max(1, max|x|), smooths every kernel
 derivative near zero; only the vector x differs.  duality_map_H_prime (the
@@ -102,64 +107,106 @@ class PLaplaceInstance(FunctionalPair):
         return out
 
     @cached_property
-    def _centre(self) -> int:
-        """Row of the node itself: the place of (0, 0) in the offsets."""
+    def _half_offsets(self) -> np.ndarray:
+        """The offsets (dy, dx) with dy > 0, or dy = 0 and dx > 0."""
         dy, dx = self.stencil.offsets.T
-        return int(np.count_nonzero((dy < 0) | ((dy == 0) & (dx < 0))))
+        return self.stencil.offsets[(dy > 0) | ((dy == 0) & (dx > 0))]
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """(K+1, n) neighbour numbers, n for a non-interior neighbour."""
+    def _neighbours(self, offsets: np.ndarray, dtype=np.intp) -> np.ndarray:
+        """(len(offsets), n) neighbour numbers, n for a non-interior one."""
         ny, nx, n = self.domain.ny, self.domain.nx, self.n_interior
         m = self.stencil.margin
-        number = np.full((ny + 2 * m, nx + 2 * m), n, dtype=np.intp)
+        number = np.full((ny + 2 * m, nx + 2 * m), n, dtype=dtype)
         number[m:m + ny, m:m + nx][self._mask] = np.arange(n)
-        dy, dx = np.insert(self.stencil.offsets, self._centre, (0, 0), axis=0).T
+        dy, dx = offsets.T
         jj, ii = np.nonzero(self._mask)
         return number[m + jj + dy[:, None], m + ii + dx[:, None]]
 
     @cached_property
-    def _csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(take, indices, indptr): CSR data is the weight table raveled
-        and read at take; indices and indptr are shared, read-only."""
-        n = self.n_interior
-        rows, slots = np.nonzero(self._table.T != n)
-        indices = self._table[slots, rows].astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        indices.flags.writeable = indptr.flags.writeable = False
-        return slots * n + rows, indices, indptr
+    def _half_table(self) -> np.ndarray:
+        """(H, n) neighbour numbers at the half offsets."""
+        return self._neighbours(self._half_offsets)
 
     @cached_property
-    def _outside_count(self) -> np.ndarray:
-        """Per interior node, the number of its non-interior neighbours."""
-        return np.count_nonzero(self._table == self.n_interior,
-                                axis=0).astype(float)
+    def _cminus(self) -> np.ndarray:
+        """Per interior node, the number of its non-interior neighbours at
+        the negated half offsets."""
+        return np.count_nonzero(
+            self._neighbours(-self._half_offsets) == self.n_interior,
+            axis=0).astype(float)
+
+    @cached_property
+    def _csr_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(take, indices, indptr): CSR data is an (H+1, n) array raveled
+        and read at take, whose row 0 holds the diagonal and row k the
+        off-diagonal weight of half edge k; indices and indptr are shared,
+        read-only.  Each row's entries follow the lexsorted offsets of its
+        node, so their columns come sorted."""
+        n, half = self.n_interior, self._half_offsets
+        H = len(half)
+        offsets = np.concatenate((-half, [(0, 0)], half))
+        source = np.r_[1:H + 1, 0, 1:H + 1]  # row of the (H+1, n) array
+        at_far = np.arange(2 * H + 1) < H  # read at the neighbour's column
+        order = np.lexsort(offsets.T[::-1])
+        table = self._neighbours(offsets[order], np.int32)
+        kept = (table != n).T
+        indices = table.T[kept]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+        read = np.where(at_far[order, None], table, np.arange(n))
+        del table  # before the int64 arrays below, to lower peak memory
+        read += source[order, None] * n
+        take = read.T[kept]
+        indices.flags.writeable = indptr.flags.writeable = False
+        return take, indices, indptr
 
     def edge_differences(self, u) -> np.ndarray:
-        """u(y) - u(x), one row per table row, one column per interior node:
-        a fresh (K+1, n) array, 0 in the centre row."""
+        """u(y) - u(x) of every stencil edge, as a fresh (H+1, n) array with
+        one column per interior node x: row k >= 1 for half offset k, and
+        row 0 = -u(x) for x's non-interior neighbours at the negated half
+        offsets, which edge_sum counts cminus(x) times."""
+        x = self.as_vector(u)
+        T = self._half_table
+        d = np.empty((len(T) + 1, self.n_interior))
+        np.negative(x, out=d[0])
         ext = np.zeros(self.n_interior + 1)
-        ext[:-1] = self.as_vector(u)
-        d = ext[self._table]
-        d -= ext[:-1]
+        ext[:-1] = x
+        np.take(ext, T, out=d[1:], mode="clip")  # "clip": no buffered copy
+        d[1:] -= x
         return d
+
+    def edge_sum(self, e: np.ndarray, sign: float = -1.0) -> np.ndarray:
+        """Per interior node x, the sum of the edge field e, laid out as
+        edge_differences, over every edge of x's stencil: e[k, x] on x's
+        half edges, sign e[k, y] on the half edge of the node y that ends
+        at x, and cminus(x) e[0, x].  sign is -1 for a field odd in the
+        edge's direction (a flux), +1 for an even one (a weight)."""
+        n = self.n_interior
+        acc = np.sum(e[1:], axis=0)
+        far = np.bincount(self._half_table.ravel(), e[1:].ravel(),
+                          minlength=n + 1)[:n]
+        if sign > 0:
+            acc += far
+        else:
+            acc -= far
+        acc += self._cminus * e[0]
+        return acc
 
     # --- operator, energy, Jacobian ------------------------------------------
 
     def neg_plaplacian(self, u) -> np.ndarray:
         """-Delta_p^h u (= subgrad of J)."""
-        acc = np.sum(power_map(self.edge_differences(u), self.p), axis=0)
+        acc = self.edge_sum(power_map(self.edge_differences(u), self.p))
         return -self.stencil.weight * acc
 
     def dirichlet_energy(self, u) -> float:
-        """J_h(u) = (C_h h^2 / (2p)) * sum over directed stencil pairs."""
-        x = self.as_vector(u)
-        a = self.edge_differences(x)
+        """J_h(u) = (C_h h^2 / p) * the sum of |u(y) - u(x)|^p over the
+        undirected stencil edges."""
+        a = self.edge_differences(u)
         np.abs(a, out=a)
         a **= self.p
-        total = float(np.sum(a) + self._outside_count @ np.abs(x) ** self.p)
-        return self.stencil.weight * self._h2 * total / (2.0 * self.p)
+        total = float(np.sum(a[1:]) + self._cminus @ a[0])
+        return self.stencil.weight * self._h2 * total / self.p
 
     def smoothing(self, u) -> float:
         """epsilon scaled by max(1, max|u|), the smoothing of the kernel
@@ -170,11 +217,11 @@ class PLaplaceInstance(FunctionalPair):
     def jacobian_matrix(self, u, slopes=None):
         """Sparse symmetric PSD Jacobian of -Delta_p^h at u, whose edge
         weights are the kernel slopes phi'(u(y) - u(x)), smoothed by
-        smoothing(u).  slopes, a (K+1, n) array laid out as
+        smoothing(u).  slopes, an (H+1, n) array laid out as
         edge_differences, replaces them: the primal-dual Newton step of the
         newton module passes 1/psi'(sigma) of its edge flux sigma, which is
         phi'(d) at sigma = phi(d)."""
-        n, c = self.n_interior, self._centre
+        n = self.n_interior
         if slopes is None:
             x = self.as_vector(u)
             w = _smoothed_slope(self.edge_differences(x), self.p,
@@ -182,13 +229,12 @@ class PLaplaceInstance(FunctionalPair):
                                 self.stencil.weight * (self.p - 1.0))
         else:
             w = self.stencil.weight * slopes
-        w[c] = 0.0
-        diag = np.sum(w, axis=0)
-        np.negative(w, out=w)
-        w[c] = diag
-        take, indices, indptr = self._csr_pattern
-        return scipy.sparse.csr_matrix((w.ravel()[take], indices, indptr),
-                                       shape=(n, n))
+        diag = self.edge_sum(w, sign=1.0)
+        np.negative(w[1:], out=w[1:])
+        w[0] = diag
+        take, indices, indptr = self._csr_slots
+        return scipy.sparse.csr_matrix((np.take(w.ravel(), take), indices,
+                                        indptr), shape=(n, n))
 
     # --- FunctionalPair interface ---------------------------------------------
 
