@@ -41,6 +41,7 @@ from . import metrics
 SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
 BALANCE_TOL = 1e-6  # |phi| at the root of the balance
 BALANCE_RANGE = 2.0 ** 12  # the balance s stays in [1/BALANCE_RANGE, this]
+BALANCE_EVALS = 60  # the evaluations of one balance root, at most
 TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
 SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
@@ -199,25 +200,26 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     return trace
 
 
-def balance_root(defect, log_slope, max_evals: int = 60):
+def balance_root(evaluate):
     """Root of the balance defect phi(s) by safeguarded Newton in
-    sigma = log s, one defect evaluation (here an inner solve) per step.
+    sigma = log s, one evaluation (here an inner solve) per step.
 
-    phi > 0 as s -> 0 and phi < 0 as s -> inf.  log_slope(s), called
-    after defect(s) while |phi(s)| > BALANCE_TOL, gives (psi, dpsi/dsigma)
-    for psi = log R(w^+) - log R(w^-), which has phi's sign and root, or
-    None where phi holds +-SENTINEL and psi is undefined.  From s = 1 the
-    Newton point -psi/(dpsi/dsigma) is taken inside a known sign bracket
-    (lo, hi), else the geometric midpoint sqrt(lo hi); before a bracket it
-    steps at most x2 toward the root, and exactly x2 without a Newton point
-    in that direction.  Returns (s, phi(s)) once |phi| <= BALANCE_TOL or
-    phi is NaN, the point of least |phi| after max_evals evaluations, and
-    (None, phi(1)) once s would leave [1/BALANCE_RANGE, BALANCE_RANGE].
+    phi > 0 as s -> 0 and phi < 0 as s -> inf.  evaluate(s) gives
+    (phi(s), d): d is the Newton step -psi/(dpsi/dsigma) for
+    psi = log R(w^+) - log R(w^-), which has phi's sign and root, or NaN
+    where there is none (at a root, or where phi holds +-SENTINEL and psi
+    is undefined).  From s = 1 the Newton point s e^d is taken inside a
+    known sign bracket (lo, hi), else the geometric midpoint sqrt(lo hi);
+    before a bracket it steps at most x2 toward the root, and exactly x2
+    without a Newton point in that direction.  Returns (s, phi(s)) once
+    |phi| <= BALANCE_TOL or phi is NaN, the point of least |phi| after
+    BALANCE_EVALS evaluations, and (None, phi(1)) once s would leave
+    [1/BALANCE_RANGE, BALANCE_RANGE].
     """
     s, lo, hi = 1.0, 0.0, math.inf  # phi(lo) > 0 > phi(hi)
     seen = []  # (|phi|, s, phi) of every evaluation
-    for _ in range(max_evals):
-        f = defect(s)
+    for _ in range(BALANCE_EVALS):
+        f, step = evaluate(s)
         if not abs(f) > BALANCE_TOL:  # a root, or NaN: the caller stalls
             return s, f
         seen.append((abs(f), s, f))
@@ -225,9 +227,6 @@ def balance_root(defect, log_slope, max_evals: int = 60):
             lo = s
         else:
             hi = s
-        slope = log_slope(s)
-        step = -slope[0] / slope[1] if slope is not None and slope[1] \
-            else math.nan
         if 0.0 < lo and hi < math.inf:
             t = s * math.exp(step) \
                 if math.log(lo) < math.log(s) + step < math.log(hi) \
@@ -242,17 +241,6 @@ def balance_root(defect, log_slope, max_evals: int = 60):
     return min(seen)[1:]
 
 
-def secant_predictor(cache: dict, s: float, warm: np.ndarray) -> np.ndarray:
-    """Start for the solve at balance s: the straight line through the
-    cached solutions at the two balances nearest s, or warm when fewer than
-    two are cached."""
-    if len(cache) < 2:
-        return warm
-    s0, s1 = sorted(cache, key=lambda t: abs(t - s))[:2]
-    theta = (s - s0) / (s1 - s0)
-    return cache[s0] + theta * (cache[s1] - cache[s0])
-
-
 def _part(inst, w, sign):
     """(w^+, J, H) for sign = 1, (w^-, J, H) for sign = -1, or None where
     that part of w vanishes."""
@@ -261,27 +249,31 @@ def _part(inst, w, sign):
     return (clipped, inst.energy_J(clipped), Hc) if Hc > 0.0 else None
 
 
-def log_balance_slope(inst, w, parts, zp, s, settings: NewtonSettings):
-    """(dpsi/dsigma, dw/ds, the CG solve's SolveReport) at the solve w of
+def balance_tangent(inst, w, zp, settings: NewtonSettings):
+    """(dw/ds, the CG solve's SolveReport) at the solve w of
     -Delta_p w = s zeta^+ - zeta^-.
 
-    psi = log R(w^+) - log R(w^-) and sigma = log s; parts are
-    (_part(inst, w, 1), _part(inst, w, -1)), neither None.  Differentiating
-    the solve in s gives A(w) dw/ds = zeta^+ for the Jacobian A, solved by
-    Jacobi-PCG to the relative tolerance settings.cg_tol; then
-    dpsi/dsigma = s <g, dw/ds> with
-    g = sum over the parts of (dJ(w^+-)/J - dH(w^+-)/H) on that part's
-    support (Keller 1977, differentiating a solve in its parameter).  The
-    report counts CG only, so an unconverged slope solve fails no step.
+    Differentiating the solve in s gives A(w) dw/ds = zeta^+ for the
+    Jacobian A (Keller 1977, differentiating a solve in its parameter),
+    solved by Jacobi-PCG to the relative tolerance settings.cg_tol.  The
+    report counts CG only, so an unconverged tangent solve fails no step.
     """
     cg = cg_solve(inst.jacobian_matrix(w), zp, settings.cg_tol,
                   settings.cg_budget(inst.n_interior))
     dw, cg_it = cg
+    return dw, SolveReport(cg_iterations_total=cg_it,
+                           cg_unconverged=int(not cg.converged))
+
+
+def log_balance_slope(inst, w, parts, dw, s):
+    """dpsi/dsigma = s <g, dw/ds> for psi = log R(w^+) - log R(w^-) and
+    sigma = log s, with g = sum over the parts of
+    (dJ(w^+-)/J - dH(w^+-)/H) on that part's support; parts are
+    (_part(inst, w, 1), _part(inst, w, -1)), neither None."""
     g = sum((inst.subgrad_J(c) / J - inst.duality_map_H(c) / H)
             * (sign * w > 0.0)
             for sign, (c, J, H) in zip((1.0, -1.0), parts))
-    return s * inst.pairing(g, dw), dw, SolveReport(
-        cg_iterations_total=cg_it, cg_unconverged=int(not cg.converged))
+    return s * inst.pairing(g, dw)
 
 
 def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
@@ -291,20 +283,20 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     the Rayleigh quotients of the positive and negative parts of the solve
     match; targets the sign-changing second eigenfunction.
 
-    inst must be a PLaplaceInstance (the slope solve for dw/ds uses its
+    inst must be a PLaplaceInstance (the tangent solve for dw/ds uses its
     Jacobian).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
     phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL by
-    balance_root, whose slope comes from one CG solve for dw/ds after each
-    solve (log_balance_slope).  Each solve after the first starts from the
-    tangent w + (s_new - s) dw/ds at the previous balance when that one has
-    a slope, else from the secant predictor through the two cached
-    solutions at the balances nearest s.  The first, at s = 1, starts from
-    the eigen-ray R(u)^(-1/(p-1)) u (ray_start), for every p.  When the
-    search leaves the balance range the step falls back to s = 1.  The
-    scheme stalls when both parts of the solve vanish or the solve does not
-    change sign.  extras list each step's root s, its |phi|, its solve
-    count and the steps that fell back.  The step's report sums its solves
-    and slope solves.
+    balance_root.  After every solve that is not at a root one CG solve
+    gives its tangent dw/ds (balance_tangent), which yields the Newton
+    slope (log_balance_slope) where both parts of w are present.  Every
+    solve starts from the latest tangent, w + (s_new - s) dw/ds; the
+    first of a step, at s = 1, starts from the tangent
+    (1, R(u)^(-1/(p-1)) u, 0), the eigen-ray (ray_start), for every p.
+    When the search leaves the balance range the step falls back to
+    s = 1.  The scheme stalls when both parts of the solve vanish or the
+    solve does not change sign.  extras list each step's root s, its
+    |phi|, its solve count and the steps that fell back.  The step's
+    report sums its solves and tangent solves.
     """
     u0 = np.asarray(u0, dtype=float)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
@@ -318,54 +310,42 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
         report = SolveReport()
-        cache: dict[float, np.ndarray] = {}  # s -> solve w
-        parts = None  # the two parts of the latest solve
-        tangent = None  # (s, w, dw/ds) of the latest solve, with a slope
-        scaled_u = ray_start(inst, u, rq)
+        done: dict[float, np.ndarray] = {}  # s -> solve w
+        tangent = (1.0, ray_start(inst, u, rq), 0.0)  # (s, w, dw/ds)
 
-        def defect(s):
+        def evaluate(s):
             # missing positive part -> need larger s (treat as huge positive
             # defect); missing negative part -> huge negative defect
-            nonlocal report, parts, tangent
-            if tangent is not None:
-                t_s, t_w, t_dw = tangent
-                start = t_w + (s - t_s) * t_dw
-            else:
-                start = secant_predictor(
-                    cache, s, next(reversed(cache.values()), scaled_u))
-            tangent = None
-            w, rep = solve_p_poisson(inst, s * zp - zm, start, settings)
+            nonlocal report, tangent
+            t_s, t_w, t_dw = tangent
+            w, rep = solve_p_poisson(inst, s * zp - zm, t_w + (s - t_s) * t_dw,
+                                     settings)
             report += rep
-            cache[s] = w
-            parts = pp, pm = _part(inst, w, 1.0), _part(inst, w, -1.0)
+            done[s] = w
+            pp, pm = _part(inst, w, 1.0), _part(inst, w, -1.0)
             if pp is None and pm is None:
-                return np.nan
-            if pp is None:
-                return SENTINEL
-            if pm is None:
-                return -SENTINEL
-            return pp[1] / pp[2] - pm[1] / pm[2]
-
-        def log_slope(s):
-            nonlocal tangent, report
-            pp, pm = parts
-            if pp is None or pm is None:
-                return None
-            dpsi, dw, rep = log_balance_slope(inst, cache[s], parts, zp, s,
-                                              settings)
+                return np.nan, np.nan
+            phi = SENTINEL if pp is None else -SENTINEL if pm is None \
+                else pp[1] / pp[2] - pm[1] / pm[2]
+            if not abs(phi) > BALANCE_TOL:
+                return phi, np.nan
+            dw, rep = balance_tangent(inst, w, zp, settings)
             report += rep
-            tangent = (s, cache[s], dw)
-            return (math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2]),
-                    float(dpsi))
+            tangent = (s, w, dw)
+            if abs(phi) == SENTINEL:
+                return phi, np.nan
+            dpsi = log_balance_slope(inst, w, (pp, pm), dw, s)
+            psi = math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2])
+            return phi, -psi / dpsi if dpsi else np.nan
 
-        s_root, phi = balance_root(defect, log_slope)
+        s_root, phi = balance_root(evaluate)
         if s_root is None:  # no root in the balance range; fall back to s = 1
             fallback_steps.append(k)
             s_root = 1.0
-        w = cache[s_root]
+        w = done[s_root]
         roots.append(s_root)
         defects.append(abs(phi))
-        solves.append(len(cache))
+        solves.append(len(done))
         stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
         return (None if stalled else w), None, report
 

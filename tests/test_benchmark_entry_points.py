@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from nonlin_eig import cli, config, eigensolvers, metrics
+from nonlin_eig.grid import eval_initial_guess
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +38,24 @@ def test_tracer_wraps_and_restores_entry_points():
         patches.restore()
     assert eigensolvers.run_ipm is run_ipm
     assert metrics.eigen_residual is eigen_residual
+
+
+def test_tracer_counts_match_the_ledger(small_grid):
+    # the balanced scheme's tangent solves run CG outside any Newton solve;
+    # the tracer and the trace's ledger must both see them
+    tracer_module = load_perfbench("tracer")
+    u0 = eval_initial_guess("ex2", small_grid.domain).values
+    tracer, patches = tracer_module.Tracer(), tracer_module.Patches()
+    try:
+        tracer.install(patches)
+        trace = eigensolvers.run_balanced_ipm(small_grid, u0, 4)
+    finally:
+        patches.restore()
+    layers = tracer.summary()
+    assert layers["newton.cg.iters"] == sum(trace.extras["cg_iterations"])
+    assert layers["newton.steps"] \
+        == sum(rec.inner_iters for rec in trace.records)
+    assert layers["newton.cg.calls"] > layers["newton.solves"] > 0
 
 
 def test_workload_configs_load_and_build(tmp_path):

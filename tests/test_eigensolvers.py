@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
 from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
-                                     _sweep, balance_root, log_balance_slope,
-                                     ray_start, run_balanced_ipm,
-                                     run_geometric, run_ipm, run_ppm,
-                                     secant_predictor)
+                                     _sweep, balance_root, balance_tangent,
+                                     log_balance_slope, ray_start,
+                                     run_balanced_ipm, run_geometric, run_ipm,
+                                     run_ppm)
 from nonlin_eig.functional import SolveReport, SpdInstance, power_map
 from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
@@ -25,36 +25,24 @@ def spd():
     return SpdInstance(np.diag([2.0, 5.0]))
 
 
-@pytest.fixture(scope="module")
-def small_grid():
-    dom = build_domain("square", 2.0, 0.1)
-    return PLaplaceInstance(dom, build_stencil(dom, 0.25, 3.0), 3.0)
-
-
 class RootProbe:
     """A balance defect phi(s) = R+(s) - R-(s) given in closed form, with
-    psi = log R+ - log R- and its slope in sigma = log s; records the
+    the Newton step of psi = log R+ - log R- in sigma = log s; records the
     balances evaluated.  Below `vanish` the positive part vanishes: phi
-    holds the +SENTINEL and psi has no slope."""
+    holds the +SENTINEL and there is no Newton step."""
 
     def __init__(self, r_plus, r_minus, dlog_plus, dlog_minus, vanish=0.0):
         self.parts = r_plus, r_minus, dlog_plus, dlog_minus
         self.vanish = vanish
         self.seen = []
 
-    def defect(self, s):
+    def evaluate(self, s):
         self.seen.append(s)
         if s < self.vanish:
-            return SENTINEL
-        r_plus, r_minus = self.parts[0](s), self.parts[1](s)
-        return r_plus - r_minus
-
-    def log_slope(self, s):
-        if s < self.vanish:
-            return None
-        r_plus, r_minus, d_plus, d_minus = self.parts
-        return (math.log(r_plus(s)) - math.log(r_minus(s)),
-                d_plus(s) - d_minus(s))
+            return SENTINEL, math.nan
+        r_plus, r_minus, d_plus, d_minus = (f(s) for f in self.parts)
+        psi = math.log(r_plus) - math.log(r_minus)
+        return r_plus - r_minus, -psi / (d_plus - d_minus)
 
     def mirrored(self):
         """The probe of s -> 1/s: the root moves to 1/root and the search
@@ -76,14 +64,14 @@ class TestBalanceRoot:
         # not linear in sigma
         probe = RootProbe(lambda s: 1 + 1 / s, lambda s: s,
                           lambda s: -1 / (s + 1), lambda s: 1.0)
-        s, phi = balance_root(probe.defect, probe.log_slope)
+        s, phi = balance_root(probe.evaluate)
         assert abs(phi) <= eigensolvers.BALANCE_TOL
         assert s == pytest.approx((1 + 5 ** 0.5) / 2, rel=1e-6)
         assert len(probe.seen) <= 4
 
     def test_sentinel_region_crossed_by_doubling(self):
         probe = power_probe(40.0, vanish=20.0)
-        s, phi = balance_root(probe.defect, probe.log_slope)
+        s, phi = balance_root(probe.evaluate)
         assert probe.seen[:6] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
         assert s == pytest.approx(40.0, rel=1e-12)
 
@@ -92,14 +80,14 @@ class TestBalanceRoot:
         # small that the Newton point leaves the bracket (2, 4)
         probe = RootProbe(lambda s: 3.5 / s, lambda s: 1.0,
                           lambda s: -0.01, lambda s: 0.0, vanish=3.0)
-        balance_root(probe.defect, probe.log_slope)
+        balance_root(probe.evaluate)
         assert probe.seen[:4] == [1.0, 2.0, 4.0, math.sqrt(8.0)]
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_step_at_most_doubles(self, mirror):
         probe = power_probe(100.0)
         probe = probe.mirrored() if mirror else probe
-        s, _ = balance_root(probe.defect, probe.log_slope)
+        s, _ = balance_root(probe.evaluate)
         seen = [1 / t for t in probe.seen] if mirror else probe.seen
         assert seen[:7] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert len(seen) == 8 and seen[7] == pytest.approx(100.0, rel=1e-12)
@@ -108,41 +96,69 @@ class TestBalanceRoot:
     def test_leaving_the_range_falls_back(self, mirror):
         probe = power_probe(1e5)
         probe = probe.mirrored() if mirror else probe
-        s, phi = balance_root(probe.defect, probe.log_slope)
+        s, phi = balance_root(probe.evaluate)
         seen = [1 / t for t in probe.seen] if mirror else probe.seen
         assert seen == [2.0 ** m for m in range(13)]
-        assert s is None and phi == probe.defect(1.0)
+        assert s is None and phi == probe.evaluate(1.0)[0]
 
-    def test_best_point_after_max_evals(self):
+    def test_best_point_after_max_evals(self, monkeypatch):
+        monkeypatch.setattr(eigensolvers, "BALANCE_EVALS", 3)
         probe = power_probe(100.0)
-        s, phi = balance_root(probe.defect, probe.log_slope, max_evals=3)
+        s, phi = balance_root(probe.evaluate)
         assert (s, phi) == (4.0, 24.0)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-def test_log_balance_slope_matches_central_difference(small_grid, p):
-    inst = PLaplaceInstance(small_grid.domain, build_stencil(
-        small_grid.domain, 0.25, p), p)
-    X, Y = inst.domain.coords()
-    u = inst.as_vector(np.sin(np.pi * X)
-                       + 0.5 * np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2))
-    zeta = inst.duality_map_H(u / inst.norm_H(u))
-    zp, zm = np.maximum(zeta, 0.0), np.maximum(-zeta, 0.0)
+class BalanceFamily:
+    """The solves w(s) of -Delta_p w = s zeta^+ - zeta^- on the small
+    square at exponent p, for a sign-changing zeta, with their parts and
+    psi = log R(w^+) - log R(w^-)."""
+
     settings = NewtonSettings()
 
-    def solve(s):
-        w, rep = newton.solve_p_poisson(inst, s * zp - zm, u, settings)
+    def __init__(self, small_grid, p):
+        self.inst = inst = PLaplaceInstance(small_grid.domain, build_stencil(
+            small_grid.domain, 0.25, p), p)
+        X, Y = inst.domain.coords()
+        self.u = inst.as_vector(
+            np.sin(np.pi * X)
+            + 0.5 * np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2))
+        zeta = inst.duality_map_H(self.u / inst.norm_H(self.u))
+        self.zp, self.zm = np.maximum(zeta, 0.0), np.maximum(-zeta, 0.0)
+
+    def solve(self, s):
+        inst = self.inst
+        w, rep = newton.solve_p_poisson(inst, s * self.zp - self.zm, self.u,
+                                        self.settings)
         assert rep.converged
         parts = (_part(inst, w, 1.0), _part(inst, w, -1.0))
         psi = math.log(parts[0][1] / parts[0][2]) \
             - math.log(parts[1][1] / parts[1][2])
         return w, parts, psi
 
+    def tangent(self, w):
+        dw, rep = balance_tangent(self.inst, w, self.zp, self.settings)
+        assert rep.cg_unconverged == 0 and rep.cg_iterations_total > 0
+        return dw
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_balance_tangent_matches_central_difference(small_grid, p):
+    family = BalanceFamily(small_grid, p)
     s, delta = 1.3, 1e-4
-    w, parts, _ = solve(s)
-    slope = log_balance_slope(inst, w, parts, zp, s, settings)[0]
-    central = (solve(s * math.exp(delta))[2]
-               - solve(s * math.exp(-delta))[2]) / (2 * delta)
+    dw = family.tangent(family.solve(s)[0])
+    up, down = s * math.exp(delta), s * math.exp(-delta)
+    central = (family.solve(up)[0] - family.solve(down)[0]) / (up - down)
+    assert np.linalg.norm(dw - central) <= 1e-6 * np.linalg.norm(dw)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_log_balance_slope_matches_central_difference(small_grid, p):
+    family = BalanceFamily(small_grid, p)
+    s, delta = 1.3, 1e-4
+    w, parts, _ = family.solve(s)
+    slope = log_balance_slope(family.inst, w, parts, family.tangent(w), s)
+    central = (family.solve(s * math.exp(delta))[2]
+               - family.solve(s * math.exp(-delta))[2]) / (2 * delta)
     assert slope == pytest.approx(central, rel=1e-6)
 
 
@@ -408,21 +424,6 @@ class TestPpm:
         assert trace.extras["recovery_converged"] is converged
 
 
-class TestSecantPredictor:
-    def test_exact_on_affine_family(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal((2, 4, 5))
-        cache = {s: a + s * b for s in (1.0, 2.0, 0.5, 4.0)}
-        for s in (0.75, 1.3, 3.0, 8.0, 0.125):
-            assert np.allclose(secant_predictor(cache, s, None), a + s * b,
-                               rtol=1e-12, atol=1e-12)
-
-    def test_warm_start_below_two_cached(self):
-        warm = np.ones(3)
-        assert secant_predictor({}, 2.0, warm) is warm
-        assert secant_predictor({1.0: np.zeros(3)}, 2.0, warm) is warm
-
-
 class TestBalanced:
     def test_needs_sign_changing_start(self, small_grid):
         u0 = np.where(small_grid.domain.interior_mask, 1.0, 0.0)
@@ -463,7 +464,7 @@ class TestBalanced:
         assert sum(solves) < 39  # one-sided bracket and Illinois
         # Newton steps per outer step: [57, 28, 21, 24] with Illinois; the
         # tangent and scaled-ray starts each save some of them
-        assert [rec.inner_iters for rec in trace.records] == [50, 12, 7, 7]
+        assert [rec.inner_iters for rec in trace.records] == [49, 12, 7, 7]
         assert len(trace.extras["balance_roots"]) == len(solves) == 4
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in trace.extras["balance_defects"])
