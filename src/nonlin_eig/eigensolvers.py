@@ -40,7 +40,7 @@ from . import metrics
 
 SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
 BALANCE_TOL = 1e-6  # |phi| at the root of the balance
-BALANCE_RANGE = 2.0 ** 12  # the balance s stays in [1/BALANCE_RANGE, this]
+BALANCE_RANGE = 2.0 ** 12  # the balance root is sought in [1/this, this]
 BALANCE_EVALS = 60  # the evaluations of one balance root, at most
 TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
@@ -208,15 +208,18 @@ def balance_root(evaluate):
     (phi(s), d): d is the Newton step -psi/(dpsi/dsigma) for
     psi = log R(w^+) - log R(w^-), which has phi's sign and root, or NaN
     where there is none (at a root, or where phi holds +-SENTINEL and psi
-    is undefined).  From s = 1 the Newton point s e^d is taken inside a
-    known sign bracket (lo, hi), else the geometric midpoint sqrt(lo hi);
-    before a bracket it steps at most x2 toward the root, and exactly x2
-    without a Newton point in that direction.  Returns (s, phi(s)) once
+    is undefined).  From s = 1 every step keeps a sign bracket (lo, hi),
+    first the balance range [1/BALANCE_RANGE, BALANCE_RANGE], and takes
+    the Newton point s e^d strictly inside it, else the geometric
+    midpoint sqrt(lo hi) (Brent 1973, ch. 4); a point within x2 of a range
+    end not yet evaluated moves to that end.  Returns (s, phi(s)) once
     |phi| <= BALANCE_TOL or phi is NaN, the point of least |phi| after
-    BALANCE_EVALS evaluations, and (None, phi(1)) once s would leave
-    [1/BALANCE_RANGE, BALANCE_RANGE].
+    BALANCE_EVALS evaluations, and (None, phi(1)) once phi keeps its sign
+    at a range end, where no root is in the range.
     """
-    s, lo, hi = 1.0, 0.0, math.inf  # phi(lo) > 0 > phi(hi)
+    # the sign bracket phi(lo) > 0 > phi(hi); an open end is not evaluated
+    s, lo, hi = 1.0, 1.0 / BALANCE_RANGE, BALANCE_RANGE
+    lo_open = hi_open = True
     seen = []  # (|phi|, s, phi) of every evaluation
     for _ in range(BALANCE_EVALS):
         f, step = evaluate(s)
@@ -224,20 +227,16 @@ def balance_root(evaluate):
             return s, f
         seen.append((abs(f), s, f))
         if f > 0:
-            lo = s
+            lo, lo_open = s, False
         else:
-            hi = s
-        if 0.0 < lo and hi < math.inf:
-            t = s * math.exp(step) \
-                if math.log(lo) < math.log(s) + step < math.log(hi) \
-                else math.sqrt(lo * hi)
-        else:
-            toward = 1.0 if f > 0 else -1.0
-            t = s * math.exp(step) if 0.0 < toward * step < math.log(2.0) \
-                else s * 2.0 ** toward
-        if not 1.0 / BALANCE_RANGE <= t <= BALANCE_RANGE:
+            hi, hi_open = s, False
+        if lo == hi:  # phi kept its sign to a range end: no root in range
             return None, seen[0][2]
-        s = t
+        t = s * math.exp(step) \
+            if math.log(lo) < math.log(s) + step < math.log(hi) \
+            else math.sqrt(lo * hi)
+        s = hi if hi_open and 2.0 * t > hi \
+            else lo if lo_open and t < 2.0 * lo else t
     return min(seen)[1:]
 
 
@@ -292,11 +291,12 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     solve starts from the latest tangent, w + (s_new - s) dw/ds; the
     first of a step, at s = 1, starts from the tangent
     (1, R(u)^(-1/(p-1)) u, 0), the eigen-ray (ray_start), for every p.
-    When the search leaves the balance range the step falls back to
-    s = 1.  The scheme stalls when both parts of the solve vanish or the
-    solve does not change sign.  extras list each step's root s, its
-    |phi|, its solve count and the steps that fell back.  The step's
-    report sums its solves and tangent solves.
+    The search brackets the root in the balance range; when phi keeps
+    its sign at a range end the step falls back to s = 1.  The scheme
+    stalls when both parts of the solve vanish or the solve does not
+    change sign.  extras list each step's root s, its |phi|, its solve
+    count and the steps that fell back.  The step's report sums its
+    solves and tangent solves.
     """
     u0 = np.asarray(u0, dtype=float)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
 from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
@@ -46,7 +46,7 @@ class RootProbe:
 
     def mirrored(self):
         """The probe of s -> 1/s: the root moves to 1/root and the search
-        halves where it doubled."""
+        evaluates 1/s where it evaluated s."""
         r_plus, r_minus, d_plus, d_minus = self.parts
         return RootProbe(lambda s: r_minus(1 / s), lambda s: r_plus(1 / s),
                          lambda s: -d_minus(1 / s), lambda s: -d_plus(1 / s))
@@ -69,43 +69,81 @@ class TestBalanceRoot:
         assert s == pytest.approx((1 + 5 ** 0.5) / 2, rel=1e-6)
         assert len(probe.seen) <= 4
 
-    def test_sentinel_region_crossed_by_doubling(self):
+    def test_sentinel_region_crossed_by_midpoint(self):
+        # sqrt(1 * 2^12) = 64 is past the sentinel region below 20
         probe = power_probe(40.0, vanish=20.0)
         s, phi = balance_root(probe.evaluate)
-        assert probe.seen[:6] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        assert probe.seen == [1.0, 64.0, 40.0]
         assert s == pytest.approx(40.0, rel=1e-12)
 
     def test_newton_point_outside_bracket_takes_midpoint(self):
-        # phi holds the sentinel below 3 and at s = 4 the slope is so
-        # small that the Newton point leaves the bracket (2, 4)
+        # phi holds the sentinel below 3 and at s = 64 and s = 8 the slope
+        # is so small that the Newton point leaves the brackets (1, 64) and
+        # (1, 8)
         probe = RootProbe(lambda s: 3.5 / s, lambda s: 1.0,
                           lambda s: -0.01, lambda s: 0.0, vanish=3.0)
         balance_root(probe.evaluate)
-        assert probe.seen[:4] == [1.0, 2.0, 4.0, math.sqrt(8.0)]
+        assert probe.seen[:5] == [1.0, 64.0, 8.0, math.sqrt(8.0),
+                                  math.sqrt(math.sqrt(8.0) * 8.0)]
 
     @pytest.mark.parametrize("mirror", [False, True])
-    def test_step_at_most_doubles(self, mirror):
+    def test_newton_point_inside_range_taken(self, mirror):
+        # the Newton step is exact and not capped
         probe = power_probe(100.0)
         probe = probe.mirrored() if mirror else probe
         s, _ = balance_root(probe.evaluate)
         seen = [1 / t for t in probe.seen] if mirror else probe.seen
-        assert seen[:7] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-        assert len(seen) == 8 and seen[7] == pytest.approx(100.0, rel=1e-12)
+        assert len(seen) == 2 and seen[0] == 1.0
+        assert seen[1] == pytest.approx(100.0, rel=1e-12)
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_leaving_the_range_falls_back(self, mirror):
+        # midpoints in log s, the last moved to the range end 2^12, where
+        # phi keeps its sign
         probe = power_probe(1e5)
         probe = probe.mirrored() if mirror else probe
         s, phi = balance_root(probe.evaluate)
         seen = [1 / t for t in probe.seen] if mirror else probe.seen
-        assert seen == [2.0 ** m for m in range(13)]
+        assert seen == pytest.approx([1.0, 64.0, 512.0, 2.0 ** 10.5, 4096.0],
+                                     rel=1e-15)
         assert s is None and phi == probe.evaluate(1.0)[0]
 
     def test_best_point_after_max_evals(self, monkeypatch):
+        # the probe rooted at 1e5 evaluates s = 1, 64, 512
         monkeypatch.setattr(eigensolvers, "BALANCE_EVALS", 3)
-        probe = power_probe(100.0)
+        probe = power_probe(1e5)
         s, phi = balance_root(probe.evaluate)
-        assert (s, phi) == (4.0, 24.0)
+        assert (s, phi) == (512.0, 194.3125)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_root=st.floats(-13.0, 13.0), alpha=st.floats(0.2, 5.0),
+           sentinel=st.sampled_from([0, 1, -1]), depth=st.floats(1e-6, 12.0))
+    def test_power_law_roots_exactly_in_range(self, log_root, alpha,
+                                              sentinel, depth):
+        # phi(s) = c s^-alpha - 1 with c = root^alpha; with a sentinel
+        # region, phi holds +SENTINEL below root e^-depth (sentinel = 1) or
+        # -SENTINEL above root e^depth (sentinel = -1); the region ends short
+        # of the root, where a vanishing part cannot balance the other
+        log_range = math.log(eigensolvers.BALANCE_RANGE)
+        assume(alpha * abs(abs(log_root) - log_range) > 1e-5)
+        c = math.exp(alpha * log_root)
+        seen = []
+
+        def evaluate(s):
+            seen.append(s)
+            sigma = math.log(s)
+            if sentinel * (log_root - sentinel * depth - sigma) > 0:
+                return sentinel * SENTINEL, math.nan
+            return c * s ** -alpha - 1.0, log_root - sigma
+
+        s, phi = balance_root(evaluate)
+        assert len(seen) <= 12
+        if abs(log_root) < log_range:
+            assert abs(phi) <= eigensolvers.BALANCE_TOL
+            assert math.log(s) == pytest.approx(
+                log_root, abs=2 * eigensolvers.BALANCE_TOL / alpha)
+        else:
+            assert s is None and phi == evaluate(1.0)[0]
 
 
 class BalanceFamily:
@@ -447,24 +485,27 @@ class TestBalanced:
     def test_four_steps_pinned(self, small_grid):
         # lambda recorded with the balance rooted by Illinois regula falsi,
         # which the Newton root in log s reproduces to 3.5e-11; the
-        # eigen-residual recorded with the Newton root (0.4560111429534977
-        # with Illinois, 2.0e-9 away)
+        # eigen-residual recorded with the Newton root bracketed by the
+        # balance range (0.45601114387115205 when step 0 doubled s to a
+        # bracket, 6.3e-10 away; 0.4560111429534977 with Illinois)
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
         assert trace.final_lambda == pytest.approx(88.10019383023001,
                                                    rel=1e-10)
         assert metrics.eigen_residual(small_grid, trace.final_u) \
-            == pytest.approx(0.45601114387115205, rel=1e-10)
+            == pytest.approx(0.45601114358251044, rel=1e-10)
 
     def test_four_steps_solve_count(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
         solves = trace.extras["balance_solves"]
-        assert sum(solves) == 23
+        # [7, 4, 3, 4]; 23 when step 0 doubled s from 1 to a bracket
+        assert sum(solves) == 18
         assert sum(solves) < 39  # one-sided bracket and Illinois
-        # Newton steps per outer step: [57, 28, 21, 24] with Illinois; the
-        # tangent and scaled-ray starts each save some of them
-        assert [rec.inner_iters for rec in trace.records] == [49, 12, 7, 7]
+        # Newton steps per outer step: [57, 28, 21, 24] with Illinois,
+        # [49, 12, 7, 7] when step 0 doubled s; the tangent and scaled-ray
+        # starts each save some of them
+        assert [rec.inner_iters for rec in trace.records] == [36, 12, 7, 7]
         assert len(trace.extras["balance_roots"]) == len(solves) == 4
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in trace.extras["balance_defects"])
