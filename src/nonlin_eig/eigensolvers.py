@@ -34,8 +34,7 @@ import scipy.sparse.linalg
 
 from .functional import (FunctionalPair, SolveReport,
                          fenchel_conjugate_value, power_map)
-from .newton import (NewtonSettings, cg_solve, damped_newton,
-                     solve_p_poisson)
+from .newton import NewtonSettings, cg_solve, damped_newton
 from . import metrics
 
 SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
@@ -240,65 +239,65 @@ def balance_root(evaluate):
     return min(seen)[1:]
 
 
-def _part(inst, w, sign):
+def _part(pair, w, sign):
     """(w^+, J, H) for sign = 1, (w^-, J, H) for sign = -1, or None where
     that part of w vanishes."""
     clipped = np.maximum(sign * w, 0.0)
-    Hc = inst.H(clipped)
-    return (clipped, inst.energy_J(clipped), Hc) if Hc > 0.0 else None
+    Hc = pair.H(clipped)
+    return (clipped, pair.energy_J(clipped), Hc) if Hc > 0.0 else None
 
 
-def balance_tangent(inst, w, zp, settings: NewtonSettings):
+def balance_tangent(pair, w, zp, settings: NewtonSettings):
     """(dw/ds, the CG solve's SolveReport) at the solve w of
-    -Delta_p w = s zeta^+ - zeta^-.
+    dJ(w) = s zeta^+ - zeta^-.
 
     Differentiating the solve in s gives A(w) dw/ds = zeta^+ for the
     Jacobian A (Keller 1977, differentiating a solve in its parameter),
     solved by Jacobi-PCG to the relative tolerance settings.cg_tol.  The
     report counts CG only, so an unconverged tangent solve fails no step.
     """
-    cg = cg_solve(inst.jacobian_matrix(w), zp, settings.cg_tol,
-                  settings.cg_budget(inst.n_interior))
+    cg = cg_solve(pair.jacobian_matrix(w), zp, settings.cg_tol,
+                  settings.cg_budget(zp.size))
     dw, cg_it = cg
     return dw, SolveReport(cg_iterations_total=cg_it,
                            cg_unconverged=int(not cg.converged))
 
 
-def log_balance_slope(inst, w, parts, dw, s):
+def log_balance_slope(pair, w, parts, dw, s):
     """dpsi/dsigma = s <g, dw/ds> for psi = log R(w^+) - log R(w^-) and
     sigma = log s, with g = sum over the parts of
     (dJ(w^+-)/J - dH(w^+-)/H) on that part's support; parts are
-    (_part(inst, w, 1), _part(inst, w, -1)), neither None."""
-    g = sum((inst.subgrad_J(c) / J - inst.duality_map_H(c) / H)
+    (_part(pair, w, 1), _part(pair, w, -1)), neither None."""
+    g = sum((pair.subgrad_J(c) / J - pair.duality_map_H(c) / H)
             * (sign * w > 0.0)
             for sign, (c, J, H) in zip((1.0, -1.0), parts))
-    return s * inst.pairing(g, dw)
+    return s * pair.pairing(g, dw)
 
 
-def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
+def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
                      settings: NewtonSettings | None = None,
                      snapshot_cb=None) -> EigenTrace:
     """Inverse iteration with the dual iterate's positive part rescaled so
     the Rayleigh quotients of the positive and negative parts of the solve
     match; targets the sign-changing second eigenfunction.
 
-    inst must be a PLaplaceInstance (the tangent solve for dw/ds uses its
-    Jacobian).  The balance s of zeta_s = s*zeta^+ - zeta^- roots the defect
-    phi(s) = R(w^+) - R(w^-) of the solve w to |phi| <= BALANCE_TOL by
-    balance_root.  After every solve that is not at a root one CG solve
-    gives its tangent dw/ds (balance_tangent), which yields the Newton
-    slope (log_balance_slope) where both parts of w are present.  Every
-    solve starts from the latest tangent, w + (s_new - s) dw/ds; the
-    first of a step, at s = 1, starts from the tangent
-    (1, R(u)^(-1/(p-1)) u, 0), the eigen-ray (ray_start), for every p.
-    The search brackets the root in the balance range; when phi keeps
-    its sign at a range end the step falls back to s = 1.  The scheme
-    stalls when both parts of the solve vanish or the solve does not
-    change sign.  extras list each step's root s, its |phi|, its solve
-    count and the steps that fell back.  The step's report sums its
-    solves and tangent solves.
+    The start, read by pair.as_vector, must change sign.  The balance s
+    of zeta_s = s*zeta^+ - zeta^- roots the defect phi(s) = R(w^+) - R(w^-)
+    of the solve w of dJ(w) = zeta_s (pair.inverse_subgrad_J) to
+    |phi| <= BALANCE_TOL by balance_root.  After every solve that is not
+    at a root one CG solve on pair.jacobian_matrix(w) gives its tangent
+    dw/ds (balance_tangent), which yields the Newton slope
+    (log_balance_slope) where both parts of w are present.  Every solve
+    starts from the latest tangent, w + (s_new - s) dw/ds; the first of a
+    step, at s = 1, from the tangent (1, R(u)^(-1/(p-1)) u, 0), the
+    eigen-ray (ray_start), for every p.  The search brackets the root in
+    the balance range; when phi keeps its sign at a range end the step
+    falls back to s = 1.  The scheme stalls when both parts of the solve
+    vanish or the solve does not change sign.  extras list each step's
+    root s, its |phi|, its solve count and the steps that fell back.  The
+    step's report sums its solves and tangent solves.
     """
-    u0 = np.asarray(u0, dtype=float)
+    u0 = pair.as_vector(u0)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
     if settings is None:
@@ -306,35 +305,35 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
     fallback_steps, roots, defects, solves = [], [], [], []
 
     def step(k, u, rq, Ju, zJ):
-        zeta = inst.duality_map_H(u)
+        zeta = pair.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
         report = SolveReport()
         done: dict[float, np.ndarray] = {}  # s -> solve w
-        tangent = (1.0, ray_start(inst, u, rq), 0.0)  # (s, w, dw/ds)
+        tangent = (1.0, ray_start(pair, u, rq), 0.0)  # (s, w, dw/ds)
 
         def evaluate(s):
             # missing positive part -> need larger s (treat as huge positive
             # defect); missing negative part -> huge negative defect
             nonlocal report, tangent
             t_s, t_w, t_dw = tangent
-            w, rep = solve_p_poisson(inst, s * zp - zm, t_w + (s - t_s) * t_dw,
-                                     settings)
+            w, rep = pair.inverse_subgrad_J(
+                s * zp - zm, settings, warm_start=t_w + (s - t_s) * t_dw)
             report += rep
             done[s] = w
-            pp, pm = _part(inst, w, 1.0), _part(inst, w, -1.0)
+            pp, pm = _part(pair, w, 1.0), _part(pair, w, -1.0)
             if pp is None and pm is None:
                 return np.nan, np.nan
             phi = SENTINEL if pp is None else -SENTINEL if pm is None \
                 else pp[1] / pp[2] - pm[1] / pm[2]
             if not abs(phi) > BALANCE_TOL:
                 return phi, np.nan
-            dw, rep = balance_tangent(inst, w, zp, settings)
+            dw, rep = balance_tangent(pair, w, zp, settings)
             report += rep
             tangent = (s, w, dw)
             if abs(phi) == SENTINEL:
                 return phi, np.nan
-            dpsi = log_balance_slope(inst, w, (pp, pm), dw, s)
+            dpsi = log_balance_slope(pair, w, (pp, pm), dw, s)
             psi = math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2])
             return phi, -psi / dpsi if dpsi else np.nan
 
@@ -351,7 +350,7 @@ def run_balanced_ipm(inst, u0: np.ndarray, iters: int,
 
     extras = {"fallback_steps": fallback_steps, "balance_roots": roots,
               "balance_defects": defects, "balance_solves": solves}
-    return _iterate(inst, u0, iters, step, "balanced", extras,
+    return _iterate(pair, u0, iters, step, "balanced", extras,
                     snapshot_cb=snapshot_cb)
 
 
@@ -397,7 +396,7 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         F_u = 1.0 - cos
         G_H = nu ** (1.0 - p) * pair.duality_map_H(u)
         G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
-        E = G_H * nz + (pair.hess_J_matrix(u) @ G_Hs) * nu
+        E = G_H * nz + (pair.jacobian_matrix(u) @ G_Hs) * nu
         D = nu * nz
         F_hist.append(F_u)
 
@@ -516,7 +515,7 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     def jacobian(xv):
         M_diag = pair.duality_map_H_prime((xv - u) / tau) / tau
         return scipy.sparse.diags(M_diag) \
-            - (pair.p / D) * pair.hess_J_matrix(xv)
+            - (pair.p / D) * pair.jacobian_matrix(xv)
 
     x, report = damped_newton(x, resid, jacobian, settings,
                               lambda M, b: polish_solve(M, b, settings))

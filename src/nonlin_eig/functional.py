@@ -59,8 +59,9 @@ def power_map(t: np.ndarray, p: float) -> np.ndarray:
 class FunctionalPair(ABC):
     """Convex pair (J, H) with H absolutely p-homogeneous, p > 1.
 
-    Implementations must be safe for concurrent read-only use: every
-    operation returns fresh arrays and never mutates its inputs.
+    Implementations are safe for concurrent read-only use: no operation
+    mutates its inputs and every vector returned is fresh; jacobian_matrix
+    may share storage between calls, so callers must not write to it.
     """
 
     p: float
@@ -116,15 +117,15 @@ class FunctionalPair(ABC):
         return self.norm_H(u) ** self.p / self.p
 
     def as_vector(self, u) -> np.ndarray:
-        """u as a vector of the pair's space; the outer loop reads its start
-        through this once."""
+        """u as a vector of the pair's space; the schemes read their start
+        through this."""
         return np.asarray(u, dtype=float)
 
-    # --- hooks used by the geometric (cosine-ascent) scheme -----------------
+    # --- derivatives: the balanced tangent and the geometric scheme ---------
 
     @abstractmethod
-    def hess_J_matrix(self, u: np.ndarray):
-        """Second derivative of J at u, as a scipy.sparse matrix."""
+    def jacobian_matrix(self, u: np.ndarray):
+        """Jacobian of dJ (second derivative of J) at u, scipy.sparse."""
 
     @abstractmethod
     def duality_map_H_prime(self, w: np.ndarray) -> np.ndarray:
@@ -190,7 +191,7 @@ class SpdInstance(FunctionalPair):
         return float(np.dot(np.asarray(zeta, dtype=float).ravel(),
                             np.asarray(u, dtype=float).ravel()))
 
-    def hess_J_matrix(self, u):
+    def jacobian_matrix(self, u):
         return self._hess
 
     def duality_map_H_prime(self, w):

@@ -267,9 +267,6 @@ class PLaplaceInstance(FunctionalPair):
     def pairing(self, zeta, u):
         return float(self._h2 * np.sum(self.as_vector(zeta) * self.as_vector(u)))
 
-    def hess_J_matrix(self, u):
-        return self.jacobian_matrix(u)
-
     def duality_map_H_prime(self, w):
         """(p-1)(w^2 + eps^2)^((p-2)/2), the derivative of duality_map_H
         smoothed by eps = epsilon max(1, max|w|).

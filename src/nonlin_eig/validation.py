@@ -54,7 +54,7 @@ def jacobian_fd_error(pair, us, vs, step=1e-6):
     """Worst relative l2 error of the Jacobian-vector product at u in
     direction v against central differences of dJ."""
     def error(u, v):
-        jv = pair.hess_J_matrix(u) @ v
+        jv = pair.jacobian_matrix(u) @ v
         fd = (pair.subgrad_J(u + step * v)
               - pair.subgrad_J(u - step * v)) / (2 * step)
         return float(np.linalg.norm(jv - fd) / np.linalg.norm(fd))

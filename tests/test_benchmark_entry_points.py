@@ -56,6 +56,8 @@ def test_tracer_counts_match_the_ledger(small_grid):
     assert layers["newton.steps"] \
         == sum(rec.inner_iters for rec in trace.records)
     assert layers["newton.cg.calls"] > layers["newton.solves"] > 0
+    # every balanced solve goes through a traced Newton solve
+    assert layers["newton.solves"] == sum(trace.extras["balance_solves"])
 
 
 def test_workload_configs_load_and_build(tmp_path):

@@ -462,11 +462,46 @@ class TestPpm:
         assert trace.extras["recovery_converged"] is converged
 
 
+class ZeroSolvePair(SpdInstance):
+    """An SpdInstance whose inverse solves return 0: both parts of every
+    balanced solve vanish."""
+
+    def inverse_subgrad_J(self, zeta, settings=None, warm_start=None):
+        return np.zeros(self.n), SolveReport()
+
+
 class TestBalanced:
     def test_needs_sign_changing_start(self, small_grid):
-        u0 = np.where(small_grid.domain.interior_mask, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            run_balanced_ipm(small_grid, u0, 3)
+        dom = small_grid.domain
+        # the second start's one negative node, a corner, is not interior
+        corner = np.abs(eval_initial_guess("ex1", dom).values)
+        corner[0, 0] = -1.0
+        assert not dom.interior_mask[0, 0]
+        for u0 in (np.where(dom.interior_mask, 1.0, 0.0), corner):
+            with pytest.raises(ValueError):
+                run_balanced_ipm(small_grid, u0, 3)
+
+    def test_spd_oracle_second_eigenvalue(self):
+        # the 1-D Dirichlet Laplacian: the scheme's exact p = 2 oracle
+        n = 20
+        T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        lam2 = np.linalg.eigvalsh(T)[1]
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            trace = run_balanced_ipm(SpdInstance(T), rng.standard_normal(n),
+                                     60)
+            assert trace.final_lambda == pytest.approx(lam2, rel=1e-9)
+            assert trace.extras["fallback_steps"] == []
+            assert all(d <= eigensolvers.BALANCE_TOL
+                       for d in trace.extras["balance_defects"])
+
+    def test_stalls_when_both_parts_vanish(self):
+        trace = run_balanced_ipm(ZeroSolvePair(np.diag([2.0, 5.0])),
+                                 np.array([1.0, -1.0]), 3)
+        assert trace.stop_reason == "stalled"
+        assert len(trace.records) == 1
+        assert trace.extras["balance_roots"] == [1.0]
+        assert np.isnan(trace.extras["balance_defects"][0])
 
     def test_odd_symmetric_start_stays_balanced(self, small_grid):
         X, _ = small_grid.domain.coords()
@@ -823,7 +858,7 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
         if gn <= settings.tol_abs:
             break
         M_diag = pair.duality_map_H_prime((x - u) / tau) / tau
-        M = scipy.sparse.diags(M_diag) - (p / D) * pair.hess_J_matrix(x)
+        M = scipy.sparse.diags(M_diag) - (p / D) * pair.jacobian_matrix(x)
         delta = eigensolvers.polish_solve(M, -G, settings)[0]
         if not np.all(np.isfinite(delta)):
             return
@@ -858,7 +893,7 @@ def first_step(pair, u):
     nu, nz = pair.norm_H(u), pair.dual_norm_H(zeta)
     G_H = nu ** (1.0 - p) * pair.duality_map_H(u)
     G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
-    E = G_H * nz + (pair.hess_J_matrix(u) @ G_Hs) * nu
+    E = G_H * nz + (pair.jacobian_matrix(u) @ G_Hs) * nu
     D = nu * nz
     cos = pair.pairing(zeta, u) / D
     return u, cos * E / D, D

@@ -81,7 +81,7 @@ class TestHessian:
         pair = request.getfixturevalue(pair_name)
         u = random_fields(pair, 1, seed=6)[0] if pair_name == "grid_pair" \
             else np.array([0.3, -1.2])
-        H = pair.hess_J_matrix(u)
+        H = pair.jacobian_matrix(u)
         assert scipy.sparse.issparse(H) and H.shape == (len(u), len(u))
         if pair_name == "diag_pair":
             assert np.array_equal(H.toarray(), pair.A)

@@ -228,7 +228,6 @@ COERCED_METHODS = {
     "edge_differences": lambda inst, u, v: inst.edge_differences(u),
     "smoothing": lambda inst, u, v: inst.smoothing(u),
     "jacobian_matrix": lambda inst, u, v: inst.jacobian_matrix(u),
-    "hess_J_matrix": lambda inst, u, v: inst.hess_J_matrix(u),
     "duality_map_H": lambda inst, u, v: inst.duality_map_H(u),
     "duality_map_H_prime": lambda inst, u, v: inst.duality_map_H_prime(u),
     "norm_H": lambda inst, u, v: inst.norm_H(u),
