@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -46,8 +47,10 @@ def _require(cond, msg):
 
 
 def _number(value, kind=(int, float)):
-    """A JSON number of the given Python type; true and false are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A JSON number of the given Python type that a float holds finitely
+    (json also parses NaN, Infinity and 1e400); true and false are not."""
+    return isinstance(value, kind) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 def load_config(path) -> ExperimentConfig:

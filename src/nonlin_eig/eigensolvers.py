@@ -17,9 +17,9 @@ iterate before normalization or None for a stall, the record's dual
 Rayleigh quotient or None, and the SolveReport of the step's inner solves,
 summed if several.  _iterate alone keeps the ledger of the reports, alike
 for every scheme: the record's inner_iters is the report's iterations,
-extras list per record its "inner_residuals", "cg_iterations" and
-"cg_unconverged", and "failed_inner_solves" lists the steps whose report
-has not converged.
+extras list per record its "inner_residuals", "cg_iterations",
+"cg_unconverged" and "direct_solves" (LU solves), and
+"failed_inner_solves" lists the steps whose report has not converged.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class EigenTrace:
 
 def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
     n = pair.norm_H(u)
-    if n <= 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n}")
     return u / n
 
 
@@ -77,10 +77,10 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
              snapshot_cb=None) -> EigenTrace:
     """The outer loop of every scheme, described in the module docstring."""
     u = _normalize(pair, pair.as_vector(u0))
-    failed, residuals, cg_iters, cg_bad = (
+    failed, residuals, cg_iters, cg_bad, direct = (
         extras.setdefault(key, []) for key in (
             "failed_inner_solves", "inner_residuals", "cg_iterations",
-            "cg_unconverged"))
+            "cg_unconverged", "direct_solves"))
     records, stop_reason = [], "max_iter"
     t0 = time.perf_counter()
     rq, Ju, zJ, res = _evaluate(pair, u)
@@ -89,6 +89,7 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         residuals.append(report.final_residual)
         cg_iters.append(report.cg_iterations_total)
         cg_bad.append(report.cg_unconverged)
+        direct.append(report.direct_solves)
         if not report.converged:
             failed.append(k)
         records.append(metrics.IterationRecord(
@@ -258,9 +259,7 @@ def balance_tangent(pair, w, zp, settings: NewtonSettings):
     """
     cg = cg_solve(pair.jacobian_matrix(w), zp, settings.cg_tol,
                   settings.cg_budget(zp.size))
-    dw, cg_it = cg
-    return dw, SolveReport(cg_iterations_total=cg_it,
-                           cg_unconverged=int(not cg.converged))
+    return cg[0], cg.report
 
 
 def log_balance_slope(pair, w, parts, dw, s):
@@ -374,13 +373,12 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     the scheme reports a stall, which at a non-eigenvector extremum of the
     cosine similarity leaves a large eigen-residual behind.
     extras["candidate"] names each accepted step's winner, "sweep" or
-    "polish", and extras["polish_direct_solves"] each step's polish systems
-    that went to an LU factorization.  The step reports its polish, with
-    the CG work of its linear solves, counting the winner's sweeps and
-    polish steps (0 on a stall).
+    "polish".  The step reports its polish, with the CG work and LU solves
+    of its linear solves, counting the winner's sweeps and polish steps
+    (0 on a stall).
     """
     p, q = pair.p, pair.q
-    F_hist, tau_hist, winners, direct = [], [], [], []
+    F_hist, tau_hist, winners = [], [], []
 
     def normalized_F(x):  # F of x normalized
         try:
@@ -423,14 +421,12 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
                 best = (F_w, x, tau, sweeps + report.iterations, "polish")
         best_F, best_w, best_tau, best_n, best_kind = best
         tau_hist.append(best_tau or 0.0)
-        direct.append(report.direct_solves)
         if best_w is None or best_F > (1.0 - SUFFICIENT_DECREASE) * F_u:
             return None, None, replace(report, iterations=0)
         winners.append(best_kind)
         return best_w, None, replace(report, iterations=best_n)
 
-    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners,
-              "polish_direct_solves": direct}
+    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners}
     return _iterate(pair, u0, iters, step, "geometric", extras,
                     snapshot_cb=snapshot_cb)
 
@@ -465,10 +461,9 @@ def polish_solve(M, b, settings: NewtonSettings):
     solves).
 
     M = diag - (p/D) H is sparse and symmetric but often indefinite, so CG
-    cannot be trusted with it alone.  Where its diagonal has one sign
-    sigma, Jacobi-PCG (cg_solve to settings.cg_tol within
-    settings.cg_budget) runs on sigma M, and its delta is taken only if CG
-    converged and the recomputed |M delta - b|_2 is <= 1e-12 |b|_2.
+    cannot be trusted with it alone.  Where its diagonal has one sign,
+    Jacobi-PCG (cg_solve to settings.cg_tol within settings.cg_budget)
+    runs on M as it is, and its delta is taken only if CG converged and the recomputed |M delta - b|_2 is <= 1e-12 |b|_2.
     Otherwise SuperLU factors M under the minimum-degree ordering
     MMD_AT_PLUS_A, faster than COLAMD here.  On the 51x51 square, p = 3,
     from the ex2 start, CG solves all 24 polish systems in 30-41
@@ -480,20 +475,17 @@ def polish_solve(M, b, settings: NewtonSettings):
     iterations), to SuperLU.
     """
     diag = M.diagonal()
-    sign = 1.0 if diag[0] > 0.0 else -1.0
-    cg_iters = cg_failed = 0
-    if np.all(sign * diag > 0.0):
-        cg = cg_solve(sign * M, sign * b, settings.cg_tol,
-                      settings.cg_budget(b.size))
-        delta, cg_iters = cg
-        if cg.converged and np.linalg.norm(M @ delta - b) \
+    report = SolveReport()
+    if np.all(diag > 0.0) or np.all(diag < 0.0):
+        cg = cg_solve(M, b, settings.cg_tol, settings.cg_budget(b.size))
+        delta, report = cg[0], cg.report
+        if not report.cg_unconverged and np.linalg.norm(M @ delta - b) \
                 <= 1e-12 * np.linalg.norm(b):
-            return delta, SolveReport(cg_iterations_total=cg_iters)
-        cg_failed = 1
+            return delta, report
+        report = replace(report, cg_unconverged=1)
     delta = scipy.sparse.linalg.spsolve(M.tocsc(), b,
                                         permc_spec="MMD_AT_PLUS_A")
-    return delta, SolveReport(cg_iterations_total=cg_iters,
-                              cg_unconverged=cg_failed, direct_solves=1)
+    return delta, replace(report, direct_solves=1)
 
 
 def _polish(pair, u, tau, explicit, D, x, settings):

@@ -45,10 +45,10 @@ class SolveReport:
 
 
 def power_map(t: np.ndarray, p: float) -> np.ndarray:
-    """The gauge |t|^(p-2) t, elementwise, with power_map(0) = 0 for any p."""
+    """The gauge |t|^(p-2) t, elementwise; 0 at 0 for any p, NaN at NaN."""
     t = np.asarray(t, dtype=float)
     out = np.abs(t)
-    keep = out > 0.0
+    keep = out != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out **= p - 2.0
         out *= t

@@ -161,5 +161,7 @@ def load_snapshot(path, domain: GridDomain) -> GridFunction:
         raise ConfigError(
             f"snapshot shape {vals.shape} does not match domain "
             f"({domain.ny}, {domain.nx})")
+    if not np.all(np.isfinite(vals[domain.interior_mask])):
+        raise ConfigError(f"snapshot {path} holds a non-finite interior value")
     vals = np.where(domain.interior_mask, vals, 0.0)
     return GridFunction(vals, domain)

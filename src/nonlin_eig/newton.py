@@ -97,19 +97,20 @@ HALVINGS = tuple(0.5 ** k for k in range(31))  # trial lengths of a step
 
 
 class CgResult(tuple):
-    """(x, iterations) of one CG solve, which unpacks as that pair, with
-    converged (SciPy's info == 0) read by name, as os.stat_result's extra
-    fields are."""
+    """(x, iterations) of one CG solve, which unpacks as that pair, with its
+    SolveReport (the iterations; cg_unconverged 1 if SciPy's info != 0)
+    read by name as report, as os.stat_result's extra fields are."""
 
     def __new__(cls, x: np.ndarray, iterations: int, converged: bool):
         result = super().__new__(cls, (x, iterations))
-        result.converged = converged
+        result.report = SolveReport(cg_iterations_total=iterations,
+                                    cg_unconverged=int(not converged))
         return result
 
 
 def cg_solve(A, b, rtol: float, maxiter: int) -> CgResult:
     """Jacobi-preconditioned CG; returns the iterate even on non-convergence
-    (converged=False: the iteration budget ran out or CG broke down)."""
+    (report.cg_unconverged 1: the budget ran out or CG broke down)."""
     diag = A.diagonal()
     inv = np.ones_like(diag, dtype=float)
     nonzero = np.abs(diag) > 1e-300
@@ -174,9 +175,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
                 rtol = max(rtol, min(0.1, 0.9 * (norm / norm_prev) ** 2))
             norm_prev = norm
             cg = cg_solve(A, b, rtol, maxiter_cg)
-            delta, cg_it = cg
-            solved = SolveReport(cg_iterations_total=cg_it,
-                                 cg_unconverged=int(not cg.converged))
+            delta, solved = cg[0], cg.report
         else:
             delta, solved = linear_solve(A, b)
         report += solved

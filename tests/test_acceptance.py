@@ -313,7 +313,7 @@ def test_geometric_polish_takes_cg(geometric_runs):
     # every one of its polish systems is solved by verified CG, none by
     # SuperLU, and the trajectory is the one SuperLU gave.
     _, tr2 = geometric_runs["ex2"]
-    direct = tr2.extras["polish_direct_solves"]
+    direct = tr2.extras["direct_solves"]
     print(f"\n[geometric polish] PASS: ex2 polish SuperLU solves per step "
           f"{direct} (all 0), CG iterations per step "
           f"{tr2.extras['cg_iterations']}, final lambda "

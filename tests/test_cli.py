@@ -192,6 +192,13 @@ class TestRun:
         ("solver", "iter", 5),
         ("newton", "tol", 1e-12),
         ("output", "snapshot", 1),
+        # json parses Infinity, NaN and 10**400: an infinite p ended in a
+        # ZeroDivisionError, an infinite tau and a NaN tol_abs ran, and
+        # 10**400 overflowed float() in a traceback
+        ("problem", "p", float("inf")),
+        ("solver", "tau", float("inf")),
+        ("newton", "tol_abs", float("nan")),
+        pytest.param("problem", "p", 10 ** 400, id="problem-p-10**400"),
     ])
     def test_invalid_value_exits_1(self, tmp_path, capsys, section, key, value):
         raw = {
@@ -296,6 +303,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_start_exits_1(self, tmp_path, capsys):
+        # a NaN start once ran to "eigen residual undefined"
+        vals = np.ones((11, 11))
+        vals[5, 5] = np.nan
+        np.savetxt(tmp_path / "start.csv", vals, delimiter=",")
+        assert_rejected(tmp_path, capsys, {
+            "problem": dict(PROBLEM),
+            "initial": {"kind": "file", "path": str(tmp_path / "start.csv")},
+            "solver": {"kind": "ipm", "iters": 2},
+            "output": {"dir": str(tmp_path / "out")},
+        }, "start.csv")
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -252,13 +252,13 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
 ], ids=["ipm", "balanced", "ppm", "geometric"])
 def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
     # every CG call, the balanced scheme's slope solves and the geometric
-    # polish's CG attempts included; the polish lists its SuperLU solves
+    # polish's CG attempts included; every scheme lists its SuperLU solves
     calls, lu_calls = [], [0]
     original, spsolve = newton.cg_solve, scipy.sparse.linalg.spsolve
 
     def recording(A, b, rtol, maxiter):
         result = original(A, b, rtol, maxiter)
-        calls.append((result[1], result.converged))
+        calls.append((result[1], not result.report.cg_unconverged))
         return result
 
     def counted(*args, **kwargs):
@@ -277,18 +277,18 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
         recovery = len(calls) - n
         assert recovery > 0
         del calls[n - recovery:]
-    cg_iters, cg_bad = (trace.extras["cg_iterations"],
-                        trace.extras["cg_unconverged"])
-    assert len(cg_iters) == len(cg_bad) == len(trace.records) == 3
+    cg_iters, cg_bad, direct = (trace.extras["cg_iterations"],
+                                trace.extras["cg_unconverged"],
+                                trace.extras["direct_solves"])
+    assert len(cg_iters) == len(cg_bad) == len(direct) \
+        == len(trace.records) == 3
     assert len(trace.extras["inner_residuals"]) == 3
     assert sum(cg_iters) == sum(it for it, _ in calls) > 0
     assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
-    if trace.solver_tag == "geometric":
-        # the 19x19 p=3 polish systems need both solvers
-        direct = trace.extras["polish_direct_solves"]
-        assert len(direct) == 3 and sum(direct) == lu_calls[0] > 0
-    else:
-        assert lu_calls[0] == 0
+    assert sum(direct) == lu_calls[0]
+    # the 19x19 p=3 polish systems need both solvers; no other scheme
+    # factors
+    assert (lu_calls[0] > 0) == (trace.solver_tag == "geometric")
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +418,24 @@ class TestIpm:
     def test_zero_start_rejected(self, spd):
         with pytest.raises(ValueError):
             run_ipm(spd, np.zeros(2), 5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, spd, value):
+        with pytest.raises(ValueError, match="normalize"):
+            run_ipm(spd, np.array([1.0, value]), 5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst, u0: run_ipm(inst, u0, 2),
+    lambda inst, u0: run_balanced_ipm(inst, u0, 2),
+    lambda inst, u0: run_ppm(inst, u0, 0.5, 2),
+    lambda inst, u0: run_geometric(inst, u0, 2),
+], ids=["ipm", "balanced", "ppm", "geometric"])
+def test_nan_lattice_start_rejected(small_grid, run):
+    u0 = eval_initial_guess("ex2", small_grid.domain).values
+    u0[5, 5] = np.nan
+    with pytest.raises(ValueError, match="normalize"):
+        run(small_grid, u0)
 
 
 class TestPpm:
@@ -769,7 +787,7 @@ class TestPolishSolve:
 
         monkeypatch.setattr(eigensolvers, "polish_solve", recording)
         trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 2)
-        assert trace.extras["polish_direct_solves"] == [0, 0]
+        assert trace.extras["direct_solves"] == [0, 0]
         assert len(systems) == 24
         for i, (M, b, delta, report) in enumerate(systems):
             assert report.direct_solves == report.cg_unconverged == 0
@@ -811,6 +829,28 @@ class TestPolishSolve:
             (-M).tocsc(), -b, permc_spec="MMD_AT_PLUS_A"))
         assert (report.direct_solves, report.cg_iterations_total,
                 report.cg_unconverged) == (1, 7, 1)
+
+    def test_negative_definite_system_takes_cg_as_is(self, monkeypatch):
+        # CG runs on M itself; its iterates on -M and -b are these negated
+        # exactly, so delta is bit for bit that of CG on the flipped system
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((30, 30))
+        M = scipy.sparse.csr_matrix(-(B @ B.T + 30.0 * np.eye(30)))
+        b = rng.standard_normal(30)
+        seen = []
+
+        def recording(A, rhs, *args):
+            seen.append(A)
+            return newton.cg_solve(A, rhs, *args)
+
+        monkeypatch.setattr(eigensolvers, "cg_solve", recording)
+        settings = eigensolvers.POLISH
+        delta, report = eigensolvers.polish_solve(M, b, settings)
+        assert len(seen) == 1 and seen[0] is M
+        flipped, iters = newton.cg_solve(-M, -b, settings.cg_tol,
+                                         settings.cg_budget(b.size))
+        assert iters > 1 and np.array_equal(delta, flipped)
+        assert report == SolveReport(cg_iterations_total=iters)
 
     def test_superlu_error_propagates(self, monkeypatch):
         def broken_spsolve(*args, **kwargs):

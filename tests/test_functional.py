@@ -31,6 +31,12 @@ class TestPowerMap:
         t = np.array([0.5, -1.5, 2.0])
         assert np.allclose(power_map(t, 3.0), np.abs(t) * t)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_nan_is_nan(self, p):
+        # NaN once fell under the zero rule and came out as 0
+        out = power_map(np.array([np.nan, 0.0, -1.0]), p)
+        assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == -1.0
+
 
 class TestSolveReport:
     def test_sum_of_two_solves(self):

@@ -145,3 +145,23 @@ class TestSnapshots:
         other = build_domain("square", 2.0, 0.5)
         with pytest.raises(ConfigError):
             load_snapshot(path, other)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interior_value_rejected(self, tmp_path, value):
+        dom = build_domain("square", 2.0, 0.25)
+        vals = eval_initial_guess("ex1", dom).values
+        vals[dom.ny // 2, dom.nx // 2] = value
+        path = tmp_path / "start.csv"
+        save_snapshot(path, GridFunction(vals, dom))
+        with pytest.raises(ConfigError, match="start.csv"):
+            load_snapshot(path, dom)
+
+    def test_non_finite_boundary_value_dropped(self, tmp_path):
+        # only interior values are read; the rest are pinned to 0
+        dom = build_domain("square", 2.0, 0.25)
+        gf = eval_initial_guess("ex1", dom)
+        vals = gf.values.copy()
+        vals[0, 0] = np.nan
+        path = tmp_path / "start.csv"
+        save_snapshot(path, GridFunction(vals, dom))
+        assert np.array_equal(load_snapshot(path, dom).values, gf.values)

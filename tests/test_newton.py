@@ -50,16 +50,18 @@ class TestCgSolve:
         assert np.linalg.norm(-A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_exhausted_budget_reported(self):
-        # SciPy's info != 0 reaches the caller as converged=False
+        # SciPy's info != 0 reaches the caller as report.cg_unconverged 1
         rng = np.random.default_rng(6)
         B = rng.standard_normal((6, 6))
         A = B @ B.T + 6.0 * np.eye(6)
         b = rng.standard_normal(6)
         result = cg_solve(A, b, 1e-12, 1)
         x, iters = result
-        assert iters == 1 and not result.converged
+        assert iters == 1
+        assert result.report == SolveReport(cg_iterations_total=1,
+                                            cg_unconverged=1)
         assert np.linalg.norm(A @ x - b) > 1e-12 * np.linalg.norm(b)
-        assert cg_solve(A, b, 1e-12, 100).converged
+        assert cg_solve(A, b, 1e-12, 100).report.cg_unconverged == 0
 
 
 class TestDampedNewton:

@@ -76,6 +76,16 @@ class TestOperator:
         for j, i in ((3, 4), (5, 4), (4, 3), (4, 5)):
             assert out[j, i] == pytest.approx(C, rel=1e-12)
 
+    def test_nan_node_is_nan(self):
+        # the operator and the duality map once read a NaN node as 0,
+        # while the energy and the norm read NaN
+        inst = make_instance(p=3.0)
+        u = random_fields(inst, 1, 1)[0]
+        u[inst.n_interior // 2] = np.nan
+        assert np.isnan(inst.neg_plaplacian(u)[inst.n_interior // 2])
+        assert np.isnan(inst.duality_map_H(u)[inst.n_interior // 2])
+        assert np.isnan(inst.dirichlet_energy(u))
+
     def test_zero_outside_interior(self):
         # the output is an interior vector, whose lattice field is zero off
         # the interior
