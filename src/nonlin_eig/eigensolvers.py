@@ -17,9 +17,9 @@ iterate before normalization or None for a stall, the record's dual
 Rayleigh quotient or None, and the SolveReport of the step's inner solves,
 summed if several.  _iterate alone keeps the ledger of the reports, alike
 for every scheme: the record's inner_iters is the report's iterations,
-extras list per record its "inner_residuals", "cg_iterations",
-"cg_unconverged" and "direct_solves" (LU solves), and
-"failed_inner_solves" lists the steps whose report has not converged.
+extras list per record its "inner_residuals", "cg_iterations" and
+"cg_unconverged", and "failed_inner_solves" lists the steps whose report
+has not converged.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .functional import (FunctionalPair, SolveReport,
                          fenchel_conjugate_value, power_map)
@@ -77,10 +76,10 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
              snapshot_cb=None) -> EigenTrace:
     """The outer loop of every scheme, described in the module docstring."""
     u = _normalize(pair, pair.as_vector(u0))
-    failed, residuals, cg_iters, cg_bad, direct = (
+    failed, residuals, cg_iters, cg_bad = (
         extras.setdefault(key, []) for key in (
             "failed_inner_solves", "inner_residuals", "cg_iterations",
-            "cg_unconverged", "direct_solves"))
+            "cg_unconverged"))
     records, stop_reason = [], "max_iter"
     t0 = time.perf_counter()
     rq, Ju, zJ, res = _evaluate(pair, u)
@@ -89,7 +88,6 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         residuals.append(report.final_residual)
         cg_iters.append(report.cg_iterations_total)
         cg_bad.append(report.cg_unconverged)
-        direct.append(report.direct_solves)
         if not report.converged:
             failed.append(k)
         records.append(metrics.IterationRecord(
@@ -365,7 +363,7 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     rungs) with the cheap fixed-point sweep, stopping once a sweep halves
     F, then polishes once with damped Newton (settings POLISH) from the
     lowest sweep at its tau: a polish costs up to 12 linear solves
-    (polish_solve), so polishing every rung spent nearly the whole run on
+    (_polish), so polishing every rung spent nearly the whole run on
     polishes the sweeps then beat.  Sweeps and the polish are line-search
     candidates (for large tau the equation may have no solution, leaving
     only the partially resolved iterate).  The lowest F after normalization
@@ -373,9 +371,8 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     the scheme reports a stall, which at a non-eigenvector extremum of the
     cosine similarity leaves a large eigen-residual behind.
     extras["candidate"] names each accepted step's winner, "sweep" or
-    "polish".  The step reports its polish, with the CG work and LU solves
-    of its linear solves, counting the winner's sweeps and polish steps
-    (0 on a stall).
+    "polish".  The step reports its polish, with the CG work of its linear
+    solves, counting the winner's sweeps and polish steps (0 on a stall).
     """
     p, q = pair.p, pair.q
     F_hist, tau_hist, winners = [], [], []
@@ -455,48 +452,25 @@ def _sweep(pair, u, tau, explicit, D, first):
     return (x, sweeps) if sweeps else None
 
 
-def polish_solve(M, b, settings: NewtonSettings):
-    """Solve a Newton system M delta = b of the geometric polish; returns
-    (delta, a SolveReport of its CG iterations, failed CG attempts and LU
-    solves).
-
-    M = diag - (p/D) H is sparse and symmetric but often indefinite, so CG
-    cannot be trusted with it alone.  Where its diagonal has one sign,
-    Jacobi-PCG (cg_solve to settings.cg_tol within settings.cg_budget)
-    runs on M as it is, and its delta is taken only if CG converged and the recomputed |M delta - b|_2 is <= 1e-12 |b|_2.
-    Otherwise SuperLU factors M under the minimum-degree ordering
-    MMD_AT_PLUS_A, faster than COLAMD here.  On the 51x51 square, p = 3,
-    from the ex2 start, CG solves all 24 polish systems in 30-41
-    iterations (9-16 ms) each, the indefinite ones of the second step
-    (eigenvalues -2.15e5 to 1.28e4) too, to true residuals of at most
-    7.3e-14 relative and within 1.9e-12 of SuperLU's delta, which takes
-    65-109 ms a system.  The budget of 200 iterations hands systems on
-    which CG is slower than the LU, such as the 19x19 p = 2 ones (347-747
-    iterations), to SuperLU.
-    """
-    diag = M.diagonal()
-    report = SolveReport()
-    if np.all(diag > 0.0) or np.all(diag < 0.0):
-        cg = cg_solve(M, b, settings.cg_tol, settings.cg_budget(b.size))
-        delta, report = cg[0], cg.report
-        if not report.cg_unconverged and np.linalg.norm(M @ delta - b) \
-                <= 1e-12 * np.linalg.norm(b):
-            return delta, report
-        report = replace(report, cg_unconverged=1)
-    delta = scipy.sparse.linalg.spsolve(M.tocsc(), b,
-                                        permc_spec="MMD_AT_PLUS_A")
-    return delta, replace(report, direct_solves=1)
-
-
 def _polish(pair, u, tau, explicit, D, x, settings):
-    """Damped Newton polish of the sweep result x at step size tau, each
-    Newton system solved by polish_solve.
+    """Damped Newton polish of the sweep result x at step size tau.
 
-    Returns (x, the Newton report with the CG work and LU solves of its
-    linear solves), x None when the report's residual is not finite: the
-    sweep's residual is not, or a solve gave a non-finite step (SuperLU
-    gives NaN on a singular system).  The p != 2 kernel degenerates where
-    the nodewise step is small and for large tau the equation may have no
+    Each Newton system M delta = b, M = diag - (p/D) H, is sparse and
+    symmetric but often indefinite.  Jacobi-PCG (cg_solve to settings.cg_tol
+    within settings.cg_budget) runs on M as it is, and damped_newton's
+    halving line search takes a step only where it lowers the residual, so
+    a step CG did not resolve costs its work, not the iterate.  On the
+    51x51 square, p = 3, from the ex2 start, CG solves all 24 polish
+    systems in 30-41 iterations each, the indefinite ones of the second
+    step (eigenvalues -2.15e5 to 1.28e4) too, to true residuals of at most
+    7.3e-14 relative.  The budget of 200 iterations caps the work of a
+    system CG resolves slowly, such as the 19x19 p = 2 ones (347-747
+    iterations), whose truncated steps the line search then judges.
+
+    Returns (x, the Newton report with the CG work of its solves), x None
+    when the report's residual is not finite: the sweep's residual is not,
+    or CG gave a non-finite step.  The p != 2 kernel degenerates where the
+    nodewise step is small and for large tau the equation may have no
     solution, so Newton may not converge; the caller's line search
     arbitrates.
     """
@@ -509,6 +483,9 @@ def _polish(pair, u, tau, explicit, D, x, settings):
         return scipy.sparse.diags(M_diag) \
             - (pair.p / D) * pair.jacobian_matrix(xv)
 
-    x, report = damped_newton(x, resid, jacobian, settings,
-                              lambda M, b: polish_solve(M, b, settings))
+    def solve(M, b):
+        cg = cg_solve(M, b, settings.cg_tol, settings.cg_budget(b.size))
+        return cg[0], cg.report
+
+    x, report = damped_newton(x, resid, jacobian, settings, solve)
     return (x if np.isfinite(report.final_residual) else None), report

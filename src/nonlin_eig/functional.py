@@ -29,10 +29,7 @@ class SolveReport:
     final_residual: float = 0.0
     converged: bool = True
     cg_iterations_total: int = 0
-    # CG calls that did not converge (info != 0), or whose solution failed
-    # the residual check of the geometric polish (eigensolvers.polish_solve)
-    cg_unconverged: int = 0
-    direct_solves: int = 0  # linear systems solved by an LU factorization
+    cg_unconverged: int = 0  # CG calls that did not converge (info != 0)
 
     def __add__(self, other: SolveReport) -> SolveReport:
         return SolveReport(
@@ -40,8 +37,7 @@ class SolveReport:
             float(np.maximum(self.final_residual, other.final_residual)),
             self.converged and other.converged,
             self.cg_iterations_total + other.cg_iterations_total,
-            self.cg_unconverged + other.cg_unconverged,
-            self.direct_solves + other.direct_solves)
+            self.cg_unconverged + other.cg_unconverged)
 
 
 def power_map(t: np.ndarray, p: float) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Newton solvers for the inner p-Poisson and proximal subproblems.
 
-damped_newton is the package's one Newton loop.  It serves the CG solves
-below and the geometric scheme's polish, whose systems
-eigensolvers.polish_solve solves by CG under a residual check where their
-diagonal has one sign, else by SuperLU.
+damped_newton is the package's one Newton loop and cg_solve its one
+linear solver.  The loop serves the inner solves below and the geometric
+scheme's polish, which calls cg_solve at fixed settings
+(eigensolvers._polish).
 Jacobi-preconditioned CG suits the many-armed mean-value stencil, whose
 sparse Jacobian-vector product is cheap where a factorization would be
 wasteful.  CG stops at the relative tolerance max(cg_tol, 0.01 tol_abs /

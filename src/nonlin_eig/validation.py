@@ -143,12 +143,6 @@ def fenchel_route_defect(pair, zeta, v, Jv):
     return abs(val - alt) / max(abs(val), abs(alt), 1e-300)
 
 
-def growth_ratio(pair, samples):
-    """min J(u) / H(u) over the nonzero samples: the coercivity constant
-    lambda* in H(u) <= J(u) / lambda* is at most this value."""
-    return np.min([pair.energy_J(u) / pair.H(u) for u in samples if pair.H(u) > 0.0])
-
-
 def p2_oracle(inst):
     """(lambda, eigenvector) of the least eigenvalue of a p = 2 instance's
     operator M: shift-invert Lanczos from the fixed v0 = 1 (bit-repeatable)

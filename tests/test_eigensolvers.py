@@ -252,7 +252,7 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
 ], ids=["ipm", "balanced", "ppm", "geometric"])
 def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
     # every CG call, the balanced scheme's slope solves and the geometric
-    # polish's CG attempts included; every scheme lists its SuperLU solves
+    # polish's solves included; no scheme factors a system
     calls, lu_calls = [], [0]
     original, spsolve = newton.cg_solve, scipy.sparse.linalg.spsolve
 
@@ -277,18 +277,13 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
         recovery = len(calls) - n
         assert recovery > 0
         del calls[n - recovery:]
-    cg_iters, cg_bad, direct = (trace.extras["cg_iterations"],
-                                trace.extras["cg_unconverged"],
-                                trace.extras["direct_solves"])
-    assert len(cg_iters) == len(cg_bad) == len(direct) \
-        == len(trace.records) == 3
+    cg_iters, cg_bad = (trace.extras["cg_iterations"],
+                        trace.extras["cg_unconverged"])
+    assert len(cg_iters) == len(cg_bad) == len(trace.records) == 3
     assert len(trace.extras["inner_residuals"]) == 3
     assert sum(cg_iters) == sum(it for it, _ in calls) > 0
     assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
-    assert sum(direct) == lu_calls[0]
-    # the 19x19 p=3 polish systems need both solvers; no other scheme
-    # factors
-    assert (lu_calls[0] > 0) == (trace.solver_tag == "geometric")
+    assert lu_calls[0] == 0
 
 
 @pytest.fixture(scope="module")
@@ -736,13 +731,13 @@ class TestGeometric:
         # polishes once, the stalled one too, so it solves the polish
         # system at least once and at most max_iter = 12 times
         calls = [0]
-        polish_solve = eigensolvers.polish_solve
+        cg_solve = eigensolvers.cg_solve
 
         def counted(*args, **kwargs):
             calls[0] += 1
-            return polish_solve(*args, **kwargs)
+            return cg_solve(*args, **kwargs)
 
-        monkeypatch.setattr(eigensolvers, "polish_solve", counted)
+        monkeypatch.setattr(eigensolvers, "cg_solve", counted)
         dom = build_domain(shape, 2.0, 0.1)
         inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 3.0), 3.0)
         u0 = eval_initial_guess("ex2", dom).values
@@ -756,41 +751,60 @@ class TestGeometric:
 
     def test_grid_polish_solver_error_propagates(self, small_grid,
                                                  monkeypatch):
-        def broken_spsolve(*args, **kwargs):
-            raise ValueError("factorization failed")
+        def broken_cg(*args):
+            raise ValueError("CG failed")
 
-        monkeypatch.setattr(eigensolvers, "cg_solve", failing_cg)
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken_spsolve)
+        monkeypatch.setattr(eigensolvers, "cg_solve", broken_cg)
         u0 = eval_initial_guess("ex2", small_grid.domain).values
-        with pytest.raises(ValueError, match="factorization failed"):
+        with pytest.raises(ValueError, match="CG failed"):
             run_geometric(small_grid, u0, 3)
 
 
-def failing_cg(A, b, rtol, maxiter):
-    """A CG that never converges: every polish system goes to SuperLU."""
-    return newton.CgResult(np.zeros_like(b), maxiter, False)
-
-
 class TestPolishSolve:
+    """Every Newton system of the polish goes to cg_solve as it is, at
+    POLISH's tolerance and budget, and the line search judges the step."""
+
+    @staticmethod
+    def polish(pair, u, tau, monkeypatch, solve=newton.cg_solve):
+        """(sweep, polish x, polish report, [(M, b, result)] of the polish's
+        linear solves) of run_geometric's first step from u at tau, each
+        system solved by solve."""
+        systems = []
+
+        def recording(A, b, rtol, maxiter):
+            assert (rtol, maxiter) == (POLISH.cg_tol,
+                                       POLISH.cg_budget(b.size))
+            systems.append((A, b, solve(A, b, rtol, maxiter)))
+            return systems[-1][2]
+
+        monkeypatch.setattr(eigensolvers, "cg_solve", recording)
+        u, explicit, D = first_step(pair, u)
+        first = power_map(eigensolvers._implicit_rhs(
+            pair, pair.subgrad_J(u), explicit, D), pair.q)
+        sweep = _sweep(pair, u, tau, explicit, D, first)
+        x, report = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
+        return sweep, x, report, systems
+
     def test_workload_systems_take_cg(self, monkeypatch):
         # the polish systems of the 51x51 p=3 square from the ex2 start,
-        # the second step's indefinite ones included, all pass CG's check
+        # the second step's indefinite ones included, all converge under
+        # CG and agree with SuperLU's solution
         dom = build_domain("square", 2.0, 0.04)
         inst = PLaplaceInstance(dom, build_stencil(dom, 0.2, 3.0), 3.0)
         systems = []
-        polish_solve = eigensolvers.polish_solve
+        cg_solve = eigensolvers.cg_solve
 
-        def recording(M, b, settings):
-            result = polish_solve(M, b, settings)
-            systems.append((M, b, *result))
+        def recording(M, b, rtol, maxiter):
+            result = cg_solve(M, b, rtol, maxiter)
+            systems.append((M, b, result[0], result.report))
             return result
 
-        monkeypatch.setattr(eigensolvers, "polish_solve", recording)
+        monkeypatch.setattr(eigensolvers, "cg_solve", recording)
         trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 2)
-        assert trace.extras["direct_solves"] == [0, 0]
+        assert trace.extras["cg_unconverged"] == [0, 0]
         assert len(systems) == 24
         for i, (M, b, delta, report) in enumerate(systems):
-            assert report.direct_solves == report.cg_unconverged == 0
+            assert report.cg_unconverged == 0
             assert 0 < report.cg_iterations_total <= 200
             assert np.linalg.norm(M @ delta - b) <= 1e-12 * np.linalg.norm(b)
             if i in (0, 11, 12, 23):  # the first and last of each polish
@@ -799,75 +813,70 @@ class TestPolishSolve:
                 assert np.linalg.norm(delta - lu) \
                     <= 1e-10 * np.linalg.norm(lu)
 
-    @staticmethod
-    def mixed_sign_system():
-        M = scipy.sparse.csr_matrix(np.array([[2.0, 1.0, 0.0],
-                                              [1.0, -3.0, 1.0],
-                                              [0.0, 1.0, 4.0]]))
-        return M, np.array([1.0, 2.0, 3.0])
+    def test_mixed_sign_system_takes_cg(self, monkeypatch):
+        # the first polish system of the 6x6 SPD pair at tau = 1 has a
+        # diagonal of both signs and is indefinite; CG solves it as it is
+        # and the polish converges
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((6, 6))
+        pair = SpdInstance(B @ B.T + 0.5 * np.eye(6))
+        _, _, report, systems = self.polish(pair, rng.standard_normal(6), 1.0,
+                                            monkeypatch)
+        M, b, result = systems[0]
+        diag, eigs = M.diagonal(), np.linalg.eigvalsh(M.toarray())
+        assert diag.min() < 0.0 < diag.max() and eigs[0] < 0.0 < eigs[-1]
+        assert not result.report.cg_unconverged
+        assert np.linalg.norm(M @ result[0] - b) <= 1e-12 * np.linalg.norm(b)
+        assert report.converged and report.cg_unconverged == 0
 
-    def test_mixed_sign_diagonal_goes_to_superlu(self, monkeypatch):
-        def no_cg(*args):
-            raise AssertionError("CG attempted")
+    def test_residual_raising_cg_step_is_refused(self, small_grid,
+                                                 monkeypatch):
+        # a CG that claims convergence on the reversed Newton step: no
+        # length of it lowers the residual, so the line search refuses it,
+        # the polish ends where the sweep did, and the sweep wins each step
+        def uphill(A, b, rtol, maxiter):
+            return newton.CgResult(-np.linalg.solve(A.toarray(), b), 7, True)
 
-        monkeypatch.setattr(eigensolvers, "cg_solve", no_cg)
-        M, b = self.mixed_sign_system()
-        delta, report = eigensolvers.polish_solve(M, b, eigensolvers.POLISH)
-        assert np.allclose(M @ delta, b, rtol=0.0, atol=1e-14)
-        assert (report.direct_solves, report.cg_iterations_total,
-                report.cg_unconverged) == (1, 0, 0)
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
+        sweep, x, report, systems = self.polish(small_grid, u0, 0.5,
+                                                monkeypatch, uphill)
+        assert len(systems) == 1 and np.array_equal(x, sweep[0])
+        assert (report.iterations, report.cg_iterations_total,
+                report.converged) == (1, 7, False)
+        winners = run_geometric(small_grid, u0, 3).extras["candidate"]
+        assert winners and set(winners) == {"sweep"}
 
-    def test_unverified_cg_goes_to_superlu(self, monkeypatch):
-        # a CG that claims convergence at a residual far above the check
-        monkeypatch.setattr(eigensolvers, "cg_solve", lambda A, b, *args:
-                            newton.CgResult(1.001 * np.linalg.solve(
-                                A.toarray(), b), 7, True))
-        M = scipy.sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        b = np.array([1.0, 2.0])
-        delta, report = eigensolvers.polish_solve(-M, -b, eigensolvers.POLISH)
-        assert np.array_equal(delta, scipy.sparse.linalg.spsolve(
-            (-M).tocsc(), -b, permc_spec="MMD_AT_PLUS_A"))
-        assert (report.direct_solves, report.cg_iterations_total,
-                report.cg_unconverged) == (1, 7, 1)
-
-    def test_negative_definite_system_takes_cg_as_is(self, monkeypatch):
-        # CG runs on M itself; its iterates on -M and -b are these negated
+    def test_negative_definite_system_takes_cg_as_is(self, small_grid,
+                                                     monkeypatch):
+        # at tau = 2 the 19x19 polish systems are negative definite; CG
+        # runs on M itself, and its iterates on -M and -b are these negated
         # exactly, so delta is bit for bit that of CG on the flipped system
-        rng = np.random.default_rng(8)
-        B = rng.standard_normal((30, 30))
-        M = scipy.sparse.csr_matrix(-(B @ B.T + 30.0 * np.eye(30)))
-        b = rng.standard_normal(30)
-        seen = []
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
+        _, _, _, systems = self.polish(small_grid, u0, 2.0, monkeypatch)
+        M, b, result = systems[0]
+        assert np.linalg.eigvalsh(M.toarray())[-1] < 0.0
+        flipped, iters = newton.cg_solve(-M, -b, POLISH.cg_tol,
+                                         POLISH.cg_budget(b.size))
+        assert iters == result[1] > 1 and np.array_equal(result[0], flipped)
+        assert result.report == SolveReport(cg_iterations_total=iters)
 
-        def recording(A, rhs, *args):
-            seen.append(A)
-            return newton.cg_solve(A, rhs, *args)
-
-        monkeypatch.setattr(eigensolvers, "cg_solve", recording)
-        settings = eigensolvers.POLISH
-        delta, report = eigensolvers.polish_solve(M, b, settings)
-        assert len(seen) == 1 and seen[0] is M
-        flipped, iters = newton.cg_solve(-M, -b, settings.cg_tol,
-                                         settings.cg_budget(b.size))
-        assert iters > 1 and np.array_equal(delta, flipped)
-        assert report == SolveReport(cg_iterations_total=iters)
-
-    def test_superlu_error_propagates(self, monkeypatch):
-        def broken_spsolve(*args, **kwargs):
+    def test_superlu_error_propagates(self, small_grid, monkeypatch):
+        # the polish has no SuperLU fallback left to catch a failed linear
+        # solve: an error from its solver leaves _polish as it was raised
+        def broken(*args):
             raise ValueError("factorization failed")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken_spsolve)
-        M, b = self.mixed_sign_system()
+        u0 = eval_initial_guess("ex2", small_grid.domain).values
         with pytest.raises(ValueError, match="factorization failed"):
-            eigensolvers.polish_solve(M, b, eigensolvers.POLISH)
+            self.polish(small_grid, u0, 0.5, monkeypatch, broken)
 
 
 # The geometric sweep and polish as they were written with the polish's
 # own backtracking Newton loop, before it ran on newton.damped_newton; kept
 # as the reference _sweep and _polish must reproduce bit for bit.  The
 # polish is counted as sweeps + the Newton steps that solved a system.  Its
-# systems go to the same eigensolvers.polish_solve, so the Newton loop is
-# checked bit for bit whichever solver that picks.
+# systems go to the same eigensolvers.cg_solve, so the Newton loop is
+# checked bit for bit whatever that returns.
 def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
     p = pair.p
 
@@ -899,7 +908,8 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
             break
         M_diag = pair.duality_map_H_prime((x - u) / tau) / tau
         M = scipy.sparse.diags(M_diag) - (p / D) * pair.jacobian_matrix(x)
-        delta = eigensolvers.polish_solve(M, -G, settings)[0]
+        delta = eigensolvers.cg_solve(M, -G, settings.cg_tol,
+                                      settings.cg_budget(G.size))[0]
         if not np.all(np.isfinite(delta)):
             return
         steps += 1
@@ -993,9 +1003,8 @@ class TestPolishMatchesReference:
         assert_same_candidates(pair, u, tau, explicit, D, expect=2)
 
     def test_nan_step_drops_polish(self, small_grid, monkeypatch):
-        monkeypatch.setattr(eigensolvers, "cg_solve", failing_cg)
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
-                            lambda A, b, **kw: np.full(len(b), np.nan))
+        monkeypatch.setattr(eigensolvers, "cg_solve", lambda A, b, *args:
+                            newton.CgResult(np.full(len(b), np.nan), 1, False))
         u = eval_initial_guess("ex2", small_grid.domain).values
         u, explicit, D = first_step(small_grid, u)
         assert_same_candidates(small_grid, u, 0.5, explicit, D, expect=1)
