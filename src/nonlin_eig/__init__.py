@@ -10,8 +10,8 @@ from .functional import (FunctionalPair, SolveReport, SpdInstance,
                          fenchel_conjugate_value, power_map)
 from .grid import (ConfigError, GridDomain, GridFunction, Stencil,
                    build_domain, build_stencil, eval_initial_guess,
-                   load_snapshot, mean_value_constant, save_snapshot)
-from .plaplace import PLaplaceInstance
+                   load_snapshot, save_snapshot)
+from .plaplace import PLaplaceInstance, mean_value_constant
 from .newton import NewtonSettings, solve_p_poisson, solve_prox
 from .metrics import (IterationRecord, cosine_similarity, duality_gap,
                       dual_rayleigh_quotient, eigen_residual,
@@ -24,9 +24,8 @@ __all__ = [
     "FunctionalPair", "SolveReport", "SpdInstance",
     "fenchel_conjugate_value", "power_map",
     "ConfigError", "GridDomain", "GridFunction", "Stencil", "build_domain",
-    "build_stencil", "eval_initial_guess", "load_snapshot",
-    "mean_value_constant", "save_snapshot",
-    "PLaplaceInstance",
+    "build_stencil", "eval_initial_guess", "load_snapshot", "save_snapshot",
+    "PLaplaceInstance", "mean_value_constant",
     "NewtonSettings", "solve_p_poisson", "solve_prox",
     "IterationRecord", "cosine_similarity", "duality_gap",
     "dual_rayleigh_quotient", "eigen_residual", "rayleigh_quotient",

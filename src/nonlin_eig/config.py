@@ -7,8 +7,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .grid import ConfigError, build_domain, build_stencil, eval_initial_guess, \
-    load_snapshot
+from .grid import ConfigError, build_domain, eval_initial_guess, load_snapshot
 from .newton import NewtonSettings
 from .plaplace import PLaplaceInstance
 
@@ -159,8 +158,7 @@ def build_instance(cfg: ExperimentConfig):
     p, r = float(problem["p"]), resolve_radius(problem)
     domain = build_domain(problem["shape"], float(problem["side"]),
                           float(problem["h"]))
-    stencil = build_stencil(domain, r, p)  # it rejects r < h
-    pair = PLaplaceInstance(domain, stencil, p)
+    pair = PLaplaceInstance(domain, r, p)
     init = cfg.initial
     if init["kind"] == "file":
         u0 = load_snapshot(init["path"], domain).values
@@ -169,9 +167,9 @@ def build_instance(cfg: ExperimentConfig):
     resolved = {
         "problem": dict(problem), "solver": dict(cfg.solver),
         "newton": asdict(cfg.newton),
-        "r": r, "d2p": stencil.d2p, "epsilon": pair.epsilon,
-        "stencil_offsets": int(len(stencil.offsets)),
-        "stencil_weight": stencil.weight,
+        "r": r, "d2p": pair.d2p, "epsilon": pair.epsilon,
+        "stencil_offsets": int(len(pair.stencil.offsets)),
+        "stencil_weight": pair.weight,
         "nx": domain.nx, "ny": domain.ny,
         "n_interior": domain.n_interior,
     }

@@ -75,6 +75,8 @@ def _evaluate(pair, u):
 def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
              snapshot_cb=None) -> EigenTrace:
     """The outer loop of every scheme, described in the module docstring."""
+    if residual_tol is not None and not 0 < residual_tol < math.inf:
+        raise ValueError("residual_tol must be positive and finite")
     u = _normalize(pair, pair.as_vector(u0))
     failed, residuals, cg_iters, cg_bad = (
         extras.setdefault(key, []) for key in (
@@ -164,8 +166,8 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     at the final iterate, with whether the prox solve it takes there
     converged ("recovery_converged").
     """
-    if tau_tilde <= 0:
-        raise ValueError("tau_tilde must be positive")
+    if not 0 < tau_tilde < math.inf:
+        raise ValueError("tau_tilde must be positive and finite")
     p, q = pair.p, pair.q
     tau = tau_tilde ** (p - 1.0)
     lam_taus = []

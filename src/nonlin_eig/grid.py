@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 
 class ConfigError(ValueError):
@@ -41,12 +40,11 @@ class GridDomain:
 
 @dataclass(frozen=True)
 class Stencil:
-    """Integer offsets (dy, dx) covering the punctured ball of radius r."""
+    """Integer offsets (dy, dx) covering the punctured ball of radius r; its
+    weight, which also depends on p, is the PLaplaceInstance's."""
 
     offsets: np.ndarray  # shape (m, 2), int
     r: float
-    weight: float  # C_h = h^2 / (D_{2,p} * pi * r^(p+2))
-    d2p: float
 
     @property
     def margin(self) -> int:
@@ -68,8 +66,8 @@ def build_domain(shape_tag: str, side_length: float, h: float) -> GridDomain:
     """
     if shape_tag not in ("square", "lshape"):
         raise ConfigError(f"unknown shape_tag {shape_tag!r}")
-    if h <= 0 or side_length <= 0:
-        raise ConfigError("side_length and h must be positive")
+    if not (0 < h < math.inf and 0 < side_length < math.inf):
+        raise ConfigError("side_length and h must be positive and finite")
     ratio = side_length / h
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(1.0, ratio):
@@ -88,28 +86,13 @@ def build_domain(shape_tag: str, side_length: float, h: float) -> GridDomain:
                       interior_mask=mask, shape_tag=shape_tag)
 
 
-def mean_value_constant(p: float) -> float:
-    """The dimensional constant D_{2,p} of the mean-value operator.
-
-    Defined through the disk integral of |e1 . w|^p,
-        D_{2,p} = (1/(2 pi)) * int_{B_1(0)} |w_1|^p dw
-                = (2 / (pi (p+2))) * int_0^{pi/2} cos(t)^p dt,
-    evaluated by adaptive quadrature.  For p = 2 this gives exactly 1/8,
-    which makes the operator consistent with the classical Laplacian.
-    """
-    integral, _ = scipy.integrate.quad(lambda t: math.cos(t) ** p, 0.0, math.pi / 2)
-    return 2.0 * integral / (math.pi * (p + 2.0))
-
-
-def build_stencil(domain: GridDomain, r: float, p: float) -> Stencil:
-    """All integer offsets with Euclidean length in (0, r] plus the weight.
-
-    The weight is C_h = h^2 / (D_{2,p} * pi * r^(p+2)) with D_{2,p} the
-    quadrature value of mean_value_constant, which the stencil records.
-    """
+def build_stencil(domain: GridDomain, r: float) -> Stencil:
+    """All integer offsets with Euclidean length in (0, r] on the lattice
+    of spacing domain.h; r must be finite and at least h."""
     h = domain.h
-    if r < h:
-        raise ConfigError(f"mean value radius r={r} smaller than spacing h={h}")
+    if not h <= r < math.inf:
+        raise ConfigError(f"mean value radius r={r} must be finite and at "
+                          f"least the spacing h={h}")
     m = int(math.floor(r / h + 1e-12))
     offsets = []
     for dy in range(-m, m + 1):
@@ -118,10 +101,7 @@ def build_stencil(domain: GridDomain, r: float, p: float) -> Stencil:
                 continue
             if math.hypot(dx * h, dy * h) <= r * (1 + 1e-12):
                 offsets.append((dy, dx))
-    d2p = mean_value_constant(p)
-    weight = h ** 2 / (d2p * math.pi * r ** (p + 2))
-    return Stencil(offsets=np.array(offsets, dtype=int), r=r,
-                   weight=weight, d2p=d2p)
+    return Stencil(offsets=np.array(offsets, dtype=int), r=r)
 
 
 def _ex1(X, Y):

@@ -54,6 +54,7 @@ Newton steps and left two solves above 1e-9, so it stays off below p = 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,14 +72,14 @@ class NewtonSettings:
     cg_max_iter: int | None = None  # None: max(50, 10 * unknowns)
 
     def __post_init__(self):
-        if self.tol_abs <= 0:
-            raise ValueError("tol_abs must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0 < self.tol_abs < math.inf:
+            raise ValueError("tol_abs must be positive and finite")
+        if not 1 <= self.max_iter < math.inf:
+            raise ValueError("max_iter must be >= 1 and finite")
         if not 0 < self.cg_tol < 1:
             raise ValueError("cg_tol must lie in (0, 1)")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be >= 1 or null")
+        if self.cg_max_iter is not None and not 1 <= self.cg_max_iter < math.inf:
+            raise ValueError("cg_max_iter must be >= 1 and finite, or null")
 
     def cg_budget(self, n: int) -> int:
         """The iteration budget of one CG solve in n unknowns."""
@@ -243,7 +244,7 @@ class _PoissonFlux:
         self.slope = _linearize_flux(self.sigma, inst.edge_differences(x),
                                      inst.p, inst.smoothing(x))
         return (inst.jacobian_matrix(x, self.slope),
-                -inst.stencil.weight * inst.edge_sum(self.sigma))
+                -inst.weight * inst.edge_sum(self.sigma))
 
     def system(self, x: np.ndarray):
         J, lap = self.linearize(x)
@@ -303,8 +304,8 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
     inst is a PLaplaceInstance and u_ref an interior vector, from which
     the solve starts.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     p = inst.p
 
     def residual(x):

@@ -9,10 +9,12 @@ back onto the lattice, zero off the interior, for snapshots and plots.
 
 The operator is
     Delta_p^h u(x) = C_h * sum_{y in B_r(x)} |u(y)-u(x)|^(p-2) (u(y)-u(x))
-with C_h = h^2 / (D_{2,p} pi r^(p+2)).  Reads outside the domain (and at
-non-interior nodes) are 0.  The discrete Dirichlet energy is defined as the
-symmetrized double sum whose exact gradient under the h^2-weighted pairing
-is -Delta_p^h, which makes the discrete Euler identity hold to roundoff.
+with the mean-value weight C_h = h^2 / (D_{2,p} pi r^(p+2)), which ties
+p, h and r together, so an instance builds its stencil and C_h from one
+(domain, r, p).  Reads outside the domain (and at non-interior nodes) are
+0.  The discrete Dirichlet energy is defined as the symmetrized double sum
+whose exact gradient under the h^2-weighted pairing is -Delta_p^h, which
+makes the discrete Euler identity hold to roundoff.
 
 The ball is symmetric, so each stencil edge {x, y} is read once, from
 the end that sees the other at a half offset: dy > 0, or dy = 0 and
@@ -47,14 +49,29 @@ iterates.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
+import scipy.integrate
 import scipy.sparse
 
 from .functional import FunctionalPair, power_map
-from .grid import GridDomain, Stencil
+from .grid import GridDomain, build_stencil
 from . import newton
+
+
+def mean_value_constant(p: float) -> float:
+    """The dimensional constant D_{2,p} of the mean-value operator.
+
+    Defined through the disk integral of |e1 . w|^p,
+        D_{2,p} = (1/(2 pi)) * int_{B_1(0)} |w_1|^p dw
+                = (2 / (pi (p+2))) * int_0^{pi/2} cos(t)^p dt,
+    evaluated by adaptive quadrature.  For p = 2 this gives exactly 1/8,
+    which makes the operator consistent with the classical Laplacian.
+    """
+    integral, _ = scipy.integrate.quad(lambda t: math.cos(t) ** p, 0.0, math.pi / 2)
+    return 2.0 * integral / (math.pi * (p + 2.0))
 
 
 def _smoothed_slope(t: np.ndarray, p: float, epsilon: float,
@@ -73,20 +90,25 @@ class PLaplaceInstance(FunctionalPair):
 
     J is the discrete p-Dirichlet energy, H(u) = (1/p) ||u||_p^p, and the
     pairing carries the volume weight h^2 so that discrete quantities
-    approximate their continuum counterparts.  The instance is immutable
+    approximate their continuum counterparts.  d2p and weight are the
+    D_{2,p} and C_h of the module docstring.  The instance is immutable
     and shareable across threads.
     """
 
-    def __init__(self, domain: GridDomain, stencil: Stencil, p: float,
+    def __init__(self, domain: GridDomain, r: float, p: float,
                  epsilon: float = 1e-9) -> None:
-        if p <= 1:
-            raise ValueError("p must be > 1")
+        if not 1 < p < math.inf:
+            raise ValueError("p must be > 1 and finite")
+        if not 0 <= epsilon < math.inf:
+            raise ValueError("epsilon must be >= 0 and finite")
         self.domain = domain
-        self.stencil = stencil
+        self.stencil = build_stencil(domain, r)  # it rejects r < h
         self.p = float(p)
         self.epsilon = float(epsilon)
         self._mask = domain.interior_mask
         self._h2 = domain.h ** 2
+        self.d2p = mean_value_constant(self.p)
+        self.weight = self._h2 / (self.d2p * math.pi * r ** (self.p + 2))
 
     # --- the vector space -----------------------------------------------------
 
@@ -197,7 +219,7 @@ class PLaplaceInstance(FunctionalPair):
     def neg_plaplacian(self, u) -> np.ndarray:
         """-Delta_p^h u (= subgrad of J)."""
         acc = self.edge_sum(power_map(self.edge_differences(u), self.p))
-        return -self.stencil.weight * acc
+        return -self.weight * acc
 
     def dirichlet_energy(self, u) -> float:
         """J_h(u) = (C_h h^2 / p) * the sum of |u(y) - u(x)|^p over the
@@ -206,7 +228,7 @@ class PLaplaceInstance(FunctionalPair):
         np.abs(a, out=a)
         a **= self.p
         total = float(np.sum(a[1:]) + self._cminus @ a[0])
-        return self.stencil.weight * self._h2 * total / self.p
+        return self.weight * self._h2 * total / self.p
 
     def smoothing(self, u) -> float:
         """epsilon scaled by max(1, max|u|), the smoothing of the kernel
@@ -226,9 +248,9 @@ class PLaplaceInstance(FunctionalPair):
             x = self.as_vector(u)
             w = _smoothed_slope(self.edge_differences(x), self.p,
                                 self.smoothing(x),
-                                self.stencil.weight * (self.p - 1.0))
+                                self.weight * (self.p - 1.0))
         else:
-            w = self.stencil.weight * slopes
+            w = self.weight * slopes
         diag = self.edge_sum(w, sign=1.0)
         np.negative(w[1:], out=w[1:])
         w[0] = diag

@@ -68,7 +68,7 @@ def stencil_count_defect(domain, r):
     count = sum(1 for dy in range(-m, m + 1) for dx in range(-m, m + 1)
                 if (dx, dy) != (0, 0)
                 and np.hypot(dx * domain.h, dy * domain.h) <= r * (1 + 1e-12))
-    return abs(len(build_stencil(domain, r, 2.0).offsets) - count)
+    return abs(len(build_stencil(domain, r).offsets) - count)
 
 
 def spd_oracle_error(runs):
@@ -158,7 +158,7 @@ def p2_oracle(inst):
 def _desk(measure, p=3.0, n=21, count=10, seed=0):
     """measure(instance, fields) on an n x n lattice over (-1, 1)^2, r = 2.5 h."""
     domain = build_domain("square", 2.0, 2.0 / (n - 1))
-    inst = PLaplaceInstance(domain, build_stencil(domain, 2.5 * domain.h, p), p)
+    inst = PLaplaceInstance(domain, 2.5 * domain.h, p)
     return measure(inst, random_fields(inst, count, seed))
 
 
@@ -177,7 +177,7 @@ def _spd_ipm_runs():
 
 def _ipm_dual_rq_monotone():
     domain = build_domain("lshape", 2.0, 0.1)
-    inst = PLaplaceInstance(domain, build_stencil(domain, 3.0 * domain.h, 3.0), 3.0)
+    inst = PLaplaceInstance(domain, 3.0 * domain.h, 3.0)
     u0 = eval_initial_guess("ex1", domain).values
     return dual_rq_decrease(eigensolvers.run_ipm(inst, u0, 10, NewtonSettings()))
 
@@ -189,7 +189,7 @@ def _example1_sweep():
     u0 = eval_initial_guess("ex1", domain).values
     runs = []
     for p in (1.5, 2.0, 3.0, 5.0):
-        inst = PLaplaceInstance(domain, build_stencil(domain, 0.2, p), p)
+        inst = PLaplaceInstance(domain, 0.2, p)
         runs.append((inst, eigensolvers.run_ipm(inst, u0, 30, NewtonSettings())))
     return runs
 

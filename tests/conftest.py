@@ -1,6 +1,6 @@
 import pytest
 
-from nonlin_eig.grid import build_domain, build_stencil
+from nonlin_eig.grid import build_domain
 from nonlin_eig.plaplace import PLaplaceInstance
 
 
@@ -8,4 +8,4 @@ from nonlin_eig.plaplace import PLaplaceInstance
 def small_grid():
     """The 19x19 interior square, h = 0.1, r = 0.25, p = 3."""
     dom = build_domain("square", 2.0, 0.1)
-    return PLaplaceInstance(dom, build_stencil(dom, 0.25, 3.0), 3.0)
+    return PLaplaceInstance(dom, 0.25, 3.0)

@@ -15,14 +15,14 @@ from nonlin_eig import metrics, validation
 from nonlin_eig.eigensolvers import (run_balanced_ipm, run_geometric,
                                      run_ipm, run_ppm)
 from nonlin_eig.functional import SpdInstance
-from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
+from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 
 
 def _grid_instance(shape, h, r, p):
     dom = build_domain(shape, 2.0, h)
-    return PLaplaceInstance(dom, build_stencil(dom, r, p), p)
+    return PLaplaceInstance(dom, r, p)
 
 
 @pytest.fixture(scope="module")

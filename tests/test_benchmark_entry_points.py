@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from nonlin_eig import cli, config, eigensolvers, metrics
-from nonlin_eig.grid import eval_initial_guess
+from nonlin_eig.grid import build_domain, eval_initial_guess
+from nonlin_eig.plaplace import PLaplaceInstance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +39,21 @@ def test_tracer_wraps_and_restores_entry_points():
         patches.restore()
     assert eigensolvers.run_ipm is run_ipm
     assert metrics.eigen_residual is eigen_residual
+
+
+def test_tracer_sees_one_stencil_build_inside_the_instance():
+    # the instance builds its own stencil, through the name the tracer wraps
+    tracer_module = load_perfbench("tracer")
+    tracer, patches = tracer_module.Tracer(), tracer_module.Patches()
+    domain = build_domain("square", 2.0, 0.1)
+    try:
+        tracer.install(patches)
+        PLaplaceInstance(domain, 0.25, 3.0)
+    finally:
+        patches.restore()
+    builds = [s for s in tracer.spans if s.name == "grid.build_stencil"]
+    assert len(builds) == 1
+    assert tracer.spans[builds[0].parent].name == "plaplace.init"
 
 
 def test_tracer_counts_match_the_ledger(small_grid):

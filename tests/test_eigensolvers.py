@@ -13,7 +13,7 @@ from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
                                      run_balanced_ipm, run_geometric, run_ipm,
                                      run_ppm)
 from nonlin_eig.functional import SolveReport, SpdInstance, power_map
-from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
+from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import (dual_rq_decrease, duality_gap_at,
@@ -154,8 +154,7 @@ class BalanceFamily:
     settings = NewtonSettings()
 
     def __init__(self, small_grid, p):
-        self.inst = inst = PLaplaceInstance(small_grid.domain, build_stencil(
-            small_grid.domain, 0.25, p), p)
+        self.inst = inst = PLaplaceInstance(small_grid.domain, 0.25, p)
         X, Y = inst.domain.coords()
         self.u = inst.as_vector(
             np.sin(np.pi * X)
@@ -224,6 +223,17 @@ def test_eigen_residual_once_per_step(spd, monkeypatch, run):
         == [r.residual for r in plain.records]
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0])
+@pytest.mark.parametrize("run", [
+    lambda pair, u0, **kw: run_ipm(pair, u0, 6, **kw),
+    lambda pair, u0, **kw: run_ppm(pair, u0, tau_tilde=0.5, iters=6, **kw),
+], ids=["ipm", "ppm"])
+def test_residual_tol_must_be_positive_and_finite(spd, run, tol):
+    # an infinite one used to stop after one step and report convergence
+    with pytest.raises(ValueError, match="residual_tol must be positive"):
+        run(spd, np.array([1.0, 1.0]), residual_tol=tol)
+
+
 @pytest.mark.parametrize("run", [
     lambda pair, u0, s: run_ipm(pair, u0, 2, s),
     lambda pair, u0, s: run_ppm(pair, u0, tau_tilde=0.5, iters=1, settings=s),
@@ -289,7 +299,7 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
 @pytest.fixture(scope="module")
 def square11():
     dom = build_domain("square", 2.0, 0.2)
-    return PLaplaceInstance(dom, build_stencil(dom, 0.45, 3.0), 3.0)
+    return PLaplaceInstance(dom, 0.45, 3.0)
 
 
 @pytest.mark.parametrize("run,start", [
@@ -394,7 +404,7 @@ class TestIpm:
                                            ("lshape", 0.05, 0.2)])
     def test_ray_start_solves_p2_eigenvector(self, shape, h, r):
         dom = build_domain(shape, 2.0, h)
-        inst = PLaplaceInstance(dom, build_stencil(dom, r, 2.0), 2.0)
+        inst = PLaplaceInstance(dom, r, 2.0)
         _, vec = p2_oracle(inst)
         u = vec / inst.norm_H(vec)
         zeta = inst.duality_map_H(u)
@@ -451,6 +461,12 @@ class TestPpm:
     def test_rejects_nonpositive_tau(self, spd):
         with pytest.raises(ValueError):
             run_ppm(spd, np.array([1.0, 1.0]), tau_tilde=0.0, iters=5)
+
+    @pytest.mark.parametrize("tau_tilde", [float("inf"), float("nan")])
+    def test_rejects_non_finite_tau(self, spd, tau_tilde):
+        # a non-finite tau_tilde used to return the start's eigenvalue
+        with pytest.raises(ValueError, match="tau_tilde must be positive and finite"):
+            run_ppm(spd, np.array([1.0, 1.0]), tau_tilde=tau_tilde, iters=5)
 
     def test_grid_lambda_agreement_with_ipm(self, small_grid):
         u0 = eval_initial_guess("ex1", small_grid.domain).values
@@ -574,7 +590,7 @@ class TestBalanced:
     ])
     def test_trajectory_pinned(self, shape, p, lam, fallback, stop):
         dom = build_domain(shape, 2.0, 0.1)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.25, p), p)
+        inst = PLaplaceInstance(dom, 0.25, p)
         trace = run_balanced_ipm(inst, eval_initial_guess("ex2", dom).values,
                                  6)
         assert trace.final_lambda == pytest.approx(lam, rel=1e-8)
@@ -621,7 +637,7 @@ class TestGeometric:
         # p=5 on the 19x19 square from the ex2 start: the first step takes
         # the Newton polish, counted as 10 sweeps + the default max_iter 12
         dom = build_domain("square", 2.0, 0.1)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 5.0), 5.0)
+        inst = PLaplaceInstance(dom, 0.1 ** 0.5, 5.0)
         u0 = eval_initial_guess("ex2", dom).values
         trace = run_geometric(inst, u0, 25)
         assert trace.records[0].inner_iters == 22
@@ -657,7 +673,7 @@ class TestGeometric:
         # the first step of test_grid_polish_candidate_wins takes the
         # polish; a polish that lands on 0 is no candidate, so a sweep wins
         dom = build_domain("square", 2.0, 0.1)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 5.0), 5.0)
+        inst = PLaplaceInstance(dom, 0.1 ** 0.5, 5.0)
         monkeypatch.setattr(eigensolvers, "_polish", lambda pair, u, *args:
                             (np.zeros_like(u), SolveReport()))
         trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 1)
@@ -717,7 +733,7 @@ class TestGeometric:
     def test_grid_trajectory_pinned(self, shape, p, start, lam, n_records,
                                     winners):
         dom = build_domain(shape, 2.0, 0.1)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, p), p)
+        inst = PLaplaceInstance(dom, 0.1 ** 0.5, p)
         u0 = eval_initial_guess(start, dom).values
         trace = run_geometric(inst, u0, 25)
         assert trace.final_lambda == pytest.approx(lam, rel=1e-12)
@@ -739,7 +755,7 @@ class TestGeometric:
 
         monkeypatch.setattr(eigensolvers, "cg_solve", counted)
         dom = build_domain(shape, 2.0, 0.1)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.1 ** 0.5, 3.0), 3.0)
+        inst = PLaplaceInstance(dom, 0.1 ** 0.5, 3.0)
         u0 = eval_initial_guess("ex2", dom).values
         at_step = [0]  # calls so far, after each accepted step
         trace = run_geometric(inst, u0, 25, snapshot_cb=lambda k, u:
@@ -760,7 +776,7 @@ class TestGeometric:
             run_geometric(small_grid, u0, 3)
 
 
-class TestPolishSolve:
+class TestPolishLinearSolves:
     """Every Newton system of the polish goes to cg_solve as it is, at
     POLISH's tolerance and budget, and the line search judges the step."""
 
@@ -790,7 +806,7 @@ class TestPolishSolve:
         # the second step's indefinite ones included, all converge under
         # CG and agree with SuperLU's solution
         dom = build_domain("square", 2.0, 0.04)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.2, 3.0), 3.0)
+        inst = PLaplaceInstance(dom, 0.2, 3.0)
         systems = []
         cg_solve = eigensolvers.cg_solve
 
@@ -860,9 +876,9 @@ class TestPolishSolve:
         assert iters == result[1] > 1 and np.array_equal(result[0], flipped)
         assert result.report == SolveReport(cg_iterations_total=iters)
 
-    def test_superlu_error_propagates(self, small_grid, monkeypatch):
-        # the polish has no SuperLU fallback left to catch a failed linear
-        # solve: an error from its solver leaves _polish as it was raised
+    def test_cg_solve_error_leaves_polish(self, small_grid, monkeypatch):
+        # the polish catches no failed linear solve: an error from its
+        # cg_solve leaves _polish as it was raised
         def broken(*args):
             raise ValueError("factorization failed")
 
@@ -984,7 +1000,7 @@ class TestPolishMatchesReference:
     def test_grid(self, p, j, shape, cells, start, seed):
         h = 2.0 / cells
         dom = build_domain(shape, 2.0, h)
-        inst = PLaplaceInstance(dom, build_stencil(dom, h ** 0.5, p), p)
+        inst = PLaplaceInstance(dom, h ** 0.5, p)
         if start == "random":
             rng = np.random.default_rng(seed)
             u = np.where(dom.interior_mask,

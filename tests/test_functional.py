@@ -4,7 +4,7 @@ import scipy.sparse
 
 from nonlin_eig.functional import (SolveReport, SpdInstance,
                                    fenchel_conjugate_value, power_map)
-from nonlin_eig.grid import build_domain, build_stencil
+from nonlin_eig.grid import build_domain
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import (euler_defect, fenchel_route_defect,
                                    fenchel_young_defect, norm_duality_defect,
@@ -19,7 +19,7 @@ def diag_pair():
 @pytest.fixture(scope="module")
 def grid_pair():
     dom = build_domain("square", 2.0, 0.1)
-    return PLaplaceInstance(dom, build_stencil(dom, 0.25, 3.0), 3.0)
+    return PLaplaceInstance(dom, 0.25, 3.0)
 
 
 class TestPowerMap:
@@ -175,7 +175,7 @@ class TestGrowthConstant:
 
     def test_grid_p2_against_dense_oracle(self):
         dom = build_domain("square", 2.0, 0.2)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.4, 2.0), 2.0)
+        inst = PLaplaceInstance(dom, 0.4, 2.0)
         A = inst.jacobian_matrix(np.zeros((dom.ny, dom.nx))).toarray()
         lam_star = float(np.linalg.eigvalsh(A)[0])
         samples = random_fields(inst, 100, seed=9)

@@ -5,7 +5,8 @@ import pytest
 
 from nonlin_eig.grid import (ConfigError, GridFunction, build_domain,
                              build_stencil, eval_initial_guess, load_snapshot,
-                             mean_value_constant, save_snapshot)
+                             save_snapshot)
+from nonlin_eig.plaplace import PLaplaceInstance, mean_value_constant
 from nonlin_eig.validation import stencil_count_defect
 
 
@@ -35,7 +36,9 @@ class TestBuildDomain:
 
     @pytest.mark.parametrize("shape, side, h", [
         ("disk", 2.0, 0.1), ("square", 0.0, 0.1), ("square", -2.0, 0.1),
-        ("lshape", 2.0, 0.0), ("lshape", 2.0, -0.1)])
+        ("lshape", 2.0, 0.0), ("lshape", 2.0, -0.1),
+        ("square", 2.0, float("inf")), ("square", 2.0, float("nan")),
+        ("square", float("inf"), 0.1), ("square", float("nan"), 0.1)])
     def test_bad_shape_side_or_spacing_rejected(self, shape, side, h):
         with pytest.raises(ConfigError):
             build_domain(shape, side, h)
@@ -55,12 +58,12 @@ class TestBuildDomain:
 class TestBuildStencil:
     def test_unit_radius_von_neumann(self):
         dom = build_domain("square", 4.0, 1.0)
-        st = build_stencil(dom, 1.0, 2.0)
+        st = build_stencil(dom, 1.0)
         assert len(st.offsets) == 4
 
     def test_radius_covering_diagonals(self):
         dom = build_domain("square", 4.0, 1.0)
-        st = build_stencil(dom, 1.5, 2.0)
+        st = build_stencil(dom, 1.5)
         assert len(st.offsets) == 8
 
     def test_offsets_match_disk_enumeration(self):
@@ -69,21 +72,27 @@ class TestBuildStencil:
 
     def test_offsets_symmetric(self):
         dom = build_domain("square", 2.0, 0.05)
-        st = build_stencil(dom, 0.2, 3.0)
+        st = build_stencil(dom, 0.2)
         pairs = {tuple(o) for o in st.offsets}
         assert all((-dy, -dx) in pairs for dy, dx in pairs)
 
     def test_radius_below_spacing_rejected(self):
         dom = build_domain("square", 2.0, 0.1)
         with pytest.raises(ConfigError):
-            build_stencil(dom, 0.05, 2.0)
+            build_stencil(dom, 0.05)
+
+    @pytest.mark.parametrize("r", [float("inf"), float("nan")])
+    def test_non_finite_radius_rejected(self, r):
+        dom = build_domain("square", 2.0, 0.1)
+        with pytest.raises(ConfigError, match="must be finite"):
+            build_stencil(dom, r)
 
     def test_weight_formula(self):
         dom = build_domain("square", 2.0, 0.05)
         p = 3.0
-        st = build_stencil(dom, 0.2, p)
+        inst = PLaplaceInstance(dom, 0.2, p)
         d2p = mean_value_constant(p)
-        assert st.weight == pytest.approx(
+        assert inst.weight == pytest.approx(
             0.05 ** 2 / (d2p * math.pi * 0.2 ** (p + 2)), rel=1e-12)
 
 

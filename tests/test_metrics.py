@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonlin_eig.functional import SpdInstance
-from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
+from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.metrics import (CSV_HEADER, IterationRecord,
                                 cosine_similarity, dual_rayleigh_quotient,
                                 duality_gap, eigen_residual,
@@ -22,7 +22,7 @@ def spd():
 @pytest.fixture(scope="module")
 def grid():
     dom = build_domain("square", 2.0, 0.1)
-    return PLaplaceInstance(dom, build_stencil(dom, 0.25, 3.0), 3.0)
+    return PLaplaceInstance(dom, 0.25, 3.0)
 
 
 class TestRayleighQuotients:

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import newton
 from nonlin_eig.functional import SolveReport, power_map
-from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
+from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
                                solve_p_poisson, solve_prox)
 from nonlin_eig.plaplace import PLaplaceInstance
+from nonlin_eig.validation import random_fields
 
 
 def make_instance(p, h=0.1, r=0.25, shape="square"):
     dom = build_domain(shape, 2.0, h)
-    return PLaplaceInstance(dom, build_stencil(dom, r, p), p)
+    return PLaplaceInstance(dom, r, p)
 
 
 class TestSettings:
@@ -29,6 +31,15 @@ class TestSettings:
             with pytest.raises(ValueError):
                 NewtonSettings(**bad)
         assert NewtonSettings(cg_max_iter=None).cg_budget(3) == 50
+
+    @pytest.mark.parametrize("bad", [
+        {"tol_abs": float("inf")}, {"tol_abs": float("nan")},
+        {"max_iter": float("inf")}, {"max_iter": float("nan")},
+        {"cg_max_iter": float("inf")}, {"cg_max_iter": float("nan")}])
+    def test_non_finite_rejected(self, bad):
+        # an infinite tol_abs would end every solve before its first step
+        with pytest.raises(ValueError, match="finite"):
+            NewtonSettings(**bad)
 
 
 def random_interior(inst, rng, scale=1.0):
@@ -242,7 +253,7 @@ class TestPPoisson:
     def p15_problem():
         """The first inverse power solve at p = 1.5 on the 21x21 L-shape."""
         dom = build_domain("lshape", 2.0, 0.1)
-        inst = PLaplaceInstance(dom, build_stencil(dom, 0.25, 1.5), 1.5)
+        inst = PLaplaceInstance(dom, 0.25, 1.5)
         u0 = inst.as_vector(eval_initial_guess("ex1", dom).values)
         u0 = u0 / inst.norm_H(u0)
         return inst, inst.duality_map_H(u0), u0
@@ -304,6 +315,67 @@ class TestPPoisson:
         assert np.all(inst.lift_free(u)[~inst.domain.interior_mask] == 0.0)
 
 
+class TestFluxSystemAtConsistentFlux:
+    """At the flux sigma = phi(d) of the iterate, the primal-dual system is
+    the Newton system of the residual: the Jacobian on the edge weights
+    1/psi'(sigma) is the Jacobian on phi'(d).
+
+    Unsmoothed, the two weights are equal.  Smoothed by eps = smoothing(x),
+    at an edge of difference d != 0 they differ by a relative
+    (2-q)/2 (eps/|d|)^(2(p-1)) - (p-2)/2 (eps/|d|)^2, which is at most
+    (eps/d_min)^(2(p-1)) for p in [1.5, 2) and d_min the least |d| != 0.
+    These fields reach its leading term, |2-q|/2 of that bound: up to
+    9.3e-6 at p = 1.5 and 1.3e-8 at p = 1.75.  At d = 0 both weights tend
+    to (p-1) eps^(p-2) and agree to roundoff.  The right-hand sides differ
+    by the roundoff of the flux's Newton update, under 5e-16 of
+    max|-Delta_p^h x| on these fields."""
+
+    @staticmethod
+    def fields(inst, levels):
+        """Three seeded pairs (x, zeta); coarse levels give some edges a
+        difference of exactly 0."""
+        for seed in range(3):
+            x, zeta = random_fields(inst, 2, seed)
+            if levels:
+                x = np.round(x * levels) / levels
+            yield x, zeta
+
+    @staticmethod
+    def assert_same_system(inst, x, A, b, A_ref, b_ref):
+        d = np.abs(inst.edge_differences(x))
+        rtol = (inst.smoothing(x) / np.min(d[d > 0])) ** (2 * (inst.p - 1)) \
+            + 1e-12
+        A, A_ref = A.tocsr(), A_ref.tocsr()
+        assert np.array_equal(A.indptr, A_ref.indptr)
+        assert np.array_equal(A.indices, A_ref.indices)
+        assert np.max(np.abs(A.data - A_ref.data) / np.abs(A_ref.data)) <= rtol
+        assert np.max(np.abs(b - b_ref)) \
+            <= 1e-14 * np.max(np.abs(inst.subgrad_J(x)))
+
+    @pytest.mark.parametrize("levels", [None, 4])
+    @pytest.mark.parametrize("p", [1.5, 1.75])
+    def test_poisson(self, p, levels):
+        inst = make_instance(p, shape="lshape")
+        for x, zeta in self.fields(inst, levels):
+            A, b = newton._PoissonFlux(inst, zeta, x).system(x)
+            self.assert_same_system(inst, x, A, b, inst.jacobian_matrix(x),
+                                    zeta - inst.subgrad_J(x))
+
+    @pytest.mark.parametrize("levels", [None, 4])
+    @pytest.mark.parametrize("p", [1.5, 1.75])
+    def test_prox_at_its_reference(self, p, levels):
+        # at v = u_ref the nodal flux rho = phi(0) = 0 and its weight is
+        # the smoothed duality_map_H_prime(0) = (p-1) epsilon^(p-2)
+        inst, tau = make_instance(p, shape="lshape"), 0.3
+        for u_ref, _ in self.fields(inst, levels):
+            A, b = newton._ProxFlux(inst, u_ref, tau).system(u_ref)
+            A_ref = scipy.sparse.diags(
+                inst.duality_map_H_prime(np.zeros_like(u_ref))) \
+                + tau * inst.jacobian_matrix(u_ref)
+            self.assert_same_system(inst, u_ref, A, b, A_ref,
+                                    -tau * inst.subgrad_J(u_ref))
+
+
 class TestProx:
     def test_zero_reference(self):
         inst = make_instance(3.0)
@@ -335,6 +407,12 @@ class TestProx:
         inst = make_instance(3.0)
         with pytest.raises(ValueError):
             solve_prox(inst, np.zeros(inst.n_interior), 0.0)
+
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_rejects_non_finite_tau(self, tau):
+        inst = make_instance(3.0)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            solve_prox(inst, np.zeros(inst.n_interior), tau)
 
     def test_optimality_residual(self):
         inst = make_instance(3.0)

@@ -4,7 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig.functional import power_map
-from nonlin_eig.grid import build_domain, build_stencil
+from nonlin_eig.grid import build_domain
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import euler_defect, jacobian_fd_error, random_fields
@@ -12,20 +12,34 @@ from nonlin_eig.validation import euler_defect, jacobian_fd_error, random_fields
 
 def make_instance(p=3.0, h=0.1, r=0.25, shape="square", epsilon=1e-9):
     dom = build_domain(shape, 2.0, h)
-    return PLaplaceInstance(dom, build_stencil(dom, r, p), p, epsilon=epsilon)
+    return PLaplaceInstance(dom, r, p, epsilon=epsilon)
 
 
 def spike_instance(p):
     """side 8, h=1, r=1: 4-neighbor stencil with a deep interior."""
     dom = build_domain("square", 8.0, 1.0)
-    return PLaplaceInstance(dom, build_stencil(dom, 1.0, p), p)
+    return PLaplaceInstance(dom, 1.0, p)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
 def test_p_at_most_one_rejected(p):
     dom = build_domain("square", 2.0, 0.5)
     with pytest.raises(ValueError, match="p must be > 1"):
-        PLaplaceInstance(dom, build_stencil(dom, 0.5, 2.0), p)
+        PLaplaceInstance(dom, 0.5, p)
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan")])
+def test_non_finite_p_rejected(p):
+    dom = build_domain("square", 2.0, 0.5)
+    with pytest.raises(ValueError, match="p must be > 1 and finite"):
+        PLaplaceInstance(dom, 0.5, p)
+
+
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -1e-9])
+def test_non_finite_or_negative_epsilon_rejected(epsilon):
+    dom = build_domain("square", 2.0, 0.5)
+    with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+        PLaplaceInstance(dom, 0.5, 2.0, epsilon=epsilon)
 
 
 ANY_INSTANCE = dict(p=st.floats(1.1, 6.0),
@@ -41,7 +55,7 @@ def scaled_instance_fields(p, shape, cells, radius, log_scale, seed):
     seeded random fields of size 10^log_scale."""
     h = 2.0 / cells
     dom = build_domain(shape, 2.0, h)
-    inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p)
+    inst = PLaplaceInstance(dom, radius * h, p)
     u, v = (10.0 ** log_scale * f for f in random_fields(inst, 2, seed))
     return inst, u, v
 
@@ -71,7 +85,7 @@ class TestOperator:
         vals = np.zeros((9, 9))
         vals[4, 4] = 1.0
         out = -inst.lift_free(inst.neg_plaplacian(vals))
-        C = inst.stencil.weight
+        C = inst.weight
         assert out[4, 4] == pytest.approx(-4.0 * C, rel=1e-12)
         for j, i in ((3, 4), (5, 4), (4, 3), (4, 5)):
             assert out[j, i] == pytest.approx(C, rel=1e-12)
@@ -110,7 +124,7 @@ class TestEnergy:
         inst = spike_instance(2.0)
         vals = np.zeros((9, 9))
         vals[4, 4] = 1.0
-        C, h2 = inst.stencil.weight, 1.0
+        C, h2 = inst.weight, 1.0
         # 4 differences seen from the spike plus 4 seen from its neighbors
         expect = C * h2 / (2 * 2.0) * 8.0
         assert inst.dirichlet_energy(vals) == pytest.approx(expect, rel=1e-12)
@@ -165,7 +179,7 @@ class TestJacobian:
         # diagonal = stencil size * C_h for interior-far nodes
         n_off = len(inst.stencil.offsets)
         assert np.max(A1.diagonal()) == pytest.approx(
-            n_off * inst.stencil.weight, rel=1e-12)
+            n_off * inst.weight, rel=1e-12)
 
     def test_matches_finite_differences(self):
         inst = make_instance(p=3.0)
@@ -285,7 +299,7 @@ class TestInputCoercion:
         # must ignore them
         h = 2.0 / cells
         dom = build_domain(shape, 2.0, h)
-        inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p)
+        inst = PLaplaceInstance(dom, radius * h, p)
         fields = np.random.default_rng(seed).standard_normal((2, dom.ny, dom.nx))
         u, v = (inst.as_vector(f) for f in fields)
         assert np.array_equal(u, fields[0][dom.interior_mask])
@@ -309,7 +323,7 @@ class TestConsistency:
         for h in (0.1, 0.04, 0.02):
             dom = build_domain("square", 2.0, h)
             r = h ** (1.0 / 1.6)
-            inst = PLaplaceInstance(dom, build_stencil(dom, r, 2.0), 2.0)
+            inst = PLaplaceInstance(dom, r, 2.0)
             X, Y = dom.coords()
             u = np.where(dom.interior_mask,
                          np.sin(np.pi * (X + 1) / 2) * np.sin(np.pi * (Y + 1) / 2),
@@ -345,7 +359,7 @@ def ref_neg_plaplacian(inst, u):
     for dy, dx in inst.stencil.offsets:
         nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
         acc += power_map(nb - vals, inst.p)
-    return np.where(mask, -inst.stencil.weight * acc, 0.0)
+    return np.where(mask, -inst.weight * acc, 0.0)
 
 
 def ref_dirichlet_energy(inst, u):
@@ -358,7 +372,7 @@ def ref_dirichlet_energy(inst, u):
     for dy, dx in inst.stencil.offsets:
         nb = Q[m + dy:m + dy + hy, m + dx:m + dx + hx]
         total += float(np.sum(np.abs(nb - P) ** inst.p))
-    return inst.stencil.weight * inst.domain.h ** 2 * total / (2.0 * inst.p)
+    return inst.weight * inst.domain.h ** 2 * total / (2.0 * inst.p)
 
 
 def ref_jacobian_matrix(inst, u):
@@ -380,7 +394,7 @@ def ref_jacobian_matrix(inst, u):
     for dy, dx in inst.stencil.offsets:
         nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
         d = (nb - vals)[mask]
-        w = inst.stencil.weight * (inst.p - 1.0) \
+        w = inst.weight * (inst.p - 1.0) \
             * (d * d + epsilon * epsilon) ** ((inst.p - 2.0) / 2.0)
         diag[rows_int] += w
         nb_idx = index_padded[m + dy:m + dy + ny, m + dx:m + dx + nx][mask]
@@ -411,7 +425,7 @@ class TestMatchesPerOffsetLoops:
                                       scale, levels, epsilon):
         h = 2.0 / cells
         dom = build_domain(shape, 2.0, h)
-        inst = PLaplaceInstance(dom, build_stencil(dom, radius * h, p), p,
+        inst = PLaplaceInstance(dom, radius * h, p,
                                 **({} if epsilon is None
                                    else {"epsilon": epsilon}))
         u = scale * random_fields(inst, 1, seed)[0]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import nonlin_eig
 from nonlin_eig.eigensolvers import run_ipm
 from nonlin_eig.functional import SpdInstance
-from nonlin_eig.grid import build_domain, build_stencil, eval_initial_guess
+from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import (QUICK_CHECKS, dual_rq_decrease,
                                    eigenvalue_relation_defect,
@@ -70,7 +70,7 @@ grid_cases = st.tuples(st.sampled_from(["square", "lshape"]),
 def grid_instance(shape, cells, p, r_over_h):
     h = 2.0 / cells
     domain = build_domain(shape, 2.0, h)
-    return PLaplaceInstance(domain, build_stencil(domain, r_over_h * h, p), p)
+    return PLaplaceInstance(domain, r_over_h * h, p)
 
 
 @settings(max_examples=15, deadline=None)
