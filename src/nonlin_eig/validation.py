@@ -143,16 +143,18 @@ def fenchel_route_defect(pair, zeta, v, Jv):
     return abs(val - alt) / max(abs(val), abs(alt), 1e-300)
 
 
-def p2_oracle(inst):
-    """(lambda, eigenvector) of the least eigenvalue of a p = 2 instance's
-    operator M: shift-invert Lanczos from the fixed v0 = 1 (bit-repeatable)
-    on SuperLU's MMD_AT_PLUS_A factor, much faster than eigsh's COLAMD."""
+def p2_oracle(inst, k=1):
+    """(lambda, eigenvector) of the k-th least eigenvalue of a p = 2
+    instance's operator M: shift-invert Lanczos from the fixed v0 = 1
+    (bit-repeatable) on SuperLU's MMD_AT_PLUS_A factor, much faster than
+    eigsh's COLAMD."""
     M = inst.jacobian_matrix(np.zeros(inst.n_interior)).tocsc()
     solve = scipy.sparse.linalg.splu(M, permc_spec="MMD_AT_PLUS_A").solve
     vals, vecs = scipy.sparse.linalg.eigsh(
-        M, k=1, sigma=0, v0=np.ones(M.shape[0]),
+        M, k=k, sigma=0, v0=np.ones(M.shape[0]),
         OPinv=scipy.sparse.linalg.LinearOperator(M.shape, matvec=solve))
-    return float(vals[0]), vecs[:, 0]
+    i = np.argsort(vals)[k - 1]
+    return float(vals[i]), vecs[:, i]
 
 
 def _desk(measure, p=3.0, n=21, count=10, seed=0):
@@ -179,18 +181,21 @@ def _ipm_dual_rq_monotone():
     domain = build_domain("lshape", 2.0, 0.1)
     inst = PLaplaceInstance(domain, 3.0 * domain.h, 3.0)
     u0 = eval_initial_guess("ex1", domain).values
-    return dual_rq_decrease(eigensolvers.run_ipm(inst, u0, 10, NewtonSettings()))
+    trace = eigensolvers.run_ipm(inst, u0, 10, NewtonSettings(), exact=True)
+    return dual_rq_decrease(trace)
 
 
 @functools.cache
 def _example1_sweep():
-    """30 IPM steps per p on the 81x81 L-shape; shared by the full-scale rows."""
+    """30 IPM steps per p on the 81x81 L-shape, exact inner solves; shared by
+    the full-scale rows."""
     domain = build_domain("lshape", 2.0, 0.025)
     u0 = eval_initial_guess("ex1", domain).values
     runs = []
     for p in (1.5, 2.0, 3.0, 5.0):
         inst = PLaplaceInstance(domain, 0.2, p)
-        runs.append((inst, eigensolvers.run_ipm(inst, u0, 30, NewtonSettings())))
+        runs.append((inst, eigensolvers.run_ipm(inst, u0, 30, NewtonSettings(),
+                                                exact=True)))
     return runs
 
 

@@ -85,7 +85,8 @@ EX1_PS = (1.5, 2.0, 3.0, 5.0)
 @pytest.fixture(scope="module")
 def ex1_sweep(fenchel_routes):
     """30 inverse-power iterations on the L-shape start profile at desk
-    scale (41x41, r=0.2) for each exponent; inner solves at 1e-12 absolute.
+    scale (41x41, r=0.2) for each exponent; exact inner solves, at 1e-12
+    absolute.
     The p=1.5 inner solves are capped at 150 Newton steps; their residual
     has a rounding floor (criterion 7)."""
     traces = {}
@@ -95,7 +96,7 @@ def ex1_sweep(fenchel_routes):
         max_iter = 150 if p < 2 else 500
         with checking_fenchel_routes(fenchel_routes):
             traces[p] = (inst, run_ipm(inst, u0, 30, settings=NewtonSettings(
-                tol_abs=1e-12, max_iter=max_iter)))
+                tol_abs=1e-12, max_iter=max_iter), exact=True))
     return traces
 
 
@@ -104,13 +105,14 @@ def square_p2_anchor(fenchel_routes):
     """p=2 runs on (-1,1)^2 at h=0.025 with the operator's smallest
     eigenvalue from `validation.p2_oracle`: one at the wide radius r=0.2
     (solver-vs-oracle check) and one at r=0.125 where the discretization
-    error is small enough for the continuum anchor."""
+    error is small enough for the continuum anchor.  Exact inner solves, as
+    the Fenchel-route check needs (`run_ipm`)."""
     out = {}
     for r in (0.2, 0.125):
         inst = _grid_instance("square", 0.025, r, 2.0)
         u0 = eval_initial_guess("ex1", inst.domain).values
         with checking_fenchel_routes(fenchel_routes):
-            trace = run_ipm(inst, u0, 40)
+            trace = run_ipm(inst, u0, 40, exact=True)
         out[r] = (inst, trace, validation.p2_oracle(inst)[0])
     return out
 

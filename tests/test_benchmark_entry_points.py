@@ -56,24 +56,42 @@ def test_tracer_sees_one_stencil_build_inside_the_instance():
     assert tracer.spans[builds[0].parent].name == "plaplace.init"
 
 
-def test_tracer_counts_match_the_ledger(small_grid):
-    # the balanced scheme's tangent solves run CG outside any Newton solve;
-    # the tracer and the trace's ledger must both see them
+def traced(run):
+    """(the tracer's per-layer metrics, the trace) of run() under the
+    benchmark's tracer."""
     tracer_module = load_perfbench("tracer")
-    u0 = eval_initial_guess("ex2", small_grid.domain).values
     tracer, patches = tracer_module.Tracer(), tracer_module.Patches()
     try:
         tracer.install(patches)
-        trace = eigensolvers.run_balanced_ipm(small_grid, u0, 4)
+        trace = run()
     finally:
         patches.restore()
-    layers = tracer.summary()
-    assert layers["newton.cg.iters"] == sum(trace.extras["cg_iterations"])
-    assert layers["newton.steps"] \
-        == sum(rec.inner_iters for rec in trace.records)
+    return tracer.summary(), trace
+
+
+def test_tracer_counts_match_the_ledger(small_grid):
+    # the balanced scheme's tangent solves run CG outside any Newton solve,
+    # and the default IPM loosens all but its last inner solve; the tracer
+    # and the trace's ledger must both see the same work
+    def counts_match(layers, trace):
+        return (layers["newton.cg.iters"] == sum(trace.extras["cg_iterations"])
+                and layers["newton.steps"]
+                == sum(rec.inner_iters for rec in trace.records))
+
+    u0 = eval_initial_guess("ex2", small_grid.domain).values
+    layers, trace = traced(
+        lambda: eigensolvers.run_balanced_ipm(small_grid, u0, 4))
+    assert counts_match(layers, trace)
     assert layers["newton.cg.calls"] > layers["newton.solves"] > 0
     # every balanced solve goes through a traced Newton solve
     assert layers["newton.solves"] == sum(trace.extras["balance_solves"])
+
+    u0 = eval_initial_guess("ex1", small_grid.domain).values
+    layers, trace = traced(lambda: eigensolvers.run_ipm(small_grid, u0, 5))
+    assert counts_match(layers, trace)
+    assert layers["newton.solves"] == len(trace.records) == 5
+    tolerances = trace.extras["inner_tolerances"]
+    assert tolerances[0] > tolerances[-1]
 
 
 def test_workload_configs_load_and_build(tmp_path):

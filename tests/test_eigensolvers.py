@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,7 +397,7 @@ class TestIpm:
 
     def test_inner_residuals_recorded(self, small_grid):
         u0 = eval_initial_guess("ex1", small_grid.domain).values
-        trace = run_ipm(small_grid, u0, 5)
+        trace = run_ipm(small_grid, u0, 5, exact=True)
         assert len(trace.extras["inner_residuals"]) == 5
         assert all(r <= 1e-12 for r in trace.extras["inner_residuals"])
 
@@ -428,6 +429,67 @@ class TestIpm:
     def test_non_finite_start_rejected(self, spd, value):
         with pytest.raises(ValueError, match="normalize"):
             run_ipm(spd, np.array([1.0, value]), 5)
+
+
+@pytest.fixture(scope="module")
+def lshape21_ipm():
+    """30 IPM steps from the ex1 start on the 21x21 L-shape (h = 0.1,
+    r = 0.2) per p: {exact: trace} for exact and inexact inner solves."""
+    dom = build_domain("lshape", 2.0, 0.1)
+    u0 = eval_initial_guess("ex1", dom).values
+    runs = {}
+    for p in (1.5, 2.0, 3.0, 5.0):
+        inst = PLaplaceInstance(dom, 0.2, p)
+        runs[p] = inst, {exact: run_ipm(inst, u0, 30, exact=exact)
+                         for exact in (True, False)}
+    return runs
+
+
+class TestInexactIpm:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+    def test_same_eigenpair_for_less_work(self, lshape21_ipm, p):
+        inst, runs = lshape21_ipm[p]
+        exact, inexact = runs[True], runs[False]
+        assert dual_rq_decrease(inexact) <= 1e-9
+        assert inexact.final_lambda == pytest.approx(exact.final_lambda,
+                                                     rel=1e-10)
+        assert metrics.eigen_residual(inst, inexact.final_u) \
+            <= 1.01 * metrics.eigen_residual(inst, exact.final_u)
+        assert sum(r.inner_iters for r in inexact.records) \
+            < sum(r.inner_iters for r in exact.records)
+
+    def test_ledger_lists_each_tolerance(self, lshape21_ipm):
+        _, runs = lshape21_ipm[3.0]
+        tol_abs = NewtonSettings().tol_abs
+        extras = runs[False].extras
+        tols, residuals = extras["inner_tolerances"], extras["inner_residuals"]
+        assert not extras["failed_inner_solves"]
+        assert len(tols) == 30
+        assert tols[-1] == tol_abs < tols[0]
+        assert all(r <= tol for r, tol in zip(residuals, tols))
+        assert runs[True].extras["inner_tolerances"] == [tol_abs] * 30
+
+    def test_below_p2_solves_exactly(self, lshape21_ipm):
+        _, runs = lshape21_ipm[1.5]
+        exact, default = runs[True], runs[False]
+
+        def fields(trace):
+            return [replace(r, wall_time=0.0) for r in trace.records]
+
+        assert fields(default) == fields(exact)
+        assert np.array_equal(default.final_u, exact.final_u)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_p2_rate_is_lambda1_over_lambda3(self, lshape21_ipm, exact):
+        # the ex1 start is symmetric under x <-> y, as the L-shape is, so
+        # it has no component on the second mode, and inverse iteration
+        # removes the third at lambda_1 / lambda_3 per step; loose inner
+        # solves must keep that rate
+        inst, runs = lshape21_ipm[2.0]
+        res = [r.residual for r in runs[exact].records[10:]]
+        rate = float(np.median([b / a for a, b in zip(res, res[1:])]))
+        lam1, lam3 = p2_oracle(inst)[0], p2_oracle(inst, 3)[0]
+        assert rate == pytest.approx(lam1 / lam3, rel=1e-6)
 
 
 @pytest.mark.parametrize("run", [

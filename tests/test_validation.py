@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import nonlin_eig
@@ -17,7 +18,7 @@ from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import (QUICK_CHECKS, dual_rq_decrease,
                                    eigenvalue_relation_defect,
                                    gap_formula_defect, gap_negativity,
-                                   random_fields)
+                                   p2_oracle, random_fields)
 
 BOUND = {name: bound for name, _, bound in QUICK_CHECKS}
 
@@ -88,6 +89,17 @@ def test_grid_ipm_dual_rq_monotone(case):
     inst = grid_instance(*case)
     u0 = eval_initial_guess("ex1", inst.domain).values
     assert dual_rq_decrease(run_ipm(inst, u0, 3)) <= BOUND["ipm-dual-rq-monotone"]
+
+
+def test_p2_oracle_gives_the_kth_eigenpair():
+    inst = PLaplaceInstance(build_domain("lshape", 2.0, 0.2), 0.3, 2.0)
+    M = inst.jacobian_matrix(np.zeros(inst.n_interior)).toarray()
+    dense = np.linalg.eigvalsh(M)
+    for k in (1, 2, 3):
+        lam, vec = p2_oracle(inst, k)
+        assert lam == pytest.approx(dense[k - 1], rel=1e-10)
+        assert np.linalg.norm(M @ vec - lam * vec) \
+            <= 1e-8 * lam * np.linalg.norm(vec)
 
 
 def test_no_assert_statements_in_package():
