@@ -35,7 +35,7 @@ import scipy.sparse
 from .functional import (FunctionalPair, SolveReport,
                          fenchel_conjugate_value, power_map)
 from .newton import (NewtonSettings, cg_solve, damped_newton,
-                     locally_quadratic)
+                     locally_quadratic, solve_p_poisson)
 from . import metrics
 
 INNER_TOL_FACTOR = 1e-4  # inexact IPM solve tolerance per unit eigen-residual
@@ -299,15 +299,40 @@ def balance_tangent(pair, w, zp, settings: NewtonSettings):
     return cg[0], cg.report
 
 
+def _log_rq_gradient(pair, w, sign, c, zc, J, H):
+    """The gradient in w of log R(c) for the part c = max(sign w, 0) of w,
+    with zc = dJ(c), J = J(c) and H = H(c): dJ(c)/J - dH(c)/H on the
+    part's support."""
+    return (zc / J - pair.duality_map_H(c) / H) * (sign * w > 0.0)
+
+
 def log_balance_slope(pair, w, parts, dw, s):
     """dpsi/dsigma = s <g, dw/ds> for psi = log R(w^+) - log R(w^-) and
-    sigma = log s, with g = sum over the parts of
-    (dJ(w^+-)/J - dH(w^+-)/H) on that part's support; parts are
-    (_part(pair, w, 1), _part(pair, w, -1)), neither None."""
-    g = sum((pair.subgrad_J(c) / J - pair.duality_map_H(c) / H)
-            * (sign * w > 0.0)
+    sigma = log s, with g = sum over the parts of their _log_rq_gradient;
+    parts are (_part(pair, w, 1), _part(pair, w, -1)), neither None."""
+    g = sum(_log_rq_gradient(pair, w, sign, c, pair.subgrad_J(c), J, H)
             for sign, (c, J, H) in zip((1.0, -1.0), parts))
     return s * pair.pairing(g, dw)
+
+
+def log_balance(pair, w):
+    """(psi, g) at w for psi = log R(w^+) - log R(w^-) and its gradient g
+    of log_balance_slope, or None where a part of w vanishes: the border
+    of the bordered balanced step.  J of each part is taken by Euler,
+    J(c) = <dJ(c), c>/p, from the dJ(c) that g needs anyway."""
+    psi, g = 0.0, 0.0
+    for sign in (1.0, -1.0):
+        c = np.maximum(sign * w, 0.0)
+        H = pair.H(c)
+        if not H > 0.0:
+            return None
+        zc = pair.subgrad_J(c)
+        J = pair.pairing(zc, c) / pair.p
+        if not J > 0.0:
+            return None
+        psi += sign * math.log(J / H)
+        g = g + _log_rq_gradient(pair, w, sign, c, zc, J, H)
+    return psi, g
 
 
 def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
@@ -319,32 +344,78 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
 
     The start, read by pair.as_vector, must change sign.  The balance s
     of zeta_s = s*zeta^+ - zeta^- roots the defect phi(s) = R(w^+) - R(w^-)
-    of the solve w of dJ(w) = zeta_s (pair.inverse_subgrad_J) to
-    |phi| <= BALANCE_TOL by balance_root.  After every solve that is not
-    at a root one CG solve on pair.jacobian_matrix(w) gives its tangent
-    dw/ds (balance_tangent), which yields the Newton slope
-    (log_balance_slope) where both parts of w are present.  Every solve
-    starts from the latest tangent, w + (s_new - s) dw/ds; the first of a
-    step, at s = 1, from the tangent (1, R(u)^(-1/(p-1)) u, 0), the
-    eigen-ray (ray_start), for every p.  The search brackets the root in
-    the balance range; when phi keeps its sign at a range end the step
-    falls back to s = 1.  The scheme stalls when both parts of the solve
-    vanish or the solve does not change sign.  extras list each step's
-    root s, its |phi|, its solve count and the steps that fell back.  The
-    step's report sums its solves and tangent solves.
+    of the solve w of dJ(w) = zeta_s.
+
+    For p >= 2 (locally_quadratic) a step solves for w and sigma = log s
+    together, by one bordered Newton solve (solve_p_poisson with border)
+    of dJ(w) - e^sigma zeta^+ + zeta^- = 0 and psi(w) = 0 for
+    psi = log R(w^+) - log R(w^-) (log_balance).  It starts from
+    s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start) with its
+    positive part scaled by s0^(1/(p-1)), which solves the first equation
+    where u is an eigenvector.  Its root is taken if the solve converges,
+    e^sigma lies in the balance range [1/BALANCE_RANGE, BALANCE_RANGE] and
+    |phi| <= BALANCE_TOL.  On the 99x99 square, p = 3, from the ex2
+    start, 4 bordered steps took [8, 5, 5, 5] Newton steps, 1575 CG
+    iterations and 23 Jacobians, where the root search below took 17
+    solves and 13 tangent solves, 2741 CG iterations and 74 Jacobians.
+
+    Otherwise, and below p = 2, balance_root roots phi to
+    |phi| <= BALANCE_TOL, one inner solve (pair.inverse_subgrad_J) per
+    point.  After every solve that is not at a root one CG solve on
+    pair.jacobian_matrix(w) gives its tangent dw/ds (balance_tangent),
+    which yields the Newton slope (log_balance_slope) where both parts of
+    w are present.  Every solve starts from the latest tangent,
+    w + (s_new - s) dw/ds; the first of a step, at s = 1, from the tangent
+    (1, R(u)^(-1/(p-1)) u, 0), the eigen-ray.  The search brackets the
+    root in the balance range; when phi keeps its sign at a range end the
+    step falls back to s = 1.
+
+    The scheme stalls when both parts of the solve vanish or the solve does
+    not change sign.  extras list each step's root s, its |phi|, its solve
+    count (a bordered solve counts one), its bordered Newton steps
+    ("bordered_iterations", 0 where the root search ran) and the steps that
+    fell back to s = 1.  The step's report sums its solves and tangent
+    solves; a bordered solve that is not taken adds its work, not its
+    residual, so it fails no step.
     """
     u0 = pair.as_vector(u0)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
     if settings is None:
         settings = NewtonSettings()
-    fallback_steps, roots, defects, solves = [], [], [], []
+    bordered = locally_quadratic(pair.p)
+    fallback_steps, roots, defects, solves, border_iters = [], [], [], [], []
+
+    def bordered_root(u, rq, zp, zm):
+        """((s, w, phi) or None where the root is not taken, the report) of
+        one bordered solve."""
+        s0 = pair.dual_norm_H(zm) / pair.dual_norm_H(zp)
+        w0 = ray_start(pair, u, rq)
+        w0[w0 > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
+        x, rep = solve_p_poisson(
+            pair, -zm, np.append(w0, math.log(s0)), settings,
+            border=(zp, lambda w: log_balance(pair, w)))
+        w, sigma = x[:-1], x[-1]
+        if rep.converged and abs(sigma) <= math.log(BALANCE_RANGE):
+            (_, Jp, Hp), (_, Jm, Hm) = (_part(pair, w, sign)
+                                        for sign in (1.0, -1.0))
+            phi = Jp / Hp - Jm / Hm
+            if abs(phi) <= BALANCE_TOL:
+                return (math.exp(sigma), w, phi), rep
+        return None, rep
 
     def step(k, u, rq, Ju, zJ, res):
         zeta = pair.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
         report = SolveReport()
+        if bordered:
+            root, rep = bordered_root(u, rq, zp, zm)
+            if root is not None:
+                border_iters.append(rep.iterations)
+                return outcome(*root, 1, rep)
+            report = replace(rep, final_residual=0.0, converged=True)
+        border_iters.append(0)
         done: dict[float, np.ndarray] = {}  # s -> solve w
         tangent = (1.0, ray_start(pair, u, rq), 0.0)  # (s, w, dw/ds)
 
@@ -377,15 +448,19 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
         if s_root is None:  # no root in the balance range; fall back to s = 1
             fallback_steps.append(k)
             s_root = 1.0
-        w = done[s_root]
-        roots.append(s_root)
+        return outcome(s_root, done[s_root], phi, bordered + len(done),
+                       report)
+
+    def outcome(s, w, phi, n_solves, report):
+        roots.append(s)
         defects.append(abs(phi))
-        solves.append(len(done))
+        solves.append(n_solves)
         stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
         return (None if stalled else w), None, report
 
     extras = {"fallback_steps": fallback_steps, "balance_roots": roots,
-              "balance_defects": defects, "balance_solves": solves}
+              "balance_defects": defects, "balance_solves": solves,
+              "bordered_iterations": border_iters}
     return _iterate(pair, u0, iters, step, "balanced", extras,
                     snapshot_cb=snapshot_cb)
 
@@ -522,7 +597,7 @@ def _polish(pair, u, tau, explicit, D, x, settings):
         return scipy.sparse.diags(M_diag) \
             - (pair.p / D) * pair.jacobian_matrix(xv)
 
-    def solve(M, b):
+    def solve(M, b, rtol):  # at settings.cg_tol, not damped_newton's rtol
         cg = cg_solve(M, b, settings.cg_tol, settings.cg_budget(b.size))
         return cg[0], cg.report
 

@@ -1,9 +1,12 @@
 """Newton solvers for the inner p-Poisson and proximal subproblems.
 
 damped_newton is the package's one Newton loop and cg_solve its one
-linear solver.  The loop serves the inner solves below and the geometric
-scheme's polish, which calls cg_solve at fixed settings
-(eigensolvers._polish).
+linear solver.  The loop serves the inner solves below, the balanced
+scheme's bordered solve (solve_p_poisson with border) and the geometric
+scheme's polish.  It computes each step's CG tolerance, by the rules
+below, once, and hands it to the step's linear solve: the default CG
+runs to it, the bordered solve runs both of its CG solves to it, and the
+polish keeps its fixed settings.cg_tol (eigensolvers._polish).
 Jacobi-preconditioned CG suits the many-armed mean-value stencil, whose
 sparse Jacobian-vector product is cheap where a factorization would be
 wasteful.  CG stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
@@ -144,12 +147,13 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     converged=False unless that residual is <= tol_abs, and returns the
     start at once when its residual is not finite.
 
-    linear_solve(A, b) -> (delta, SolveReport) solves the system; the
+    linear_solve(A, b, rtol) -> (delta, SolveReport) solves the system; the
     returned report sums the reports of the solves, with the loop's own
-    iterations, final_residual and converged.  By default CG runs to the
-    relative tolerance of the module docstring and reports its iterations
-    and, in cg_unconverged, whether it did not converge.  On the halving
-    step (no flux) that CG is forced by the module docstring's
+    iterations, final_residual and converged.  rtol is the relative CG
+    tolerance of the module docstring for that b, the one the default
+    solve, CG within settings.cg_budget, runs to; the default reports CG's
+    iterations and, in cg_unconverged, whether it did not converge.  On the
+    halving step (no flux) rtol is forced by the module docstring's
     Eisenstat-Walker term eta from the second Newton step on; their
     safeguard max(eta, 0.9 eta_prev^2), taken only when 0.9 eta_prev^2 >
     0.1, cannot fire under the cap 0.1 and is left out.  A delta that is
@@ -162,23 +166,23 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     rn = float(np.max(np.abs(r))) if r.size else 0.0
     best, best_rn, stalled = x, rn, 0
     report = SolveReport()
-    maxiter_cg = settings.cg_budget(x.size)
     lengths = HALVINGS if flux is None else (1.0,)
     it = 0
     norm_prev = None  # |b|_2 at the previous Newton step
+
+    def cg(A, b, rtol):
+        result = cg_solve(A, b, rtol, settings.cg_budget(x.size))
+        return result[0], result.report
+
     while (settings.tol_abs < rn < np.inf and it < settings.max_iter
            and stalled < STALL_STEPS):
         A, b = (jacobian_fn(x), -r) if flux is None else flux.system(x)
-        if linear_solve is None:
-            norm = np.linalg.norm(b)
-            rtol = max(settings.cg_tol, 0.01 * settings.tol_abs / norm)
-            if flux is None and norm_prev is not None:
-                rtol = max(rtol, min(0.1, 0.9 * (norm / norm_prev) ** 2))
-            norm_prev = norm
-            cg = cg_solve(A, b, rtol, maxiter_cg)
-            delta, solved = cg[0], cg.report
-        else:
-            delta, solved = linear_solve(A, b)
+        norm = np.linalg.norm(b)
+        rtol = max(settings.cg_tol, 0.01 * settings.tol_abs / norm)
+        if flux is None and norm_prev is not None:
+            rtol = max(rtol, min(0.1, 0.9 * (norm / norm_prev) ** 2))
+        norm_prev = norm
+        delta, solved = (linear_solve or cg)(A, b, rtol)
         report += solved
         if not np.all(np.isfinite(delta)):
             best_rn = np.nan
@@ -278,13 +282,81 @@ class _ProxFlux(_PoissonFlux):
         self.rho += self.rho_slope * delta
 
 
+class _Border:
+    """The balance row and column of a bordered p-Poisson solve in
+    x = (u, sigma); see solve_p_poisson."""
+
+    def __init__(self, pair, zeta, zeta_plus, balance, settings):
+        self.pair, self.zeta, self.zp = pair, zeta, zeta_plus
+        self.balance, self.settings = balance, settings
+        self.last = None  # (x, g) of the latest finite residual
+
+    def residual(self, x):
+        n = self.zp.size
+        try:
+            s = math.exp(x[n])
+        except OverflowError:
+            return np.full(n + 1, np.inf)
+        balanced = self.balance(x[:n])
+        if balanced is None:
+            return np.full(n + 1, np.inf)
+        psi, g = balanced
+        self.last = x, g
+        r = np.empty(n + 1)
+        r[:n] = self.pair.subgrad_J(x[:n]) - s * self.zp - self.zeta
+        r[n] = psi
+        return r
+
+    def jacobian(self, x):
+        # damped_newton asks for it at the iterate whose residual was last
+        n = self.zp.size
+        last_x, g = self.last
+        if last_x is not x:
+            g = self.balance(x[:n])[1]
+        return self.pair.jacobian_matrix(x[:n]), g, math.exp(x[n])
+
+    def solve(self, system, b, rtol):
+        A, g, s = system
+        budget = self.settings.cg_budget(self.zp.size)
+        z = cg_solve(A, b[:-1], rtol, budget)
+        y = cg_solve(A, self.zp, rtol, budget)
+        report = z.report + y.report
+        slope = s * self.pair.pairing(g, y[0])
+        if not slope:
+            return np.full(b.size, np.nan), report
+        dsigma = (b[-1] - self.pair.pairing(g, z[0])) / slope
+        return np.append(z[0] + (s * dsigma) * y[0], dsigma), report
+
+
 def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
-                    settings: NewtonSettings | None = None
+                    settings: NewtonSettings | None = None, border=None
                     ) -> tuple[np.ndarray, SolveReport]:
     """Solve -Delta_p^h u = zeta at interior nodes, zero Dirichlet boundary.
 
     inst is a PLaplaceInstance; zeta and u_init are interior vectors.
+
+    border = (zeta_plus, balance), for p >= 2, adds the unknown sigma and
+    one equation: x = (u, sigma) solves
+        dJ(u) - e^sigma zeta_plus = zeta,    psi(u) = 0,
+    where balance(u) gives psi(u) and its gradient g, d psi = <g, du>, or
+    None where psi is undefined (the residual is then infinite).  u_init
+    is the start of x and x is returned.  Here inst may be any
+    FunctionalPair: the solve reads its subgrad_J, jacobian_matrix and
+    pairing.  The halving line search judges the max-norm over both
+    equations.  Each Newton system
+        A du - e^sigma zeta_plus dsigma = b_u,    <g, du> = b_sigma,
+    A = jacobian_matrix(u), is solved by Keller's bordering ("Numerical
+    solution of bifurcation and nonlinear eigenvalue problems", 1977): CG
+    solves A z = b_u and A y = zeta_plus to the tolerance damped_newton
+    hands its linear solve, forcing included, and then
+        dsigma = (b_sigma - <g, z>) / (e^sigma <g, y>),
+        du = z + e^sigma dsigma y;
+    a zero <g, y> gives a NaN step, which ends the solve.
     """
+    if border is not None:
+        bordered = _Border(inst, zeta, *border, settings or NewtonSettings())
+        return damped_newton(u_init, bordered.residual, bordered.jacobian,
+                             settings, linear_solve=bordered.solve)
 
     def residual(x):
         return inst.neg_plaplacian(x) - zeta

@@ -94,6 +94,24 @@ def test_tracer_counts_match_the_ledger(small_grid):
     assert tolerances[0] > tolerances[-1]
 
 
+def test_balanced_workload_takes_the_bordered_path(tmp_path):
+    # the benchmark's ex2-square-p3-balanced run at seed 0, 4 steps on the
+    # 99x99 square: every step roots its balance by one bordered solve,
+    # and lambda keeps the workload's reference
+    workloads = load_perfbench("workloads")
+    workload = workloads.WORKLOADS["ex2-square-p3-balanced"]
+    cfg = config.load_config(
+        workloads.write_inputs(workload, ROOT, 0, tmp_path))
+    pair, u0, _ = config.build_instance(cfg)
+    trace = eigensolvers.run_balanced_ipm(pair, u0, cfg.solver["iters"],
+                                          cfg.newton)
+    assert len(trace.records) == 4
+    assert all(n > 0 for n in trace.extras["bordered_iterations"])
+    assert trace.extras["balance_solves"] == [1, 1, 1, 1]
+    assert trace.final_lambda == pytest.approx(
+        workload.references["balanced"], rel=1e-9)
+
+
 def test_workload_configs_load_and_build(tmp_path):
     workloads = load_perfbench("workloads")
     for name, workload in workloads.WORKLOADS.items():

@@ -103,8 +103,10 @@ class TestRun:
         assert main(["run", config]) == 0
         extras = json.loads(
             (tmp_path / "out_bal" / "run.json").read_text())["extras"]
-        # [12, 4] when step 0 doubled s from 1 to a bracket
-        assert extras["balance_solves"] == [7, 4]
+        # one bordered solve per step: [7, 4] with the root search, [12, 4]
+        # when step 0 doubled s from 1 to a bracket
+        assert extras["balance_solves"] == [1, 1]
+        assert extras["bordered_iterations"] == [6, 5]
         assert len(extras["balance_roots"]) == 2
         assert len(extras["balance_defects"]) == 2
         assert all(d <= 1e-6 for d in extras["balance_defects"])

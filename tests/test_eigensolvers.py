@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nonlin_eig import eigensolvers, metrics, newton
 from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
                                      _sweep, balance_root, balance_tangent,
-                                     log_balance_slope, ray_start,
+                                     log_balance, log_balance_slope, ray_start,
                                      run_balanced_ipm, run_geometric, run_ipm,
                                      run_ppm)
 from nonlin_eig.functional import SolveReport, SpdInstance, power_map
@@ -18,7 +18,7 @@ from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import (dual_rq_decrease, duality_gap_at,
-                                   p2_oracle)
+                                   p2_oracle, random_fields)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +198,37 @@ def test_log_balance_slope_matches_central_difference(small_grid, p):
     central = (family.solve(s * math.exp(delta))[2]
                - family.solve(s * math.exp(-delta))[2]) / (2 * delta)
     assert slope == pytest.approx(central, rel=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(2.0, 5.0), shape=st.sampled_from(["square", "lshape"]),
+       cells=st.integers(6, 12), radius=st.floats(1.0, 3.2),
+       sigma=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_bordered_solve_matches_dense_solve(p, shape, cells, radius, sigma,
+                                            seed):
+    # one Newton system of the bordered balanced step, at a random
+    # sign-changing w: bordering with CG against the dense (n+1) x (n+1)
+    # system [[A, -e^sigma zeta^+], [<g, .>, 0]]
+    h = 2.0 / cells
+    inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, p)
+    w, zeta, b = random_fields(inst, 3, seed)
+    zp = np.maximum(zeta, 0.0)
+    border = newton._Border(inst, -np.maximum(-zeta, 0.0), zp,
+                            lambda v: log_balance(inst, v), NewtonSettings())
+    x = np.append(w, sigma)
+    assert np.all(np.isfinite(border.residual(x)))
+    system = border.jacobian(x)
+    rhs = np.append(b, 1.0)
+    delta, report = border.solve(system, rhs, 1e-14)
+    assert report.cg_unconverged == 0
+    A, g, s = system
+    n = w.size
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A.toarray()
+    M[:n, n] = -s * zp
+    M[n, :n] = [inst.pairing(g, e) for e in np.eye(n)]
+    dense = np.linalg.solve(M, rhs)
+    assert np.max(np.abs(delta - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("run", [
@@ -555,7 +586,10 @@ class TestPpm:
 
 class ZeroSolvePair(SpdInstance):
     """An SpdInstance whose inverse solves return 0: both parts of every
-    balanced solve vanish."""
+    root-search solve vanish.  The bordered solve, which does not call
+    inverse_subgrad_J, finds no balance on this diagonal pair: the parts
+    of any solve sit on one node each, with Rayleigh quotients 2 and 5,
+    so psi is constant and its gradient vanishes."""
 
     def inverse_subgrad_J(self, zeta, settings=None, warm_start=None):
         return np.zeros(self.n), SolveReport()
@@ -591,6 +625,11 @@ class TestBalanced:
                                  np.array([1.0, -1.0]), 3)
         assert trace.stop_reason == "stalled"
         assert len(trace.records) == 1
+        # the bordered solve was abandoned (a NaN first step) and the root
+        # search's first solve stalled the scheme
+        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.extras["balance_solves"] == [2]
+        assert trace.extras["failed_inner_solves"] == []
         assert trace.extras["balance_roots"] == [1.0]
         assert np.isnan(trace.extras["balance_defects"][0])
 
@@ -610,32 +649,130 @@ class TestBalanced:
 
     def test_four_steps_pinned(self, small_grid):
         # lambda recorded with the balance rooted by Illinois regula falsi,
-        # which the Newton root in log s reproduces to 3.5e-11; the
-        # eigen-residual recorded with the Newton root bracketed by the
-        # balance range (0.45601114387115205 when step 0 doubled s to a
-        # bracket, 6.3e-10 away; 0.4560111429534977 with Illinois)
+        # which the bordered Newton solve reproduces to 1.3e-11; the
+        # eigen-residual recorded with the bordered solve (0.45601114358251044
+        # with the Newton root search bracketed by the balance range, 3.1e-10
+        # away; 0.45601114387115205 when step 0 doubled s to a bracket;
+        # 0.4560111429534977 with Illinois)
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
         assert trace.final_lambda == pytest.approx(88.10019383023001,
                                                    rel=1e-10)
         assert metrics.eigen_residual(small_grid, trace.final_u) \
-            == pytest.approx(0.45601114358251044, rel=1e-10)
+            == pytest.approx(0.4560111434396051, rel=1e-10)
 
     def test_four_steps_solve_count(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
         solves = trace.extras["balance_solves"]
-        # [7, 4, 3, 4]; 23 when step 0 doubled s from 1 to a bracket
-        assert sum(solves) == 18
+        # one bordered solve per step; the root search took [7, 4, 3, 4],
+        # 23 when step 0 doubled s from 1 to a bracket
+        assert solves == [1, 1, 1, 1]
         assert sum(solves) < 39  # one-sided bracket and Illinois
         # Newton steps per outer step: [57, 28, 21, 24] with Illinois,
-        # [49, 12, 7, 7] when step 0 doubled s; the tangent and scaled-ray
-        # starts each save some of them
-        assert [rec.inner_iters for rec in trace.records] == [36, 12, 7, 7]
+        # [49, 12, 7, 7] when step 0 doubled s, [36, 12, 7, 7] with the
+        # root search's tangent and scaled-ray starts
+        assert [rec.inner_iters for rec in trace.records] == [6, 5, 5, 5]
+        assert trace.extras["bordered_iterations"] == [6, 5, 5, 5]
         assert len(trace.extras["balance_roots"]) == len(solves) == 4
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in trace.extras["balance_defects"])
         assert trace.extras["failed_inner_solves"] == []
+
+    @staticmethod
+    def root_search_only(monkeypatch, tol=None):
+        """Take every step by the root search, with BALANCE_TOL = tol."""
+        monkeypatch.setattr(eigensolvers, "locally_quadratic",
+                            lambda p: False)
+        if tol is not None:
+            monkeypatch.setattr(eigensolvers, "BALANCE_TOL", tol)
+
+    @pytest.mark.parametrize("case", ["square-p3", "spd-p2"])
+    def test_bordered_step_matches_root_search(self, small_grid, monkeypatch,
+                                               case):
+        # one step from the same iterate by both paths; the root search
+        # runs to |phi| <= 1e-10 here, as at the default 1e-6 its root is
+        # only that accurate (1.4e-9 relative on the square, 6e-8 on the
+        # SPD pair, whose Rayleigh quotients are about 1)
+        if case == "spd-p2":
+            n = 20
+            pair = SpdInstance(2.0 * np.eye(n) - np.eye(n, k=1)
+                               - np.eye(n, k=-1))
+            u0 = np.random.default_rng(0).standard_normal(n)
+        else:
+            pair = small_grid
+            u0 = eval_initial_guess("ex2", small_grid.domain).values
+        bordered = run_balanced_ipm(pair, u0, 1)
+        self.root_search_only(monkeypatch, tol=1e-10)
+        searched = run_balanced_ipm(pair, u0, 1)
+        assert bordered.extras["bordered_iterations"][0] > 0
+        assert searched.extras["bordered_iterations"] == [0]
+        assert searched.extras["balance_solves"][0] > 1
+        assert bordered.extras["balance_roots"][0] == pytest.approx(
+            searched.extras["balance_roots"][0], rel=1e-8)
+        w, w_ref = bordered.final_u, searched.final_u
+        assert np.max(np.abs(w - w_ref)) <= 1e-8 * np.max(np.abs(w_ref))
+
+    def test_root_outside_balance_range_refused(self):
+        # on the 19x19 square at p = 5, from the ex2 start, the bordered
+        # solve converges to s = 4463.5 > 2^12; taken, it led to lambda
+        # 766.46 where the root search falls back and stalls at 1037.54
+        dom = build_domain("square", 2.0, 0.1)
+        inst = PLaplaceInstance(dom, 0.25, 5.0)
+        u0 = eval_initial_guess("ex2", dom).values
+        roots = []
+        solve = eigensolvers.solve_p_poisson
+
+        def recording(*args, **kwargs):
+            x, rep = solve(*args, **kwargs)
+            roots.append((math.exp(x[-1]), rep.converged))
+            return x, rep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolvers, "solve_p_poisson", recording)
+            trace = run_balanced_ipm(inst, u0, 1)
+        (s, converged), = roots
+        assert converged and s > eigensolvers.BALANCE_RANGE
+        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.extras["fallback_steps"] == [0]
+        assert trace.extras["balance_roots"] == [1.0]
+        assert trace.extras["failed_inner_solves"] == []
+
+    def test_abandoned_bordered_solve_adds_its_work(self, monkeypatch):
+        # on the 19x19 L-shape at p = 3, from the ex2 start, the first
+        # bordered solve stalls in its line search; the root search then
+        # takes the step as it would alone, and the step's report adds the
+        # attempt's Newton steps and CG iterations, not its residual
+        dom = build_domain("lshape", 2.0, 0.1)
+        inst = PLaplaceInstance(dom, 0.25, 3.0)
+        u0 = eval_initial_guess("ex2", dom).values
+        attempts = []
+        solve = eigensolvers.solve_p_poisson
+
+        def recording(*args, **kwargs):
+            x, rep = solve(*args, **kwargs)
+            attempts.append(rep)
+            return x, rep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolvers, "solve_p_poisson", recording)
+            trace = run_balanced_ipm(inst, u0, 1)
+        self.root_search_only(monkeypatch)
+        alone = run_balanced_ipm(inst, u0, 1)
+        (attempt,) = attempts
+        assert not attempt.converged and attempt.iterations > 0
+        extras = trace.extras
+        assert extras["bordered_iterations"] == [0]
+        assert extras["failed_inner_solves"] == []
+        assert extras["balance_solves"] == [
+            1 + alone.extras["balance_solves"][0]]
+        assert extras["balance_roots"] == alone.extras["balance_roots"]
+        assert np.array_equal(trace.final_u, alone.final_u)
+        assert trace.records[0].inner_iters \
+            == attempt.iterations + alone.records[0].inner_iters
+        assert extras["cg_iterations"][0] \
+            == attempt.cg_iterations_total + alone.extras["cg_iterations"][0]
+        assert extras["inner_residuals"] == alone.extras["inner_residuals"]
 
     # 6 steps on the 19x19 grids, r = 0.25, from the ex2 start: the final
     # lambda, the steps that fell back to s = 1 and the stop reason,

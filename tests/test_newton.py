@@ -86,7 +86,8 @@ class TestDampedNewton:
 
         x, rep = damped_newton(np.zeros(1), residual, lambda x: None,
                                NewtonSettings(tol_abs=0.6),
-                               linear_solve=lambda A, b: (b, SolveReport()))
+                               linear_solve=lambda A, b, rtol:
+                               (b, SolveReport()))
         assert x[0] == 2.0 ** -30
         assert rep.iterations == 1 and rep.converged
 
@@ -94,7 +95,7 @@ class TestDampedNewton:
         # x^2 = 4 from x = 3 takes four Newton steps to 1e-6; the solves'
         # work is summed, and the loop's own iterations, residual and
         # convergence replace theirs
-        def solve(A, b):
+        def solve(A, b, rtol):
             return b / A, SolveReport(iterations=5, final_residual=0.5,
                                       converged=False, cg_iterations_total=3,
                                       cg_unconverged=1)
@@ -107,11 +108,44 @@ class TestDampedNewton:
         assert rep.final_residual <= 1e-6
         assert (rep.cg_iterations_total, rep.cg_unconverged) == (12, 4)
 
+    def test_handed_tolerance_reproduces_the_default_solve(self):
+        # a custom solve that runs cg_solve at the tolerance it is handed
+        # takes the default path's trial points bit for bit, forcing
+        # included: the loop computes that tolerance once for both
+        inst = make_instance(3.0)
+        rng = np.random.default_rng(2)
+        zeta = random_interior(inst, rng)
+        start = random_interior(inst, rng)
+        s = NewtonSettings()
+
+        def run(linear_solve):
+            trials = []
+
+            def residual(x):
+                trials.append(x.copy())
+                return inst.neg_plaplacian(x) - zeta
+
+            x, rep = damped_newton(start, residual, inst.jacobian_matrix, s,
+                                   linear_solve=linear_solve)
+            return x, rep, trials
+
+        def handed(A, b, rtol):
+            cg = cg_solve(A, b, rtol, s.cg_budget(b.size))
+            return cg[0], cg.report
+
+        x_default, rep_default, default = run(None)
+        x_handed, rep_handed, custom = run(handed)
+        assert rep_default.converged and rep_default.iterations > 3
+        assert rep_handed == rep_default
+        assert len(custom) == len(default)
+        assert all(np.array_equal(a, b) for a, b in zip(custom, default))
+        assert np.array_equal(x_handed, x_default)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_step_ends_the_solve(self, bad):
         calls = []
 
-        def solve(A, b):
+        def solve(A, b, rtol):
             calls.append(b)
             return np.array([1.0, bad]), SolveReport(cg_iterations_total=4,
                                                      cg_unconverged=1)
@@ -213,7 +247,7 @@ class TestPPoisson:
         # the unforced reference: the same CG at the unforced rule
         s = NewtonSettings()
 
-        def unforced_cg(A, b):
+        def unforced_cg(A, b, forced):  # ignores the forced tolerance
             rtol = max(s.cg_tol, 0.01 * s.tol_abs / np.linalg.norm(b))
             x, iters = cg_solve(A, b, rtol, s.cg_budget(len(b)))
             return x, SolveReport(cg_iterations_total=iters)
