@@ -17,10 +17,12 @@ the eigen-residual res of u (read by the inverse power method alone): the next
 iterate before normalization or None for a stall, the record's dual
 Rayleigh quotient or None, and the SolveReport of the step's inner solves,
 summed if several.  _iterate alone keeps the ledger of the reports, alike
-for every scheme: the record's inner_iters is the report's iterations,
-extras list per record its "inner_residuals", "cg_iterations" and
-"cg_unconverged", and "failed_inner_solves" lists the steps whose report
-has not converged.
+for every scheme: the record's inner_iters is the report's iterations
+and its jacobians, residual_evals and backtracks are the report's, extras
+list per record the report fields that LEDGER names ("inner_residuals",
+"cg_iterations", "cg_unconverged", "jacobians", "residual_evals",
+"backtracks"), and "failed_inner_solves" lists the steps whose report has
+not converged.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
 N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
 POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12, cg_tol=1e-13,
                         cg_max_iter=200)  # the geometric polish
+# extras key -> the SolveReport field it lists per step (_iterate)
+LEDGER = {"inner_residuals": "final_residual",
+          "cg_iterations": "cg_iterations_total",
+          "cg_unconverged": "cg_unconverged", "jacobians": "jacobians",
+          "residual_evals": "residual_evals", "backtracks": "backtracks"}
 
 
 @dataclass
@@ -81,18 +88,16 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
     if residual_tol is not None and not 0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive and finite")
     u = _normalize(pair, pair.as_vector(u0))
-    failed, residuals, cg_iters, cg_bad = (
-        extras.setdefault(key, []) for key in (
-            "failed_inner_solves", "inner_residuals", "cg_iterations",
-            "cg_unconverged"))
+    failed = extras.setdefault("failed_inner_solves", [])
+    for key in LEDGER:
+        extras.setdefault(key, [])
     records, stop_reason = [], "max_iter"
     t0 = time.perf_counter()
     rq, Ju, zJ, res = _evaluate(pair, u)
     for k in range(iters):
         v, dual_rq, report = step(k, u, rq, Ju, zJ, res)
-        residuals.append(report.final_residual)
-        cg_iters.append(report.cg_iterations_total)
-        cg_bad.append(report.cg_unconverged)
+        for key, name in LEDGER.items():
+            extras[key].append(getattr(report, name))
         if not report.converged:
             failed.append(k)
         records.append(metrics.IterationRecord(
@@ -102,7 +107,9 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
                 pair, rq, metrics.dual_rayleigh_quotient(pair, zJ, u, Ju)),
             residual=res,
             inner_iters=report.iterations,
-            wall_time=time.perf_counter() - t0))
+            wall_time=time.perf_counter() - t0,
+            jacobians=report.jacobians, residual_evals=report.residual_evals,
+            backtracks=report.backtracks))
         if v is None:
             stop_reason = "stalled"
             break
@@ -292,11 +299,12 @@ def balance_tangent(pair, w, zp, settings: NewtonSettings):
     Differentiating the solve in s gives A(w) dw/ds = zeta^+ for the
     Jacobian A (Keller 1977, differentiating a solve in its parameter),
     solved by Jacobi-PCG to the relative tolerance settings.cg_tol.  The
-    report counts CG only, so an unconverged tangent solve fails no step.
+    report counts the Jacobian and CG only, so an unconverged tangent
+    solve fails no step.
     """
     cg = cg_solve(pair.jacobian_matrix(w), zp, settings.cg_tol,
                   settings.cg_budget(zp.size))
-    return cg[0], cg.report
+    return cg[0], replace(cg.report, jacobians=1)
 
 
 def _log_rq_gradient(pair, w, sign, c, zc, J, H):
@@ -355,11 +363,14 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     where u is an eigenvector.  Its root is taken if the solve converges,
     e^sigma lies in the balance range [1/BALANCE_RANGE, BALANCE_RANGE] and
     |phi| <= BALANCE_TOL.  On the 99x99 square, p = 3, from the ex2
-    start, 4 bordered steps took [8, 5, 5, 5] Newton steps, 1575 CG
+    start, 4 bordered steps took [8, 5, 5, 5] Newton steps, 1014 CG
     iterations and 23 Jacobians, where the root search below took 17
     solves and 13 tangent solves, 2741 CG iterations and 74 Jacobians.
+    The bordered solve's warm-started border column and forced first
+    Newton step (newton.solve_p_poisson) took that CG from 1575 to 1014.
 
-    Otherwise, and below p = 2, balance_root roots phi to
+    Otherwise, below p = 2, and where zeta^+ is too small to have a
+    norm in floating point, balance_root roots phi to
     |phi| <= BALANCE_TOL, one inner solve (pair.inverse_subgrad_J) per
     point.  After every solve that is not at a root one CG solve on
     pair.jacobian_matrix(w) gives its tangent dw/ds (balance_tangent),
@@ -388,8 +399,11 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
 
     def bordered_root(u, rq, zp, zm):
         """((s, w, phi) or None where the root is not taken, the report) of
-        one bordered solve."""
-        s0 = pair.dual_norm_H(zm) / pair.dual_norm_H(zp)
+        one bordered solve, (None, no work) where zeta^+ has no norm."""
+        norm_p = pair.dual_norm_H(zp)
+        if not norm_p > 0.0:  # the positive part underflowed
+            return None, SolveReport()
+        s0 = pair.dual_norm_H(zm) / norm_p
         w0 = ray_start(pair, u, rq)
         w0[w0 > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
         x, rep = solve_p_poisson(

@@ -30,6 +30,9 @@ class SolveReport:
     converged: bool = True
     cg_iterations_total: int = 0
     cg_unconverged: int = 0  # CG calls that did not converge (info != 0)
+    jacobians: int = 0  # Jacobian assemblies
+    residual_evals: int = 0  # evaluations of the Newton residual
+    backtracks: int = 0  # trial steps the line search rejected
 
     def __add__(self, other: SolveReport) -> SolveReport:
         return SolveReport(
@@ -37,7 +40,10 @@ class SolveReport:
             float(np.maximum(self.final_residual, other.final_residual)),
             self.converged and other.converged,
             self.cg_iterations_total + other.cg_iterations_total,
-            self.cg_unconverged + other.cg_unconverged)
+            self.cg_unconverged + other.cg_unconverged,
+            self.jacobians + other.jacobians,
+            self.residual_evals + other.residual_evals,
+            self.backtracks + other.backtracks)
 
 
 def power_map(t: np.ndarray, p: float) -> np.ndarray:

@@ -21,10 +21,16 @@ class IterationRecord:
     residual: float
     inner_iters: int
     wall_time: float
+    jacobians: int = 0  # the step's inner work, as its SolveReport counts it
+    residual_evals: int = 0
+    backtracks: int = 0
 
 
+# the work counts come last, so that readers of the first eight columns
+# keep working
 CSV_HEADER = ["iter", "rq", "dual_rq", "cosim", "gap", "residual",
-              "inner_iters", "wall_time"]
+              "inner_iters", "wall_time",
+              "jacobians", "residual_evals", "backtracks"]
 
 
 def records_to_csv(records: list[IterationRecord], path) -> None:
@@ -35,7 +41,8 @@ def records_to_csv(records: list[IterationRecord], path) -> None:
             w.writerow([r.k, repr(r.rq),
                         "" if r.dual_rq is None else repr(r.dual_rq),
                         repr(r.cosim), repr(r.gap), repr(r.residual),
-                        r.inner_iters, repr(r.wall_time)])
+                        r.inner_iters, repr(r.wall_time), r.jacobians,
+                        r.residual_evals, r.backtracks])
 
 
 def rayleigh_quotient(pair: FunctionalPair, u) -> float:

@@ -5,8 +5,9 @@ linear solver.  The loop serves the inner solves below, the balanced
 scheme's bordered solve (solve_p_poisson with border) and the geometric
 scheme's polish.  It computes each step's CG tolerance, by the rules
 below, once, and hands it to the step's linear solve: the default CG
-runs to it, the bordered solve runs both of its CG solves to it, and the
-polish keeps its fixed settings.cg_tol (eigensolvers._polish).
+runs to it, the bordered solve runs both of its CG solves to it, on one
+Jacobi diagonal (solve_p_poisson), and the polish keeps its fixed
+settings.cg_tol (eigensolvers._polish).
 Jacobi-preconditioned CG suits the many-armed mean-value stencil, whose
 sparse Jacobian-vector product is cheap where a factorization would be
 wasteful.  CG stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
@@ -19,12 +20,18 @@ quadratically, a step solves the Newton system of the residual and is
 backtracked by halving, 31 tries at most.  damped_newton loosens the CG
 of that step by Eisenstat-Walker forcing (choice 2, "Choosing the
 forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 1996):
-from a solve's second Newton step on, the relative tolerance is at least
+the relative tolerance of a solve's first Newton step is at least
+eta_0 = 0.1, the cap of the rule, and from the second step on at least
 eta = min(0.1, 0.9 (|r_k|_2 / |r_k-1|_2)^2).  While the residual falls
 slowly CG need not solve far past what the step achieves; once it falls
 fast, eta drops below the rule above, which again controls the last steps.
 The stop test |r|_max <= tol_abs is the same, so a forced solve converges
-as tightly as an unforced one.
+as tightly as an unforced one.  An affine residual, the p = 2 solves
+(damped_newton's linear), keeps an unforced first step: one exact step
+solves it, and forcing that step took 23 -> 30 CG iterations on an 11 x 11
+square.  Elsewhere forcing the first step saves CG: on the traced ex1
+workload (81 x 81 L-shape, 5 inverse power steps) 310 -> 216 iterations,
+with the same 22 Newton steps.
 
 Below p = 2 that step does not contract.  On a lone edge the kernel
 phi(d) = |d|^(p-2) d has phi / phi' = d / (p-1), so the step maps d to
@@ -112,27 +119,36 @@ class CgResult(tuple):
         return result
 
 
-def cg_solve(A, b, rtol: float, maxiter: int) -> CgResult:
-    """Jacobi-preconditioned CG; returns the iterate even on non-convergence
-    (report.cg_unconverged 1: the budget ran out or CG broke down)."""
+def jacobi(A) -> scipy.sparse.linalg.LinearOperator:
+    """The Jacobi preconditioner of A, x -> x / diag(A), leaving the rows
+    of a zero diagonal entry unscaled."""
     diag = A.diagonal()
     inv = np.ones_like(diag, dtype=float)
     nonzero = np.abs(diag) > 1e-300
     inv[nonzero] = 1.0 / diag[nonzero]
-    M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda x: inv * x)
+    return scipy.sparse.linalg.LinearOperator(A.shape,
+                                              matvec=lambda x: inv * x)
+
+
+def cg_solve(A, b, rtol: float, maxiter: int, x0=None, M=None) -> CgResult:
+    """CG preconditioned by M, jacobi(A) if None, from x0, 0 if None;
+    returns the iterate even on non-convergence (report.cg_unconverged 1:
+    the budget ran out or CG broke down)."""
     count = [0]
 
     def cb(xk):
         count[0] += 1
 
-    x, info = scipy.sparse.linalg.cg(A, b, rtol=rtol, atol=0.0,
-                                     maxiter=maxiter, M=M, callback=cb)
+    x, info = scipy.sparse.linalg.cg(A, b, x0=x0, rtol=rtol, atol=0.0,
+                                     maxiter=maxiter,
+                                     M=jacobi(A) if M is None else M,
+                                     callback=cb)
     return CgResult(x, count[0], info == 0)
 
 
 def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
                   settings: NewtonSettings | None, linear_solve=None,
-                  flux=None) -> tuple[np.ndarray, SolveReport]:
+                  flux=None, linear=False) -> tuple[np.ndarray, SolveReport]:
     """Newton iteration on residual_fn, globalized by halving or by a flux.
 
     Without flux each step solves A delta = -r for A = jacobian_fn(x) and is
@@ -149,16 +165,19 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
 
     linear_solve(A, b, rtol) -> (delta, SolveReport) solves the system; the
     returned report sums the reports of the solves, with the loop's own
-    iterations, final_residual and converged.  rtol is the relative CG
-    tolerance of the module docstring for that b, the one the default
-    solve, CG within settings.cg_budget, runs to; the default reports CG's
-    iterations and, in cg_unconverged, whether it did not converge.  On the
-    halving step (no flux) rtol is forced by the module docstring's
-    Eisenstat-Walker term eta from the second Newton step on; their
-    safeguard max(eta, 0.9 eta_prev^2), taken only when 0.9 eta_prev^2 >
-    0.1, cannot fire under the cap 0.1 and is left out.  A delta that is
-    not finite ends the loop at once with final_residual NaN and
-    converged=False; its solve's work counts, the step does not.
+    iterations, Jacobian assemblies (one per system formed), residual
+    evaluations, backtracks (trial steps rejected), final_residual and
+    converged.  rtol is the relative CG tolerance of the module docstring
+    for that b, the one the default solve, CG within settings.cg_budget,
+    runs to; the default reports CG's iterations and, in cg_unconverged,
+    whether it did not converge.  On the halving step (no flux) rtol is
+    forced by the module docstring's Eisenstat-Walker terms, eta_0 = 0.1
+    on the first Newton step unless linear says that residual_fn is
+    affine, and eta from the second step on; their safeguard max(eta,
+    0.9 eta_prev^2), taken only when 0.9 eta_prev^2 > 0.1, cannot fire
+    under the cap 0.1 and is left out.  A delta that is not finite ends
+    the loop at once with final_residual NaN and converged=False; its
+    solve's work counts, the step does not.
     """
     settings = settings or NewtonSettings()
     x = np.asarray(x0, dtype=float).copy()
@@ -167,7 +186,8 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     best, best_rn, stalled = x, rn, 0
     report = SolveReport()
     lengths = HALVINGS if flux is None else (1.0,)
-    it = 0
+    it = jacobians = backtracks = 0
+    evals = 1
     norm_prev = None  # |b|_2 at the previous Newton step
 
     def cg(A, b, rtol):
@@ -177,10 +197,12 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     while (settings.tol_abs < rn < np.inf and it < settings.max_iter
            and stalled < STALL_STEPS):
         A, b = (jacobian_fn(x), -r) if flux is None else flux.system(x)
+        jacobians += 1
         norm = np.linalg.norm(b)
         rtol = max(settings.cg_tol, 0.01 * settings.tol_abs / norm)
-        if flux is None and norm_prev is not None:
-            rtol = max(rtol, min(0.1, 0.9 * (norm / norm_prev) ** 2))
+        if flux is None and (norm_prev is not None or not linear):
+            eta = 0.1 if norm_prev is None else 0.9 * (norm / norm_prev) ** 2
+            rtol = max(rtol, min(0.1, eta))
         norm_prev = norm
         delta, solved = (linear_solve or cg)(A, b, rtol)
         report += solved
@@ -191,10 +213,12 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
         for t in lengths:
             xt = x + t * delta
             rt = residual_fn(xt)
+            evals += 1
             rtn = float(np.max(np.abs(rt)))
             if flux is not None or rtn < rn:
                 x, r, rn = xt, rt, rtn
                 break
+            backtracks += 1
         else:  # no try lowered the residual
             break
         if flux is not None:
@@ -204,7 +228,9 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
         else:
             stalled += 1
     return best, replace(report, iterations=it, final_residual=best_rn,
-                         converged=best_rn <= settings.tol_abs)
+                         converged=best_rn <= settings.tol_abs,
+                         jacobians=jacobians, residual_evals=evals,
+                         backtracks=backtracks)
 
 
 def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,
@@ -290,6 +316,7 @@ class _Border:
         self.pair, self.zeta, self.zp = pair, zeta, zeta_plus
         self.balance, self.settings = balance, settings
         self.last = None  # (x, g) of the latest finite residual
+        self.y = None  # the latest solve of A y = zeta_plus
 
     def residual(self, x):
         n = self.zp.size
@@ -318,8 +345,10 @@ class _Border:
     def solve(self, system, b, rtol):
         A, g, s = system
         budget = self.settings.cg_budget(self.zp.size)
-        z = cg_solve(A, b[:-1], rtol, budget)
-        y = cg_solve(A, self.zp, rtol, budget)
+        M = jacobi(A)
+        z = cg_solve(A, b[:-1], rtol, budget, M=M)
+        y = cg_solve(A, self.zp, rtol, budget, x0=self.y, M=M)
+        self.y = y[0]
         report = z.report + y.report
         slope = s * self.pair.pairing(g, y[0])
         if not slope:
@@ -348,7 +377,9 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
     A = jacobian_matrix(u), is solved by Keller's bordering ("Numerical
     solution of bifurcation and nonlinear eigenvalue problems", 1977): CG
     solves A z = b_u and A y = zeta_plus to the tolerance damped_newton
-    hands its linear solve, forcing included, and then
+    hands its linear solve, forcing included, on one Jacobi diagonal; as
+    zeta_plus is fixed, the solve for y starts from the previous Newton
+    step's y.  Then
         dsigma = (b_sigma - <g, z>) / (e^sigma <g, y>),
         du = z + e^sigma dsigma y;
     a zero <g, y> gives a NaN step, which ends the solve.
@@ -363,7 +394,8 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
 
     return damped_newton(u_init, residual, inst.jacobian_matrix, settings,
                          flux=None if locally_quadratic(inst.p)
-                         else _PoissonFlux(inst, zeta, u_init))
+                         else _PoissonFlux(inst, zeta, u_init),
+                         linear=inst.p == 2)
 
 
 def solve_prox(inst, u_ref: np.ndarray, tau: float,
@@ -389,4 +421,4 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
 
     return damped_newton(u_ref, residual, jacobian, settings,
                          flux=None if locally_quadratic(p)
-                         else _ProxFlux(inst, u_ref, tau))
+                         else _ProxFlux(inst, u_ref, tau), linear=p == 2)

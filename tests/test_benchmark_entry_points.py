@@ -110,6 +110,9 @@ def test_balanced_workload_takes_the_bordered_path(tmp_path):
     assert trace.extras["balance_solves"] == [1, 1, 1, 1]
     assert trace.final_lambda == pytest.approx(
         workload.references["balanced"], rel=1e-9)
+    # 1014 CG iterations with the border column warm-started and the first
+    # Newton step forced, 1575 before: a ceiling 5% above
+    assert sum(trace.extras["cg_iterations"]) <= 1.05 * 1014
 
 
 def test_workload_configs_load_and_build(tmp_path):

@@ -59,8 +59,10 @@ class TestRun:
         out = tmp_path / "out_p2"
         with open(out / "metrics.csv", newline="") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["iter", "rq", "dual_rq", "cosim", "gap",
-                           "residual", "inner_iters", "wall_time"]
+        # the work columns are appended, so the first eight keep their place
+        assert rows[0][:8] == ["iter", "rq", "dual_rq", "cosim", "gap",
+                               "residual", "inner_iters", "wall_time"]
+        assert rows[0][8:] == ["jacobians", "residual_evals", "backtracks"]
         assert len(rows) == 41
         info = json.loads((out / "run.json").read_text())
         assert info["solver_tag"] == "ipm"
@@ -75,7 +77,7 @@ class TestRun:
         with open(tmp_path / "out_grid" / "metrics.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
         cells = [cell for row in rows for cell in row if cell]
-        assert len(cells) == 5 * 8
+        assert len(cells) == 5 * 11
         for cell in cells:
             float(cell)
 
@@ -101,12 +103,13 @@ class TestRun:
             "output": {"dir": str(tmp_path / "out_bal")},
         })
         assert main(["run", config]) == 0
-        extras = json.loads(
-            (tmp_path / "out_bal" / "run.json").read_text())["extras"]
+        out = tmp_path / "out_bal"
+        extras = json.loads((out / "run.json").read_text())["extras"]
         # one bordered solve per step: [7, 4] with the root search, [12, 4]
-        # when step 0 doubled s from 1 to a bracket
+        # when step 0 doubled s from 1 to a bracket; its Newton steps were
+        # [6, 5] before the first one was forced
         assert extras["balance_solves"] == [1, 1]
-        assert extras["bordered_iterations"] == [6, 5]
+        assert extras["bordered_iterations"] == [7, 5]
         assert len(extras["balance_roots"]) == 2
         assert len(extras["balance_defects"]) == 2
         assert all(d <= 1e-6 for d in extras["balance_defects"])
@@ -114,6 +117,16 @@ class TestRun:
         assert len(extras["cg_iterations"]) == 2
         assert all(n > 0 for n in extras["cg_iterations"])
         assert extras["cg_unconverged"] == [0, 0]
+        # the work of each step in run.json and in metrics.csv alike: one
+        # Jacobian per Newton step, and one residual per trial point
+        with open(out / "metrics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        for key in ("jacobians", "residual_evals", "backtracks"):
+            assert extras[key] == [int(row[key]) for row in rows]
+        assert extras["jacobians"] == extras["bordered_iterations"]
+        assert extras["residual_evals"] == [
+            1 + n + b for n, b in zip(extras["bordered_iterations"],
+                                      extras["backtracks"])]
 
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0

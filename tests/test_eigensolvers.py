@@ -231,6 +231,72 @@ def test_bordered_solve_matches_dense_solve(p, shape, cells, radius, sigma,
     assert np.max(np.abs(delta - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+def test_bordered_system_shares_one_jacobi_diagonal(small_grid,
+                                                    monkeypatch):
+    # the two CG solves of one bordered system take one preconditioner
+    made = []
+    jacobi = newton.jacobi
+
+    def counted(A):
+        made.append(A)
+        return jacobi(A)
+
+    monkeypatch.setattr(newton, "jacobi", counted)
+    trace = run_balanced_ipm(
+        small_grid, eval_initial_guess("ex2", small_grid.domain).values, 1)
+    assert len(made) == trace.extras["bordered_iterations"][0] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(2.0, 5.0), shape=st.sampled_from(["square", "lshape"]),
+       cells=st.integers(6, 12), radius=st.floats(1.0, 3.2),
+       mix=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_warm_started_bordered_solve_matches_cold(p, shape, cells, radius,
+                                                  mix, seed):
+    # step 0's bordered solve, from the ex2 start mixed with a random
+    # field: its CG for A y = zeta^+ starts from the previous Newton step's
+    # y, and started from 0 instead the solve reaches the same (w, s).
+    # Either may stall where the other converges, and the root search then
+    # takes the step: on 200 such draws both converged on 179 (worst
+    # disagreement 1.9e-12), only the warm-started one on 7, neither on 8
+    h = 2.0 / cells
+    inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, p)
+    u0 = inst.as_vector(eval_initial_guess("ex2", inst.domain).values)
+    u0 = u0 / np.max(np.abs(u0)) + mix * random_fields(inst, 1, seed)[0]
+    assume(np.any(u0 > 0) and np.any(u0 < 0))
+    cg_solve, solve = newton.cg_solve, eigensolvers.solve_p_poisson
+    starts = []  # whether each CG call of the warm-started solve had one
+
+    def warm(A, b, rtol, maxiter, x0=None, M=None):
+        starts.append(x0 is not None)
+        return cg_solve(A, b, rtol, maxiter, x0, M)
+
+    def cold(A, b, rtol, maxiter, x0=None, M=None):
+        return cg_solve(A, b, rtol, maxiter, None, M)
+
+    def bordered_solve(cg):
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "cg_solve", cg)
+            mp.setattr(eigensolvers, "solve_p_poisson", recording)
+            run_balanced_ipm(inst, u0, 1)
+        return solves[0] if solves else (None, SolveReport(converged=False))
+
+    x, report = bordered_solve(warm)
+    x_ref, report_ref = bordered_solve(cold)
+    assume(report.converged and report_ref.converged)
+    assert starts.count(True) == report.iterations - 1
+    s, s_ref = math.exp(x[-1]), math.exp(x_ref[-1])
+    assert abs(s - s_ref) <= 1e-10 * s_ref
+    assert np.max(np.abs(x[:-1] - x_ref[:-1])) \
+        <= 1e-10 * np.max(np.abs(x_ref[:-1]))
+
+
 @pytest.mark.parametrize("run", [
     lambda pair, u0, **kw: run_ipm(pair, u0, 6, **kw),
     lambda pair, u0, **kw: run_ppm(pair, u0, tau_tilde=0.5, iters=6, **kw),
@@ -298,8 +364,8 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
     calls, lu_calls = [], [0]
     original, spsolve = newton.cg_solve, scipy.sparse.linalg.spsolve
 
-    def recording(A, b, rtol, maxiter):
-        result = original(A, b, rtol, maxiter)
+    def recording(A, b, rtol, maxiter, x0=None, M=None):
+        result = original(A, b, rtol, maxiter, x0, M)
         calls.append((result[1], not result.report.cg_unconverged))
         return result
 
@@ -633,6 +699,20 @@ class TestBalanced:
         assert trace.extras["balance_roots"] == [1.0]
         assert np.isnan(trace.extras["balance_defects"][0])
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_positive_part_without_norm_takes_the_root_search(self, p):
+        # one positive node of 1e-200: zeta^+ underflows to dual norm 0,
+        # which the bordered start s0 = |zeta^-|_* / |zeta^+|_* divided by;
+        # the root search finds no root and the scheme stalls at s = 1
+        dom = build_domain("square", 2.0, 0.2)
+        inst = PLaplaceInstance(dom, 0.45, p)
+        u0 = -np.abs(inst.as_vector(eval_initial_guess("ex1", dom).values))
+        u0[0] = 1e-200
+        trace = run_balanced_ipm(inst, u0, 3)
+        assert trace.stop_reason == "stalled"
+        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.extras["fallback_steps"] == [0]
+
     def test_odd_symmetric_start_stays_balanced(self, small_grid):
         X, _ = small_grid.domain.coords()
         u0 = np.where(small_grid.domain.interior_mask,
@@ -671,9 +751,10 @@ class TestBalanced:
         assert sum(solves) < 39  # one-sided bracket and Illinois
         # Newton steps per outer step: [57, 28, 21, 24] with Illinois,
         # [49, 12, 7, 7] when step 0 doubled s, [36, 12, 7, 7] with the
-        # root search's tangent and scaled-ray starts
-        assert [rec.inner_iters for rec in trace.records] == [6, 5, 5, 5]
-        assert trace.extras["bordered_iterations"] == [6, 5, 5, 5]
+        # root search's tangent and scaled-ray starts, [6, 5, 5, 5] before
+        # the bordered solve forced its first step
+        assert [rec.inner_iters for rec in trace.records] == [7, 5, 5, 4]
+        assert trace.extras["bordered_iterations"] == [7, 5, 5, 4]
         assert len(trace.extras["balance_roots"]) == len(solves) == 4
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in trace.extras["balance_defects"])
@@ -739,12 +820,15 @@ class TestBalanced:
         assert trace.extras["failed_inner_solves"] == []
 
     def test_abandoned_bordered_solve_adds_its_work(self, monkeypatch):
-        # on the 19x19 L-shape at p = 3, from the ex2 start, the first
-        # bordered solve stalls in its line search; the root search then
-        # takes the step as it would alone, and the step's report adds the
-        # attempt's Newton steps and CG iterations, not its residual
+        # on the 19x19 L-shape at p = 5, from the ex2 start, the first
+        # bordered solve stalls in its line search (8 Newton steps,
+        # residual 3.6); the root search then takes the step as it would
+        # alone, and the step's report adds the attempt's Newton steps and
+        # CG iterations, not its residual.  (At p = 3 the solve stalled
+        # until its first Newton step was forced, and now converges in 9;
+        # at p = 4 it converges to s = 52128, outside the balance range.)
         dom = build_domain("lshape", 2.0, 0.1)
-        inst = PLaplaceInstance(dom, 0.25, 3.0)
+        inst = PLaplaceInstance(dom, 0.25, 5.0)
         u0 = eval_initial_guess("ex2", dom).values
         attempts = []
         solve = eigensolvers.solve_p_poisson
@@ -773,6 +857,7 @@ class TestBalanced:
         assert extras["cg_iterations"][0] \
             == attempt.cg_iterations_total + alone.extras["cg_iterations"][0]
         assert extras["inner_residuals"] == alone.extras["inner_residuals"]
+        assert attempt.final_residual > max(extras["inner_residuals"])
 
     # 6 steps on the 19x19 grids, r = 0.25, from the ex2 start: the final
     # lambda, the steps that fell back to s = 1 and the stop reason,
@@ -802,9 +887,15 @@ class TestBalanced:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_inner_solves_listed(self, small_grid):
+        # two Newton steps per solve: both steps' bordered solves are
+        # abandoned and their root searches' solves miss tol_abs.  With one
+        # step, CG at the forced first-step tolerance 0.1 leaves the root
+        # search no root in the balance range, and step 0 stalls at s = 1.
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 2,
-                                 settings=NewtonSettings(max_iter=1))
+                                 settings=NewtonSettings(max_iter=2))
+        assert trace.stop_reason == "max_iter" and len(trace.records) == 2
+        assert trace.extras["fallback_steps"] == []
         assert trace.extras["failed_inner_solves"] == [0, 1]
 
     def test_final_normalized(self, small_grid):

@@ -41,12 +41,15 @@ class TestPowerMap:
 class TestSolveReport:
     def test_sum_of_two_solves(self):
         a = SolveReport(iterations=3, final_residual=1e-13,
-                        cg_iterations_total=40, cg_unconverged=1)
+                        cg_iterations_total=40, cg_unconverged=1,
+                        jacobians=3, residual_evals=5, backtracks=1)
         b = SolveReport(iterations=2, final_residual=1e-9, converged=False,
-                        cg_iterations_total=7, cg_unconverged=2)
+                        cg_iterations_total=7, cg_unconverged=2,
+                        jacobians=2, residual_evals=34, backtracks=31)
         assert a + b == SolveReport(iterations=5, final_residual=1e-9,
                                     converged=False, cg_iterations_total=47,
-                                    cg_unconverged=3)
+                                    cg_unconverged=3, jacobians=5,
+                                    residual_evals=39, backtracks=32)
         assert b + a == a + b
         assert a + SolveReport() == a
         total = SolveReport()

@@ -126,14 +126,18 @@ class TestCsv:
                                 wall_time=0.25),
                 IterationRecord(k=1, rq=1.2, dual_rq=0.8, cosim=0.95,
                                 gap=0.005, residual=0.05, inner_iters=2,
-                                wall_time=0.2)]
+                                wall_time=0.2, jacobians=2, residual_evals=4,
+                                backtracks=1)]
         path = tmp_path / "metrics.csv"
         records_to_csv(recs, path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == CSV_HEADER
         assert rows[0] == ["iter", "rq", "dual_rq", "cosim", "gap",
-                           "residual", "inner_iters", "wall_time"]
+                           "residual", "inner_iters", "wall_time",
+                           "jacobians", "residual_evals", "backtracks"]
         assert rows[1][2] == ""
         assert float(rows[2][2]) == 0.8
+        assert rows[1][8:] == ["0", "0", "0"]
+        assert rows[2][8:] == ["2", "4", "1"]
         assert len(rows) == 3

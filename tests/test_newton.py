@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import newton
@@ -75,6 +76,28 @@ class TestCgSolve:
         assert cg_solve(A, b, 1e-12, 100).report.cg_unconverged == 0
 
 
+    def test_warm_start_and_shared_preconditioner(self):
+        # from the solution CG takes no iteration, and a preconditioner
+        # handed in is used as it is
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((6, 6))
+        A = scipy.sparse.csr_matrix(B @ B.T + 6.0 * np.eye(6))
+        b = rng.standard_normal(6)
+        x, iters = cg_solve(A, b, 1e-12, 100)
+        assert cg_solve(A, b, 1e-12, 100, x0=x)[1] == 0
+        applied = []
+        M = newton.jacobi(A)
+
+        def counted(v):
+            applied.append(v)
+            return M.matvec(v)
+
+        shared = scipy.sparse.linalg.LinearOperator(A.shape, matvec=counted)
+        x_shared, iters_shared = cg_solve(A, b, 1e-12, 100, M=shared)
+        assert applied and iters_shared == iters
+        assert np.array_equal(x_shared, x)
+
+
 class TestDampedNewton:
     def test_backtracks_31_halvings_deep(self):
         # From x=0 the step is 1; the residual only drops at x <= 2^-30,
@@ -90,11 +113,13 @@ class TestDampedNewton:
                                (b, SolveReport()))
         assert x[0] == 2.0 ** -30
         assert rep.iterations == 1 and rep.converged
+        assert (rep.jacobians, rep.residual_evals, rep.backtracks) \
+            == (1, 32, 30)
 
     def test_sums_the_reports_of_a_custom_solve(self):
         # x^2 = 4 from x = 3 takes four Newton steps to 1e-6; the solves'
-        # work is summed, and the loop's own iterations, residual and
-        # convergence replace theirs
+        # work is summed, and the loop's own iterations, work counts,
+        # residual and convergence replace theirs
         def solve(A, b, rtol):
             return b / A, SolveReport(iterations=5, final_residual=0.5,
                                       converged=False, cg_iterations_total=3,
@@ -107,6 +132,8 @@ class TestDampedNewton:
         assert rep.iterations == 4 and rep.converged
         assert rep.final_residual <= 1e-6
         assert (rep.cg_iterations_total, rep.cg_unconverged) == (12, 4)
+        assert (rep.jacobians, rep.residual_evals, rep.backtracks) \
+            == (4, 5, 0)
 
     def test_handed_tolerance_reproduces_the_default_solve(self):
         # a custom solve that runs cg_solve at the tolerance it is handed
@@ -264,15 +291,17 @@ class TestPPoisson:
             mp.setattr(newton, "cg_solve", recording_cg)
             x_forced, forced = damped_newton(start, residual,
                                              inst.jacobian_matrix,
-                                             NewtonSettings())
+                                             NewtonSettings(), linear=p == 2)
         assert forced.converged and forced.final_residual <= 1e-12
         # at each iterate the forced tolerance is the unforced rule's,
-        # raised to at most 0.1, and the first step is not forced
+        # raised to at most 0.1; the first step's is raised to 0.1, except
+        # at p = 2, where the residual is linear and one exact step solves it
         tight_rtols = [max(s.cg_tol, 0.01 * s.tol_abs / norm)
                        for norm, _ in cg_calls]
         for tight_rtol, (_, rtol) in zip(tight_rtols, cg_calls):
             assert tight_rtol <= rtol <= max(tight_rtol, 0.1)
-        assert cg_calls[0][1] == tight_rtols[0]
+        assert cg_calls[0][1] == (tight_rtols[0] if p == 2
+                                  else max(tight_rtols[0], 0.1))
         assert forced.cg_iterations_total <= tight.cg_iterations_total
         # 2-norm: at scale 1e-2 the absolute tolerance is a relative
         # residual of 1e-10, and two converged solves then differ by up to
@@ -282,6 +311,30 @@ class TestPPoisson:
         # solve_p_poisson forces for p >= 2
         u, rep = solve_p_poisson(inst, zeta, start)
         assert rep == forced and np.array_equal(u, x_forced)
+
+    def test_linear_solve_first_step_not_forced(self):
+        # at p = 2 the residual is affine and one exact Newton step solves
+        # it: forcing that step to 0.1 would cost CG (23 -> 30 iterations
+        # here), so solve_p_poisson hands it the unforced tolerance
+        inst = make_instance(2.0, h=0.2, r=0.45)
+        rng = np.random.default_rng(0)
+        zeta = random_interior(inst, rng, 1e-2)
+        start = random_interior(inst, rng)
+        rtols = []
+
+        def recording_cg(A, b, rtol, maxiter):
+            rtols.append(rtol)
+            return cg_solve(A, b, rtol, maxiter)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "cg_solve", recording_cg)
+            _, rep = solve_p_poisson(inst, zeta, start)
+        assert rep.converged and rtols[0] < 0.1
+        _, forced = damped_newton(
+            start, lambda x: inst.neg_plaplacian(x) - zeta,
+            inst.jacobian_matrix, NewtonSettings())
+        assert forced.converged
+        assert rep.cg_iterations_total < forced.cg_iterations_total
 
     @staticmethod
     def p15_problem():
