@@ -41,10 +41,8 @@ from .newton import (NewtonSettings, cg_solve, damped_newton,
 from . import metrics
 
 INNER_TOL_FACTOR = 1e-4  # inexact IPM solve tolerance per unit eigen-residual
-SENTINEL = 1e12  # the balance defect where one part of the solve vanishes
 BALANCE_TOL = 1e-6  # |phi| at the root of the balance
-BALANCE_RANGE = 2.0 ** 12  # the balance root is sought in [1/this, this]
-BALANCE_EVALS = 60  # the evaluations of one balance root, at most
+BALANCE_RANGE = 2.0 ** 12  # a balance root is taken in [1/this, this]
 TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
 SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
@@ -244,90 +242,24 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     return trace
 
 
-def balance_root(evaluate):
-    """Root of the balance defect phi(s) by safeguarded Newton in
-    sigma = log s, one evaluation (here an inner solve) per step.
-
-    phi > 0 as s -> 0 and phi < 0 as s -> inf.  evaluate(s) gives
-    (phi(s), d): d is the Newton step -psi/(dpsi/dsigma) for
-    psi = log R(w^+) - log R(w^-), which has phi's sign and root, or NaN
-    where there is none (at a root, or where phi holds +-SENTINEL and psi
-    is undefined).  From s = 1 every step keeps a sign bracket (lo, hi),
-    first the balance range [1/BALANCE_RANGE, BALANCE_RANGE], and takes
-    the Newton point s e^d strictly inside it, else the geometric
-    midpoint sqrt(lo hi) (Brent 1973, ch. 4); a point within x2 of a range
-    end not yet evaluated moves to that end.  Returns (s, phi(s)) once
-    |phi| <= BALANCE_TOL or phi is NaN, the point of least |phi| after
-    BALANCE_EVALS evaluations, and (None, phi(1)) once phi keeps its sign
-    at a range end, where no root is in the range.
-    """
-    # the sign bracket phi(lo) > 0 > phi(hi); an open end is not evaluated
-    s, lo, hi = 1.0, 1.0 / BALANCE_RANGE, BALANCE_RANGE
-    lo_open = hi_open = True
-    seen = []  # (|phi|, s, phi) of every evaluation
-    for _ in range(BALANCE_EVALS):
-        f, step = evaluate(s)
-        if not abs(f) > BALANCE_TOL:  # a root, or NaN: the caller stalls
-            return s, f
-        seen.append((abs(f), s, f))
-        if f > 0:
-            lo, lo_open = s, False
-        else:
-            hi, hi_open = s, False
-        if lo == hi:  # phi kept its sign to a range end: no root in range
-            return None, seen[0][2]
-        t = s * math.exp(step) \
-            if math.log(lo) < math.log(s) + step < math.log(hi) \
-            else math.sqrt(lo * hi)
-        s = hi if hi_open and 2.0 * t > hi \
-            else lo if lo_open and t < 2.0 * lo else t
-    return min(seen)[1:]
-
-
-def _part(pair, w, sign):
-    """(w^+, J, H) for sign = 1, (w^-, J, H) for sign = -1, or None where
-    that part of w vanishes."""
-    clipped = np.maximum(sign * w, 0.0)
-    Hc = pair.H(clipped)
-    return (clipped, pair.energy_J(clipped), Hc) if Hc > 0.0 else None
-
-
-def balance_tangent(pair, w, zp, settings: NewtonSettings):
-    """(dw/ds, the CG solve's SolveReport) at the solve w of
-    dJ(w) = s zeta^+ - zeta^-.
-
-    Differentiating the solve in s gives A(w) dw/ds = zeta^+ for the
-    Jacobian A (Keller 1977, differentiating a solve in its parameter),
-    solved by Jacobi-PCG to the relative tolerance settings.cg_tol.  The
-    report counts the Jacobian and CG only, so an unconverged tangent
-    solve fails no step.
-    """
-    cg = cg_solve(pair.jacobian_matrix(w), zp, settings.cg_tol,
-                  settings.cg_budget(zp.size))
-    return cg[0], replace(cg.report, jacobians=1)
-
-
-def _log_rq_gradient(pair, w, sign, c, zc, J, H):
-    """The gradient in w of log R(c) for the part c = max(sign w, 0) of w,
-    with zc = dJ(c), J = J(c) and H = H(c): dJ(c)/J - dH(c)/H on the
-    part's support."""
-    return (zc / J - pair.duality_map_H(c) / H) * (sign * w > 0.0)
-
-
-def log_balance_slope(pair, w, parts, dw, s):
-    """dpsi/dsigma = s <g, dw/ds> for psi = log R(w^+) - log R(w^-) and
-    sigma = log s, with g = sum over the parts of their _log_rq_gradient;
-    parts are (_part(pair, w, 1), _part(pair, w, -1)), neither None."""
-    g = sum(_log_rq_gradient(pair, w, sign, c, pair.subgrad_J(c), J, H)
-            for sign, (c, J, H) in zip((1.0, -1.0), parts))
-    return s * pair.pairing(g, dw)
+def balance_defect(pair, w):
+    """phi = R(w^+) - R(w^-), NaN where a part of w vanishes."""
+    rqs = []
+    for c in (np.maximum(w, 0.0), np.maximum(-w, 0.0)):
+        H = pair.H(c)
+        if not H > 0.0:
+            return math.nan
+        rqs.append(pair.energy_J(c) / H)
+    return rqs[0] - rqs[1]
 
 
 def log_balance(pair, w):
-    """(psi, g) at w for psi = log R(w^+) - log R(w^-) and its gradient g
-    of log_balance_slope, or None where a part of w vanishes: the border
-    of the bordered balanced step.  J of each part is taken by Euler,
-    J(c) = <dJ(c), c>/p, from the dJ(c) that g needs anyway."""
+    """(psi, g) at w for psi = log R(w^+) - log R(w^-) and its gradient g,
+    or None where a part of w vanishes: the border of the bordered
+    balanced step.  The gradient of log R(c) for the part c = max(sign w,
+    0) is dJ(c)/J(c) - dH(c)/H(c) on the part's support.  J of each part
+    is taken by Euler, J(c) = <dJ(c), c>/p, from the dJ(c) that g needs
+    anyway."""
     psi, g = 0.0, 0.0
     for sign in (1.0, -1.0):
         c = np.maximum(sign * w, 0.0)
@@ -339,7 +271,7 @@ def log_balance(pair, w):
         if not J > 0.0:
             return None
         psi += sign * math.log(J / H)
-        g = g + _log_rq_gradient(pair, w, sign, c, zc, J, H)
+        g = g + (zc / J - pair.duality_map_H(c) / H) * (sign * w > 0.0)
     return psi, g
 
 
@@ -352,124 +284,70 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
 
     The start, read by pair.as_vector, must change sign.  The balance s
     of zeta_s = s*zeta^+ - zeta^- roots the defect phi(s) = R(w^+) - R(w^-)
-    of the solve w of dJ(w) = zeta_s.
+    of the solve w of dJ(w) = zeta_s (balance_defect).
 
-    For p >= 2 (locally_quadratic) a step solves for w and sigma = log s
-    together, by one bordered Newton solve (solve_p_poisson with border)
-    of dJ(w) - e^sigma zeta^+ + zeta^- = 0 and psi(w) = 0 for
-    psi = log R(w^+) - log R(w^-) (log_balance).  It starts from
-    s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start) with its
-    positive part scaled by s0^(1/(p-1)), which solves the first equation
-    where u is an eigenvector.  Its root is taken if the solve converges,
-    e^sigma lies in the balance range [1/BALANCE_RANGE, BALANCE_RANGE] and
-    |phi| <= BALANCE_TOL.  On the 99x99 square, p = 3, from the ex2
-    start, 4 bordered steps took [8, 5, 5, 5] Newton steps, 1014 CG
-    iterations and 23 Jacobians, where the root search below took 17
-    solves and 13 tangent solves, 2741 CG iterations and 74 Jacobians.
-    The bordered solve's warm-started border column and forced first
-    Newton step (newton.solve_p_poisson) took that CG from 1575 to 1014.
+    A step solves for w and sigma = log s together, by one bordered Newton
+    solve (solve_p_poisson with border) of dJ(w) - e^sigma zeta^+ +
+    zeta^- = 0 and psi(w) = 0 for psi = log R(w^+) - log R(w^-)
+    (log_balance): the halving step for p >= 2, the primal-dual step below.
+    It starts from s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start)
+    with its positive part scaled by s0^(1/(p-1)), which solves the first
+    equation where u is an eigenvector.  Its root is taken if the solve's
+    residual is finite, e^sigma lies in the balance range
+    [1/BALANCE_RANGE, BALANCE_RANGE] and |phi| <= BALANCE_TOL; the step
+    reports that solve, so a root that did not converge fails the step.
+    Otherwise, and where zeta^+ is too small to have a norm in floating
+    point, the step falls back to s = 1: one inner solve
+    (pair.inverse_subgrad_J) from the eigen-ray, whose report the step
+    adds to the work, not the residual, of a bordered solve not taken.
 
-    Otherwise, below p = 2, and where zeta^+ is too small to have a
-    norm in floating point, balance_root roots phi to
-    |phi| <= BALANCE_TOL, one inner solve (pair.inverse_subgrad_J) per
-    point.  After every solve that is not at a root one CG solve on
-    pair.jacobian_matrix(w) gives its tangent dw/ds (balance_tangent),
-    which yields the Newton slope (log_balance_slope) where both parts of
-    w are present.  Every solve starts from the latest tangent,
-    w + (s_new - s) dw/ds; the first of a step, at s = 1, from the tangent
-    (1, R(u)^(-1/(p-1)) u, 0), the eigen-ray.  The search brackets the
-    root in the balance range; when phi keeps its sign at a range end the
-    step falls back to s = 1.
-
-    The scheme stalls when both parts of the solve vanish or the solve does
-    not change sign.  extras list each step's root s, its |phi|, its solve
-    count (a bordered solve counts one), its bordered Newton steps
-    ("bordered_iterations", 0 where the root search ran) and the steps that
-    fell back to s = 1.  The step's report sums its solves and tangent
-    solves; a bordered solve that is not taken adds its work, not its
-    residual, so it fails no step.
+    The scheme stalls when the step's solve does not change sign.  extras
+    list each step's s, its |phi| (NaN where a part of the solve
+    vanishes), its solve count (a bordered solve counts one), its bordered
+    Newton steps ("bordered_iterations", 0 where the step fell back) and
+    the steps that fell back to s = 1 ("fallback_steps").
     """
     u0 = pair.as_vector(u0)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
     if settings is None:
         settings = NewtonSettings()
-    bordered = locally_quadratic(pair.p)
     fallback_steps, roots, defects, solves, border_iters = [], [], [], [], []
-
-    def bordered_root(u, rq, zp, zm):
-        """((s, w, phi) or None where the root is not taken, the report) of
-        one bordered solve, (None, no work) where zeta^+ has no norm."""
-        norm_p = pair.dual_norm_H(zp)
-        if not norm_p > 0.0:  # the positive part underflowed
-            return None, SolveReport()
-        s0 = pair.dual_norm_H(zm) / norm_p
-        w0 = ray_start(pair, u, rq)
-        w0[w0 > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
-        x, rep = solve_p_poisson(
-            pair, -zm, np.append(w0, math.log(s0)), settings,
-            border=(zp, lambda w: log_balance(pair, w)))
-        w, sigma = x[:-1], x[-1]
-        if rep.converged and abs(sigma) <= math.log(BALANCE_RANGE):
-            (_, Jp, Hp), (_, Jm, Hm) = (_part(pair, w, sign)
-                                        for sign in (1.0, -1.0))
-            phi = Jp / Hp - Jm / Hm
-            if abs(phi) <= BALANCE_TOL:
-                return (math.exp(sigma), w, phi), rep
-        return None, rep
 
     def step(k, u, rq, Ju, zJ, res):
         zeta = pair.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        report = SolveReport()
-        if bordered:
-            root, rep = bordered_root(u, rq, zp, zm)
-            if root is not None:
-                border_iters.append(rep.iterations)
-                return outcome(*root, 1, rep)
-            report = replace(rep, final_residual=0.0, converged=True)
-        border_iters.append(0)
-        done: dict[float, np.ndarray] = {}  # s -> solve w
-        tangent = (1.0, ray_start(pair, u, rq), 0.0)  # (s, w, dw/ds)
+        ray = ray_start(pair, u, rq)
+        work, n_solves = SolveReport(), 1
+        norm_p = pair.dual_norm_H(zp)
+        if norm_p > 0.0:  # else the positive part underflowed
+            s0 = pair.dual_norm_H(zm) / norm_p
+            x0 = np.append(ray, math.log(s0))
+            x0[:-1][ray > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
+            x, rep = solve_p_poisson(
+                pair, -zm, x0, settings,
+                border=(zp, lambda w: log_balance(pair, w)))
+            w, sigma = x[:-1], x[-1]
+            if (np.isfinite(rep.final_residual)
+                    and abs(sigma) <= math.log(BALANCE_RANGE)):
+                phi = balance_defect(pair, w)
+                if abs(phi) <= BALANCE_TOL:
+                    return outcome(math.exp(sigma), w, phi, 1,
+                                   rep.iterations, rep)
+            work, n_solves = replace(rep, final_residual=0.0,
+                                     converged=True), 2
+        fallback_steps.append(k)
+        w, rep = pair.inverse_subgrad_J(zp - zm, settings, warm_start=ray)
+        return outcome(1.0, w, balance_defect(pair, w), n_solves, 0,
+                       work + rep)
 
-        def evaluate(s):
-            # missing positive part -> need larger s (treat as huge positive
-            # defect); missing negative part -> huge negative defect
-            nonlocal report, tangent
-            t_s, t_w, t_dw = tangent
-            w, rep = pair.inverse_subgrad_J(
-                s * zp - zm, settings, warm_start=t_w + (s - t_s) * t_dw)
-            report += rep
-            done[s] = w
-            pp, pm = _part(pair, w, 1.0), _part(pair, w, -1.0)
-            if pp is None and pm is None:
-                return np.nan, np.nan
-            phi = SENTINEL if pp is None else -SENTINEL if pm is None \
-                else pp[1] / pp[2] - pm[1] / pm[2]
-            if not abs(phi) > BALANCE_TOL:
-                return phi, np.nan
-            dw, rep = balance_tangent(pair, w, zp, settings)
-            report += rep
-            tangent = (s, w, dw)
-            if abs(phi) == SENTINEL:
-                return phi, np.nan
-            dpsi = log_balance_slope(pair, w, (pp, pm), dw, s)
-            psi = math.log(pp[1] / pp[2]) - math.log(pm[1] / pm[2])
-            return phi, -psi / dpsi if dpsi else np.nan
-
-        s_root, phi = balance_root(evaluate)
-        if s_root is None:  # no root in the balance range; fall back to s = 1
-            fallback_steps.append(k)
-            s_root = 1.0
-        return outcome(s_root, done[s_root], phi, bordered + len(done),
-                       report)
-
-    def outcome(s, w, phi, n_solves, report):
+    def outcome(s, w, phi, n_solves, bordered_iterations, report):
         roots.append(s)
         defects.append(abs(phi))
         solves.append(n_solves)
-        stalled = np.isnan(phi) or not (np.any(w > 0) and np.any(w < 0))
+        border_iters.append(bordered_iterations)
+        stalled = not (np.any(w > 0) and np.any(w < 0))
         return (None if stalled else w), None, report
 
     extras = {"fallback_steps": fallback_steps, "balance_roots": roots,

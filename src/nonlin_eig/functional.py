@@ -123,7 +123,7 @@ class FunctionalPair(ABC):
         through this."""
         return np.asarray(u, dtype=float)
 
-    # --- derivatives: the balanced tangent and the geometric scheme ---------
+    # --- derivatives: the bordered balanced solve and the geometric scheme -
 
     @abstractmethod
     def jacobian_matrix(self, u: np.ndarray):

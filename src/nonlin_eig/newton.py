@@ -45,9 +45,11 @@ exponent q - 1 > 1 makes Newton contract; the prox also carries the nodal
 flux rho = phi(v - u_ref).  Eliminating the flux steps leaves one n x n SPD
 system per step, the Jacobian on the edge weights 1/psi'(sigma) in place
 of phi'(d) (the two agree at sigma = phi(d)), solved by the same CG.
-Steps are taken in full: the residual may rise for a step, so the loop
-keeps its best iterate and stops once STALL_STEPS steps have not improved
-it; on random prox problems a run of up to 6 such steps preceded
+Steps are taken in full wherever the residual is finite, which a plain
+solve's always is (the bordered solve's is not where a part of u
+vanishes): the residual may rise for a step, so the loop keeps its best
+iterate and stops once STALL_STEPS steps have not improved it; on random
+prox problems a run of up to 6 such steps preceded
 convergence.  The residual has a rounding floor, as phi is only
 (p-1)-Hoelder: two nodes of equal value that differ by one ulp read as a
 flux of order ulp^(p-1).  Moving each entry of the 30 converged iterates
@@ -151,15 +153,16 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
                   flux=None, linear=False) -> tuple[np.ndarray, SolveReport]:
     """Newton iteration on residual_fn, globalized by halving or by a flux.
 
-    Without flux each step solves A delta = -r for A = jacobian_fn(x) and is
-    accepted when it lowers the residual max-norm; its length starts at 1
-    and is halved at most 30 times (31 tries).  If no try is accepted the
-    loop stops.  With flux, a primal-dual state of the module docstring,
-    flux.system(x) gives the system A delta = b of the step (jacobian_fn is
-    not called), every step is taken in full, and flux.advance(delta) moves
-    the linearized flux along it; as the residual may rise for a step, the
-    loop also stops once STALL_STEPS steps have set no new least residual.
-    Either way it returns the iterate of least residual, with
+    Without flux each step solves A delta = -r for A = jacobian_fn(x) and a
+    trial is accepted when it lowers the residual max-norm.  With flux, a
+    primal-dual state of the module docstring, flux.system(x) gives the
+    system A delta = b of the step (jacobian_fn is not called), a trial is
+    accepted when its residual is finite, and flux.advance(t delta) moves
+    the linearized flux along the step t delta taken; as the residual may
+    rise for a step, the loop also stops once STALL_STEPS steps have set no
+    new least residual.  Either way the trial length starts at 1 and is
+    halved at most 30 times (31 tries), and if no try is accepted the loop
+    stops.  The loop returns the iterate of least residual, with
     converged=False unless that residual is <= tol_abs, and returns the
     start at once when its residual is not finite.
 
@@ -185,7 +188,6 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     rn = float(np.max(np.abs(r))) if r.size else 0.0
     best, best_rn, stalled = x, rn, 0
     report = SolveReport()
-    lengths = HALVINGS if flux is None else (1.0,)
     it = jacobians = backtracks = 0
     evals = 1
     norm_prev = None  # |b|_2 at the previous Newton step
@@ -210,19 +212,19 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
             best_rn = np.nan
             break
         it += 1
-        for t in lengths:
+        for t in HALVINGS:
             xt = x + t * delta
             rt = residual_fn(xt)
             evals += 1
             rtn = float(np.max(np.abs(rt)))
-            if flux is not None or rtn < rn:
+            if rtn < (rn if flux is None else np.inf):
                 x, r, rn = xt, rt, rtn
                 break
             backtracks += 1
-        else:  # no try lowered the residual
+        else:  # no try was accepted
             break
         if flux is not None:
-            flux.advance(delta)
+            flux.advance(t * delta)
         if rn < best_rn:
             best, best_rn, stalled = x, rn, 0
         else:
@@ -310,12 +312,13 @@ class _ProxFlux(_PoissonFlux):
 
 class _Border:
     """The balance row and column of a bordered p-Poisson solve in
-    x = (u, sigma); see solve_p_poisson."""
+    x = (u, sigma); see solve_p_poisson.  With flux, the primal-dual state
+    of the p-Poisson part, it is damped_newton's flux as well."""
 
-    def __init__(self, pair, zeta, zeta_plus, balance, settings):
+    def __init__(self, pair, zeta, zeta_plus, balance, settings, flux=None):
         self.pair, self.zeta, self.zp = pair, zeta, zeta_plus
-        self.balance, self.settings = balance, settings
-        self.last = None  # (x, g) of the latest finite residual
+        self.balance, self.settings, self.flux = balance, settings, flux
+        self.last = None  # (x, balance(u)) of the latest finite residual
         self.y = None  # the latest solve of A y = zeta_plus
 
     def residual(self, x):
@@ -327,20 +330,30 @@ class _Border:
         balanced = self.balance(x[:n])
         if balanced is None:
             return np.full(n + 1, np.inf)
-        psi, g = balanced
-        self.last = x, g
+        self.last = x, balanced
         r = np.empty(n + 1)
         r[:n] = self.pair.subgrad_J(x[:n]) - s * self.zp - self.zeta
-        r[n] = psi
+        r[n] = balanced[0]
         return r
 
+    def _balanced(self, x):
+        # damped_newton asks at the iterate whose residual was last
+        last_x, balanced = self.last
+        return balanced if last_x is x else self.balance(x[:-1])
+
     def jacobian(self, x):
-        # damped_newton asks for it at the iterate whose residual was last
-        n = self.zp.size
-        last_x, g = self.last
-        if last_x is not x:
-            g = self.balance(x[:n])[1]
-        return self.pair.jacobian_matrix(x[:n]), g, math.exp(x[n])
+        return (self.pair.jacobian_matrix(x[:-1]), self._balanced(x)[1],
+                math.exp(x[-1]))
+
+    def system(self, x):
+        psi, g = self._balanced(x)
+        s = math.exp(x[-1])
+        A, b = self.flux.system(x[:-1])
+        b += s * self.zp
+        return (A, g, s), np.append(b, -psi)
+
+    def advance(self, delta):
+        self.flux.advance(delta[:-1])
 
     def solve(self, system, b, rtol):
         A, g, s = system
@@ -364,36 +377,44 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
 
     inst is a PLaplaceInstance; zeta and u_init are interior vectors.
 
-    border = (zeta_plus, balance), for p >= 2, adds the unknown sigma and
-    one equation: x = (u, sigma) solves
+    border = (zeta_plus, balance) adds the unknown sigma and one equation:
+    x = (u, sigma) solves
         dJ(u) - e^sigma zeta_plus = zeta,    psi(u) = 0,
     where balance(u) gives psi(u) and its gradient g, d psi = <g, du>, or
     None where psi is undefined (the residual is then infinite).  u_init
-    is the start of x and x is returned.  Here inst may be any
+    is the start of x and x is returned.  For p >= 2 inst may be any
     FunctionalPair: the solve reads its subgrad_J, jacobian_matrix and
-    pairing.  The halving line search judges the max-norm over both
-    equations.  Each Newton system
+    pairing.  The residual is the max-norm over both equations.  Each
+    Newton system
         A du - e^sigma zeta_plus dsigma = b_u,    <g, du> = b_sigma,
-    A = jacobian_matrix(u), is solved by Keller's bordering ("Numerical
-    solution of bifurcation and nonlinear eigenvalue problems", 1977): CG
-    solves A z = b_u and A y = zeta_plus to the tolerance damped_newton
-    hands its linear solve, forcing included, on one Jacobi diagonal; as
-    zeta_plus is fixed, the solve for y starts from the previous Newton
-    step's y.  Then
+    is solved by Keller's bordering ("Numerical solution of bifurcation
+    and nonlinear eigenvalue problems", 1977): CG solves A z = b_u and
+    A y = zeta_plus to the tolerance damped_newton hands its linear solve
+    on one Jacobi diagonal; as zeta_plus is fixed, the solve for y starts
+    from the previous Newton step's y.  Then
         dsigma = (b_sigma - <g, z>) / (e^sigma <g, y>),
         du = z + e^sigma dsigma y;
-    a zero <g, y> gives a NaN step, which ends the solve.
+    a zero <g, y> gives a NaN step, which ends the solve.  For p >= 2
+    (locally_quadratic) A = jacobian_matrix(u), and the step is the
+    halving one, forcing included.  Below p = 2 it is the primal-dual step
+    of the plain solve, with A its Jacobian on the edge weights and b_u
+    its right-hand side plus e^sigma zeta_plus; a trial is halved only
+    while its residual is infinite, as where a part of u vanishes.
     """
+    quadratic = locally_quadratic(inst.p)
     if border is not None:
-        bordered = _Border(inst, zeta, *border, settings or NewtonSettings())
+        flux = None if quadratic else _PoissonFlux(inst, zeta, u_init[:-1])
+        bordered = _Border(inst, zeta, *border, settings or NewtonSettings(),
+                           flux)
         return damped_newton(u_init, bordered.residual, bordered.jacobian,
-                             settings, linear_solve=bordered.solve)
+                             settings, linear_solve=bordered.solve,
+                             flux=None if quadratic else bordered)
 
     def residual(x):
         return inst.neg_plaplacian(x) - zeta
 
     return damped_newton(u_init, residual, inst.jacobian_matrix, settings,
-                         flux=None if locally_quadratic(inst.p)
+                         flux=None if quadratic
                          else _PoissonFlux(inst, zeta, u_init),
                          linear=inst.p == 2)
 

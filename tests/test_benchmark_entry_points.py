@@ -70,9 +70,9 @@ def traced(run):
 
 
 def test_tracer_counts_match_the_ledger(small_grid):
-    # the balanced scheme's tangent solves run CG outside any Newton solve,
-    # and the default IPM loosens all but its last inner solve; the tracer
-    # and the trace's ledger must both see the same work
+    # the balanced scheme's bordered solves run two CG solves per Newton
+    # step, and the default IPM loosens all but its last inner solve; the
+    # tracer and the trace's ledger must both see the same work
     def counts_match(layers, trace):
         return (layers["newton.cg.iters"] == sum(trace.extras["cg_iterations"])
                 and layers["newton.steps"]

@@ -94,10 +94,17 @@ class TestRun:
         info = json.loads((tmp_path / "out_geo" / "run.json").read_text())
         assert info["extras"]["candidate"] == ["polish"]
 
-    def test_balanced_run_reports_root_search(self, tmp_path):
+    # one bordered solve per step.  At p = 3 its Newton steps were [6, 5]
+    # before the first one was forced; the root search took [7, 4] solves,
+    # [12, 4] when step 0 doubled s from 1 to a bracket.  At p = 1.5 the
+    # primal-dual step 1 ends between tol_abs and 1e-9
+    @pytest.mark.parametrize("p,newton_steps,failed", [
+        (3.0, [7, 5], []), (1.5, [13, 30], [1])], ids=["p3", "p1.5"])
+    def test_balanced_run_reports_bordered_solves(self, tmp_path, p,
+                                                  newton_steps, failed):
         config = write_config(tmp_path / "bal.json", {
             "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
-                        "h": 0.1, "r": 0.25, "p": 3.0},
+                        "h": 0.1, "r": 0.25, "p": p},
             "initial": {"kind": "ex2"},
             "solver": {"kind": "balanced", "iters": 2},
             "output": {"dir": str(tmp_path / "out_bal")},
@@ -105,15 +112,13 @@ class TestRun:
         assert main(["run", config]) == 0
         out = tmp_path / "out_bal"
         extras = json.loads((out / "run.json").read_text())["extras"]
-        # one bordered solve per step: [7, 4] with the root search, [12, 4]
-        # when step 0 doubled s from 1 to a bracket; its Newton steps were
-        # [6, 5] before the first one was forced
         assert extras["balance_solves"] == [1, 1]
-        assert extras["bordered_iterations"] == [7, 5]
+        assert extras["bordered_iterations"] == newton_steps
         assert len(extras["balance_roots"]) == 2
         assert len(extras["balance_defects"]) == 2
         assert all(d <= 1e-6 for d in extras["balance_defects"])
-        assert extras["failed_inner_solves"] == []
+        assert extras["failed_inner_solves"] == failed
+        assert max(extras["inner_residuals"]) <= 1e-9
         assert len(extras["cg_iterations"]) == 2
         assert all(n > 0 for n in extras["cg_iterations"])
         assert extras["cg_unconverged"] == [0, 0]

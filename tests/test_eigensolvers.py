@@ -8,9 +8,8 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
-from nonlin_eig.eigensolvers import (SENTINEL, EigenTrace, _part, _polish,
-                                     _sweep, balance_root, balance_tangent,
-                                     log_balance, log_balance_slope, ray_start,
+from nonlin_eig.eigensolvers import (EigenTrace, _polish, _sweep,
+                                     balance_defect, log_balance, ray_start,
                                      run_balanced_ipm, run_geometric, run_ipm,
                                      run_ppm)
 from nonlin_eig.functional import SolveReport, SpdInstance, power_map
@@ -26,178 +25,23 @@ def spd():
     return SpdInstance(np.diag([2.0, 5.0]))
 
 
-class RootProbe:
-    """A balance defect phi(s) = R+(s) - R-(s) given in closed form, with
-    the Newton step of psi = log R+ - log R- in sigma = log s; records the
-    balances evaluated.  Below `vanish` the positive part vanishes: phi
-    holds the +SENTINEL and there is no Newton step."""
-
-    def __init__(self, r_plus, r_minus, dlog_plus, dlog_minus, vanish=0.0):
-        self.parts = r_plus, r_minus, dlog_plus, dlog_minus
-        self.vanish = vanish
-        self.seen = []
-
-    def evaluate(self, s):
-        self.seen.append(s)
-        if s < self.vanish:
-            return SENTINEL, math.nan
-        r_plus, r_minus, d_plus, d_minus = (f(s) for f in self.parts)
-        psi = math.log(r_plus) - math.log(r_minus)
-        return r_plus - r_minus, -psi / (d_plus - d_minus)
-
-    def mirrored(self):
-        """The probe of s -> 1/s: the root moves to 1/root and the search
-        evaluates 1/s where it evaluated s."""
-        r_plus, r_minus, d_plus, d_minus = self.parts
-        return RootProbe(lambda s: r_minus(1 / s), lambda s: r_plus(1 / s),
-                         lambda s: -d_minus(1 / s), lambda s: -d_plus(1 / s))
-
-
-def power_probe(root, **kw):
-    """R+ = root / s, R- = 1: psi = log(root) - sigma, Newton is exact."""
-    return RootProbe(lambda s: root / s, lambda s: 1.0,
-                     lambda s: -1.0, lambda s: 0.0, **kw)
-
-
-class TestBalanceRoot:
-    def test_closed_form_root(self):
-        # R+ = 1 + 1/s, R- = s: the root is the golden ratio and psi is
-        # not linear in sigma
-        probe = RootProbe(lambda s: 1 + 1 / s, lambda s: s,
-                          lambda s: -1 / (s + 1), lambda s: 1.0)
-        s, phi = balance_root(probe.evaluate)
-        assert abs(phi) <= eigensolvers.BALANCE_TOL
-        assert s == pytest.approx((1 + 5 ** 0.5) / 2, rel=1e-6)
-        assert len(probe.seen) <= 4
-
-    def test_sentinel_region_crossed_by_midpoint(self):
-        # sqrt(1 * 2^12) = 64 is past the sentinel region below 20
-        probe = power_probe(40.0, vanish=20.0)
-        s, phi = balance_root(probe.evaluate)
-        assert probe.seen == [1.0, 64.0, 40.0]
-        assert s == pytest.approx(40.0, rel=1e-12)
-
-    def test_newton_point_outside_bracket_takes_midpoint(self):
-        # phi holds the sentinel below 3 and at s = 64 and s = 8 the slope
-        # is so small that the Newton point leaves the brackets (1, 64) and
-        # (1, 8)
-        probe = RootProbe(lambda s: 3.5 / s, lambda s: 1.0,
-                          lambda s: -0.01, lambda s: 0.0, vanish=3.0)
-        balance_root(probe.evaluate)
-        assert probe.seen[:5] == [1.0, 64.0, 8.0, math.sqrt(8.0),
-                                  math.sqrt(math.sqrt(8.0) * 8.0)]
-
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_newton_point_inside_range_taken(self, mirror):
-        # the Newton step is exact and not capped
-        probe = power_probe(100.0)
-        probe = probe.mirrored() if mirror else probe
-        s, _ = balance_root(probe.evaluate)
-        seen = [1 / t for t in probe.seen] if mirror else probe.seen
-        assert len(seen) == 2 and seen[0] == 1.0
-        assert seen[1] == pytest.approx(100.0, rel=1e-12)
-
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_leaving_the_range_falls_back(self, mirror):
-        # midpoints in log s, the last moved to the range end 2^12, where
-        # phi keeps its sign
-        probe = power_probe(1e5)
-        probe = probe.mirrored() if mirror else probe
-        s, phi = balance_root(probe.evaluate)
-        seen = [1 / t for t in probe.seen] if mirror else probe.seen
-        assert seen == pytest.approx([1.0, 64.0, 512.0, 2.0 ** 10.5, 4096.0],
-                                     rel=1e-15)
-        assert s is None and phi == probe.evaluate(1.0)[0]
-
-    def test_best_point_after_max_evals(self, monkeypatch):
-        # the probe rooted at 1e5 evaluates s = 1, 64, 512
-        monkeypatch.setattr(eigensolvers, "BALANCE_EVALS", 3)
-        probe = power_probe(1e5)
-        s, phi = balance_root(probe.evaluate)
-        assert (s, phi) == (512.0, 194.3125)
-
-    @settings(max_examples=300, deadline=None)
-    @given(log_root=st.floats(-13.0, 13.0), alpha=st.floats(0.2, 5.0),
-           sentinel=st.sampled_from([0, 1, -1]), depth=st.floats(1e-6, 12.0))
-    def test_power_law_roots_exactly_in_range(self, log_root, alpha,
-                                              sentinel, depth):
-        # phi(s) = c s^-alpha - 1 with c = root^alpha; with a sentinel
-        # region, phi holds +SENTINEL below root e^-depth (sentinel = 1) or
-        # -SENTINEL above root e^depth (sentinel = -1); the region ends short
-        # of the root, where a vanishing part cannot balance the other
-        log_range = math.log(eigensolvers.BALANCE_RANGE)
-        assume(alpha * abs(abs(log_root) - log_range) > 1e-5)
-        c = math.exp(alpha * log_root)
-        seen = []
-
-        def evaluate(s):
-            seen.append(s)
-            sigma = math.log(s)
-            if sentinel * (log_root - sentinel * depth - sigma) > 0:
-                return sentinel * SENTINEL, math.nan
-            return c * s ** -alpha - 1.0, log_root - sigma
-
-        s, phi = balance_root(evaluate)
-        assert len(seen) <= 12
-        if abs(log_root) < log_range:
-            assert abs(phi) <= eigensolvers.BALANCE_TOL
-            assert math.log(s) == pytest.approx(
-                log_root, abs=2 * eigensolvers.BALANCE_TOL / alpha)
-        else:
-            assert s is None and phi == evaluate(1.0)[0]
-
-
 class BalanceFamily:
-    """The solves w(s) of -Delta_p w = s zeta^+ - zeta^- on the small
-    square at exponent p, for a sign-changing zeta, with their parts and
-    psi = log R(w^+) - log R(w^-)."""
+    """The plain solves w(s) of dJ(w) = s zeta^+ - zeta^- for zeta =
+    dH(u), u the normalized start u0 of a balanced run on pair, each from
+    the eigen-ray, as the scheme's fallback solve starts."""
 
-    settings = NewtonSettings()
-
-    def __init__(self, small_grid, p):
-        self.inst = inst = PLaplaceInstance(small_grid.domain, 0.25, p)
-        X, Y = inst.domain.coords()
-        self.u = inst.as_vector(
-            np.sin(np.pi * X)
-            + 0.5 * np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2))
-        zeta = inst.duality_map_H(self.u / inst.norm_H(self.u))
+    def __init__(self, pair, u0):
+        self.pair = pair
+        self.u = u = pair.as_vector(u0) / pair.norm_H(pair.as_vector(u0))
+        zeta = pair.duality_map_H(u)
         self.zp, self.zm = np.maximum(zeta, 0.0), np.maximum(-zeta, 0.0)
+        self.ray = ray_start(pair, u, pair.energy_J(u) / pair.H(u))
 
     def solve(self, s):
-        inst = self.inst
-        w, rep = newton.solve_p_poisson(inst, s * self.zp - self.zm, self.u,
-                                        self.settings)
-        assert rep.converged
-        parts = (_part(inst, w, 1.0), _part(inst, w, -1.0))
-        psi = math.log(parts[0][1] / parts[0][2]) \
-            - math.log(parts[1][1] / parts[1][2])
-        return w, parts, psi
-
-    def tangent(self, w):
-        dw, rep = balance_tangent(self.inst, w, self.zp, self.settings)
-        assert rep.cg_unconverged == 0 and rep.cg_iterations_total > 0
-        return dw
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-def test_balance_tangent_matches_central_difference(small_grid, p):
-    family = BalanceFamily(small_grid, p)
-    s, delta = 1.3, 1e-4
-    dw = family.tangent(family.solve(s)[0])
-    up, down = s * math.exp(delta), s * math.exp(-delta)
-    central = (family.solve(up)[0] - family.solve(down)[0]) / (up - down)
-    assert np.linalg.norm(dw - central) <= 1e-6 * np.linalg.norm(dw)
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-def test_log_balance_slope_matches_central_difference(small_grid, p):
-    family = BalanceFamily(small_grid, p)
-    s, delta = 1.3, 1e-4
-    w, parts, _ = family.solve(s)
-    slope = log_balance_slope(family.inst, w, parts, family.tangent(w), s)
-    central = (family.solve(s * math.exp(delta))[2]
-               - family.solve(s * math.exp(-delta))[2]) / (2 * delta)
-    assert slope == pytest.approx(central, rel=1e-6)
+        w, rep = self.pair.inverse_subgrad_J(s * self.zp - self.zm,
+                                             NewtonSettings(),
+                                             warm_start=self.ray)
+        return w, rep
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,8 +100,8 @@ def test_warm_started_bordered_solve_matches_cold(p, shape, cells, radius,
     # step 0's bordered solve, from the ex2 start mixed with a random
     # field: its CG for A y = zeta^+ starts from the previous Newton step's
     # y, and started from 0 instead the solve reaches the same (w, s).
-    # Either may stall where the other converges, and the root search then
-    # takes the step: on 200 such draws both converged on 179 (worst
+    # Either may stall where the other converges, and the step then falls
+    # back to s = 1: on 200 such draws both converged on 179 (worst
     # disagreement 1.9e-12), only the warm-started one on 7, neither on 8
     h = 2.0 / cells
     inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, p)
@@ -359,8 +203,8 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
     (lambda inst, u0: run_geometric(inst, u0, 3), "ex2"),
 ], ids=["ipm", "balanced", "ppm", "geometric"])
 def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
-    # every CG call, the balanced scheme's slope solves and the geometric
-    # polish's solves included; no scheme factors a system
+    # every CG call, the balanced scheme's bordered solves and the
+    # geometric polish's solves included; no scheme factors a system
     calls, lu_calls = [], [0]
     original, spsolve = newton.cg_solve, scipy.sparse.linalg.spsolve
 
@@ -651,8 +495,8 @@ class TestPpm:
 
 
 class ZeroSolvePair(SpdInstance):
-    """An SpdInstance whose inverse solves return 0: both parts of every
-    root-search solve vanish.  The bordered solve, which does not call
+    """An SpdInstance whose inverse solves return 0: both parts of the
+    fallback solve vanish.  The bordered solve, which does not call
     inverse_subgrad_J, finds no balance on this diagonal pair: the parts
     of any solve sit on one node each, with Rayleigh quotients 2 and 5,
     so psi is constant and its gradient vanishes."""
@@ -691,19 +535,20 @@ class TestBalanced:
                                  np.array([1.0, -1.0]), 3)
         assert trace.stop_reason == "stalled"
         assert len(trace.records) == 1
-        # the bordered solve was abandoned (a NaN first step) and the root
-        # search's first solve stalled the scheme
+        # the bordered solve was abandoned (a NaN first step) and the
+        # fallback solve at s = 1 stalled the scheme
         assert trace.extras["bordered_iterations"] == [0]
+        assert trace.extras["fallback_steps"] == [0]
         assert trace.extras["balance_solves"] == [2]
         assert trace.extras["failed_inner_solves"] == []
         assert trace.extras["balance_roots"] == [1.0]
         assert np.isnan(trace.extras["balance_defects"][0])
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_positive_part_without_norm_takes_the_root_search(self, p):
+    def test_positive_part_without_norm_falls_back(self, p):
         # one positive node of 1e-200: zeta^+ underflows to dual norm 0,
         # which the bordered start s0 = |zeta^-|_* / |zeta^+|_* divided by;
-        # the root search finds no root and the scheme stalls at s = 1
+        # no bordered solve runs, and the scheme stalls at s = 1
         dom = build_domain("square", 2.0, 0.2)
         inst = PLaplaceInstance(dom, 0.45, p)
         u0 = -np.abs(inst.as_vector(eval_initial_guess("ex1", dom).values))
@@ -712,6 +557,7 @@ class TestBalanced:
         assert trace.stop_reason == "stalled"
         assert trace.extras["bordered_iterations"] == [0]
         assert trace.extras["fallback_steps"] == [0]
+        assert trace.extras["balance_solves"] == [1]
 
     def test_odd_symmetric_start_stays_balanced(self, small_grid):
         X, _ = small_grid.domain.coords()
@@ -760,44 +606,37 @@ class TestBalanced:
                    for d in trace.extras["balance_defects"])
         assert trace.extras["failed_inner_solves"] == []
 
-    @staticmethod
-    def root_search_only(monkeypatch, tol=None):
-        """Take every step by the root search, with BALANCE_TOL = tol."""
-        monkeypatch.setattr(eigensolvers, "locally_quadratic",
-                            lambda p: False)
-        if tol is not None:
-            monkeypatch.setattr(eigensolvers, "BALANCE_TOL", tol)
-
-    @pytest.mark.parametrize("case", ["square-p3", "spd-p2"])
-    def test_bordered_step_matches_root_search(self, small_grid, monkeypatch,
-                                               case):
-        # one step from the same iterate by both paths; the root search
-        # runs to |phi| <= 1e-10 here, as at the default 1e-6 its root is
-        # only that accurate (1.4e-9 relative on the square, 6e-8 on the
-        # SPD pair, whose Rayleigh quotients are about 1)
+    @pytest.mark.parametrize("case", ["square-p3", "spd-p2", "square-p1.5"])
+    def test_bordered_root_balances_the_plain_solve(self, small_grid, case):
+        # one bordered step from the start gives (s*, w*): the plain solve
+        # at s* reproduces w*, balanced, and phi changes sign across s*
         if case == "spd-p2":
             n = 20
             pair = SpdInstance(2.0 * np.eye(n) - np.eye(n, k=1)
                                - np.eye(n, k=-1))
             u0 = np.random.default_rng(0).standard_normal(n)
         else:
-            pair = small_grid
+            p = 1.5 if case == "square-p1.5" else 3.0
+            pair = PLaplaceInstance(small_grid.domain, 0.25, p)
             u0 = eval_initial_guess("ex2", small_grid.domain).values
-        bordered = run_balanced_ipm(pair, u0, 1)
-        self.root_search_only(monkeypatch, tol=1e-10)
-        searched = run_balanced_ipm(pair, u0, 1)
-        assert bordered.extras["bordered_iterations"][0] > 0
-        assert searched.extras["bordered_iterations"] == [0]
-        assert searched.extras["balance_solves"][0] > 1
-        assert bordered.extras["balance_roots"][0] == pytest.approx(
-            searched.extras["balance_roots"][0], rel=1e-8)
-        w, w_ref = bordered.final_u, searched.final_u
-        assert np.max(np.abs(w - w_ref)) <= 1e-8 * np.max(np.abs(w_ref))
+        trace = run_balanced_ipm(pair, u0, 1)
+        assert trace.extras["bordered_iterations"][0] > 0
+        assert trace.extras["fallback_steps"] == []
+        (s,) = trace.extras["balance_roots"]
+        family = BalanceFamily(pair, u0)
+        w, _ = family.solve(s)
+        assert abs(balance_defect(pair, w)) <= eigensolvers.BALANCE_TOL
+        w_star = trace.final_u
+        assert np.max(np.abs(w / pair.norm_H(w) - w_star)) \
+            <= 1e-8 * np.max(np.abs(w_star))
+        below, above = (balance_defect(pair, family.solve(s * math.exp(d))[0])
+                        for d in (-1e-3, 1e-3))
+        assert below > 0.0 > above
 
     def test_root_outside_balance_range_refused(self):
         # on the 19x19 square at p = 5, from the ex2 start, the bordered
         # solve converges to s = 4463.5 > 2^12; taken, it led to lambda
-        # 766.46 where the root search falls back and stalls at 1037.54
+        # 766.46 where the fallback solve at s = 1 stalls at 1037.54
         dom = build_domain("square", 2.0, 0.1)
         inst = PLaplaceInstance(dom, 0.25, 5.0)
         u0 = eval_initial_guess("ex2", dom).values
@@ -819,14 +658,13 @@ class TestBalanced:
         assert trace.extras["balance_roots"] == [1.0]
         assert trace.extras["failed_inner_solves"] == []
 
-    def test_abandoned_bordered_solve_adds_its_work(self, monkeypatch):
+    def test_abandoned_bordered_solve_adds_its_work(self):
         # on the 19x19 L-shape at p = 5, from the ex2 start, the first
         # bordered solve stalls in its line search (8 Newton steps,
-        # residual 3.6); the root search then takes the step as it would
-        # alone, and the step's report adds the attempt's Newton steps and
-        # CG iterations, not its residual.  (At p = 3 the solve stalled
-        # until its first Newton step was forced, and now converges in 9;
-        # at p = 4 it converges to s = 52128, outside the balance range.)
+        # residual 3.6) short of a balance; the step falls back to one plain
+        # solve at s = 1 from the eigen-ray, and its report adds the
+        # attempt's Newton steps and CG iterations, not its residual.  That
+        # solve does not change sign, so the scheme stalls
         dom = build_domain("lshape", 2.0, 0.1)
         inst = PLaplaceInstance(dom, 0.25, 5.0)
         u0 = eval_initial_guess("ex2", dom).values
@@ -841,23 +679,23 @@ class TestBalanced:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eigensolvers, "solve_p_poisson", recording)
             trace = run_balanced_ipm(inst, u0, 1)
-        self.root_search_only(monkeypatch)
-        alone = run_balanced_ipm(inst, u0, 1)
+        w, alone = BalanceFamily(inst, u0).solve(1.0)
         (attempt,) = attempts
         assert not attempt.converged and attempt.iterations > 0
         extras = trace.extras
         assert extras["bordered_iterations"] == [0]
+        assert extras["fallback_steps"] == [0]
         assert extras["failed_inner_solves"] == []
-        assert extras["balance_solves"] == [
-            1 + alone.extras["balance_solves"][0]]
-        assert extras["balance_roots"] == alone.extras["balance_roots"]
-        assert np.array_equal(trace.final_u, alone.final_u)
+        assert extras["balance_solves"] == [2]
+        assert extras["balance_roots"] == [1.0]
+        assert trace.stop_reason == "stalled"
+        assert not np.any(w > 0.0)
         assert trace.records[0].inner_iters \
-            == attempt.iterations + alone.records[0].inner_iters
+            == attempt.iterations + alone.iterations
         assert extras["cg_iterations"][0] \
-            == attempt.cg_iterations_total + alone.extras["cg_iterations"][0]
-        assert extras["inner_residuals"] == alone.extras["inner_residuals"]
-        assert attempt.final_residual > max(extras["inner_residuals"])
+            == attempt.cg_iterations_total + alone.cg_iterations_total
+        assert extras["inner_residuals"] == [alone.final_residual]
+        assert attempt.final_residual > alone.final_residual
 
     # 6 steps on the 19x19 grids, r = 0.25, from the ex2 start: the final
     # lambda, the steps that fell back to s = 1 and the stop reason,
@@ -885,18 +723,44 @@ class TestBalanced:
                   if k not in fallback]
         assert all(d <= eigensolvers.BALANCE_TOL for d in rooted)
 
+    # the same lattices and start below p = 2: lambda recorded with the
+    # balance rooted by the safeguarded Newton search in log s, which
+    # listed 6, 0, 5 and 1 of the 6 steps in failed_inner_solves
+    @pytest.mark.parametrize("shape,p,lam", [
+        ("square", 1.5, 11.497809999717441),
+        ("square", 1.75, 17.06450123763941),
+        ("lshape", 1.5, 10.256402167408748),
+        ("lshape", 1.75, 14.369916736972982),
+    ])
+    def test_every_step_bordered_below_p2(self, shape, p, lam):
+        dom = build_domain(shape, 2.0, 0.1)
+        inst = PLaplaceInstance(dom, 0.25, p)
+        trace = run_balanced_ipm(inst, eval_initial_guess("ex2", dom).values,
+                                 6)
+        extras = trace.extras
+        assert len(trace.records) == 6
+        assert extras["fallback_steps"] == []
+        assert extras["balance_solves"] == [1] * 6
+        assert all(n > 0 for n in extras["bordered_iterations"])
+        assert all(d <= eigensolvers.BALANCE_TOL
+                   for d in extras["balance_defects"])
+        # criterion 7's floor for the p = 1.5 inner solves
+        assert max(extras["inner_residuals"]) <= 1e-9
+        assert trace.final_lambda == pytest.approx(lam, rel=1e-8)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_inner_solves_listed(self, small_grid):
-        # two Newton steps per solve: both steps' bordered solves are
-        # abandoned and their root searches' solves miss tol_abs.  With one
-        # step, CG at the forced first-step tolerance 0.1 leaves the root
-        # search no root in the balance range, and step 0 stalls at s = 1.
+        # two Newton steps per solve: step 0's bordered solve is abandoned
+        # short of a balance, and its fallback solve at s = 1 misses tol_abs
+        # and does not change sign, so the scheme stalls there
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 2,
                                  settings=NewtonSettings(max_iter=2))
-        assert trace.stop_reason == "max_iter" and len(trace.records) == 2
-        assert trace.extras["fallback_steps"] == []
-        assert trace.extras["failed_inner_solves"] == [0, 1]
+        assert trace.stop_reason == "stalled" and len(trace.records) == 1
+        assert trace.extras["fallback_steps"] == [0]
+        assert trace.extras["balance_solves"] == [2]
+        assert trace.extras["failed_inner_solves"] == [0]
+        assert trace.extras["inner_residuals"][0] > 1e-12
 
     def test_final_normalized(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import newton
+from nonlin_eig.eigensolvers import log_balance
 from nonlin_eig.functional import SolveReport, power_map
 from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
@@ -461,6 +462,24 @@ class TestFluxSystemAtConsistentFlux:
                 + tau * inst.jacobian_matrix(u_ref)
             self.assert_same_system(inst, u_ref, A, b, A_ref,
                                     -tau * inst.subgrad_J(u_ref))
+
+
+    @pytest.mark.parametrize("levels", [None, 4])
+    @pytest.mark.parametrize("p", [1.5, 1.75])
+    def test_bordered(self, p, levels):
+        # the balance row and column ride along: b is minus the residual
+        inst = make_instance(p, shape="lshape")
+        for x, zeta in self.fields(inst, levels):
+            border = newton._Border(
+                inst, zeta, np.abs(zeta), lambda w: log_balance(inst, w),
+                NewtonSettings(), newton._PoissonFlux(inst, zeta, x))
+            xs = np.append(x, 0.3)
+            r = border.residual(xs)
+            A_ref, g_ref, s_ref = border.jacobian(xs)
+            (A, g, s), b = border.system(xs)
+            assert g is g_ref and s == s_ref
+            assert b[-1] == -r[-1]
+            self.assert_same_system(inst, x, A, b[:-1], A_ref, -r[:-1])
 
 
 class TestProx:
