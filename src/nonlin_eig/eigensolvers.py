@@ -293,9 +293,12 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     It starts from s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start)
     with its positive part scaled by s0^(1/(p-1)), which solves the first
     equation where u is an eigenvector.  Its root is taken if the solve's
-    residual is finite, e^sigma lies in the balance range
-    [1/BALANCE_RANGE, BALANCE_RANGE] and |phi| <= BALANCE_TOL; the step
-    reports that solve, so a root that did not converge fails the step.
+    residual is finite, the solve converged or left its start, e^sigma
+    lies in the balance range [1/BALANCE_RANGE, BALANCE_RANGE] and |phi|
+    <= BALANCE_TOL; the step reports that solve, so a root that did not
+    converge fails the step.  After the first step the start is balanced
+    (scaling a part keeps its Rayleigh quotient), so a solve that returns
+    it unconverged has found no root.
     Otherwise, and where zeta^+ is too small to have a norm in floating
     point, the step falls back to s = 1: one inner solve
     (pair.inverse_subgrad_J) from the eigen-ray, whose report the step
@@ -330,6 +333,7 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
                 border=(zp, lambda w: log_balance(pair, w)))
             w, sigma = x[:-1], x[-1]
             if (np.isfinite(rep.final_residual)
+                    and (rep.converged or not np.array_equal(x, x0))
                     and abs(sigma) <= math.log(BALANCE_RANGE)):
                 phi = balance_defect(pair, w)
                 if abs(phi) <= BALANCE_TOL:

@@ -697,6 +697,38 @@ class TestBalanced:
         assert extras["inner_residuals"] == [alone.final_residual]
         assert attempt.final_residual > alone.final_residual
 
+    def test_bordered_solve_that_never_left_its_start_refused(self):
+        # draw 7 of CHANGES.md's ledger (5): 12 cells on the L-shape,
+        # p = 1.7376, the ex2 start plus 0.2252 of a random field.  The
+        # second step's bordered solve starts balanced (scaling a part
+        # keeps its Rayleigh quotient), runs away and returns that start
+        # unconverged; it is not a root, so the step falls back to s = 1
+        h = 2.0 / 12
+        dom = build_domain("lshape", 2.0, h)
+        inst = PLaplaceInstance(dom, 2.706508518539426 * h,
+                                1.737566826623267)
+        u0 = inst.as_vector(eval_initial_guess("ex2", dom).values)
+        u0 = (u0 / np.max(np.abs(u0))
+              + 0.22520718999059186 * random_fields(inst, 1, 238506309)[0])
+        u1 = run_balanced_ipm(inst, u0, 1).final_u
+        attempts = []
+        solve = eigensolvers.solve_p_poisson
+
+        def recording(*args, **kwargs):
+            x, rep = solve(*args, **kwargs)
+            attempts.append((x, args[2], rep))
+            return x, rep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolvers, "solve_p_poisson", recording)
+            trace = run_balanced_ipm(inst, u1, 1)
+        (x, x0, attempt), = attempts
+        assert np.array_equal(x, x0) and not attempt.converged
+        assert abs(balance_defect(inst, x0[:-1])) <= eigensolvers.BALANCE_TOL
+        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.extras["fallback_steps"] == [0]
+        assert trace.extras["balance_roots"] == [1.0]
+
     # 6 steps on the 19x19 grids, r = 0.25, from the ex2 start: the final
     # lambda, the steps that fell back to s = 1 and the stop reason,
     # recorded with the balance rooted by Illinois regula falsi
