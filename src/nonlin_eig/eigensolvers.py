@@ -158,12 +158,7 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     meets it.  Below p = 2 every solve keeps settings.tol_abs, as does
     exact=True, the setting of the paper's monotonicity and convergence
     theorems.  extras["inner_tolerances"] lists the tol_abs each step's
-    solve was given, against which failed_inner_solves judges it.  On the
-    ex1 L-shape (81x81, r = 0.2, 30 steps) the factor 1e-4 takes 97 -> 59
-    Newton steps and 2162 -> 1043 CG iterations at p = 3, 115 -> 73 and
-    2524 -> 1238 at p = 5, with lambda equal to 2e-14 and the final
-    eigen-residual to 0.05%; 1e-2 saves more, but raised that residual by
-    14% at p = 5.
+    solve was given, against which failed_inner_solves judges it.
 
     On a loose step the recorded dual_rq, (<zeta, v> - J(v)) / H*(zeta),
     is a lower bound of R*(zeta) by the Fenchel-Young inequality.  Its
@@ -286,77 +281,66 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     of zeta_s = s*zeta^+ - zeta^- roots the defect phi(s) = R(w^+) - R(w^-)
     of the solve w of dJ(w) = zeta_s (balance_defect).
 
-    A step solves for w and sigma = log s together, by one bordered Newton
-    solve (solve_p_poisson with border) of dJ(w) - e^sigma zeta^+ +
-    zeta^- = 0 and psi(w) = 0 for psi = log R(w^+) - log R(w^-)
-    (log_balance): the halving step for p >= 2, the primal-dual step below.
-    It starts from s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start)
-    with its positive part scaled by s0^(1/(p-1)), which solves the first
-    equation where u is an eigenvector.  Its root is taken if the solve's
-    residual is finite, the solve converged or left its start, e^sigma
-    lies in the balance range [1/BALANCE_RANGE, BALANCE_RANGE] and |phi|
-    <= BALANCE_TOL; the step reports that solve, so a root that did not
-    converge fails the step.  After the first step the start is balanced
-    (scaling a part keeps its Rayleigh quotient), so a solve that returns
-    it unconverged has found no root.
-    Otherwise, and where zeta^+ is too small to have a norm in floating
-    point, the step falls back to s = 1: one inner solve
-    (pair.inverse_subgrad_J) from the eigen-ray, whose report the step
-    adds to the work, not the residual, of a bordered solve not taken.
+    A step is one bordered Newton solve (solve_p_poisson with border) for
+    w and sigma = log s together, of dJ(w) - e^sigma zeta^+ + zeta^- = 0
+    and psi(w) = 0 for psi = log R(w^+) - log R(w^-) (log_balance): the
+    halving step for p >= 2, the primal-dual step below.  It starts from
+    s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start) with its
+    positive part scaled by s0^(1/(p-1)), which solves the first equation
+    where u is an eigenvector.  The step takes the solve's root or stalls.
+    It takes it if the solve's residual is finite, the solve converged or
+    left its start, e^sigma lies in the balance range [1/BALANCE_RANGE,
+    BALANCE_RANGE] and |phi| <= BALANCE_TOL; both parts of such a root
+    are nonzero.  After the first step the start is balanced (scaling a
+    part keeps its Rayleigh quotient), so a solve that returns it
+    unconverged has found no root.  Otherwise the step stalls, and where
+    zeta^+ is too small to have a norm in floating point it stalls without
+    a solve.  The step reports its solve, taken or not, so an unconverged
+    solve is listed in failed_inner_solves; the final iterate is the last
+    root taken, or the normalized start.
 
-    The scheme stalls when the step's solve does not change sign.  extras
-    list each step's s, its |phi| (NaN where a part of the solve
-    vanishes), its solve count (a bordered solve counts one), its bordered
-    Newton steps ("bordered_iterations", 0 where the step fell back) and
-    the steps that fell back to s = 1 ("fallback_steps").
+    extras list each step's e^sigma ("balance_roots") and |phi|
+    ("balance_defects") of its solve, NaN where no solve ran or, for
+    |phi|, where a part of the solve vanishes, and the step that stalled
+    on a refused root ("fallback_steps", the last record's if any).
     """
     u0 = pair.as_vector(u0)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
     if settings is None:
         settings = NewtonSettings()
-    fallback_steps, roots, defects, solves, border_iters = [], [], [], [], []
+    refused, roots, defects = [], [], []
 
     def step(k, u, rq, Ju, zJ, res):
         zeta = pair.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        ray = ray_start(pair, u, rq)
-        work, n_solves = SolveReport(), 1
         norm_p = pair.dual_norm_H(zp)
-        if norm_p > 0.0:  # else the positive part underflowed
-            s0 = pair.dual_norm_H(zm) / norm_p
-            x0 = np.append(ray, math.log(s0))
-            x0[:-1][ray > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
-            x, rep = solve_p_poisson(
-                pair, -zm, x0, settings,
-                border=(zp, lambda w: log_balance(pair, w)))
-            w, sigma = x[:-1], x[-1]
-            if (np.isfinite(rep.final_residual)
-                    and (rep.converged or not np.array_equal(x, x0))
-                    and abs(sigma) <= math.log(BALANCE_RANGE)):
-                phi = balance_defect(pair, w)
-                if abs(phi) <= BALANCE_TOL:
-                    return outcome(math.exp(sigma), w, phi, 1,
-                                   rep.iterations, rep)
-            work, n_solves = replace(rep, final_residual=0.0,
-                                     converged=True), 2
-        fallback_steps.append(k)
-        w, rep = pair.inverse_subgrad_J(zp - zm, settings, warm_start=ray)
-        return outcome(1.0, w, balance_defect(pair, w), n_solves, 0,
-                       work + rep)
+        if not norm_p > 0.0:  # the positive part underflowed
+            refused.append(k)
+            roots.append(math.nan)
+            defects.append(math.nan)
+            return None, None, SolveReport()
+        s0 = pair.dual_norm_H(zm) / norm_p
+        ray = ray_start(pair, u, rq)
+        x0 = np.append(ray, math.log(s0))
+        x0[:-1][ray > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
+        x, rep = solve_p_poisson(pair, -zm, x0, settings,
+                                 border=(zp, lambda w: log_balance(pair, w)))
+        w, sigma = x[:-1], x[-1]
+        defect = abs(balance_defect(pair, w))
+        roots.append(math.exp(sigma))
+        defects.append(defect)
+        if (np.isfinite(rep.final_residual)
+                and (rep.converged or not np.array_equal(x, x0))
+                and abs(sigma) <= math.log(BALANCE_RANGE)
+                and defect <= BALANCE_TOL):
+            return w, None, rep
+        refused.append(k)
+        return None, None, rep
 
-    def outcome(s, w, phi, n_solves, bordered_iterations, report):
-        roots.append(s)
-        defects.append(abs(phi))
-        solves.append(n_solves)
-        border_iters.append(bordered_iterations)
-        stalled = not (np.any(w > 0) and np.any(w < 0))
-        return (None if stalled else w), None, report
-
-    extras = {"fallback_steps": fallback_steps, "balance_roots": roots,
-              "balance_defects": defects, "balance_solves": solves,
-              "bordered_iterations": border_iters}
+    extras = {"fallback_steps": refused, "balance_roots": roots,
+              "balance_defects": defects}
     return _iterate(pair, u0, iters, step, "balanced", extras,
                     snapshot_cb=snapshot_cb)
 
@@ -469,13 +453,9 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     symmetric but often indefinite.  Jacobi-PCG (cg_solve to settings.cg_tol
     within settings.cg_budget) runs on M as it is, and damped_newton's
     halving line search takes a step only where it lowers the residual, so
-    a step CG did not resolve costs its work, not the iterate.  On the
-    51x51 square, p = 3, from the ex2 start, CG solves all 24 polish
-    systems in 30-41 iterations each, the indefinite ones of the second
-    step (eigenvalues -2.15e5 to 1.28e4) too, to true residuals of at most
-    7.3e-14 relative.  The budget of 200 iterations caps the work of a
-    system CG resolves slowly, such as the 19x19 p = 2 ones (347-747
-    iterations), whose truncated steps the line search then judges.
+    a step CG did not resolve costs its work, not the iterate.  The budget
+    caps the work of a system CG resolves slowly, whose truncated step the
+    line search then judges.
 
     Returns (x, the Newton report with the CG work of its solves), x None
     when the report's residual is not finite: the sweep's residual is not,

@@ -27,11 +27,8 @@ slowly CG need not solve far past what the step achieves; once it falls
 fast, eta drops below the rule above, which again controls the last steps.
 The stop test |r|_max <= tol_abs is the same, so a forced solve converges
 as tightly as an unforced one.  An affine residual, the p = 2 solves
-(damped_newton's linear), keeps an unforced first step: one exact step
-solves it, and forcing that step took 23 -> 30 CG iterations on an 11 x 11
-square.  Elsewhere forcing the first step saves CG: on the traced ex1
-workload (81 x 81 L-shape, 5 inverse power steps) 310 -> 216 iterations,
-with the same 22 Newton steps.
+(damped_newton's linear), keeps an unforced first step, as one exact step
+solves it.
 
 Below p = 2 that step does not contract.  On a lone edge the kernel
 phi(d) = |d|^(p-2) d has phi / phi' = d / (p-1), so the step maps d to
@@ -48,20 +45,11 @@ of phi'(d) (the two agree at sigma = phi(d)), solved by the same CG.
 Steps are taken in full wherever the residual is finite, which a plain
 solve's always is (the bordered solve's is not where a part of u
 vanishes): the residual may rise for a step, so the loop keeps its best
-iterate and stops once STALL_STEPS steps have not improved it; on random
-prox problems a run of up to 6 such steps preceded
-convergence.  The residual has a rounding floor, as phi is only
-(p-1)-Hoelder: two nodes of equal value that differ by one ulp read as a
-flux of order ulp^(p-1).  Moving each entry of the 30 converged iterates
-below by one ulp, in random directions, raises their residuals from at
-most 6.2e-13 to 1.8e-9-5.2e-9.  Those iterates end under the floor; on the
-81 x 81 L-shape 29 of 30 solves stop on it, at 1.2e-10 to 6.5e-10.
-
-On a 30-step p=1.5 inverse power run (the ex1 L-shape at h = 0.05,
-r = 0.2, tol_abs 1e-12) the halving step took 3157 Newton steps and left
-14 of 30 solves above the tolerance; the primal-dual step takes 225 from
-the eigen-ray and every solve converges.  Forcing CG as well took 358
-Newton steps and left two solves above 1e-9, so it stays off below p = 2.
+iterate and stops once STALL_STEPS steps have not improved it.  The
+residual has a rounding floor, as phi is only (p-1)-Hoelder: two nodes of
+equal value that differ by one ulp read as a flux of order ulp^(p-1), so
+a solve can stop on that floor above tol_abs.  The primal-dual step's CG
+is not forced.
 """
 
 from __future__ import annotations

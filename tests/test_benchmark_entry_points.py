@@ -83,8 +83,20 @@ def test_tracer_counts_match_the_ledger(small_grid):
         lambda: eigensolvers.run_balanced_ipm(small_grid, u0, 4))
     assert counts_match(layers, trace)
     assert layers["newton.cg.calls"] > layers["newton.solves"] > 0
-    # every balanced solve goes through a traced Newton solve
-    assert layers["newton.solves"] == sum(trace.extras["balance_solves"])
+    # every balanced step is one traced Newton solve
+    assert layers["newton.solves"] == len(trace.records)
+    assert layers["eigensolvers.balanced.fallback_steps"] == 0
+
+    # the 19x19 L-shape at p = 5 stalls at step 0 on a refused root, which
+    # the tracer counts from the trace's fallback_steps
+    dom = build_domain("lshape", 2.0, 0.1)
+    inst = PLaplaceInstance(dom, 0.25, 5.0)
+    layers, trace = traced(lambda: eigensolvers.run_balanced_ipm(
+        inst, eval_initial_guess("ex2", dom).values, 6))
+    assert counts_match(layers, trace)
+    assert trace.stop_reason == "stalled"
+    assert layers["newton.solves"] == len(trace.records) == 1
+    assert layers["eigensolvers.balanced.fallback_steps"] == 1
 
     u0 = eval_initial_guess("ex1", small_grid.domain).values
     layers, trace = traced(lambda: eigensolvers.run_ipm(small_grid, u0, 5))
@@ -106,8 +118,8 @@ def test_balanced_workload_takes_the_bordered_path(tmp_path):
     trace = eigensolvers.run_balanced_ipm(pair, u0, cfg.solver["iters"],
                                           cfg.newton)
     assert len(trace.records) == 4
-    assert all(n > 0 for n in trace.extras["bordered_iterations"])
-    assert trace.extras["balance_solves"] == [1, 1, 1, 1]
+    assert all(rec.inner_iters > 0 for rec in trace.records)
+    assert trace.extras["fallback_steps"] == []
     assert trace.final_lambda == pytest.approx(
         workload.references["balanced"], rel=1e-9)
     # 1014 CG iterations with the border column warm-started and the first

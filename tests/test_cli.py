@@ -112,8 +112,6 @@ class TestRun:
         assert main(["run", config]) == 0
         out = tmp_path / "out_bal"
         extras = json.loads((out / "run.json").read_text())["extras"]
-        assert extras["balance_solves"] == [1, 1]
-        assert extras["bordered_iterations"] == newton_steps
         assert len(extras["balance_roots"]) == 2
         assert len(extras["balance_defects"]) == 2
         assert all(d <= 1e-6 for d in extras["balance_defects"])
@@ -128,10 +126,10 @@ class TestRun:
             rows = list(csv.DictReader(f))
         for key in ("jacobians", "residual_evals", "backtracks"):
             assert extras[key] == [int(row[key]) for row in rows]
-        assert extras["jacobians"] == extras["bordered_iterations"]
+        assert [int(row["inner_iters"]) for row in rows] == newton_steps
+        assert extras["jacobians"] == newton_steps
         assert extras["residual_evals"] == [
-            1 + n + b for n, b in zip(extras["bordered_iterations"],
-                                      extras["backtracks"])]
+            1 + n + b for n, b in zip(newton_steps, extras["backtracks"])]
 
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0

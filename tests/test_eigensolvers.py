@@ -8,10 +8,10 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
-from nonlin_eig.eigensolvers import (EigenTrace, _polish, _sweep,
-                                     balance_defect, log_balance, ray_start,
-                                     run_balanced_ipm, run_geometric, run_ipm,
-                                     run_ppm)
+from nonlin_eig.eigensolvers import (EigenTrace, _normalize, _polish,
+                                     _sweep, balance_defect, log_balance,
+                                     ray_start, run_balanced_ipm,
+                                     run_geometric, run_ipm, run_ppm)
 from nonlin_eig.functional import SolveReport, SpdInstance, power_map
 from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
@@ -28,7 +28,7 @@ def spd():
 class BalanceFamily:
     """The plain solves w(s) of dJ(w) = s zeta^+ - zeta^- for zeta =
     dH(u), u the normalized start u0 of a balanced run on pair, each from
-    the eigen-ray, as the scheme's fallback solve starts."""
+    the eigen-ray."""
 
     def __init__(self, pair, u0):
         self.pair = pair
@@ -88,7 +88,7 @@ def test_bordered_system_shares_one_jacobi_diagonal(small_grid,
     monkeypatch.setattr(newton, "jacobi", counted)
     trace = run_balanced_ipm(
         small_grid, eval_initial_guess("ex2", small_grid.domain).values, 1)
-    assert len(made) == trace.extras["bordered_iterations"][0] > 0
+    assert len(made) == trace.records[0].inner_iters > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,8 +100,8 @@ def test_warm_started_bordered_solve_matches_cold(p, shape, cells, radius,
     # step 0's bordered solve, from the ex2 start mixed with a random
     # field: its CG for A y = zeta^+ starts from the previous Newton step's
     # y, and started from 0 instead the solve reaches the same (w, s).
-    # Either may stall where the other converges, and the step then falls
-    # back to s = 1: on 200 such draws both converged on 179 (worst
+    # Either may stall where the other converges, and the step then
+    # stalls: on 200 such draws both converged on 179 (worst
     # disagreement 1.9e-12), only the warm-started one on 7, neither on 8
     h = 2.0 / cells
     inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, p)
@@ -494,17 +494,6 @@ class TestPpm:
         assert trace.extras["recovery_converged"] is converged
 
 
-class ZeroSolvePair(SpdInstance):
-    """An SpdInstance whose inverse solves return 0: both parts of the
-    fallback solve vanish.  The bordered solve, which does not call
-    inverse_subgrad_J, finds no balance on this diagonal pair: the parts
-    of any solve sit on one node each, with Rayleigh quotients 2 and 5,
-    so psi is constant and its gradient vanishes."""
-
-    def inverse_subgrad_J(self, zeta, settings=None, warm_start=None):
-        return np.zeros(self.n), SolveReport()
-
-
 class TestBalanced:
     def test_needs_sign_changing_start(self, small_grid):
         dom = small_grid.domain
@@ -530,34 +519,41 @@ class TestBalanced:
             assert all(d <= eigensolvers.BALANCE_TOL
                        for d in trace.extras["balance_defects"])
 
-    def test_stalls_when_both_parts_vanish(self):
-        trace = run_balanced_ipm(ZeroSolvePair(np.diag([2.0, 5.0])),
+    def test_stalls_on_a_nan_bordered_step(self):
+        # this diagonal pair has no balance: the parts of any solve sit on
+        # one node each, with Rayleigh quotients 2 and 5, so psi is
+        # constant, its gradient vanishes and the first bordered step is
+        # NaN.  The solve returns its start unconverged, and the scheme
+        # stalls there with the solve listed as failed
+        trace = run_balanced_ipm(SpdInstance(np.diag([2.0, 5.0])),
                                  np.array([1.0, -1.0]), 3)
         assert trace.stop_reason == "stalled"
         assert len(trace.records) == 1
-        # the bordered solve was abandoned (a NaN first step) and the
-        # fallback solve at s = 1 stalled the scheme
-        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.records[0].inner_iters == 0
         assert trace.extras["fallback_steps"] == [0]
-        assert trace.extras["balance_solves"] == [2]
-        assert trace.extras["failed_inner_solves"] == []
+        assert trace.extras["failed_inner_solves"] == [0]
+        assert np.isnan(trace.extras["inner_residuals"][0])
         assert trace.extras["balance_roots"] == [1.0]
-        assert np.isnan(trace.extras["balance_defects"][0])
+        assert trace.extras["balance_defects"] == [3.0]
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_positive_part_without_norm_falls_back(self, p):
         # one positive node of 1e-200: zeta^+ underflows to dual norm 0,
         # which the bordered start s0 = |zeta^-|_* / |zeta^+|_* divided by;
-        # no bordered solve runs, and the scheme stalls at s = 1
+        # no bordered solve runs, and the scheme stalls at the start
         dom = build_domain("square", 2.0, 0.2)
         inst = PLaplaceInstance(dom, 0.45, p)
         u0 = -np.abs(inst.as_vector(eval_initial_guess("ex1", dom).values))
         u0[0] = 1e-200
         trace = run_balanced_ipm(inst, u0, 3)
         assert trace.stop_reason == "stalled"
-        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.records[0].inner_iters == 0
         assert trace.extras["fallback_steps"] == [0]
-        assert trace.extras["balance_solves"] == [1]
+        assert trace.extras["failed_inner_solves"] == []
+        assert np.isnan(trace.extras["balance_roots"][0])
+        assert np.isnan(trace.extras["balance_defects"][0])
+        assert np.array_equal(trace.final_u,
+                              _normalize(inst, inst.as_vector(u0)))
 
     def test_odd_symmetric_start_stays_balanced(self, small_grid):
         X, _ = small_grid.domain.coords()
@@ -590,18 +586,14 @@ class TestBalanced:
     def test_four_steps_solve_count(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 4)
-        solves = trace.extras["balance_solves"]
-        # one bordered solve per step; the root search took [7, 4, 3, 4],
-        # 23 when step 0 doubled s from 1 to a bracket
-        assert solves == [1, 1, 1, 1]
-        assert sum(solves) < 39  # one-sided bracket and Illinois
-        # Newton steps per outer step: [57, 28, 21, 24] with Illinois,
-        # [49, 12, 7, 7] when step 0 doubled s, [36, 12, 7, 7] with the
-        # root search's tangent and scaled-ray starts, [6, 5, 5, 5] before
-        # the bordered solve forced its first step
+        # one bordered solve per step, where the root search took [7, 4,
+        # 3, 4] solves.  Newton steps per outer step: [57, 28, 21, 24] with
+        # Illinois, [49, 12, 7, 7] when step 0 doubled s, [36, 12, 7, 7]
+        # with the root search's tangent and scaled-ray starts, [6, 5, 5, 5]
+        # before the bordered solve forced its first step
         assert [rec.inner_iters for rec in trace.records] == [7, 5, 5, 4]
-        assert trace.extras["bordered_iterations"] == [7, 5, 5, 4]
-        assert len(trace.extras["balance_roots"]) == len(solves) == 4
+        assert trace.extras["fallback_steps"] == []
+        assert len(trace.extras["balance_roots"]) == 4
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in trace.extras["balance_defects"])
         assert trace.extras["failed_inner_solves"] == []
@@ -620,7 +612,7 @@ class TestBalanced:
             pair = PLaplaceInstance(small_grid.domain, 0.25, p)
             u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(pair, u0, 1)
-        assert trace.extras["bordered_iterations"][0] > 0
+        assert trace.records[0].inner_iters > 0
         assert trace.extras["fallback_steps"] == []
         (s,) = trace.extras["balance_roots"]
         family = BalanceFamily(pair, u0)
@@ -636,73 +628,25 @@ class TestBalanced:
     def test_root_outside_balance_range_refused(self):
         # on the 19x19 square at p = 5, from the ex2 start, the bordered
         # solve converges to s = 4463.5 > 2^12; taken, it led to lambda
-        # 766.46 where the fallback solve at s = 1 stalls at 1037.54
+        # 766.46, where the step stalls at the start's 1037.54
         dom = build_domain("square", 2.0, 0.1)
         inst = PLaplaceInstance(dom, 0.25, 5.0)
         u0 = eval_initial_guess("ex2", dom).values
-        roots = []
-        solve = eigensolvers.solve_p_poisson
-
-        def recording(*args, **kwargs):
-            x, rep = solve(*args, **kwargs)
-            roots.append((math.exp(x[-1]), rep.converged))
-            return x, rep
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eigensolvers, "solve_p_poisson", recording)
-            trace = run_balanced_ipm(inst, u0, 1)
-        (s, converged), = roots
-        assert converged and s > eigensolvers.BALANCE_RANGE
-        assert trace.extras["bordered_iterations"] == [0]
-        assert trace.extras["fallback_steps"] == [0]
-        assert trace.extras["balance_roots"] == [1.0]
-        assert trace.extras["failed_inner_solves"] == []
-
-    def test_abandoned_bordered_solve_adds_its_work(self):
-        # on the 19x19 L-shape at p = 5, from the ex2 start, the first
-        # bordered solve stalls in its line search (8 Newton steps,
-        # residual 3.6) short of a balance; the step falls back to one plain
-        # solve at s = 1 from the eigen-ray, and its report adds the
-        # attempt's Newton steps and CG iterations, not its residual.  That
-        # solve does not change sign, so the scheme stalls
-        dom = build_domain("lshape", 2.0, 0.1)
-        inst = PLaplaceInstance(dom, 0.25, 5.0)
-        u0 = eval_initial_guess("ex2", dom).values
-        attempts = []
-        solve = eigensolvers.solve_p_poisson
-
-        def recording(*args, **kwargs):
-            x, rep = solve(*args, **kwargs)
-            attempts.append(rep)
-            return x, rep
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eigensolvers, "solve_p_poisson", recording)
-            trace = run_balanced_ipm(inst, u0, 1)
-        w, alone = BalanceFamily(inst, u0).solve(1.0)
-        (attempt,) = attempts
-        assert not attempt.converged and attempt.iterations > 0
-        extras = trace.extras
-        assert extras["bordered_iterations"] == [0]
-        assert extras["fallback_steps"] == [0]
-        assert extras["failed_inner_solves"] == []
-        assert extras["balance_solves"] == [2]
-        assert extras["balance_roots"] == [1.0]
+        trace = run_balanced_ipm(inst, u0, 1)
+        (s,) = trace.extras["balance_roots"]
+        assert s > eigensolvers.BALANCE_RANGE
         assert trace.stop_reason == "stalled"
-        assert not np.any(w > 0.0)
-        assert trace.records[0].inner_iters \
-            == attempt.iterations + alone.iterations
-        assert extras["cg_iterations"][0] \
-            == attempt.cg_iterations_total + alone.cg_iterations_total
-        assert extras["inner_residuals"] == [alone.final_residual]
-        assert attempt.final_residual > alone.final_residual
+        assert trace.extras["fallback_steps"] == [0]
+        assert trace.extras["failed_inner_solves"] == []
+        assert np.array_equal(trace.final_u,
+                              _normalize(inst, inst.as_vector(u0)))
 
     def test_bordered_solve_that_never_left_its_start_refused(self):
         # draw 7 of CHANGES.md's ledger (5): 12 cells on the L-shape,
         # p = 1.7376, the ex2 start plus 0.2252 of a random field.  The
         # second step's bordered solve starts balanced (scaling a part
         # keeps its Rayleigh quotient), runs away and returns that start
-        # unconverged; it is not a root, so the step falls back to s = 1
+        # unconverged; it is not a root, so the step stalls and lists it
         h = 2.0 / 12
         dom = build_domain("lshape", 2.0, h)
         inst = PLaplaceInstance(dom, 2.706508518539426 * h,
@@ -725,13 +669,16 @@ class TestBalanced:
         (x, x0, attempt), = attempts
         assert np.array_equal(x, x0) and not attempt.converged
         assert abs(balance_defect(inst, x0[:-1])) <= eigensolvers.BALANCE_TOL
-        assert trace.extras["bordered_iterations"] == [0]
+        assert trace.stop_reason == "stalled"
         assert trace.extras["fallback_steps"] == [0]
-        assert trace.extras["balance_roots"] == [1.0]
+        assert trace.extras["failed_inner_solves"] == [0]
+        assert trace.extras["balance_roots"] == [math.exp(x0[-1])]
 
     # 6 steps on the 19x19 grids, r = 0.25, from the ex2 start: the final
-    # lambda, the steps that fell back to s = 1 and the stop reason,
-    # recorded with the balance rooted by Illinois regula falsi
+    # lambda, the step that stalled on a refused root and the stop reason,
+    # recorded with the balance rooted by Illinois regula falsi.  The
+    # refused roots at p = 5 on the square and p = 4 on the L-shape lie
+    # outside the balance range; the L-shape's at p = 5 did not converge
     @pytest.mark.parametrize("shape,p,lam,fallback,stop", [
         ("square", 2, 24.517331265631753, [], "max_iter"),
         ("square", 3, 87.95600051458665, [], "max_iter"),
@@ -749,7 +696,8 @@ class TestBalanced:
                                  6)
         assert trace.final_lambda == pytest.approx(lam, rel=1e-8)
         assert trace.extras["fallback_steps"] == fallback
-        assert trace.extras["failed_inner_solves"] == []
+        assert trace.extras["failed_inner_solves"] \
+            == ([0] if (shape, p) == ("lshape", 5) else [])
         assert trace.stop_reason == stop
         rooted = [d for k, d in enumerate(trace.extras["balance_defects"])
                   if k not in fallback]
@@ -772,8 +720,7 @@ class TestBalanced:
         extras = trace.extras
         assert len(trace.records) == 6
         assert extras["fallback_steps"] == []
-        assert extras["balance_solves"] == [1] * 6
-        assert all(n > 0 for n in extras["bordered_iterations"])
+        assert all(rec.inner_iters > 0 for rec in trace.records)
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in extras["balance_defects"])
         # criterion 7's floor for the p = 1.5 inner solves
@@ -782,17 +729,38 @@ class TestBalanced:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_inner_solves_listed(self, small_grid):
-        # two Newton steps per solve: step 0's bordered solve is abandoned
-        # short of a balance, and its fallback solve at s = 1 misses tol_abs
-        # and does not change sign, so the scheme stalls there
+        # two Newton steps per solve: step 0's bordered solve ends short
+        # of a balance, unconverged, so the scheme stalls there and lists it
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(small_grid, u0, 2,
                                  settings=NewtonSettings(max_iter=2))
         assert trace.stop_reason == "stalled" and len(trace.records) == 1
         assert trace.extras["fallback_steps"] == [0]
-        assert trace.extras["balance_solves"] == [2]
         assert trace.extras["failed_inner_solves"] == [0]
         assert trace.extras["inner_residuals"][0] > 1e-12
+
+    # draws 5040 and 5093 of CHANGES.md's ledger (5) generator: (p, shape,
+    # cells, radius, mix, field seed).  A step refuses its bordered root
+    # and the run stalls on the last root taken, which is balanced.  The
+    # deleted fallback solve at s = 1 went on from an unbalanced iterate
+    # instead (|phi| 17 and 20; 5093 stopped at max_iter)
+    @pytest.mark.parametrize("p,shape,cells,radius,mix,seed", [
+        (1.3672240961470177, "square", 10, 1.2039056712587732,
+         0.623706929880231, 2088551410),
+        (4.2761362055298076, "square", 6, 1.5341915542868776,
+         0.7464434291212312, 467406748),
+    ], ids=["draw5040", "draw5093"])
+    def test_refused_root_stalls_on_a_balanced_iterate(self, p, shape, cells,
+                                                       radius, mix, seed):
+        h = 2.0 / cells
+        inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, p)
+        u0 = inst.as_vector(eval_initial_guess("ex2", inst.domain).values)
+        u0 = u0 / np.max(np.abs(u0)) + mix * random_fields(inst, 1, seed)[0]
+        trace = run_balanced_ipm(inst, u0, 6)
+        assert trace.stop_reason == "stalled"
+        assert trace.extras["fallback_steps"] == [len(trace.records) - 1]
+        assert abs(balance_defect(inst, trace.final_u)) \
+            <= eigensolvers.BALANCE_TOL
 
     def test_final_normalized(self, small_grid):
         u0 = eval_initial_guess("ex2", small_grid.domain).values

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonlin_eig.functional import power_map
 from nonlin_eig.grid import build_domain
@@ -156,12 +156,20 @@ class TestEnergy:
         pj = inst.p * inst.dirichlet_energy(u)
         assert abs(pj - inst.pairing(inst.neg_plaplacian(u), u)) <= 1e-13 * pj
 
+    # Below p = 2 the kernel |d|^(p-2) is singular at d = 0, so the
+    # central difference steps no more than a hundredth of the way from any
+    # edge difference d_e(u) towards 0.  With the fixed step 1e-6 the
+    # example draw read 7.16e-6 against its bound 4.63e-6.
     @settings(max_examples=25, deadline=None)
     @given(**ANY_INSTANCE)
+    @example(p=1.125, shape="lshape", cells=9, radius=1.0, log_scale=0.0,
+             seed=291)
     def test_energy_gradient_matches_operator_any_instance(self, **case):
         inst, u, v = scaled_instance_fields(**case)
         grad = inst.neg_plaplacian(u)
-        step = 1e-6
+        du = np.abs(inst.edge_differences(u))
+        dv = np.abs(inst.edge_differences(v))
+        step = min(1e-6, 0.01 * np.min(du[dv > 0] / dv[dv > 0]))
         fd = (inst.dirichlet_energy(u + step * v)
               - inst.dirichlet_energy(u - step * v)) / (2 * step)
         assert abs(fd - inst.pairing(grad, v)) \
