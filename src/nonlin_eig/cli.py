@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import eigensolvers, metrics, validation
 from .config import ExperimentConfig, build_instance, load_config
+from .functional import SolveReport
 from .grid import ConfigError, GridFunction, save_snapshot
 
 
@@ -65,6 +67,8 @@ def cmd_run(args) -> int:
         "stop_reason": trace.stop_reason,
         "final_lambda": trace.final_lambda,
         "extras": trace.extras,  # lists and scalars only, in every scheme
+        "inner_work": asdict(sum((r.inner for r in trace.records),
+                                 SolveReport())),
     }
     (out_dir / "run.json").write_text(json.dumps(run_info, indent=2))
     print(f"{trace.solver_tag}: {len(trace.records)} iterations, "

@@ -16,13 +16,9 @@ its step, step(k, u, R(u), J(u), dJ(u), res) -> (v, dual_rq, report), for
 the eigen-residual res of u (read by the inverse power method alone): the next
 iterate before normalization or None for a stall, the record's dual
 Rayleigh quotient or None, and the SolveReport of the step's inner solves,
-summed if several.  _iterate alone keeps the ledger of the reports, alike
-for every scheme: the record's inner_iters is the report's iterations
-and its jacobians, residual_evals and backtracks are the report's, extras
-list per record the report fields that LEDGER names ("inner_residuals",
-"cg_iterations", "cg_unconverged", "jacobians", "residual_evals",
-"backtracks"), and "failed_inner_solves" lists the steps whose report has
-not converged.
+summed if several.  The step's record holds that report as its inner,
+alike for every scheme, and extras["failed_inner_solves"] lists the steps
+whose report has not converged.
 """
 
 from __future__ import annotations
@@ -49,11 +45,6 @@ SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
 N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
 POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12, cg_tol=1e-13,
                         cg_max_iter=200)  # the geometric polish
-# extras key -> the SolveReport field it lists per step (_iterate)
-LEDGER = {"inner_residuals": "final_residual",
-          "cg_iterations": "cg_iterations_total",
-          "cg_unconverged": "cg_unconverged", "jacobians": "jacobians",
-          "residual_evals": "residual_evals", "backtracks": "backtracks"}
 
 
 @dataclass
@@ -87,15 +78,11 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         raise ValueError("residual_tol must be positive and finite")
     u = _normalize(pair, pair.as_vector(u0))
     failed = extras.setdefault("failed_inner_solves", [])
-    for key in LEDGER:
-        extras.setdefault(key, [])
     records, stop_reason = [], "max_iter"
     t0 = time.perf_counter()
     rq, Ju, zJ, res = _evaluate(pair, u)
     for k in range(iters):
         v, dual_rq, report = step(k, u, rq, Ju, zJ, res)
-        for key, name in LEDGER.items():
-            extras[key].append(getattr(report, name))
         if not report.converged:
             failed.append(k)
         records.append(metrics.IterationRecord(
@@ -103,11 +90,8 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
             cosim=metrics.cosine_similarity(pair, u, zJ),
             gap=metrics.duality_gap(  # of (u, dJ(u)): u is in dJ*(dJ(u))
                 pair, rq, metrics.dual_rayleigh_quotient(pair, zJ, u, Ju)),
-            residual=res,
-            inner_iters=report.iterations,
-            wall_time=time.perf_counter() - t0,
-            jacobians=report.jacobians, residual_evals=report.residual_evals,
-            backtracks=report.backtracks))
+            residual=res, inner=report,
+            wall_time=time.perf_counter() - t0))
         if v is None:
             stop_reason = "stalled"
             break

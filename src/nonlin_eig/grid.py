@@ -24,7 +24,6 @@ class GridDomain:
     h: float
     origin: tuple[float, float]
     interior_mask: np.ndarray  # bool, shape (ny, nx); True = unknown
-    shape_tag: str
 
     @property
     def n_interior(self) -> int:
@@ -44,7 +43,6 @@ class Stencil:
     weight, which also depends on p, is the PLaplaceInstance's."""
 
     offsets: np.ndarray  # shape (m, 2), int
-    r: float
 
     @property
     def margin(self) -> int:
@@ -82,8 +80,7 @@ def build_domain(shape_tag: str, side_length: float, h: float) -> GridDomain:
            (Y > origin[1] + tol) & (Y < half - tol)
     if shape_tag == "lshape":
         mask &= ~((X >= -tol) & (Y >= -tol))
-    return GridDomain(nx=nx, ny=ny, h=h, origin=origin,
-                      interior_mask=mask, shape_tag=shape_tag)
+    return GridDomain(nx=nx, ny=ny, h=h, origin=origin, interior_mask=mask)
 
 
 def build_stencil(domain: GridDomain, r: float) -> Stencil:
@@ -101,7 +98,7 @@ def build_stencil(domain: GridDomain, r: float) -> Stencil:
                 continue
             if math.hypot(dx * h, dy * h) <= r * (1 + 1e-12):
                 offsets.append((dy, dx))
-    return Stencil(offsets=np.array(offsets, dtype=int), r=r)
+    return Stencil(offsets=np.array(offsets, dtype=int))
 
 
 def _ex1(X, Y):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import FunctionalPair, fenchel_conjugate_value
+from .functional import FunctionalPair, SolveReport, fenchel_conjugate_value
 
 
 @dataclass
@@ -19,30 +19,35 @@ class IterationRecord:
     cosim: float
     gap: float
     residual: float
-    inner_iters: int
+    inner: SolveReport  # the step's inner solves, summed if several
     wall_time: float
-    jacobians: int = 0  # the step's inner work, as its SolveReport counts it
-    residual_evals: int = 0
-    backtracks: int = 0
 
 
-# the work counts come last, so that readers of the first eight columns
-# keep working
+# metrics.csv column -> the field of the record's SolveReport it holds
+REPORT_COLUMNS = {"inner_iters": "iterations", "jacobians": "jacobians",
+                  "residual_evals": "residual_evals",
+                  "backtracks": "backtracks",
+                  "inner_residual": "final_residual",
+                  "inner_converged": "converged",
+                  "cg_iterations": "cg_iterations_total",
+                  "cg_unconverged": "cg_unconverged"}
+# columns are only appended, so that readers of a prefix keep working;
+# inner_iters, the first report column, keeps its place before wall_time
 CSV_HEADER = ["iter", "rq", "dual_rq", "cosim", "gap", "residual",
-              "inner_iters", "wall_time",
-              "jacobians", "residual_evals", "backtracks"]
+              "inner_iters", "wall_time", *list(REPORT_COLUMNS)[1:]]
 
 
 def records_to_csv(records: list[IterationRecord], path) -> None:
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
+        w = csv.DictWriter(f, CSV_HEADER)
+        w.writeheader()
         for r in records:
-            w.writerow([r.k, repr(r.rq),
-                        "" if r.dual_rq is None else repr(r.dual_rq),
-                        repr(r.cosim), repr(r.gap), repr(r.residual),
-                        r.inner_iters, repr(r.wall_time), r.jacobians,
-                        r.residual_evals, r.backtracks])
+            w.writerow({"iter": r.k, "rq": r.rq,
+                        "dual_rq": r.dual_rq,  # None writes ""
+                        "cosim": r.cosim, "gap": r.gap,
+                        "residual": r.residual, "wall_time": r.wall_time,
+                        **{col: getattr(r.inner, name)
+                           for col, name in REPORT_COLUMNS.items()}})
 
 
 def rayleigh_quotient(pair: FunctionalPair, u) -> float:

@@ -164,6 +164,7 @@ def _desk(measure, p=3.0, n=21, count=10, seed=0):
     return measure(inst, random_fields(inst, count, seed))
 
 
+@functools.cache
 def _spd_ipm_runs():
     """IPM on three seeded 8x8 SPD pairs, run to a 1e-13 residual."""
     rng = np.random.default_rng(42)

@@ -231,14 +231,16 @@ def test_criterion_07_inner_newton(ex1_sweep):
     for p in (2.0, 3.0, 5.0):
         _, trace = ex1_sweep[p]
         assert not trace.extras["failed_inner_solves"]
-        worst_res = max(worst_res, max(trace.extras["inner_residuals"]))
-        worst_it = max(worst_it, max(r.inner_iters for r in trace.records))
+        worst_res = max(worst_res, max(r.inner.final_residual
+                                       for r in trace.records))
+        worst_it = max(worst_it,
+                       max(r.inner.iterations for r in trace.records))
     # at p = 1.5 the kernel is only 1/2-Hoelder, and one ulp more or less
     # in the iterate's entries can move the residual by 1e-9 (newton module
     # docstring): not every p = 1.5 solve gets under 1e-12 (see ledger)
     _, trace15 = ex1_sweep[1.5]
-    worst_res15 = max(trace15.extras["inner_residuals"])
-    worst_it15 = max(r.inner_iters for r in trace15.records)
+    worst_res15 = max(r.inner.final_residual for r in trace15.records)
+    worst_it15 = max(r.inner.iterations for r in trace15.records)
     print(f"\n[criterion 7] PASS: inner Newton solves for p in (2, 3, 5), "
           f"worst final residual {worst_res:.2e} (<=1e-12), worst iteration "
           f"count {worst_it} (<=500); p=1.5 worst residual "
@@ -315,10 +317,11 @@ def test_geometric_polish_takes_cg(geometric_runs):
     # every one of its polish systems is solved by converged CG, and the
     # trajectory is the one SuperLU gave when the polish also factored.
     _, tr2 = geometric_runs["ex2"]
-    unconverged = tr2.extras["cg_unconverged"]
+    unconverged = [r.inner.cg_unconverged for r in tr2.records]
+    cg_iterations = [r.inner.cg_iterations_total for r in tr2.records]
     print(f"\n[geometric polish] PASS: ex2 polish unconverged CG calls per "
           f"step {unconverged} (all 0), CG iterations per step "
-          f"{tr2.extras['cg_iterations']}, final lambda "
+          f"{cg_iterations}, final lambda "
           f"{tr2.final_lambda!r}")
     assert unconverged == [0] * len(tr2.records)
     assert tr2.final_lambda == pytest.approx(2950.4313815124947, rel=1e-12)

@@ -6,12 +6,14 @@ package stops reading, is caught here rather than by a failed benchmark."""
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from nonlin_eig import cli, config, eigensolvers, metrics
+from nonlin_eig.functional import SolveReport
 from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.plaplace import PLaplaceInstance
 
@@ -74,9 +76,9 @@ def test_tracer_counts_match_the_ledger(small_grid):
     # step, and the default IPM loosens all but its last inner solve; the
     # tracer and the trace's ledger must both see the same work
     def counts_match(layers, trace):
-        return (layers["newton.cg.iters"] == sum(trace.extras["cg_iterations"])
-                and layers["newton.steps"]
-                == sum(rec.inner_iters for rec in trace.records))
+        work = sum((rec.inner for rec in trace.records), SolveReport())
+        return (layers["newton.cg.iters"] == work.cg_iterations_total
+                and layers["newton.steps"] == work.iterations)
 
     u0 = eval_initial_guess("ex2", small_grid.domain).values
     layers, trace = traced(
@@ -118,13 +120,39 @@ def test_balanced_workload_takes_the_bordered_path(tmp_path):
     trace = eigensolvers.run_balanced_ipm(pair, u0, cfg.solver["iters"],
                                           cfg.newton)
     assert len(trace.records) == 4
-    assert all(rec.inner_iters > 0 for rec in trace.records)
+    assert all(rec.inner.iterations > 0 for rec in trace.records)
     assert trace.extras["fallback_steps"] == []
     assert trace.final_lambda == pytest.approx(
         workload.references["balanced"], rel=1e-9)
     # 1014 CG iterations with the border column warm-started and the first
     # Newton step forced, 1575 before: a ceiling 5% above
-    assert sum(trace.extras["cg_iterations"]) <= 1.05 * 1014
+    assert sum(rec.inner.cg_iterations_total for rec in trace.records) \
+        <= 1.05 * 1014
+
+
+def test_benchmark_reads_back_a_cli_run(tmp_path):
+    # the benchmark reads a CLI run's run.json, metrics.csv and final.csv
+    # back through its own reader: an output format it cannot parse fails
+    # here rather than in the benchmark
+    workloads = load_perfbench("workloads")
+    path = tmp_path / "ipm.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
+                    "h": 0.1, "r": 0.25, "p": 3.0},
+        "initial": {"kind": "ex1"},
+        "solver": {"kind": "ipm", "iters": 2},
+        "output": {"dir": str(tmp_path / "out")}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(path)]) == 0
+    cfg = config.load_config(path)
+    pair, u0, _ = config.build_instance(cfg)
+    out = workloads._read_outputs({"out": tmp_path / "out"}, pair)
+    trace = eigensolvers.run_ipm(pair, u0, 2, cfg.newton)
+    assert out.lambdas == {"ipm": trace.final_lambda}
+    assert out.stop_reasons == {"ipm": "max_iter"}
+    assert out.dual_rq == {"ipm": [rec.dual_rq for rec in trace.records]}
+    assert out.final_u["ipm"][pair.domain.interior_mask] \
+        == pytest.approx(trace.final_u, rel=1e-12)
 
 
 def test_workload_configs_load_and_build(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nonlin_eig
-from nonlin_eig import config, validation
+from nonlin_eig import config, metrics, validation
 from nonlin_eig.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,7 +62,7 @@ class TestRun:
         # the work columns are appended, so the first eight keep their place
         assert rows[0][:8] == ["iter", "rq", "dual_rq", "cosim", "gap",
                                "residual", "inner_iters", "wall_time"]
-        assert rows[0][8:] == ["jacobians", "residual_evals", "backtracks"]
+        assert rows[0][8:11] == ["jacobians", "residual_evals", "backtracks"]
         assert len(rows) == 41
         info = json.loads((out / "run.json").read_text())
         assert info["solver_tag"] == "ipm"
@@ -76,10 +76,14 @@ class TestRun:
         assert main(["run", grid_config]) == 0
         with open(tmp_path / "out_grid" / "metrics.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
-        cells = [cell for row in rows for cell in row if cell]
-        assert len(cells) == 5 * 11
+        # every cell but the inner solve's converged flag is a number
+        flag = metrics.CSV_HEADER.index("inner_converged")
+        cells = [cell for row in rows for i, cell in enumerate(row)
+                 if cell and i != flag]
+        assert len(cells) == 5 * (len(metrics.CSV_HEADER) - 1)
         for cell in cells:
             float(cell)
+        assert all(row[flag] in ("True", "False") for row in rows)
 
     def test_geometric_run_names_winners(self, tmp_path):
         config = write_config(tmp_path / "geo.json", {
@@ -111,25 +115,33 @@ class TestRun:
         })
         assert main(["run", config]) == 0
         out = tmp_path / "out_bal"
-        extras = json.loads((out / "run.json").read_text())["extras"]
+        info = json.loads((out / "run.json").read_text())
+        extras = info["extras"]
         assert len(extras["balance_roots"]) == 2
         assert len(extras["balance_defects"]) == 2
         assert all(d <= 1e-6 for d in extras["balance_defects"])
         assert extras["failed_inner_solves"] == failed
-        assert max(extras["inner_residuals"]) <= 1e-9
-        assert len(extras["cg_iterations"]) == 2
-        assert all(n > 0 for n in extras["cg_iterations"])
-        assert extras["cg_unconverged"] == [0, 0]
-        # the work of each step in run.json and in metrics.csv alike: one
-        # Jacobian per Newton step, and one residual per trial point
         with open(out / "metrics.csv", newline="") as f:
             rows = list(csv.DictReader(f))
-        for key in ("jacobians", "residual_evals", "backtracks"):
-            assert extras[key] == [int(row[key]) for row in rows]
-        assert [int(row["inner_iters"]) for row in rows] == newton_steps
-        assert extras["jacobians"] == newton_steps
-        assert extras["residual_evals"] == [
-            1 + n + b for n, b in zip(newton_steps, extras["backtracks"])]
+        column = {key: [int(row[key]) for row in rows]
+                  for key in ("inner_iters", "cg_iterations", "cg_unconverged",
+                              "jacobians", "residual_evals", "backtracks")}
+        assert max(float(row["inner_residual"]) for row in rows) <= 1e-9
+        assert [k for k, row in enumerate(rows)
+                if row["inner_converged"] == "False"] == failed
+        assert len(column["cg_iterations"]) == 2
+        assert all(n > 0 for n in column["cg_iterations"])
+        assert column["cg_unconverged"] == [0, 0]
+        # one Jacobian per Newton step, and one residual per trial point
+        assert column["inner_iters"] == newton_steps
+        assert column["jacobians"] == newton_steps
+        assert column["residual_evals"] == [
+            1 + n + b for n, b in zip(newton_steps, column["backtracks"])]
+        # run.json totals the records' work
+        work = info["inner_work"]
+        assert work["iterations"] == sum(newton_steps)
+        assert work["cg_iterations_total"] == sum(column["cg_iterations"])
+        assert work["converged"] == (not failed)
 
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0
@@ -145,10 +157,11 @@ class TestRun:
         assert echoed["d2p"] > 0.0
         assert echoed["r"] == 0.45
         assert echoed["nx"] == 11
-        extras = info["extras"]
-        assert len(extras["cg_iterations"]) == 5
-        assert all(n > 0 for n in extras["cg_iterations"])
-        assert extras["cg_unconverged"] == [0] * 5
+        with open(out / "metrics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 5
+        assert all(int(row["cg_iterations"]) > 0 for row in rows)
+        assert [row["cg_unconverged"] for row in rows] == ["0"] * 5
 
     def test_ppm_starts_from_an_earlier_run(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0

@@ -88,7 +88,7 @@ def test_bordered_system_shares_one_jacobi_diagonal(small_grid,
     monkeypatch.setattr(newton, "jacobi", counted)
     trace = run_balanced_ipm(
         small_grid, eval_initial_guess("ex2", small_grid.domain).values, 1)
-    assert len(made) == trace.records[0].inner_iters > 0
+    assert len(made) == trace.records[0].inner.iterations > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,12 +229,11 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
         recovery = len(calls) - n
         assert recovery > 0
         del calls[n - recovery:]
-    cg_iters, cg_bad = (trace.extras["cg_iterations"],
-                        trace.extras["cg_unconverged"])
-    assert len(cg_iters) == len(cg_bad) == len(trace.records) == 3
-    assert len(trace.extras["inner_residuals"]) == 3
-    assert sum(cg_iters) == sum(it for it, _ in calls) > 0
-    assert sum(cg_bad) == sum(not ok for _, ok in calls) == 0
+    assert len(trace.records) == 3
+    assert sum(rec.inner.cg_iterations_total for rec in trace.records) \
+        == sum(it for it, _ in calls) > 0
+    assert sum(rec.inner.cg_unconverged for rec in trace.records) \
+        == sum(not ok for _, ok in calls) == 0
     assert lu_calls[0] == 0
 
 
@@ -339,8 +338,9 @@ class TestIpm:
     def test_inner_residuals_recorded(self, small_grid):
         u0 = eval_initial_guess("ex1", small_grid.domain).values
         trace = run_ipm(small_grid, u0, 5, exact=True)
-        assert len(trace.extras["inner_residuals"]) == 5
-        assert all(r <= 1e-12 for r in trace.extras["inner_residuals"])
+        assert len(trace.records) == 5
+        assert all(rec.inner.final_residual <= 1e-12
+                   for rec in trace.records)
 
     @pytest.mark.parametrize("shape,h,r", [("square", 0.1, 0.25),
                                            ("lshape", 0.05, 0.2)])
@@ -353,7 +353,8 @@ class TestIpm:
         start = ray_start(inst, u, metrics.rayleigh_quotient(inst, u))
         _, rep = newton.solve_p_poisson(inst, zeta, start)
         assert rep.converged and rep.iterations <= 1
-        assert run_ipm(inst, u, 1).records[0].inner_iters == rep.iterations
+        assert run_ipm(inst, u, 1).records[0].inner.iterations \
+            == rep.iterations
         _, from_u = newton.solve_p_poisson(inst, zeta, u)
         assert from_u.converged and from_u.iterations > rep.iterations
 
@@ -396,14 +397,15 @@ class TestInexactIpm:
                                                      rel=1e-10)
         assert metrics.eigen_residual(inst, inexact.final_u) \
             <= 1.01 * metrics.eigen_residual(inst, exact.final_u)
-        assert sum(r.inner_iters for r in inexact.records) \
-            < sum(r.inner_iters for r in exact.records)
+        assert sum(r.inner.iterations for r in inexact.records) \
+            < sum(r.inner.iterations for r in exact.records)
 
     def test_ledger_lists_each_tolerance(self, lshape21_ipm):
         _, runs = lshape21_ipm[3.0]
         tol_abs = NewtonSettings().tol_abs
         extras = runs[False].extras
-        tols, residuals = extras["inner_tolerances"], extras["inner_residuals"]
+        tols = extras["inner_tolerances"]
+        residuals = [rec.inner.final_residual for rec in runs[False].records]
         assert not extras["failed_inner_solves"]
         assert len(tols) == 30
         assert tols[-1] == tol_abs < tols[0]
@@ -482,8 +484,8 @@ class TestPpm:
         u0 = eval_initial_guess("ex1", small_grid.domain).values
         trace = run_ppm(small_grid, u0, 0.5, 2,
                         NewtonSettings(max_iter=5, cg_max_iter=1))
-        assert len(trace.extras["cg_unconverged"]) == 2
-        assert sum(trace.extras["cg_unconverged"]) > 0
+        assert len(trace.records) == 2
+        assert sum(rec.inner.cg_unconverged for rec in trace.records) > 0
         assert trace.extras["failed_inner_solves"] == [0, 1]
 
     @pytest.mark.parametrize("settings,converged", [
@@ -529,10 +531,10 @@ class TestBalanced:
                                  np.array([1.0, -1.0]), 3)
         assert trace.stop_reason == "stalled"
         assert len(trace.records) == 1
-        assert trace.records[0].inner_iters == 0
+        assert trace.records[0].inner.iterations == 0
         assert trace.extras["fallback_steps"] == [0]
         assert trace.extras["failed_inner_solves"] == [0]
-        assert np.isnan(trace.extras["inner_residuals"][0])
+        assert np.isnan(trace.records[0].inner.final_residual)
         assert trace.extras["balance_roots"] == [1.0]
         assert trace.extras["balance_defects"] == [3.0]
 
@@ -547,7 +549,7 @@ class TestBalanced:
         u0[0] = 1e-200
         trace = run_balanced_ipm(inst, u0, 3)
         assert trace.stop_reason == "stalled"
-        assert trace.records[0].inner_iters == 0
+        assert trace.records[0].inner.iterations == 0
         assert trace.extras["fallback_steps"] == [0]
         assert trace.extras["failed_inner_solves"] == []
         assert np.isnan(trace.extras["balance_roots"][0])
@@ -591,7 +593,7 @@ class TestBalanced:
         # Illinois, [49, 12, 7, 7] when step 0 doubled s, [36, 12, 7, 7]
         # with the root search's tangent and scaled-ray starts, [6, 5, 5, 5]
         # before the bordered solve forced its first step
-        assert [rec.inner_iters for rec in trace.records] == [7, 5, 5, 4]
+        assert [rec.inner.iterations for rec in trace.records] == [7, 5, 5, 4]
         assert trace.extras["fallback_steps"] == []
         assert len(trace.extras["balance_roots"]) == 4
         assert all(d <= eigensolvers.BALANCE_TOL
@@ -612,7 +614,7 @@ class TestBalanced:
             pair = PLaplaceInstance(small_grid.domain, 0.25, p)
             u0 = eval_initial_guess("ex2", small_grid.domain).values
         trace = run_balanced_ipm(pair, u0, 1)
-        assert trace.records[0].inner_iters > 0
+        assert trace.records[0].inner.iterations > 0
         assert trace.extras["fallback_steps"] == []
         (s,) = trace.extras["balance_roots"]
         family = BalanceFamily(pair, u0)
@@ -720,11 +722,11 @@ class TestBalanced:
         extras = trace.extras
         assert len(trace.records) == 6
         assert extras["fallback_steps"] == []
-        assert all(rec.inner_iters > 0 for rec in trace.records)
+        assert all(rec.inner.iterations > 0 for rec in trace.records)
         assert all(d <= eigensolvers.BALANCE_TOL
                    for d in extras["balance_defects"])
         # criterion 7's floor for the p = 1.5 inner solves
-        assert max(extras["inner_residuals"]) <= 1e-9
+        assert max(rec.inner.final_residual for rec in trace.records) <= 1e-9
         assert trace.final_lambda == pytest.approx(lam, rel=1e-8)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -737,7 +739,7 @@ class TestBalanced:
         assert trace.stop_reason == "stalled" and len(trace.records) == 1
         assert trace.extras["fallback_steps"] == [0]
         assert trace.extras["failed_inner_solves"] == [0]
-        assert trace.extras["inner_residuals"][0] > 1e-12
+        assert trace.records[0].inner.final_residual > 1e-12
 
     # draws 5040 and 5093 of CHANGES.md's ledger (5) generator: (p, shape,
     # cells, radius, mix, field seed).  A step refuses its bordered root
@@ -794,7 +796,7 @@ class TestGeometric:
         inst = PLaplaceInstance(dom, 0.1 ** 0.5, 5.0)
         u0 = eval_initial_guess("ex2", dom).values
         trace = run_geometric(inst, u0, 25)
-        assert trace.records[0].inner_iters == 22
+        assert trace.records[0].inner.iterations == 22
         Fs = trace.extras["F"]
         assert all(b <= a for a, b in zip(Fs, Fs[1:]))
         assert trace.final_lambda == pytest.approx(58899.63690247836,
@@ -971,7 +973,7 @@ class TestPolishLinearSolves:
 
         monkeypatch.setattr(eigensolvers, "cg_solve", recording)
         trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 2)
-        assert trace.extras["cg_unconverged"] == [0, 0]
+        assert [rec.inner.cg_unconverged for rec in trace.records] == [0, 0]
         assert len(systems) == 24
         for i, (M, b, delta, report) in enumerate(systems):
             assert report.cg_unconverged == 0

@@ -1,11 +1,13 @@
 import csv
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from nonlin_eig.functional import SpdInstance
+from nonlin_eig.functional import SolveReport, SpdInstance
 from nonlin_eig.grid import build_domain, eval_initial_guess
-from nonlin_eig.metrics import (CSV_HEADER, IterationRecord,
+from nonlin_eig.metrics import (CSV_HEADER, REPORT_COLUMNS, IterationRecord,
                                 cosine_similarity, dual_rayleigh_quotient,
                                 duality_gap, eigen_residual,
                                 rayleigh_quotient, records_to_csv)
@@ -122,22 +124,53 @@ class TestEigenResidual:
 class TestCsv:
     def test_header_and_empty_dual_rq(self, tmp_path):
         recs = [IterationRecord(k=0, rq=1.5, dual_rq=None, cosim=0.9,
-                                gap=0.01, residual=0.1, inner_iters=3,
+                                gap=0.01, residual=0.1,
+                                inner=SolveReport(iterations=3),
                                 wall_time=0.25),
                 IterationRecord(k=1, rq=1.2, dual_rq=0.8, cosim=0.95,
-                                gap=0.005, residual=0.05, inner_iters=2,
-                                wall_time=0.2, jacobians=2, residual_evals=4,
-                                backtracks=1)]
+                                gap=0.005, residual=0.05,
+                                inner=SolveReport(iterations=2, jacobians=2,
+                                                  residual_evals=4,
+                                                  backtracks=1),
+                                wall_time=0.2)]
         path = tmp_path / "metrics.csv"
         records_to_csv(recs, path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == CSV_HEADER
-        assert rows[0] == ["iter", "rq", "dual_rq", "cosim", "gap",
-                           "residual", "inner_iters", "wall_time",
-                           "jacobians", "residual_evals", "backtracks"]
+        assert rows[0][:11] == ["iter", "rq", "dual_rq", "cosim", "gap",
+                                "residual", "inner_iters", "wall_time",
+                                "jacobians", "residual_evals", "backtracks"]
+        assert rows[0][11:] == ["inner_residual", "inner_converged",
+                                "cg_iterations", "cg_unconverged"]
         assert rows[1][2] == ""
         assert float(rows[2][2]) == 0.8
-        assert rows[1][8:] == ["0", "0", "0"]
-        assert rows[2][8:] == ["2", "4", "1"]
+        assert rows[1][8:11] == ["0", "0", "0"]
+        assert rows[2][8:11] == ["2", "4", "1"]
         assert len(rows) == 3
+
+    def test_every_report_field_has_one_column(self, tmp_path):
+        # a SolveReport field without its own metrics.csv column fails here
+        names = [f.name for f in fields(SolveReport)]
+        assert sorted(REPORT_COLUMNS.values()) == sorted(names)
+        assert all(CSV_HEADER.count(col) == 1 for col in REPORT_COLUMNS)
+        # distinct values, so that a column holding another field's value
+        # does not round-trip
+        report = SolveReport(iterations=11, final_residual=math.nan,
+                             converged=False, cg_iterations_total=13,
+                             cg_unconverged=14, jacobians=15,
+                             residual_evals=16, backtracks=17)
+        path = tmp_path / "metrics.csv"
+        records_to_csv([IterationRecord(k=0, rq=1.5, dual_rq=0.8, cosim=0.9,
+                                        gap=0.01, residual=0.1, inner=report,
+                                        wall_time=0.25)], path)
+        with open(path, newline="") as f:
+            (row,) = list(csv.DictReader(f))
+        parse = {int: int, float: float, bool: lambda cell: cell == "True"}
+        back = SolveReport(**{
+            f.name: parse[type(f.default)](row[col])
+            for f in fields(SolveReport)
+            for col, name in REPORT_COLUMNS.items() if name == f.name})
+        assert math.isnan(back.final_residual) and not back.converged
+        assert replace(back, final_residual=0.0) \
+            == replace(report, final_residual=0.0)
