@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import eigensolvers, metrics, validation
 from .config import ExperimentConfig, build_instance, load_config
-from .functional import SolveReport
 from .grid import ConfigError, GridFunction, save_snapshot
 
 
@@ -67,8 +66,7 @@ def cmd_run(args) -> int:
         "stop_reason": trace.stop_reason,
         "final_lambda": trace.final_lambda,
         "extras": trace.extras,  # lists and scalars only, in every scheme
-        "inner_work": asdict(sum((r.inner for r in trace.records),
-                                 SolveReport())),
+        "inner_work": asdict(trace.inner_work),
     }
     (out_dir / "run.json").write_text(json.dumps(run_info, indent=2))
     print(f"{trace.solver_tag}: {len(trace.records)} iterations, "

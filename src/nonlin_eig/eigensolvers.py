@@ -56,6 +56,13 @@ class EigenTrace:
     converged: bool
     stop_reason: str  # max_iter | residual_tol | stalled
     extras: dict = field(default_factory=dict)
+    # the inner solves after the last step: the PPM's eigenvalue recovery
+    final_solves: SolveReport = field(default_factory=SolveReport)
+
+    @property
+    def inner_work(self) -> SolveReport:
+        """The records' reports and final_solves, summed."""
+        return sum((r.inner for r in self.records), self.final_solves)
 
 
 def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
@@ -185,7 +192,8 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     (always < 1).  extras carries lambda_tau = J(u)/J_tau(u) per step and
     the recovered eigenvalue lambda = (lambda_tau/tau)(1-lambda_tau^(1-q))^(p-1)
     at the final iterate, with whether the prox solve it takes there
-    converged ("recovery_converged").
+    converged ("recovery_converged"); the trace's final_solves holds that
+    solve's report.
     """
     if not 0 < tau_tilde < math.inf:
         raise ValueError("tau_tilde must be positive and finite")
@@ -214,6 +222,7 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
                      snapshot_cb)
     # eigenvalue recovery at the final iterate
     v, rep = pair.prox_J(trace.final_u, tau, settings)
+    trace.final_solves = rep
     extras["recovery_converged"] = rep.converged
     _, lam_tau = moreau_data(trace.final_u, v, pair.energy_J(trace.final_u))
     extras["lambda_recovered"] = \
@@ -340,20 +349,23 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     norms at u and z.  A step screens the ladder TAU0 2^-j (LADDER_LEN
     rungs) with the cheap fixed-point sweep, stopping once a sweep halves
     F, then polishes once with damped Newton (settings POLISH) from the
-    lowest sweep at its tau: a polish costs up to 12 linear solves
-    (_polish), so polishing every rung spent nearly the whole run on
-    polishes the sweeps then beat.  Sweeps and the polish are line-search
-    candidates (for large tau the equation may have no solution, leaving
-    only the partially resolved iterate).  The lowest F after normalization
-    is accepted if it drops by the SUFFICIENT_DECREASE fraction; otherwise
-    the scheme reports a stall, which at a non-eigenvector extremum of the
-    cosine similarity leaves a large eigen-residual behind.
+    lowest sweep at its tau: a polish costs up to 12 linear solves, one in
+    the far field (_polish), so polishing every rung spent nearly the whole
+    run on polishes the sweeps then beat.  Sweeps and the polish are
+    line-search candidates (for large tau the equation may have no
+    solution, leaving only the partially resolved iterate).  The lowest F
+    after normalization is accepted if it drops by the SUFFICIENT_DECREASE
+    fraction; otherwise the scheme reports a stall, which at a
+    non-eigenvector extremum of the cosine similarity leaves a large
+    eigen-residual behind.
     extras["candidate"] names each accepted step's winner, "sweep" or
-    "polish".  The step reports its polish, with the CG work of its linear
-    solves, counting the winner's sweeps and polish steps (0 on a stall).
+    "polish", and extras["far_field"] the steps whose polish stopped in the
+    far field and offered no candidate.  The step reports its polish, with
+    the CG work of its linear solves, counting the winner's sweeps and
+    polish steps (0 on a stall).
     """
     p, q = pair.p, pair.q
-    F_hist, tau_hist, winners = [], [], []
+    F_hist, tau_hist, winners, far_field = [], [], [], []
 
     def normalized_F(x):  # F of x normalized
         try:
@@ -391,6 +403,8 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
             if seed_F < F_u:
                 best = (seed_F, x, tau, sweeps, "sweep")
             x, report = _polish(pair, u, tau, explicit, D, x, POLISH)
+            if x is None and np.isfinite(report.final_residual):
+                far_field.append(k)
             F_w = normalized_F(x) if x is not None else np.nan
             if np.isfinite(F_w) and F_w < best[0]:
                 best = (F_w, x, tau, sweeps + report.iterations, "polish")
@@ -401,7 +415,8 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         winners.append(best_kind)
         return best_w, None, replace(report, iterations=best_n)
 
-    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners}
+    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners,
+              "far_field": far_field}
     return _iterate(pair, u0, iters, step, "geometric", extras,
                     snapshot_cb=snapshot_cb)
 
@@ -441,10 +456,19 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     caps the work of a system CG resolves slowly, whose truncated step the
     line search then judges.
 
+    Far from its root the residual is (p-1)-homogeneous in w = x - u, so
+    the Newton step is -w/(p-1) (Euler) and cuts the residual only by
+    ((p-2)/(p-1))^(p-1), 4x at p = 3, while the step's relative deviation
+    from -w/(p-1) grows by (p-1)/(p-2) per step.  For p > 2, if the first
+    step's deviation would stay below 1 for all settings.max_iter steps,
+    the polish stops after that one solve (far field).  At p = 2 Newton is
+    exact, and below it the step flips the sign of w.
+
     Returns (x, the Newton report with the CG work of its solves), x None
-    when the report's residual is not finite: the sweep's residual is not,
-    or CG gave a non-finite step.  The p != 2 kernel degenerates where the
-    nodewise step is small and for large tau the equation may have no
+    after a far-field stop, whose report keeps the seed's finite residual,
+    and when the report's residual is not finite: the sweep's residual is
+    not, or CG gave a non-finite step.  The p != 2 kernel degenerates where
+    the nodewise step is small and for large tau the equation may have no
     solution, so Newton may not converge; the caller's line search
     arbitrates.
     """
@@ -457,9 +481,22 @@ def _polish(pair, u, tau, explicit, D, x, settings):
         return scipy.sparse.diags(M_diag) \
             - (pair.p / D) * pair.jacobian_matrix(xv)
 
+    p = pair.p
+    first, far = p > 2, None  # far: the seed's residual, in the far field
+
     def solve(M, b, rtol):  # at settings.cg_tol, not damped_newton's rtol
+        nonlocal first, far
         cg = cg_solve(M, b, settings.cg_tol, settings.cg_budget(b.size))
+        if first:  # the step from the seed x
+            first = False
+            v = (x - u) / (p - 1.0)  # the far-field step is -v
+            growth = ((p - 1.0) / (p - 2.0)) ** (settings.max_iter - 1)
+            if np.linalg.norm(cg[0] + v) * growth < np.linalg.norm(v):
+                far = float(np.max(np.abs(b)))
+                return np.full_like(b, np.nan), cg.report
         return cg[0], cg.report
 
-    x, report = damped_newton(x, resid, jacobian, settings, solve)
-    return (x if np.isfinite(report.final_residual) else None), report
+    y, report = damped_newton(x, resid, jacobian, settings, solve)
+    if far is not None:
+        return None, replace(report, final_residual=far)
+    return (y if np.isfinite(report.final_residual) else None), report

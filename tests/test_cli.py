@@ -86,17 +86,22 @@ class TestRun:
         assert all(row[flag] in ("True", "False") for row in rows)
 
     def test_geometric_run_names_winners(self, tmp_path):
+        # p = 4: step 0's polish stops in the far field, step 1's wins.  At
+        # p = 5, this test's instance before the far-field stop, the one
+        # winner was step 0's polish, which now stops in the far field
         config = write_config(tmp_path / "geo.json", {
             "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
                         "h": 0.1, "r_rule": {"type": "h_pow",
-                                             "exponent": 0.5}, "p": 5.0},
+                                             "exponent": 0.5}, "p": 4.0},
             "initial": {"kind": "ex2"},
             "solver": {"kind": "geometric", "iters": 25},
             "output": {"dir": str(tmp_path / "out_geo")},
         })
         assert main(["run", config]) == 0
         info = json.loads((tmp_path / "out_geo" / "run.json").read_text())
-        assert info["extras"]["candidate"] == ["polish"]
+        assert info["extras"]["candidate"] == ["sweep", "polish", "sweep",
+                                               "sweep"]
+        assert info["extras"]["far_field"] == [0]
 
     # one bordered solve per step.  At p = 3 its Newton steps were [6, 5]
     # before the first one was forced; the root search took [7, 4] solves,
@@ -180,10 +185,14 @@ class TestRun:
         # the run starts from the IPM run's final iterate
         assert float(first["rq"]) == pytest.approx(ipm["final_lambda"],
                                                    rel=1e-12)
-        extras = json.loads(
-            (tmp_path / "out_ppm" / "run.json").read_text())["extras"]
+        info = json.loads((tmp_path / "out_ppm" / "run.json").read_text())
+        extras = info["extras"]
         assert extras["recovery_converged"] is True
         assert np.isfinite(extras["lambda_recovered"])
+        # inner_work counts the recovery's prox solve besides the records'
+        with open(tmp_path / "out_ppm" / "metrics.csv", newline="") as f:
+            steps = sum(int(row["inner_iters"]) for row in csv.DictReader(f))
+        assert info["inner_work"]["iterations"] > steps > 0
 
     def test_out_override(self, grid_config, tmp_path):
         other = tmp_path / "elsewhere"
