@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import eigensolvers, metrics, validation
 from .config import ExperimentConfig, build_instance, load_config
-from .grid import ConfigError, GridFunction, save_snapshot
+from .grid import ConfigError, GridFunction, rewrite, save_snapshot
 
 
 def _run_solver(pair, u0, cfg: ExperimentConfig, snapshot_cb):
@@ -47,11 +47,14 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot_every = cfg.output["snapshot_every"]
     solver_kind = cfg.solver["kind"]
+    snapshots = []  # this run's; those of an earlier run stay unlisted
 
     def snapshot_cb(k, u):
         if snapshot_every and k % snapshot_every == 0:
-            save_snapshot(out_dir / f"{solver_kind}_iter{k}.csv",
+            name = f"{solver_kind}_iter{k}.csv"
+            save_snapshot(out_dir / name,
                           GridFunction(pair.lift_free(u), pair.domain))
+            snapshots.append(name)
 
     trace = _run_solver(pair, u0, cfg, snapshot_cb)
 
@@ -61,6 +64,7 @@ def cmd_run(args) -> int:
     run_info = {
         "config": resolved,
         "output_dir": str(out_dir),
+        "snapshots": snapshots,
         "solver_tag": trace.solver_tag,
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
@@ -68,7 +72,8 @@ def cmd_run(args) -> int:
         "extras": trace.extras,  # lists and scalars only, in every scheme
         "inner_work": asdict(trace.inner_work),
     }
-    (out_dir / "run.json").write_text(json.dumps(run_info, indent=2))
+    with rewrite(out_dir / "run.json") as f:
+        json.dump(run_info, f, indent=2)
     print(f"{trace.solver_tag}: {len(trace.records)} iterations, "
           f"lambda = {trace.final_lambda:.10g}, stop_reason = {trace.stop_reason}")
     return 0

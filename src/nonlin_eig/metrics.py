@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functional import FunctionalPair, SolveReport, fenchel_conjugate_value
+from .grid import rewrite
 
 
 @dataclass
@@ -38,7 +39,7 @@ CSV_HEADER = ["iter", "rq", "dual_rq", "cosim", "gap", "residual",
 
 
 def records_to_csv(records: list[IterationRecord], path) -> None:
-    with open(path, "w", newline="") as f:
+    with rewrite(path) as f:
         w = csv.DictWriter(f, CSV_HEADER)
         w.writeheader()
         for r in records:

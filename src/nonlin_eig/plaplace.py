@@ -152,10 +152,12 @@ class PLaplaceInstance(FunctionalPair):
     @cached_property
     def _cminus(self) -> np.ndarray:
         """Per interior node, the number of its non-interior neighbours at
-        the negated half offsets."""
-        return np.count_nonzero(
-            self._neighbours(-self._half_offsets) == self.n_interior,
-            axis=0).astype(float)
+        the negated half offsets: H less the number of interior nodes that
+        reach it at a half offset, since it appears at most once in each
+        row of the half table."""
+        n, T = self.n_interior, self._half_table
+        reached = np.bincount(T.ravel(), minlength=n + 1)[:n]
+        return (len(T) - reached).astype(float)
 
     @cached_property
     def _csr_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PROBLEM = {"kind": "plaplace", "shape": "square", "side": 2.0, "h": 0.2,
            "r": 0.45, "p": 3.0}
 NO_R = {k: v for k, v in PROBLEM.items() if k != "r"}  # a base for r_rule
+
+
+# While a list, it receives the (path, mode, flags) of every file opened.
+# The audit event "open" is raised by open(), io.open and os.open alike,
+# with the flags handed to the system call, so it sees every writer.
+OPENED = None
+
+
+def _audit_open(event, args):
+    if event == "open" and OPENED is not None:
+        OPENED.append(args)
+
+
+sys.addaudithook(_audit_open)
 
 
 def write_config(path, payload):
@@ -157,6 +172,7 @@ class TestRun:
         assert (out / "ipm_iter4.csv").exists()
         assert not (out / "ipm_iter3.csv").exists()
         info = json.loads((out / "run.json").read_text())
+        assert info["snapshots"] == ["ipm_iter2.csv", "ipm_iter4.csv"]
         echoed = info["config"]
         assert echoed["epsilon"] == 1e-9
         assert echoed["d2p"] > 0.0
@@ -167,6 +183,59 @@ class TestRun:
         assert len(rows) == 5
         assert all(int(row["cg_iterations"]) > 0 for row in rows)
         assert [row["cg_unconverged"] for row in rows] == ["0"] * 5
+
+    def test_rerun_matches_a_fresh_run(self, grid_config, tmp_path):
+        # outputs are rewritten in place: a 2-step run into the directory
+        # of a 5-step run leaves what it leaves in a fresh one, apart from
+        # the wall times and the stale ipm_iter4.csv, which it does not list
+        out = tmp_path / "out_grid"
+        raw = json.loads(Path(grid_config).read_text())
+        short = write_config(tmp_path / "short.json",
+                             dict(raw, solver={"kind": "ipm", "iters": 2}))
+
+        def outputs():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def rows(text):
+            table = list(csv.DictReader(text.decode().splitlines()))
+            for row in table:
+                del row["wall_time"]
+            return table
+
+        assert main(["run", short]) == 0
+        fresh = outputs()
+        shutil.rmtree(out)
+        assert main(["run", grid_config]) == 0
+        assert main(["run", short]) == 0
+        rerun = outputs()
+        assert sorted(rerun) == sorted([*fresh, "ipm_iter4.csv"])
+        for name in ("final.csv", "run.json", "ipm_iter2.csv"):
+            assert rerun[name] == fresh[name], name
+        assert json.loads(rerun["run.json"])["snapshots"] == ["ipm_iter2.csv"]
+        assert len(rows(rerun["metrics.csv"])) == 2
+        assert rows(rerun["metrics.csv"]) == rows(fresh["metrics.csv"])
+
+    def test_rerun_truncates_no_output_on_open(self, grid_config, tmp_path):
+        # truncating an existing file on open stalls for tens of ms on some
+        # file systems, so a rerun opens its outputs without O_TRUNC
+        global OPENED
+        out = tmp_path / "out_grid"
+        assert main(["run", grid_config]) == 0
+        OPENED = []
+        try:
+            assert main(["run", grid_config]) == 0
+            opened = [(Path(path), mode, flags)
+                      for path, mode, flags in OPENED
+                      if isinstance(path, (str, os.PathLike))
+                      and Path(path).parent == out]
+        finally:
+            OPENED = None
+        assert {path.name for path, _, _ in opened} \
+            == {"metrics.csv", "final.csv", "run.json", "ipm_iter2.csv",
+                "ipm_iter4.csv"}
+        for path, mode, flags in opened:
+            assert not flags & os.O_TRUNC, path
+            assert "w" not in (mode or ""), path
 
     def test_ppm_starts_from_an_earlier_run(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0

@@ -147,6 +147,18 @@ class TestSnapshots:
         back = load_snapshot(path, dom)
         assert np.allclose(back.values, gf.values)
 
+    def test_overwrites_a_longer_file(self, tmp_path):
+        # the snapshot is rewritten in place, so a stale tail must be cut
+        dom = build_domain("lshape", 2.0, 0.25)
+        gf = eval_initial_guess("ex1", dom)
+        path = tmp_path / "snap.csv"
+        save_snapshot(path, GridFunction(np.full((dom.ny, dom.nx), -1.5),
+                                         dom))
+        path.write_text(path.read_text() * 3)
+        save_snapshot(path, gf)
+        assert np.array_equal(load_snapshot(path, dom).values, gf.values)
+        assert len(path.read_text().splitlines()) == dom.ny
+
     def test_shape_mismatch_rejected(self, tmp_path):
         dom = build_domain("square", 2.0, 0.25)
         path = tmp_path / "snap.csv"

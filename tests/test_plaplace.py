@@ -100,6 +100,19 @@ class TestOperator:
         assert np.isnan(inst.duality_map_H(u)[inst.n_interior // 2])
         assert np.isnan(inst.dirichlet_energy(u))
 
+    @settings(max_examples=25, deadline=None)
+    @given(shape=ANY_INSTANCE["shape"], cells=ANY_INSTANCE["cells"],
+           radius=ANY_INSTANCE["radius"])
+    def test_cminus_counts_non_interior_neighbours(self, shape, cells,
+                                                   radius):
+        # the reference counts the non-interior neighbours at the negated
+        # half offsets directly, from a second neighbour table
+        h = 2.0 / cells
+        inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, 3.0)
+        negated = inst._neighbours(-inst._half_offsets)
+        expected = np.count_nonzero(negated == inst.n_interior, axis=0)
+        assert np.array_equal(inst._cminus, expected)
+
     def test_zero_outside_interior(self):
         # the output is an interior vector, whose lattice field is zero off
         # the interior
