@@ -4,7 +4,7 @@
     nonlin-eig validate [--scale quick|full]
     nonlin-eig describe <config.json>
 
-Exit codes: 0 success, 1 validation/config error, 2 invariant failure.
+Exit codes: 0 success, 1 configuration or file error, 2 invariant failure.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

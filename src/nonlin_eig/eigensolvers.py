@@ -241,28 +241,6 @@ def balance_defect(pair, w):
     return rqs[0] - rqs[1]
 
 
-def log_balance(pair, w):
-    """(psi, g) at w for psi = log R(w^+) - log R(w^-) and its gradient g,
-    or None where a part of w vanishes: the border of the bordered
-    balanced step.  The gradient of log R(c) for the part c = max(sign w,
-    0) is dJ(c)/J(c) - dH(c)/H(c) on the part's support.  J of each part
-    is taken by Euler, J(c) = <dJ(c), c>/p, from the dJ(c) that g needs
-    anyway."""
-    psi, g = 0.0, 0.0
-    for sign in (1.0, -1.0):
-        c = np.maximum(sign * w, 0.0)
-        H = pair.H(c)
-        if not H > 0.0:
-            return None
-        zc = pair.subgrad_J(c)
-        J = pair.pairing(zc, c) / pair.p
-        if not J > 0.0:
-            return None
-        psi += sign * math.log(J / H)
-        g = g + (zc / J - pair.duality_map_H(c) / H) * (sign * w > 0.0)
-    return psi, g
-
-
 def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
                      settings: NewtonSettings | None = None,
                      snapshot_cb=None) -> EigenTrace:
@@ -274,10 +252,10 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     of zeta_s = s*zeta^+ - zeta^- roots the defect phi(s) = R(w^+) - R(w^-)
     of the solve w of dJ(w) = zeta_s (balance_defect).
 
-    A step is one bordered Newton solve (solve_p_poisson with border) for
-    w and sigma = log s together, of dJ(w) - e^sigma zeta^+ + zeta^- = 0
-    and psi(w) = 0 for psi = log R(w^+) - log R(w^-) (log_balance): the
-    halving step for p >= 2, the primal-dual step below.  It starts from
+    A step is one bordered Newton solve (solve_p_poisson, border zeta^+)
+    for w and sigma = log s together, of dJ(w) - e^sigma zeta^+ = -zeta^-
+    and psi(w) = 0 for psi = log R(w^+) - log R(w^-) (newton.log_balance):
+    the halving step for p >= 2, the primal-dual step below.  It starts from
     s0 = |zeta^-|_*/|zeta^+|_* and the eigen-ray (ray_start) with its
     positive part scaled by s0^(1/(p-1)), which solves the first equation
     where u is an eigenvector.  The step takes the solve's root or stalls.
@@ -300,8 +278,6 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     u0 = pair.as_vector(u0)
     if not (np.any(u0 > 0) and np.any(u0 < 0)):
         raise ValueError("balanced iteration needs a sign-changing start")
-    if settings is None:
-        settings = NewtonSettings()
     refused, roots, defects = [], [], []
 
     def step(k, u, rq, Ju, zJ, res):
@@ -318,8 +294,7 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
         ray = ray_start(pair, u, rq)
         x0 = np.append(ray, math.log(s0))
         x0[:-1][ray > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
-        x, rep = solve_p_poisson(pair, -zm, x0, settings,
-                                 border=(zp, lambda w: log_balance(pair, w)))
+        x, rep = solve_p_poisson(pair, -zm, x0, settings, border=zp)
         w, sigma = x[:-1], x[-1]
         defect = abs(balance_defect(pair, w))
         roots.append(math.exp(sigma))

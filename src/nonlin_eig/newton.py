@@ -2,12 +2,13 @@
 
 damped_newton is the package's one Newton loop and cg_solve its one
 linear solver.  The loop serves the inner solves below, the balanced
-scheme's bordered solve (solve_p_poisson with border) and the geometric
-scheme's polish.  It computes each step's CG tolerance, by the rules
-below, once, and hands it to the step's linear solve: the default CG
-runs to it, the bordered solve runs both of its CG solves to it, on one
-Jacobi diagonal (solve_p_poisson), and the polish keeps its fixed
-settings.cg_tol (eigensolvers._polish).
+scheme's bordered solve (solve_p_poisson with border, whose balance row
+log_balance is defined here) and the geometric scheme's polish.  It
+computes each step's CG tolerance, by the rules below, once, and hands it
+to the step's linear solve: the default CG runs to it, the bordered solve
+runs both of its CG solves to it, on one Jacobi diagonal
+(solve_p_poisson), and the polish keeps its fixed settings.cg_tol
+(eigensolvers._polish).
 Jacobi-preconditioned CG suits the many-armed mean-value stencil, whose
 sparse Jacobian-vector product is cheap where a factorization would be
 wasteful.  CG stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
@@ -33,17 +34,18 @@ solves it.
 Below p = 2 that step does not contract.  On a lone edge the kernel
 phi(d) = |d|^(p-2) d has phi / phi' = d / (p-1), so the step maps d to
 d (p-2)/(p-1), which is -d at p = 1.5, and the halving does the work.
-There solve_p_poisson and solve_prox take primal-dual steps, as Chan,
-Golub & Mulet do for total variation ("A nonlinear primal-dual method for
-total variation-based image restoration", SIAM J. Sci. Comput. 1999): the
-flux sigma = phi(d) of every stencil edge is a Newton unknown beside u,
-linearized through its inverse psi(sigma) = |sigma|^(q-2) sigma, whose
-exponent q - 1 > 1 makes Newton contract; the prox also carries the nodal
-flux rho = phi(v - u_ref).  Eliminating the flux steps leaves one n x n SPD
-system per step, the Jacobian on the edge weights 1/psi'(sigma) in place
-of phi'(d) (the two agree at sigma = phi(d)), solved by the same CG.
-Steps are taken in full wherever the residual is finite, which a plain
-solve's always is (the bordered solve's is not where a part of u
+There the plain, the bordered and the prox solve take primal-dual steps,
+as Chan, Golub & Mulet do for total variation ("A nonlinear primal-dual
+method for total variation-based image restoration", SIAM J. Sci. Comput.
+1999), on one flux state (_Flux): the flux sigma = phi(d) of every stencil
+edge is a Newton unknown beside u, linearized through its inverse
+psi(sigma) = |sigma|^(q-2) sigma, whose exponent q - 1 > 1 makes Newton
+contract; the prox's state, given the reference u_ref, also carries the
+nodal flux rho = phi(v - u_ref).  Eliminating the flux steps leaves one
+n x n SPD system per step, the Jacobian on the edge weights 1/psi'(sigma)
+in place of phi'(d) (the two agree at sigma = phi(d)), solved by the same
+CG.  Steps are taken in full wherever the residual is finite, which a
+plain solve's always is (the bordered solve's is not where a part of u
 vanishes): the residual may rise for a step, so the loop keeps its best
 iterate and stops once STALL_STEPS steps have not improved it.  The
 residual has a rounding floor, as phi is only (p-1)-Hoelder: two nodes of
@@ -247,66 +249,78 @@ def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,
     return slope
 
 
-class _PoissonFlux:
-    """Primal-dual state of -Delta_p^h u = zeta: the flux sigma = phi(u(y) -
-    u(x)) of every stencil edge, laid out as inst.edge_differences, so once
-    per edge, with row 0 the one flux phi(-u(x)) that x's cminus edges to
-    non-interior nodes share; inst.edge_sum gives its -Delta_p^h."""
+class _Flux:
+    """Primal-dual state of -Delta_p^h u = zeta, or with a reference u_ref
+    of the prox equation phi(u - u_ref) + tau (-Delta_p^h u) = 0 from
+    u = u_ref.  It holds the flux sigma = phi(u(y) - u(x)) of every stencil
+    edge, laid out as inst.edge_differences, so once per edge, with row 0
+    the one flux phi(-u(x)) that x's cminus edges to non-interior nodes
+    share; inst.edge_sum gives its -Delta_p^h.  With u_ref it also holds
+    the nodal flux rho = phi(u - u_ref)."""
 
-    def __init__(self, inst, zeta: np.ndarray, x: np.ndarray):
-        self.inst, self.zeta = inst, zeta
+    def __init__(self, inst, zeta, x, u_ref=None, tau=None):
+        self.inst, self.zeta, self.u_ref, self.tau = inst, zeta, u_ref, tau
         self.sigma = power_map(inst.edge_differences(x), inst.p)
+        self.rho = None if u_ref is None else np.zeros_like(u_ref)
 
-    def linearize(self, x: np.ndarray):
-        """Newton-update the flux at the iterate x; returns the Jacobian on
-        the edge weights 1/psi'(sigma) and -Delta_p^h of the flux."""
+    def system(self, x: np.ndarray):
+        """Newton-update the fluxes at the iterate x; returns the Newton
+        system (A, b), A on the weights 1/psi' of the fluxes."""
         inst = self.inst
         self.slope = _linearize_flux(self.sigma, inst.edge_differences(x),
                                      inst.p, inst.smoothing(x))
-        return (inst.jacobian_matrix(x, self.slope),
-                -inst.weight * inst.edge_sum(self.sigma))
-
-    def system(self, x: np.ndarray):
-        J, lap = self.linearize(x)
-        return J, self.zeta - lap
+        J = inst.jacobian_matrix(x, self.slope)
+        lap = -inst.weight * inst.edge_sum(self.sigma)
+        if self.u_ref is None:
+            return J, self.zeta - lap
+        w = x - self.u_ref
+        self.rho_slope = _linearize_flux(self.rho, w, inst.p,
+                                         inst.smoothing(w))
+        A = scipy.sparse.diags(self.rho_slope) + self.tau * J
+        return A, -(self.rho + self.tau * lap)
 
     def advance(self, delta: np.ndarray) -> None:
         d = self.inst.edge_differences(delta)
         d *= self.slope
         self.sigma += d
+        if self.rho is not None:
+            self.rho += self.rho_slope * delta
 
 
-class _ProxFlux(_PoissonFlux):
-    """Primal-dual state of the prox equation from v = u_ref, which also
-    carries the nodal flux rho = phi(v - u_ref)."""
-
-    def __init__(self, inst, u_ref: np.ndarray, tau: float):
-        super().__init__(inst, None, u_ref)
-        self.u_ref, self.tau = u_ref, tau
-        self.rho = np.zeros_like(u_ref)
-
-    def system(self, x: np.ndarray):
-        J, lap = self.linearize(x)
-        w = x - self.u_ref
-        self.rho_slope = _linearize_flux(self.rho, w, self.inst.p,
-                                         self.inst.smoothing(w))
-        A = scipy.sparse.diags(self.rho_slope) + self.tau * J
-        return A, -(self.rho + self.tau * lap)
-
-    def advance(self, delta: np.ndarray) -> None:
-        super().advance(delta)
-        self.rho += self.rho_slope * delta
+def log_balance(pair, w):
+    """(psi, g) at w for psi = log R(w^+) - log R(w^-) and its gradient g,
+    or None where a part of w vanishes: the balance row of the bordered
+    solve.  The gradient of log R(c) for the part c = max(sign w, 0) is
+    dJ(c)/J(c) - dH(c)/H(c) on the part's support.  J of each part is
+    taken by Euler, J(c) = <dJ(c), c>/p, from the dJ(c) that g needs
+    anyway."""
+    psi, g = 0.0, 0.0
+    for sign in (1.0, -1.0):
+        c = np.maximum(sign * w, 0.0)
+        H = pair.H(c)
+        if not H > 0.0:
+            return None
+        zc = pair.subgrad_J(c)
+        J = pair.pairing(zc, c) / pair.p
+        if not J > 0.0:
+            return None
+        psi += sign * math.log(J / H)
+        g = g + (zc / J - pair.duality_map_H(c) / H) * (sign * w > 0.0)
+    return psi, g
 
 
 class _Border:
-    """The balance row and column of a bordered p-Poisson solve in
-    x = (u, sigma); see solve_p_poisson.  With flux, the primal-dual state
-    of the p-Poisson part, it is damped_newton's flux as well."""
+    """The balance row psi(u) = 0 (log_balance) and column of a bordered
+    p-Poisson solve in x = (u, sigma); see solve_p_poisson.  With flux,
+    the primal-dual state of the p-Poisson part, it is damped_newton's
+    flux as well.  jacobian and system read the (psi, g) of the latest
+    finite residual: damped_newton forms each system only at the iterate
+    whose finite residual it evaluated last."""
 
-    def __init__(self, pair, zeta, zeta_plus, balance, settings, flux=None):
+    def __init__(self, pair, zeta, zeta_plus, settings, flux=None):
         self.pair, self.zeta, self.zp = pair, zeta, zeta_plus
-        self.balance, self.settings, self.flux = balance, settings, flux
-        self.last = None  # (x, balance(u)) of the latest finite residual
+        self.settings, self.flux = settings, flux
+        self.balance = None  # (psi, g) of the latest finite residual
         self.y = None  # the latest solve of A y = zeta_plus
 
     def residual(self, x):
@@ -315,26 +329,21 @@ class _Border:
             s = math.exp(x[n])
         except OverflowError:
             return np.full(n + 1, np.inf)
-        balanced = self.balance(x[:n])
-        if balanced is None:
+        balance = log_balance(self.pair, x[:n])
+        if balance is None:
             return np.full(n + 1, np.inf)
-        self.last = x, balanced
+        self.balance = balance
         r = np.empty(n + 1)
         r[:n] = self.pair.subgrad_J(x[:n]) - s * self.zp - self.zeta
-        r[n] = balanced[0]
+        r[n] = balance[0]
         return r
 
-    def _balanced(self, x):
-        # damped_newton asks at the iterate whose residual was last
-        last_x, balanced = self.last
-        return balanced if last_x is x else self.balance(x[:-1])
-
     def jacobian(self, x):
-        return (self.pair.jacobian_matrix(x[:-1]), self._balanced(x)[1],
+        return (self.pair.jacobian_matrix(x[:-1]), self.balance[1],
                 math.exp(x[-1]))
 
     def system(self, x):
-        psi, g = self._balanced(x)
+        psi, g = self.balance
         s = math.exp(x[-1])
         A, b = self.flux.system(x[:-1])
         b += s * self.zp
@@ -365,12 +374,13 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
 
     inst is a PLaplaceInstance; zeta and u_init are interior vectors.
 
-    border = (zeta_plus, balance) adds the unknown sigma and one equation:
+    border = zeta_plus adds the unknown sigma and one equation:
     x = (u, sigma) solves
         dJ(u) - e^sigma zeta_plus = zeta,    psi(u) = 0,
-    where balance(u) gives psi(u) and its gradient g, d psi = <g, du>, or
-    None where psi is undefined (the residual is then infinite).  u_init
-    is the start of x and x is returned.  For p >= 2 inst may be any
+    for the balance psi = log R(u^+) - log R(u^-) of this module's
+    log_balance, with gradient g, d psi = <g, du>; where a part of u
+    vanishes psi is undefined and the residual infinite.  u_init is the
+    start of x and x is returned.  For p >= 2 inst may be any
     FunctionalPair: the solve reads its subgrad_J, jacobian_matrix and
     pairing.  The residual is the max-norm over both equations.  Each
     Newton system
@@ -390,21 +400,20 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
     while its residual is infinite, as where a part of u vanishes.
     """
     quadratic = locally_quadratic(inst.p)
+    flux = None if quadratic else _Flux(
+        inst, zeta, u_init if border is None else u_init[:-1])
     if border is not None:
-        flux = None if quadratic else _PoissonFlux(inst, zeta, u_init[:-1])
-        bordered = _Border(inst, zeta, *border, settings or NewtonSettings(),
+        bordered = _Border(inst, zeta, border, settings or NewtonSettings(),
                            flux)
         return damped_newton(u_init, bordered.residual, bordered.jacobian,
                              settings, linear_solve=bordered.solve,
                              flux=None if quadratic else bordered)
 
     def residual(x):
-        return inst.neg_plaplacian(x) - zeta
+        return inst.subgrad_J(x) - zeta
 
     return damped_newton(u_init, residual, inst.jacobian_matrix, settings,
-                         flux=None if quadratic
-                         else _PoissonFlux(inst, zeta, u_init),
-                         linear=inst.p == 2)
+                         flux=flux, linear=inst.p == 2)
 
 
 def solve_prox(inst, u_ref: np.ndarray, tau: float,
@@ -419,15 +428,15 @@ def solve_prox(inst, u_ref: np.ndarray, tau: float,
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    p = inst.p
 
     def residual(x):
-        return power_map(x - u_ref, p) + tau * inst.neg_plaplacian(x)
+        return inst.duality_map_H(x - u_ref) + tau * inst.subgrad_J(x)
 
     def jacobian(x):
         return scipy.sparse.diags(inst.duality_map_H_prime(x - u_ref)) \
             + tau * inst.jacobian_matrix(x)
 
     return damped_newton(u_ref, residual, jacobian, settings,
-                         flux=None if locally_quadratic(p)
-                         else _ProxFlux(inst, u_ref, tau), linear=p == 2)
+                         flux=None if locally_quadratic(inst.p)
+                         else _Flux(inst, None, u_ref, u_ref, tau),
+                         linear=inst.p == 2)

@@ -431,8 +431,19 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_missing_file_exits_1(self, capsys):
-        assert main(["run", "/nonexistent/config.json"]) == 1
+    @pytest.mark.parametrize("case", ["missing", "directory", "out-is-a-file"])
+    def test_missing_file_exits_1(self, grid_config, tmp_path, capsys, case):
+        # an OS error is one error line, not a traceback: the config does
+        # not exist or is a directory (run and describe), or --out names a
+        # file, where mkdir raises FileExistsError
+        calls = {"missing": [["run", "/nonexistent/config.json"]],
+                 "directory": [["run", str(tmp_path)],
+                               ["describe", str(tmp_path)]],
+                 "out-is-a-file": [["run", grid_config, "--out",
+                                    grid_config]]}[case]
+        for argv in calls:
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_solver_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad2.json", {

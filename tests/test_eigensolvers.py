@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonlin_eig import eigensolvers, metrics, newton
 from nonlin_eig.eigensolvers import (EigenTrace, _normalize, _polish,
-                                     _sweep, balance_defect, log_balance,
-                                     ray_start, run_balanced_ipm,
-                                     run_geometric, run_ipm, run_ppm)
+                                     _sweep, balance_defect, ray_start,
+                                     run_balanced_ipm, run_geometric,
+                                     run_ipm, run_ppm)
 from nonlin_eig.functional import SolveReport, SpdInstance, power_map
 from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import NewtonSettings
@@ -58,7 +58,7 @@ def test_bordered_solve_matches_dense_solve(p, shape, cells, radius, sigma,
     w, zeta, b = random_fields(inst, 3, seed)
     zp = np.maximum(zeta, 0.0)
     border = newton._Border(inst, -np.maximum(-zeta, 0.0), zp,
-                            lambda v: log_balance(inst, v), NewtonSettings())
+                            NewtonSettings())
     x = np.append(w, sigma)
     assert np.all(np.isfinite(border.residual(x)))
     system = border.jacobian(x)
@@ -89,6 +89,43 @@ def test_bordered_system_shares_one_jacobi_diagonal(small_grid,
     trace = run_balanced_ipm(
         small_grid, eval_initial_guess("ex2", small_grid.domain).values, 1)
     assert len(made) == trace.records[0].inner.iterations > 0
+
+
+@pytest.mark.parametrize("p,formed", [(3.0, "jacobian"),
+                                       (1.5, "system")])
+def test_bordered_system_formed_at_last_finite_residual(monkeypatch, p,
+                                                        formed):
+    # _Border keeps the (psi, g) of its latest finite residual and forms
+    # each Newton system with it, which is right because damped_newton
+    # forms a system only at the very iterate whose residual it evaluated
+    # last, and that residual was finite: the halving path (jacobian) at
+    # p = 3, the primal-dual path (system) at p = 1.5
+    calls = []  # (method, x, whether the residual was finite)
+    methods = {name: getattr(newton._Border, name)
+               for name in ("residual", "jacobian", "system")}
+
+    def recording(name):
+        def method(self, x):
+            out = methods[name](self, x)
+            finite = name == "residual" and bool(np.all(np.isfinite(out)))
+            calls.append((name, x, finite))
+            return out
+        return method
+
+    for name in methods:
+        monkeypatch.setattr(newton._Border, name, recording(name))
+    dom = build_domain("square", 2.0, 0.1)
+    inst = PLaplaceInstance(dom, 0.25, p)
+    trace = run_balanced_ipm(inst, eval_initial_guess("ex2", dom).values, 2)
+    assert trace.extras["fallback_steps"] == []
+    systems = [i for i, call in enumerate(calls) if call[0] != "residual"]
+    assert {calls[i][0] for i in systems} == {formed}
+    assert len(systems) == sum(rec.inner.jacobians for rec in trace.records)
+    assert all(rec.inner.jacobians > 0 for rec in trace.records)
+    for i in systems:
+        name, x, finite = next(call for call in reversed(calls[:i])
+                               if call[0] == "residual")
+        assert x is calls[i][1] and finite
 
 
 @settings(max_examples=25, deadline=None)
@@ -679,14 +716,22 @@ class TestBalanced:
     # refused roots at p = 5 on the square and p = 4 on the L-shape lie
     # outside the balance range; the L-shape's at p = 5 did not converge
     @pytest.mark.parametrize("shape,p,lam,fallback,stop", [
-        ("square", 2, 24.517331265631753, [], "max_iter"),
-        ("square", 3, 87.95600051458665, [], "max_iter"),
-        ("square", 4, 271.56281719878535, [], "max_iter"),
-        ("square", 5, 1037.5430646817563, [0], "stalled"),
-        ("lshape", 2, 19.66047566497462, [], "max_iter"),
-        ("lshape", 3, 59.91645776523257, [], "max_iter"),
-        ("lshape", 4, 330.4803358174672, [0], "stalled"),
-        ("lshape", 5, 1379.2601429501779, [0], "stalled"),
+        pytest.param("square", 2, 24.517331265631753, [], "max_iter",
+                     id="square-p2"),
+        pytest.param("square", 3, 87.95600051458665, [], "max_iter",
+                     id="square-p3"),
+        pytest.param("square", 4, 271.56281719878535, [], "max_iter",
+                     id="square-p4"),
+        pytest.param("square", 5, 1037.5430646817563, [0], "stalled",
+                     id="square-p5"),
+        pytest.param("lshape", 2, 19.66047566497462, [], "max_iter",
+                     id="lshape-p2"),
+        pytest.param("lshape", 3, 59.91645776523257, [], "max_iter",
+                     id="lshape-p3"),
+        pytest.param("lshape", 4, 330.4803358174672, [0], "stalled",
+                     id="lshape-p4"),
+        pytest.param("lshape", 5, 1379.2601429501779, [0], "stalled",
+                     id="lshape-p5"),
     ])
     def test_trajectory_pinned(self, shape, p, lam, fallback, stop):
         dom = build_domain(shape, 2.0, 0.1)
@@ -706,10 +751,10 @@ class TestBalanced:
     # balance rooted by the safeguarded Newton search in log s, which
     # listed 6, 0, 5 and 1 of the 6 steps in failed_inner_solves
     @pytest.mark.parametrize("shape,p,lam", [
-        ("square", 1.5, 11.497809999717441),
-        ("square", 1.75, 17.06450123763941),
-        ("lshape", 1.5, 10.256402167408748),
-        ("lshape", 1.75, 14.369916736972982),
+        pytest.param("square", 1.5, 11.497809999717441, id="square-p1.5"),
+        pytest.param("square", 1.75, 17.06450123763941, id="square-p1.75"),
+        pytest.param("lshape", 1.5, 10.256402167408748, id="lshape-p1.5"),
+        pytest.param("lshape", 1.75, 14.369916736972982, id="lshape-p1.75"),
     ])
     def test_every_step_bordered_below_p2(self, shape, p, lam):
         dom = build_domain(shape, 2.0, 0.1)

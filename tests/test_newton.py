@@ -5,7 +5,6 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import newton
-from nonlin_eig.eigensolvers import log_balance
 from nonlin_eig.functional import SolveReport, power_map
 from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
@@ -445,7 +444,7 @@ class TestFluxSystemAtConsistentFlux:
     def test_poisson(self, p, levels):
         inst = make_instance(p, shape="lshape")
         for x, zeta in self.fields(inst, levels):
-            A, b = newton._PoissonFlux(inst, zeta, x).system(x)
+            A, b = newton._Flux(inst, zeta, x).system(x)
             self.assert_same_system(inst, x, A, b, inst.jacobian_matrix(x),
                                     zeta - inst.subgrad_J(x))
 
@@ -456,7 +455,7 @@ class TestFluxSystemAtConsistentFlux:
         # the smoothed duality_map_H_prime(0) = (p-1) epsilon^(p-2)
         inst, tau = make_instance(p, shape="lshape"), 0.3
         for u_ref, _ in self.fields(inst, levels):
-            A, b = newton._ProxFlux(inst, u_ref, tau).system(u_ref)
+            A, b = newton._Flux(inst, None, u_ref, u_ref, tau).system(u_ref)
             A_ref = scipy.sparse.diags(
                 inst.duality_map_H_prime(np.zeros_like(u_ref))) \
                 + tau * inst.jacobian_matrix(u_ref)
@@ -470,9 +469,9 @@ class TestFluxSystemAtConsistentFlux:
         # the balance row and column ride along: b is minus the residual
         inst = make_instance(p, shape="lshape")
         for x, zeta in self.fields(inst, levels):
-            border = newton._Border(
-                inst, zeta, np.abs(zeta), lambda w: log_balance(inst, w),
-                NewtonSettings(), newton._PoissonFlux(inst, zeta, x))
+            border = newton._Border(inst, zeta, np.abs(zeta),
+                                    NewtonSettings(),
+                                    newton._Flux(inst, zeta, x))
             xs = np.append(x, 0.3)
             r = border.residual(xs)
             A_ref, g_ref, s_ref = border.jacobian(xs)
