@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .grid import ConfigError, build_domain, eval_initial_guess, load_snapshot
 from .newton import NewtonSettings
-from .plaplace import PLaplaceInstance
+from .plaplace import EPSILON, PLaplaceInstance
 
 SOLVERS = ("ipm", "ppm", "balanced", "geometric")
 
@@ -167,7 +167,7 @@ def build_instance(cfg: ExperimentConfig):
     resolved = {
         "problem": dict(problem), "solver": dict(cfg.solver),
         "newton": asdict(cfg.newton),
-        "r": r, "d2p": pair.d2p, "epsilon": pair.epsilon,
+        "r": r, "d2p": pair.d2p, "epsilon": EPSILON,
         "stencil_offsets": int(len(pair.stencil.offsets)),
         "stencil_weight": pair.weight,
         "nx": domain.nx, "ny": domain.ny,

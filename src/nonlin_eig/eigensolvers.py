@@ -49,6 +49,9 @@ POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12, cg_tol=1e-13,
 
 @dataclass
 class EigenTrace:
+    """A run of one scheme.  Every inner solve belongs to a step, so the
+    records' reports hold all of the run's inner work (inner_work)."""
+
     records: list[metrics.IterationRecord]
     final_u: np.ndarray  # a vector of the pair: interior nodes on a grid
     final_lambda: float
@@ -56,13 +59,11 @@ class EigenTrace:
     converged: bool
     stop_reason: str  # max_iter | residual_tol | stalled
     extras: dict = field(default_factory=dict)
-    # the inner solves after the last step: the PPM's eigenvalue recovery
-    final_solves: SolveReport = field(default_factory=SolveReport)
 
     @property
     def inner_work(self) -> SolveReport:
-        """The records' reports and final_solves, summed."""
-        return sum((r.inner for r in self.records), self.final_solves)
+        """The records' reports, summed."""
+        return sum((r.inner for r in self.records), SolveReport())
 
 
 def _normalize(pair: FunctionalPair, u: np.ndarray) -> np.ndarray:
@@ -190,10 +191,10 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     tau = tau_tilde^(p-1).  The record's dual_rq column carries the dual
     Rayleigh quotient R*_tau of the prox-as-inverse-iteration formulation
     (always < 1).  extras carries lambda_tau = J(u)/J_tau(u) per step and
-    the recovered eigenvalue lambda = (lambda_tau/tau)(1-lambda_tau^(1-q))^(p-1)
-    at the final iterate, with whether the prox solve it takes there
-    converged ("recovery_converged"); the trace's final_solves holds that
-    solve's report.
+    the eigenvalue recovered in closed form from the last step's,
+    lambda = (lambda_tau/tau)(1-lambda_tau^(1-q))^(p-1)
+    ("lambda_recovered"): the eigenvalue of the last record's iterate,
+    beside its rq, with no solve after the loop (None after 0 steps).
     """
     if not 0 < tau_tilde < math.inf:
         raise ValueError("tau_tilde must be positive and finite")
@@ -201,32 +202,22 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     tau = tau_tilde ** (p - 1.0)
     lam_taus = []
 
-    def moreau_data(u_cur, v_cur, Ju):
-        eta = pair.duality_map_H(u_cur - v_cur) / tau
-        Jv = pair.energy_J(v_cur)
-        Jstar = fenchel_conjugate_value(pair, eta, v_cur, Jv)
-        Hstar = pair.dual_norm_H(eta) ** q / q
-        rstar_tau = Jstar / (tau ** (q - 1.0) * Hstar + Jstar)
-        J_tau = pair.H(v_cur - u_cur) / tau + Jv
-        lam_tau = Ju / J_tau
-        return rstar_tau, lam_tau
-
     def step(k, u, rq, Ju, zJ, res):
         v, rep = pair.prox_J(u, tau, settings)
-        rstar_tau, lam_tau = moreau_data(u, v, Ju)
-        lam_taus.append(lam_tau)
-        return v, rstar_tau, rep
+        eta = pair.duality_map_H(u - v) / tau
+        Jv = pair.energy_J(v)
+        Jstar = fenchel_conjugate_value(pair, eta, v, Jv)
+        Hstar = pair.dual_norm_H(eta) ** q / q
+        lam_taus.append(Ju / (pair.H(v - u) / tau + Jv))  # J(u) / J_tau(u)
+        return v, Jstar / (tau ** (q - 1.0) * Hstar + Jstar), rep
 
     extras = {"lambda_tau": lam_taus, "lambda_recovered": None, "tau": tau}
     trace = _iterate(pair, u0, iters, step, "ppm", extras, residual_tol,
                      snapshot_cb)
-    # eigenvalue recovery at the final iterate
-    v, rep = pair.prox_J(trace.final_u, tau, settings)
-    trace.final_solves = rep
-    extras["recovery_converged"] = rep.converged
-    _, lam_tau = moreau_data(trace.final_u, v, pair.energy_J(trace.final_u))
-    extras["lambda_recovered"] = \
-        (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
+    if lam_taus:
+        lam_tau = lam_taus[-1]
+        extras["lambda_recovered"] = \
+            (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
     return trace
 
 

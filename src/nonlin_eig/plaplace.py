@@ -39,7 +39,7 @@ holds that value once and a cached per-node count cminus weighs it.
 The table, the counts and the CSR pattern are built on first use, not in
 __init__, so that building an instance stays cheap.
 
-One rule, smoothing(x) = epsilon max(1, max|x|), smooths every kernel
+One rule, smoothing(x) = EPSILON max(1, max|x|), smooths every kernel
 derivative near zero; only the vector x differs.  duality_map_H_prime (the
 diagonal of the prox and polish systems) reads its argument w,
 jacobian_matrix its point u, and the newton module's primal-dual step the
@@ -59,6 +59,8 @@ import scipy.sparse
 from .functional import FunctionalPair, power_map
 from .grid import GridDomain, build_stencil
 from . import newton
+
+EPSILON = 1e-9  # the kernel smoothing per unit max(1, max|x|)
 
 
 def mean_value_constant(p: float) -> float:
@@ -95,16 +97,12 @@ class PLaplaceInstance(FunctionalPair):
     and shareable across threads.
     """
 
-    def __init__(self, domain: GridDomain, r: float, p: float,
-                 epsilon: float = 1e-9) -> None:
+    def __init__(self, domain: GridDomain, r: float, p: float) -> None:
         if not 1 < p < math.inf:
             raise ValueError("p must be > 1 and finite")
-        if not 0 <= epsilon < math.inf:
-            raise ValueError("epsilon must be >= 0 and finite")
         self.domain = domain
         self.stencil = build_stencil(domain, r)  # it rejects r < h
         self.p = float(p)
-        self.epsilon = float(epsilon)
         self._mask = domain.interior_mask
         self._h2 = domain.h ** 2
         self.d2p = mean_value_constant(self.p)
@@ -233,10 +231,10 @@ class PLaplaceInstance(FunctionalPair):
         return self.weight * self._h2 * total / self.p
 
     def smoothing(self, u) -> float:
-        """epsilon scaled by max(1, max|u|), the smoothing of the kernel
+        """EPSILON scaled by max(1, max|u|), the smoothing of the kernel
         derivatives near zero."""
         x = self.as_vector(u)
-        return self.epsilon * max(1.0, float(np.max(np.abs(x), initial=0.0)))
+        return EPSILON * max(1.0, float(np.max(np.abs(x), initial=0.0)))
 
     def jacobian_matrix(self, u, slopes=None):
         """Sparse symmetric PSD Jacobian of -Delta_p^h at u, whose edge
@@ -293,7 +291,7 @@ class PLaplaceInstance(FunctionalPair):
 
     def duality_map_H_prime(self, w):
         """(p-1)(w^2 + eps^2)^((p-2)/2), the derivative of duality_map_H
-        smoothed by eps = epsilon max(1, max|w|).
+        smoothed by eps = EPSILON max(1, max|w|).
 
         The smoothing keeps Newton's Jacobian nonsingular (p<2: singular
         kernel, p>2: degenerate at flat regions); the residual itself is

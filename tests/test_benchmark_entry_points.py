@@ -107,6 +107,13 @@ def test_tracer_counts_match_the_ledger(small_grid):
     tolerances = trace.extras["inner_tolerances"]
     assert tolerances[0] > tolerances[-1]
 
+    # every prox solve of the PPM is a step's: its eigenvalue is recovered
+    # from the last step's lambda_tau, with no solve after the loop
+    layers, trace = traced(
+        lambda: eigensolvers.run_ppm(small_grid, u0, 0.5, 3))
+    assert counts_match(layers, trace)
+    assert layers["newton.solves"] == len(trace.records) == 3
+
 
 def test_balanced_workload_takes_the_bordered_path(tmp_path):
     # the benchmark's ex2-square-p3-balanced run at seed 0, 4 steps on the

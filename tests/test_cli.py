@@ -256,12 +256,17 @@ class TestRun:
                                                    rel=1e-12)
         info = json.loads((tmp_path / "out_ppm" / "run.json").read_text())
         extras = info["extras"]
-        assert extras["recovery_converged"] is True
+        assert "recovery_converged" not in extras
         assert np.isfinite(extras["lambda_recovered"])
-        # inner_work counts the recovery's prox solve besides the records'
+        # inner_work is the records' inner solves, summed: the PPM runs no
+        # solve after its last step
         with open(tmp_path / "out_ppm" / "metrics.csv", newline="") as f:
-            steps = sum(int(row["inner_iters"]) for row in csv.DictReader(f))
-        assert info["inner_work"]["iterations"] > steps > 0
+            rows = list(csv.DictReader(f))
+        for column, key in metrics.REPORT_COLUMNS.items():
+            if key not in ("final_residual", "converged"):
+                assert info["inner_work"][key] \
+                    == sum(int(row[column]) for row in rows), key
+        assert info["inner_work"]["iterations"] > 0
 
     def test_out_override(self, grid_config, tmp_path):
         other = tmp_path / "elsewhere"

@@ -258,15 +258,11 @@ def test_cg_work_per_step_in_extras(small_grid, monkeypatch, run, start):
     monkeypatch.setattr(eigensolvers, "cg_solve", recording)
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
     trace = run(small_grid, eval_initial_guess(start, small_grid.domain).values)
-    # the eigenvalue recovery's prox solve after the loop is no step's; the
-    # trace's final_solves reports it, and the other schemes have none
-    after = trace.final_solves
-    assert (after.cg_iterations_total > 0) == (trace.solver_tag == "ppm")
     assert len(trace.records) == 3
     assert sum(rec.inner.cg_iterations_total for rec in trace.records) \
-        + after.cg_iterations_total == sum(it for it, _ in calls) > 0
+        == sum(it for it, _ in calls) > 0
     assert sum(rec.inner.cg_unconverged for rec in trace.records) \
-        + after.cg_unconverged == sum(not ok for _, ok in calls) == 0
+        == sum(not ok for _, ok in calls) == 0
     assert trace.inner_work.cg_iterations_total == sum(it for it, _ in calls)
     assert lu_calls[0] == 0
 
@@ -309,8 +305,6 @@ def test_each_iterate_evaluated_once(square11, monkeypatch, run, start):
     assert trace.final_u is iterates[-1] and len(iterates) > 2
     for name, seen in calls.items():
         counts = [sum(arg is u for arg in seen) for u in iterates]
-        if trace.solver_tag == "ppm" and name == "energy_J":
-            counts[-1] -= 1  # the eigenvalue recovery after the loop
         assert counts == [1] * len(iterates), name
 
 
@@ -522,12 +516,31 @@ class TestPpm:
         assert sum(rec.inner.cg_unconverged for rec in trace.records) > 0
         assert trace.extras["failed_inner_solves"] == [0, 1]
 
-    @pytest.mark.parametrize("settings,converged", [
-        (None, True), (NewtonSettings(max_iter=1), False)])
-    def test_recovery_solve_reported(self, small_grid, settings, converged):
+    @pytest.mark.parametrize("settings", [None, NewtonSettings(max_iter=1)],
+                             ids=["converged", "unconverged"])
+    def test_lambda_recovered_from_last_step(self, small_grid, monkeypatch,
+                                             settings):
+        # the closed form of the last step's lambda_tau, whether or not
+        # its prox solve converged; no prox solve runs after the loop
+        calls = [0]
+        prox_J = PLaplaceInstance.prox_J
+
+        def counted(self, *args):
+            calls[0] += 1
+            return prox_J(self, *args)
+
+        monkeypatch.setattr(PLaplaceInstance, "prox_J", counted)
         u0 = eval_initial_guess("ex1", small_grid.domain).values
-        trace = run_ppm(small_grid, u0, 0.5, 1, settings)
-        assert trace.extras["recovery_converged"] is converged
+        trace = run_ppm(small_grid, u0, 0.5, 3, settings)
+        assert calls[0] == len(trace.records) == 3
+        assert trace.extras["failed_inner_solves"] \
+            == ([] if settings is None else [0, 1, 2])
+        p, q, tau = small_grid.p, small_grid.q, trace.extras["tau"]
+        lam_tau = trace.extras["lambda_tau"][-1]
+        assert trace.extras["lambda_recovered"] \
+            == (lam_tau / tau) * (1.0 - lam_tau ** (1.0 - q)) ** (p - 1.0)
+        assert run_ppm(small_grid, u0, 0.5, 0).extras["lambda_recovered"] \
+            is None
 
 
 class TestBalanced:
@@ -930,26 +943,46 @@ class TestGeometric:
     # 4-record state (lambda 860.8995-860.8998, eigen-residual 0.1135) from
     # 2 of 4 starts u0 (1 + 1e-7 N(0, 1)) per node (seeds 0-3).
     @pytest.mark.parametrize("shape,p,start,lam,n_records,winners", [
-        ("square", 1.5, "ex1", 40.632325606979386, 3, "ss"),
-        ("square", 1.5, "ex2", 40.69383603696968, 2, "s"),
-        ("square", 2, "ex1", 101.44863734808045, 2, "s"),
-        ("square", 2, "ex2", 97.81286478987003, 2, "s"),
-        ("square", 3, "ex1", 869.1100303269587, 2, "s"),
-        ("square", 3, "ex2", 885.8576560748525, 7, "ssssss"),
-        ("square", 4, "ex1", 7476.5159048305195, 2, "s"),
-        ("square", 4, "ex2", 7371.741865715649, 5, "spss"),
-        ("square", 5, "ex1", 60741.42437458268, 2, "s"),
-        ("square", 5, "ex2", 58899.6369024742, 2, "s"),
-        ("lshape", 1.5, "ex1", 40.737587638836395, 2, "s"),
-        ("lshape", 1.5, "ex2", 40.74193972179087, 3, "ss"),
-        ("lshape", 2, "ex1", 101.10078751764041, 2, "s"),
-        ("lshape", 2, "ex2", 98.04740781751401, 2, "s"),
-        ("lshape", 3, "ex1", 853.0049718259518, 2, "s"),
-        ("lshape", 3, "ex2", 860.8993247364976, 4, "sps"),
-        ("lshape", 4, "ex1", 7029.3243346506315, 2, "s"),
-        ("lshape", 4, "ex2", 7080.883278545367, 2, "s"),
-        ("lshape", 5, "ex1", 56979.38188527551, 2, "s"),
-        ("lshape", 5, "ex2", 55311.666699200134, 2, "s"),
+        pytest.param("square", 1.5, "ex1", 40.632325606979386, 3, "ss",
+                     id="square-p1.5-ex1"),
+        pytest.param("square", 1.5, "ex2", 40.69383603696968, 2, "s",
+                     id="square-p1.5-ex2"),
+        pytest.param("square", 2, "ex1", 101.44863734808045, 2, "s",
+                     id="square-p2-ex1"),
+        pytest.param("square", 2, "ex2", 97.81286478987003, 2, "s",
+                     id="square-p2-ex2"),
+        pytest.param("square", 3, "ex1", 869.1100303269587, 2, "s",
+                     id="square-p3-ex1"),
+        pytest.param("square", 3, "ex2", 885.8576560748525, 7, "ssssss",
+                     id="square-p3-ex2"),
+        pytest.param("square", 4, "ex1", 7476.5159048305195, 2, "s",
+                     id="square-p4-ex1"),
+        pytest.param("square", 4, "ex2", 7371.741865715649, 5, "spss",
+                     id="square-p4-ex2"),
+        pytest.param("square", 5, "ex1", 60741.42437458268, 2, "s",
+                     id="square-p5-ex1"),
+        pytest.param("square", 5, "ex2", 58899.6369024742, 2, "s",
+                     id="square-p5-ex2"),
+        pytest.param("lshape", 1.5, "ex1", 40.737587638836395, 2, "s",
+                     id="lshape-p1.5-ex1"),
+        pytest.param("lshape", 1.5, "ex2", 40.74193972179087, 3, "ss",
+                     id="lshape-p1.5-ex2"),
+        pytest.param("lshape", 2, "ex1", 101.10078751764041, 2, "s",
+                     id="lshape-p2-ex1"),
+        pytest.param("lshape", 2, "ex2", 98.04740781751401, 2, "s",
+                     id="lshape-p2-ex2"),
+        pytest.param("lshape", 3, "ex1", 853.0049718259518, 2, "s",
+                     id="lshape-p3-ex1"),
+        pytest.param("lshape", 3, "ex2", 860.8993247364976, 4, "sps",
+                     id="lshape-p3-ex2"),
+        pytest.param("lshape", 4, "ex1", 7029.3243346506315, 2, "s",
+                     id="lshape-p4-ex1"),
+        pytest.param("lshape", 4, "ex2", 7080.883278545367, 2, "s",
+                     id="lshape-p4-ex2"),
+        pytest.param("lshape", 5, "ex1", 56979.38188527551, 2, "s",
+                     id="lshape-p5-ex1"),
+        pytest.param("lshape", 5, "ex2", 55311.666699200134, 2, "s",
+                     id="lshape-p5-ex2"),
     ])
     def test_grid_trajectory_pinned(self, shape, p, start, lam, n_records,
                                     winners):

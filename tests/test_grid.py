@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonlin_eig.grid import (ConfigError, GridFunction, build_domain,
                              build_stencil, eval_initial_guess, load_snapshot,
@@ -104,6 +105,25 @@ class TestMeanValueConstant:
     def test_p4_closed_form(self):
         # int_0^{pi/2} cos^4 = 3*pi/16 -> 2/(6*pi) * 3*pi/16 = 1/16
         assert mean_value_constant(4.0) == pytest.approx(1.0 / 16.0, rel=1e-12)
+
+    @staticmethod
+    def gamma_form(p):
+        # int_0^{pi/2} cos^p = (sqrt(pi)/2) Gamma((p+1)/2) / Gamma(p/2+1)
+        return math.gamma((p + 1.0) / 2.0) / (
+            math.sqrt(math.pi) * (p + 2.0) * math.gamma(p / 2.0 + 1.0))
+
+    @settings(deadline=None)
+    @given(p=st.floats(1.0001, 10.0))
+    def test_quadrature_matches_gamma_form(self, p):
+        # the quadrature misses the closed form most just above p = 1,
+        # where cos^p, like (pi/2 - t)^p, is least smooth at pi/2
+        closed = self.gamma_form(p)
+        assert abs(mean_value_constant(p) - closed) <= 1e-9 * closed
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
+    def test_gamma_form_to_rounding_at_integer_p(self, p):
+        closed = self.gamma_form(p)
+        assert abs(mean_value_constant(p) - closed) <= 4.4e-16 * closed
 
 
 class TestInitialGuesses:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -5,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from nonlin_eig.functional import power_map
 from nonlin_eig.grid import build_domain
+from nonlin_eig import plaplace
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import euler_defect, jacobian_fd_error, random_fields
 
 
-def make_instance(p=3.0, h=0.1, r=0.25, shape="square", epsilon=1e-9):
+def make_instance(p=3.0, h=0.1, r=0.25, shape="square"):
     dom = build_domain(shape, 2.0, h)
-    return PLaplaceInstance(dom, r, p, epsilon=epsilon)
+    return PLaplaceInstance(dom, r, p)
 
 
 def spike_instance(p):
@@ -33,13 +36,6 @@ def test_non_finite_p_rejected(p):
     dom = build_domain("square", 2.0, 0.5)
     with pytest.raises(ValueError, match="p must be > 1 and finite"):
         PLaplaceInstance(dom, 0.5, p)
-
-
-@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -1e-9])
-def test_non_finite_or_negative_epsilon_rejected(epsilon):
-    dom = build_domain("square", 2.0, 0.5)
-    with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
-        PLaplaceInstance(dom, 0.5, 2.0, epsilon=epsilon)
 
 
 ANY_INSTANCE = dict(p=st.floats(1.1, 6.0),
@@ -207,8 +203,9 @@ class TestJacobian:
         assert jacobian_fd_error(inst, random_fields(inst, 1, seed=8),
                                  random_fields(inst, 1, seed=9)) <= 1e-5
 
-    def test_constant_field_epsilon_zero_gives_zero_matrix(self):
-        inst = make_instance(p=3.0, epsilon=0.0)
+    def test_constant_field_epsilon_zero_gives_zero_matrix(self, monkeypatch):
+        monkeypatch.setattr(plaplace, "EPSILON", 0.0)
+        inst = make_instance(p=3.0)
         mask = inst.domain.interior_mask
         vals = np.where(mask, 1.0, 0.0)
         A = inst.jacobian_matrix(vals)
@@ -411,7 +408,7 @@ def ref_jacobian_matrix(inst, u):
     diag = np.zeros(n)
     rows, cols, data = [], [], []
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    epsilon = inst.epsilon * max(1.0, scale)
+    epsilon = plaplace.EPSILON * max(1.0, scale)
     for dy, dx in inst.stencil.offsets:
         nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
         d = (nb - vals)[mask]
@@ -446,9 +443,7 @@ class TestMatchesPerOffsetLoops:
                                       scale, levels, epsilon):
         h = 2.0 / cells
         dom = build_domain(shape, 2.0, h)
-        inst = PLaplaceInstance(dom, radius * h, p,
-                                **({} if epsilon is None
-                                   else {"epsilon": epsilon}))
+        inst = PLaplaceInstance(dom, radius * h, p)
         u = scale * random_fields(inst, 1, seed)[0]
         if levels:
             # coarse values give exactly zero differences between neighbours
@@ -459,8 +454,11 @@ class TestMatchesPerOffsetLoops:
         assert np.max(np.abs(inst.neg_plaplacian(u) - ref)) \
             <= 1e-13 * np.max(np.abs(ref))
 
-        A = inst.jacobian_matrix(u)
-        ref = ref_jacobian_matrix(inst, field)
+        # the module's smoothing constant, or the one drawn
+        with mock.patch.object(plaplace, "EPSILON", plaplace.EPSILON
+                               if epsilon is None else epsilon):
+            A = inst.jacobian_matrix(u)
+            ref = ref_jacobian_matrix(inst, field)
         ref.sort_indices()
         assert np.array_equal(A.indices, ref.indices)
         assert np.array_equal(A.indptr, ref.indptr)
