@@ -67,6 +67,9 @@ class FunctionalPair(ABC):
     """
 
     p: float
+    # per unknown, the number of its aggregate in the coarse space of
+    # newton.two_level; None for a pair without one
+    aggregates: np.ndarray | None = None
 
     @property
     def q(self) -> float:

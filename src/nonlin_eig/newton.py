@@ -6,12 +6,21 @@ scheme's bordered solve (solve_p_poisson with border, whose balance row
 log_balance is defined here) and the geometric scheme's polish.  It
 computes each step's CG tolerance, by the rules below, once, and hands it
 to the step's linear solve: the default CG runs to it, the bordered solve
-runs both of its CG solves to it, on one Jacobi diagonal
+runs both of its CG solves to it, on one preconditioner per Newton system
 (solve_p_poisson), and the polish keeps its fixed settings.cg_tol
 (eigensolvers._polish).
-Jacobi-preconditioned CG suits the many-armed mean-value stencil, whose
-sparse Jacobian-vector product is cheap where a factorization would be
-wasteful.  CG stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
+CG suits the many-armed mean-value stencil, whose sparse Jacobian-vector
+product is cheap where a factorization of the Jacobian would be wasteful.
+Jacobi preconditions it everywhere but in the bordered solve's halving
+step (p >= 2) on a pair with aggregates, a lattice's square blocks: there
+two_level adds to Jacobi a piecewise-constant coarse correction (Tang,
+Nabben, Vuik & Erlangga, "Comparison of two-level preconditioners derived
+from deflation, domain decomposition and multigrid methods", J. Sci.
+Comput. 2009), which removes the smooth error that Jacobi barely damps.
+Its one small coarse factorization per Newton system serves both CG
+solves of the system.  In the inner IPM and PPM solves and below p = 2 it
+did not pay for its setup, and the polish's matrix is indefinite.  CG
+stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
 |b|_2) for the right-hand side b of the Newton system, so near convergence
 it is not asked for a linear residual far below the Newton tolerance, yet
 that residual stays two orders below it.
@@ -60,6 +69,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -111,15 +121,47 @@ class CgResult(tuple):
         return result
 
 
-def jacobi(A) -> scipy.sparse.linalg.LinearOperator:
-    """The Jacobi preconditioner of A, x -> x / diag(A), leaving the rows
-    of a zero diagonal entry unscaled."""
+def _inverse_diagonal(A) -> np.ndarray:
+    """1 / diag(A), with 1 in the rows of a zero diagonal entry."""
     diag = A.diagonal()
     inv = np.ones_like(diag, dtype=float)
     nonzero = np.abs(diag) > 1e-300
     inv[nonzero] = 1.0 / diag[nonzero]
+    return inv
+
+
+def jacobi(A) -> scipy.sparse.linalg.LinearOperator:
+    """The Jacobi preconditioner of A, x -> x / diag(A), leaving the rows
+    of a zero diagonal entry unscaled."""
+    inv = _inverse_diagonal(A)
     return scipy.sparse.linalg.LinearOperator(A.shape,
                                               matvec=lambda x: inv * x)
+
+
+def two_level(A, aggregates: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
+    """The additive two-level preconditioner of A on a partition of its
+    unknowns, x -> D^-1 x + P (P^T A P)^-1 P^T x: Jacobi (D = diag(A), as
+    in jacobi) plus the piecewise-constant coarse correction of Nicolaides
+    ("Deflation of conjugate gradients with applications to boundary value
+    problems", SIAM J. Numer. Anal. 1987), where P is the 0/1 map of
+    unknown i to its aggregate aggregates[i].  It is SPD where A is.  The
+    coarse matrix is formed as (P^T A) P by sparse products and factored by
+    a dense Cholesky, which raises numpy.linalg.LinAlgError where it is not
+    positive definite."""
+    n = aggregates.size
+    m = int(aggregates.max()) + 1
+    P = scipy.sparse.csr_matrix((np.ones(n), aggregates, np.arange(n + 1)),
+                                shape=(n, m))
+    PT = P.T.tocsr()
+    coarse = scipy.linalg.cho_factor((PT @ A @ P).toarray(),
+                                     check_finite=False)
+    inv = _inverse_diagonal(A)
+
+    def apply(x):
+        c = scipy.linalg.cho_solve(coarse, PT @ x, check_finite=False)
+        return inv * x + P @ c
+
+    return scipy.sparse.linalg.LinearOperator(A.shape, matvec=apply)
 
 
 def cg_solve(A, b, rtol: float, maxiter: int, x0=None, M=None) -> CgResult:
@@ -315,7 +357,9 @@ class _Border:
     the primal-dual state of the p-Poisson part, it is damped_newton's
     flux as well.  jacobian and system read the (psi, g) of the latest
     finite residual: damped_newton forms each system only at the iterate
-    whose finite residual it evaluated last."""
+    whose finite residual it evaluated last.  solve preconditions both CG
+    solves of a system by one operator: two_level on the pair's aggregates
+    without flux, jacobi with flux or where the pair has none."""
 
     def __init__(self, pair, zeta, zeta_plus, settings, flux=None):
         self.pair, self.zeta, self.zp = pair, zeta, zeta_plus
@@ -355,7 +399,11 @@ class _Border:
     def solve(self, system, b, rtol):
         A, g, s = system
         budget = self.settings.cg_budget(self.zp.size)
-        M = jacobi(A)
+        aggregates = self.pair.aggregates if self.flux is None else None
+        try:
+            M = jacobi(A) if aggregates is None else two_level(A, aggregates)
+        except np.linalg.LinAlgError:  # P^T A P is not positive definite
+            return np.full(b.size, np.nan), SolveReport()
         z = cg_solve(A, b[:-1], rtol, budget, M=M)
         y = cg_solve(A, self.zp, rtol, budget, x0=self.y, M=M)
         self.y = y[0]
@@ -387,17 +435,20 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
         A du - e^sigma zeta_plus dsigma = b_u,    <g, du> = b_sigma,
     is solved by Keller's bordering ("Numerical solution of bifurcation
     and nonlinear eigenvalue problems", 1977): CG solves A z = b_u and
-    A y = zeta_plus to the tolerance damped_newton hands its linear solve
-    on one Jacobi diagonal; as zeta_plus is fixed, the solve for y starts
-    from the previous Newton step's y.  Then
+    A y = zeta_plus to the tolerance damped_newton hands its linear solve,
+    with one preconditioner built per system; as zeta_plus is fixed, the
+    solve for y starts from the previous Newton step's y.  Then
         dsigma = (b_sigma - <g, z>) / (e^sigma <g, y>),
         du = z + e^sigma dsigma y;
     a zero <g, y> gives a NaN step, which ends the solve.  For p >= 2
-    (locally_quadratic) A = jacobian_matrix(u), and the step is the
-    halving one, forcing included.  Below p = 2 it is the primal-dual step
-    of the plain solve, with A its Jacobian on the edge weights and b_u
-    its right-hand side plus e^sigma zeta_plus; a trial is halved only
-    while its residual is infinite, as where a part of u vanishes.
+    (locally_quadratic) A = jacobian_matrix(u), the step is the halving
+    one, forcing included, and the preconditioner is two_level on
+    inst.aggregates where inst has them, jacobi otherwise; a coarse matrix
+    that is not positive definite gives a NaN step as well.  Below p = 2
+    the step is the primal-dual step of the plain solve, with A its
+    Jacobian on the edge weights, b_u its right-hand side plus e^sigma
+    zeta_plus and the preconditioner jacobi; a trial is halved only while
+    its residual is infinite, as where a part of u vanishes.
     """
     quadratic = locally_quadratic(inst.p)
     flux = None if quadratic else _Flux(

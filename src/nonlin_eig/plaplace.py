@@ -36,7 +36,8 @@ holds that value once and a cached per-node count cminus weighs it.
   slots of its edge; the diagonal is the weights summed over the half
   edges, their far ends and cminus.  The CSR pattern is fixed, shared and
   read-only, with the columns of each row sorted.
-The table, the counts and the CSR pattern are built on first use, not in
+The table, the counts, the CSR pattern and the aggregates (the lattice
+blocks of the newton module's two_level) are built on first use, not in
 __init__, so that building an instance stays cheap.
 
 One rule, smoothing(x) = EPSILON max(1, max|x|), smooths every kernel
@@ -61,6 +62,7 @@ from .grid import GridDomain, build_stencil
 from . import newton
 
 EPSILON = 1e-9  # the kernel smoothing per unit max(1, max|x|)
+AGGREGATE_SIDE = 1.5  # the side of an aggregate block, in stencil margins
 
 
 def mean_value_constant(p: float) -> float:
@@ -156,6 +158,20 @@ class PLaplaceInstance(FunctionalPair):
         n, T = self.n_interior, self._half_table
         reached = np.bincount(T.ravel(), minlength=n + 1)[:n]
         return (len(T) - reached).astype(float)
+
+    @cached_property
+    def aggregates(self) -> np.ndarray:
+        """Per interior node, the number of its aggregate, the coarse space
+        of the newton module's two_level: the lattice is cut into square
+        blocks of side ceil(AGGREGATE_SIDE margin) nodes from node (0, 0),
+        and each block's interior nodes form one aggregate, numbered in
+        block order; read-only."""
+        side = math.ceil(AGGREGATE_SIDE * self.stencil.margin)
+        jj, ii = np.nonzero(self._mask)
+        block = jj // side * self.domain.nx + ii // side
+        number = np.unique(block, return_inverse=True)[1]
+        number.flags.writeable = False
+        return number
 
     @cached_property
     def _csr_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

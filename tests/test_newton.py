@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nonlin_eig import newton
+from nonlin_eig.eigensolvers import run_balanced_ipm
 from nonlin_eig.functional import SolveReport, power_map
 from nonlin_eig.grid import build_domain, eval_initial_guess
 from nonlin_eig.newton import (NewtonSettings, cg_solve, damped_newton,
@@ -96,6 +97,88 @@ class TestCgSolve:
         x_shared, iters_shared = cg_solve(A, b, 1e-12, 100, M=shared)
         assert applied and iters_shared == iters
         assert np.array_equal(x_shared, x)
+
+
+class TestTwoLevel:
+    @staticmethod
+    def first_bordered_system(shape, h):
+        """The Newton system of step 0's first bordered step on the ex2
+        start, p = 3, r = h^(1/1.6): A and its right-hand sides b_u and
+        zeta^+, as the two CG solves of the step receive them."""
+        dom = build_domain(shape, 2.0, h)
+        inst = PLaplaceInstance(dom, h ** (1 / 1.6), 3.0)
+        calls = []
+
+        def recording(A, b, rtol, maxiter, x0=None, M=None):
+            calls.append((A, b.copy()))
+            return cg_solve(A, b, rtol, maxiter, x0, M)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "cg_solve", recording)
+            run_balanced_ipm(inst, eval_initial_guess("ex2", dom).values, 1,
+                             NewtonSettings(max_iter=1))
+        (A, b_u), (A_y, zeta_plus) = calls
+        assert A_y is A
+        return inst, A, (b_u, zeta_plus)
+
+    @pytest.mark.parametrize("shape", ["square", "lshape"])
+    def test_symmetric_positive_and_the_stated_operator(self, shape):
+        # on a p = 3 Jacobian at a random field, M = D^-1 + P (P^T A P)^-1
+        # P^T, formed densely here, and x . M y = y . M x, x . M x > 0 on
+        # random vectors
+        inst = make_instance(3.0, shape=shape)
+        rng = np.random.default_rng(5)
+        A = inst.jacobian_matrix(random_interior(inst, rng))
+        M = newton.two_level(A, inst.aggregates)
+        n, m = inst.n_interior, inst.aggregates.max() + 1
+        P = np.zeros((n, m))
+        P[np.arange(n), inst.aggregates] = 1.0
+        dense = np.diag(1.0 / A.diagonal()) \
+            + P @ np.linalg.solve(P.T @ A.toarray() @ P, P.T)
+        X = rng.standard_normal((n, 8))
+        MX = np.column_stack([M.matvec(x) for x in X.T])
+        assert np.max(np.abs(MX - dense @ X)) <= 1e-10 * np.max(np.abs(MX))
+        G = X.T @ MX
+        assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+        assert np.all(np.linalg.eigvalsh(G) > 0.0)
+
+    @pytest.mark.parametrize("shape", ["square", "lshape"])
+    def test_fewer_cg_iterations_than_jacobi(self, shape):
+        # both solves of a 31 x 31 lattice's bordered system: the true
+        # relative residual, recomputed, meets rtol in fewer iterations
+        inst, A, rhs = self.first_bordered_system(shape, 0.0625)
+        rtol = 1e-6
+        for b in rhs:
+            iterations = []
+            for M in (newton.jacobi(A), newton.two_level(A, inst.aggregates)):
+                result = cg_solve(A, b, rtol, 1000, M=M)
+                x, count = result
+                assert result.report.cg_unconverged == 0
+                assert np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
+                iterations.append(count)
+            assert iterations[1] < iterations[0]
+
+    def test_failed_coarse_factorization_ends_the_step(self, monkeypatch):
+        # a Jacobian whose coarse matrix is not positive definite (negated
+        # here) ends the bordered solve at its first step, through
+        # damped_newton's non-finite step, with no CG run and no Jacobi
+        inst = make_instance(3.0)
+        jacobian = inst.jacobian_matrix
+
+        def no_jacobi(A):
+            raise AssertionError("fell back to Jacobi")
+
+        monkeypatch.setattr(inst, "jacobian_matrix", lambda u: -jacobian(u))
+        monkeypatch.setattr(newton, "jacobi", no_jacobi)
+        u = inst.as_vector(eval_initial_guess("ex2", inst.domain).values)
+        x0 = np.append(u, 0.0)
+        zeta = power_map(u, inst.p)
+        x, rep = solve_p_poisson(inst, -np.maximum(-zeta, 0.0), x0,
+                                 border=np.maximum(zeta, 0.0))
+        assert np.array_equal(x, x0)
+        assert rep.jacobians == 1 and rep.iterations == 0
+        assert not rep.converged and np.isnan(rep.final_residual)
+        assert rep.cg_iterations_total == 0
 
 
 class TestDampedNewton:

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -117,6 +118,33 @@ class TestOperator:
         out = inst.neg_plaplacian(u)
         assert out.shape == (inst.n_interior,)
         assert np.all(inst.lift_free(out)[~inst.domain.interior_mask] == 0.0)
+
+
+class TestAggregates:
+    @pytest.mark.parametrize("shape", ["square", "lshape"])
+    @settings(max_examples=15, deadline=None)
+    @given(cells=st.integers(6, 40), radius=st.floats(1.0, 3.2))
+    def test_partition_the_interior_into_lattice_blocks(self, shape, cells,
+                                                        radius):
+        # the interior nodes of each square block of side
+        # ceil(AGGREGATE_SIDE margin), cut from node (0, 0), form one
+        # aggregate, numbered in block order
+        h = 2.0 / cells
+        inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, 3.0)
+        dom = inst.domain
+        side = math.ceil(plaplace.AGGREGATE_SIDE * inst.stencil.margin)
+        assert inst.aggregates.shape == (inst.n_interior,)
+        number = np.full((dom.ny, dom.nx), -1)
+        number[dom.interior_mask] = inst.aggregates
+        blocks = []
+        for j in range(0, dom.ny, side):
+            for i in range(0, dom.nx, side):
+                inside = dom.interior_mask[j:j + side, i:i + side]
+                block = number[j:j + side, i:i + side][inside]
+                if block.size:
+                    assert np.all(block == block[0])
+                    blocks.append(int(block[0]))
+        assert blocks == list(range(len(blocks)))
 
 
 class TestEnergy:
