@@ -72,8 +72,10 @@ def cmd_run(args) -> int:
         "extras": trace.extras,  # lists and scalars only, in every scheme
         "inner_work": asdict(trace.inner_work),
     }
+    # strict JSON: a value that is not finite is written null
+    strict = json.loads(json.dumps(run_info), parse_constant=lambda _: None)
     with rewrite(out_dir / "run.json") as f:
-        json.dump(run_info, f, indent=2)
+        json.dump(strict, f, indent=2, allow_nan=False)
     print(f"{trace.solver_tag}: {len(trace.records)} iterations, "
           f"lambda = {trace.final_lambda:.10g}, stop_reason = {trace.stop_reason}")
     return 0

@@ -114,13 +114,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(_number(tau) and tau > 0, "solver.tau must be a positive number")
 
     newton_raw = raw.get("newton", {})
-    newton_kw = {f.name: newton_raw.get(f.name, f.default)
-                 for f in fields(NewtonSettings)}
-    for key, value in newton_kw.items():
-        expected = int if key.endswith("max_iter") else (int, float)
-        _require(_number(value, expected) or (key == "cg_max_iter" and value is None),
-                 f"newton.{key} must be {'an integer' if expected is int else 'a number'}")
-    newton = NewtonSettings(**newton_kw)
+    for key, kind in (("tol_abs", (int, float)), ("max_iter", int)):
+        _require(key not in newton_raw or _number(newton_raw[key], kind),
+                 f"newton.{key} must be "
+                 + ("an integer" if kind is int else "a number"))
+    newton = NewtonSettings(**newton_raw)
 
     initial = raw.get("initial", {"kind": "ex1"})
     _require(initial.get("kind") in ("ex1", "ex2", "file"),

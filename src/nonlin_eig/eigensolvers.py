@@ -43,8 +43,8 @@ TAU0 = 2.0  # the first rung of the geometric step-size ladder TAU0 2^-j
 LADDER_LEN = 12
 SUFFICIENT_DECREASE = 0.2  # the fraction of F a geometric step must remove
 N_SWEEPS = 10  # fixed-point sweeps per rung of the geometric ladder
-POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12, cg_tol=1e-13,
-                        cg_max_iter=200)  # the geometric polish
+POLISH = NewtonSettings(tol_abs=1e-10, max_iter=12)  # the geometric polish
+POLISH_CG_RTOL, POLISH_CG_BUDGET = 1e-13, 200  # each polish CG solve's stop
 
 
 @dataclass
@@ -415,8 +415,8 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     """Damped Newton polish of the sweep result x at step size tau.
 
     Each Newton system M delta = b, M = diag - (p/D) H, is sparse and
-    symmetric but often indefinite.  Jacobi-PCG (cg_solve to settings.cg_tol
-    within settings.cg_budget) runs on M as it is, and damped_newton's
+    symmetric but often indefinite.  Jacobi-PCG (cg_solve to POLISH_CG_RTOL
+    within POLISH_CG_BUDGET) runs on M as it is, and damped_newton's
     halving line search takes a step only where it lowers the residual, so
     a step CG did not resolve costs its work, not the iterate.  The budget
     caps the work of a system CG resolves slowly, whose truncated step the
@@ -450,9 +450,9 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     p = pair.p
     first, far = p > 2, None  # far: the seed's residual, in the far field
 
-    def solve(M, b, rtol):  # at settings.cg_tol, not damped_newton's rtol
+    def solve(M, b, rtol):  # at POLISH_CG_RTOL, not damped_newton's rtol
         nonlocal first, far
-        cg = cg_solve(M, b, settings.cg_tol, settings.cg_budget(b.size))
+        cg = cg_solve(M, b, POLISH_CG_RTOL, POLISH_CG_BUDGET)
         if first:  # the step from the seed x
             first = False
             v = (x - u) / (p - 1.0)  # the far-field step is -v

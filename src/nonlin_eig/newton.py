@@ -7,7 +7,7 @@ log_balance is defined here) and the geometric scheme's polish.  It
 computes each step's CG tolerance, by the rules below, once, and hands it
 to the step's linear solve: the default CG runs to it, the bordered solve
 runs both of its CG solves to it, on one preconditioner per Newton system
-(solve_p_poisson), and the polish keeps its fixed settings.cg_tol
+(solve_p_poisson), and the polish keeps its own fixed tolerance
 (eigensolvers._polish).
 CG suits the many-armed mean-value stencil, whose sparse Jacobian-vector
 product is cheap where a factorization of the Jacobian would be wasteful.
@@ -20,10 +20,10 @@ Comput. 2009), which removes the smooth error that Jacobi barely damps.
 Its one small coarse factorization per Newton system serves both CG
 solves of the system.  In the inner IPM and PPM solves and below p = 2 it
 did not pay for its setup, and the polish's matrix is indefinite.  CG
-stops at the relative tolerance max(cg_tol, 0.01 tol_abs /
-|b|_2) for the right-hand side b of the Newton system, so near convergence
-it is not asked for a linear residual far below the Newton tolerance, yet
-that residual stays two orders below it.
+stops at the relative tolerance max(CG_RTOL, 0.01 tol_abs / |b|_2) for
+the right-hand side b of the Newton system, within cg_budget iterations,
+so near convergence it is not asked for a linear residual far below the
+Newton tolerance, yet that residual stays two orders below it.
 
 For p >= 2 (locally_quadratic), where Newton converges locally
 quadratically, a step solves the Newton system of the residual and is
@@ -77,25 +77,23 @@ from .functional import SolveReport, power_map
 
 
 @dataclass
-class NewtonSettings:
+class NewtonSettings:  # the Newton stop
     tol_abs: float = 1e-12
     max_iter: int = 500
-    cg_tol: float = 1e-10
-    cg_max_iter: int | None = None  # None: max(50, 10 * unknowns)
 
     def __post_init__(self):
         if not 0 < self.tol_abs < math.inf:
             raise ValueError("tol_abs must be positive and finite")
         if not 1 <= self.max_iter < math.inf:
             raise ValueError("max_iter must be >= 1 and finite")
-        if not 0 < self.cg_tol < 1:
-            raise ValueError("cg_tol must lie in (0, 1)")
-        if self.cg_max_iter is not None and not 1 <= self.cg_max_iter < math.inf:
-            raise ValueError("cg_max_iter must be >= 1 and finite, or null")
 
-    def cg_budget(self, n: int) -> int:
-        """The iteration budget of one CG solve in n unknowns."""
-        return self.cg_max_iter or max(50, 10 * n)
+
+CG_RTOL = 1e-10  # the least relative tolerance a Newton step asks of CG
+
+
+def cg_budget(n: int) -> int:
+    """The iteration budget of one CG solve in n unknowns."""
+    return max(50, 10 * n)
 
 
 def locally_quadratic(p: float) -> bool:
@@ -203,9 +201,9 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     iterations, Jacobian assemblies (one per system formed), residual
     evaluations, backtracks (trial steps rejected), final_residual and
     converged.  rtol is the relative CG tolerance of the module docstring
-    for that b, the one the default solve, CG within settings.cg_budget,
-    runs to; the default reports CG's iterations and, in cg_unconverged,
-    whether it did not converge.  On the halving step (no flux) rtol is
+    for that b, the one the default solve, CG within cg_budget, runs to;
+    the default reports CG's iterations and, in cg_unconverged, whether
+    it did not converge.  On the halving step (no flux) rtol is
     forced by the module docstring's Eisenstat-Walker terms, eta_0 = 0.1
     on the first Newton step unless linear says that residual_fn is
     affine, and eta from the second step on; their safeguard max(eta,
@@ -225,7 +223,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     norm_prev = None  # |b|_2 at the previous Newton step
 
     def cg(A, b, rtol):
-        result = cg_solve(A, b, rtol, settings.cg_budget(x.size))
+        result = cg_solve(A, b, rtol, cg_budget(x.size))
         return result[0], result.report
 
     while (settings.tol_abs < rn < np.inf and it < settings.max_iter
@@ -233,7 +231,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
         A, b = (jacobian_fn(x), -r) if flux is None else flux.system(x)
         jacobians += 1
         norm = np.linalg.norm(b)
-        rtol = max(settings.cg_tol, 0.01 * settings.tol_abs / norm)
+        rtol = max(CG_RTOL, 0.01 * settings.tol_abs / norm)
         if flux is None and (norm_prev is not None or not linear):
             eta = 0.1 if norm_prev is None else 0.9 * (norm / norm_prev) ** 2
             rtol = max(rtol, min(0.1, eta))
@@ -361,9 +359,8 @@ class _Border:
     solves of a system by one operator: two_level on the pair's aggregates
     without flux, jacobi with flux or where the pair has none."""
 
-    def __init__(self, pair, zeta, zeta_plus, settings, flux=None):
-        self.pair, self.zeta, self.zp = pair, zeta, zeta_plus
-        self.settings, self.flux = settings, flux
+    def __init__(self, pair, zeta, zeta_plus, flux=None):
+        self.pair, self.zeta, self.zp, self.flux = pair, zeta, zeta_plus, flux
         self.balance = None  # (psi, g) of the latest finite residual
         self.y = None  # the latest solve of A y = zeta_plus
 
@@ -398,7 +395,7 @@ class _Border:
 
     def solve(self, system, b, rtol):
         A, g, s = system
-        budget = self.settings.cg_budget(self.zp.size)
+        budget = cg_budget(self.zp.size)
         aggregates = self.pair.aggregates if self.flux is None else None
         try:
             M = jacobi(A) if aggregates is None else two_level(A, aggregates)
@@ -454,8 +451,7 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
     flux = None if quadratic else _Flux(
         inst, zeta, u_init if border is None else u_init[:-1])
     if border is not None:
-        bordered = _Border(inst, zeta, border, settings or NewtonSettings(),
-                           flux)
+        bordered = _Border(inst, zeta, border, flux)
         return damped_newton(u_init, bordered.residual, bordered.jacobian,
                              settings, linear_solve=bordered.solve,
                              flux=None if quadratic else bordered)

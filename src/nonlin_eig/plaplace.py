@@ -54,7 +54,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
 from .functional import FunctionalPair, power_map
@@ -70,12 +69,16 @@ def mean_value_constant(p: float) -> float:
 
     Defined through the disk integral of |e1 . w|^p,
         D_{2,p} = (1/(2 pi)) * int_{B_1(0)} |w_1|^p dw
-                = (2 / (pi (p+2))) * int_0^{pi/2} cos(t)^p dt,
-    evaluated by adaptive quadrature.  For p = 2 this gives exactly 1/8,
-    which makes the operator consistent with the classical Laplacian.
+                = (2 / (pi (p+2))) * int_0^{pi/2} cos(t)^p dt
+                = Gamma((p+1)/2) / (sqrt(pi) (p+2) Gamma(p/2+1)),
+    the ratio of the Gammas taken by their logarithms from p = 340 on,
+    as Gamma overflows past p = 341.  For p = 2 this is 1/8, which makes
+    the operator consistent with the classical Laplacian.
     """
-    integral, _ = scipy.integrate.quad(lambda t: math.cos(t) ** p, 0.0, math.pi / 2)
-    return 2.0 * integral / (math.pi * (p + 2.0))
+    a, b = (p + 1.0) / 2.0, p / 2.0 + 1.0
+    ratio = math.gamma(a) / math.gamma(b) if p < 340.0 \
+        else math.exp(math.lgamma(a) - math.lgamma(b))
+    return ratio / (math.sqrt(math.pi) * (p + 2.0))
 
 
 def _smoothed_slope(t: np.ndarray, p: float, epsilon: float,

@@ -12,6 +12,7 @@ import pytest
 import nonlin_eig
 from nonlin_eig import config, metrics, validation
 from nonlin_eig.cli import main
+from nonlin_eig.grid import build_domain, eval_initial_guess
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBLEM = {"kind": "plaplace", "shape": "square", "side": 2.0, "h": 0.2,
@@ -36,6 +37,14 @@ sys.addaudithook(_audit_open)
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def load_run(out):
+    """out/run.json parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"run.json holds {name}")
+
+    return json.loads((out / "run.json").read_text(), parse_constant=reject)
 
 
 def assert_rejected(tmp_path, capsys, raw, name):
@@ -79,7 +88,7 @@ class TestRun:
                                "residual", "inner_iters", "wall_time"]
         assert rows[0][8:11] == ["jacobians", "residual_evals", "backtracks"]
         assert len(rows) == 41
-        info = json.loads((out / "run.json").read_text())
+        info = load_run(out)
         assert info["solver_tag"] == "ipm"
         pair, _, _ = config.build_instance(config.load_config(cfg))
         oracle, _ = validation.p2_oracle(pair)
@@ -113,7 +122,7 @@ class TestRun:
             "output": {"dir": str(tmp_path / "out_geo")},
         })
         assert main(["run", config]) == 0
-        info = json.loads((tmp_path / "out_geo" / "run.json").read_text())
+        info = load_run(tmp_path / "out_geo")
         assert info["extras"]["candidate"] == ["sweep", "polish", "sweep",
                                                "sweep"]
         assert info["extras"]["far_field"] == [0]
@@ -121,9 +130,11 @@ class TestRun:
     # one bordered solve per step.  At p = 3 its Newton steps were [6, 5]
     # before the first one was forced; the root search took [7, 4] solves,
     # [12, 4] when step 0 doubled s from 1 to a bracket.  At p = 1.5 the
-    # primal-dual step 1 ends between tol_abs and 1e-9
+    # primal-dual step 1 ends between tol_abs and 1e-9; its steps were
+    # [13, 30] before D_{2,p} was computed in closed form, which moved it
+    # by 9.8e-12 relative
     @pytest.mark.parametrize("p,newton_steps,failed", [
-        (3.0, [7, 5], []), (1.5, [13, 30], [1])], ids=["p3", "p1.5"])
+        (3.0, [7, 5], []), (1.5, [14, 35], [1])], ids=["p3", "p1.5"])
     def test_balanced_run_reports_bordered_solves(self, tmp_path, p,
                                                   newton_steps, failed):
         config = write_config(tmp_path / "bal.json", {
@@ -135,7 +146,7 @@ class TestRun:
         })
         assert main(["run", config]) == 0
         out = tmp_path / "out_bal"
-        info = json.loads((out / "run.json").read_text())
+        info = load_run(out)
         extras = info["extras"]
         assert len(extras["balance_roots"]) == 2
         assert len(extras["balance_defects"]) == 2
@@ -163,6 +174,27 @@ class TestRun:
         assert work["cg_iterations_total"] == sum(column["cg_iterations"])
         assert work["converged"] == (not failed)
 
+    def test_run_json_writes_no_nan(self, tmp_path):
+        # one positive node of 1e-200 (test_eigensolvers'
+        # test_positive_part_without_norm_falls_back): no bordered solve
+        # runs, and the trace's NaN root and defect of that step were
+        # written as bare NaN, which strict JSON readers reject
+        dom = build_domain("square", 2.0, 0.2)
+        start = -np.abs(eval_initial_guess("ex1", dom).values)
+        start[tuple(np.argwhere(dom.interior_mask)[0])] = 1e-200
+        np.savetxt(tmp_path / "start.csv", start, delimiter=",")
+        cfg = write_config(tmp_path / "bal.json", {
+            "problem": PROBLEM,
+            "initial": {"kind": "file", "path": str(tmp_path / "start.csv")},
+            "solver": {"kind": "balanced", "iters": 3},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        info = load_run(tmp_path / "out")
+        assert info["stop_reason"] == "stalled"
+        assert info["extras"]["balance_roots"] == [None]
+        assert info["extras"]["balance_defects"] == [None]
+
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0
         out = tmp_path / "out_grid"
@@ -171,7 +203,7 @@ class TestRun:
         assert (out / "ipm_iter2.csv").exists()
         assert (out / "ipm_iter4.csv").exists()
         assert not (out / "ipm_iter3.csv").exists()
-        info = json.loads((out / "run.json").read_text())
+        info = load_run(out)
         assert info["snapshots"] == ["ipm_iter2.csv", "ipm_iter4.csv"]
         echoed = info["config"]
         assert echoed["epsilon"] == 1e-9
@@ -211,7 +243,7 @@ class TestRun:
         assert sorted(rerun) == sorted([*fresh, "ipm_iter4.csv"])
         for name in ("final.csv", "run.json", "ipm_iter2.csv"):
             assert rerun[name] == fresh[name], name
-        assert json.loads(rerun["run.json"])["snapshots"] == ["ipm_iter2.csv"]
+        assert load_run(out)["snapshots"] == ["ipm_iter2.csv"]
         assert len(rows(rerun["metrics.csv"])) == 2
         assert rows(rerun["metrics.csv"]) == rows(fresh["metrics.csv"])
 
@@ -248,13 +280,13 @@ class TestRun:
             "output": {"dir": str(tmp_path / "out_ppm")},
         })
         assert main(["run", config]) == 0
-        ipm = json.loads((tmp_path / "out_grid" / "run.json").read_text())
+        ipm = load_run(tmp_path / "out_grid")
         with open(tmp_path / "out_ppm" / "metrics.csv", newline="") as f:
             first = next(csv.DictReader(f))
         # the run starts from the IPM run's final iterate
         assert float(first["rq"]) == pytest.approx(ipm["final_lambda"],
                                                    rel=1e-12)
-        info = json.loads((tmp_path / "out_ppm" / "run.json").read_text())
+        info = load_run(tmp_path / "out_ppm")
         extras = info["extras"]
         assert "recovery_converged" not in extras
         assert np.isfinite(extras["lambda_recovered"])
@@ -284,6 +316,7 @@ class TestRun:
         ("solver", "iters", 2.5),
         ("newton", "tol_abs", "1e-12"),
         ("newton", "max_iter", True),
+        # two keys that are gone: CG's tolerance and budget are fixed
         ("newton", "cg_tol", "1e-10"),
         ("newton", "cg_max_iter", 10.5),
         # these three once ended in a traceback
@@ -401,11 +434,13 @@ class TestRun:
 
     @pytest.mark.parametrize("key, value", [
         ("cg_max_iter", 0), ("cg_max_iter", -3), ("cg_tol", 0),
-        ("cg_tol", 1.0)])
+        ("cg_tol", 1.0), ("tol_abs", 0), ("max_iter", 0)])
     def test_out_of_range_newton_setting_exits_1(self, tmp_path, capsys, key,
                                                  value):
-        # each of these once ran to exit 0: a zero CG budget meant the
-        # default, a negative one failed every solve, cg_tol 0 stalled
+        # each cg_ row once ran to exit 0: a zero CG budget meant the
+        # default, a negative one failed every solve, cg_tol 0 stalled.
+        # CG's tolerance and budget are no longer keys, so these exit as
+        # unknown keys
         cfg = write_config(tmp_path / "bad.json", {
             "problem": {"kind": "plaplace", "shape": "square", "side": 2.0,
                         "h": 0.2, "r": 0.45, "p": 3.0},
@@ -416,6 +451,8 @@ class TestRun:
         assert main(["run", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert ("unknown config key newton." + key in err) \
+            == key.startswith("cg_")
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_start_exits_1(self, tmp_path, capsys):

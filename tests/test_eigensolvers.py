@@ -57,8 +57,7 @@ def test_bordered_solve_matches_dense_solve(p, shape, cells, radius, sigma,
     inst = PLaplaceInstance(build_domain(shape, 2.0, h), radius * h, p)
     w, zeta, b = random_fields(inst, 3, seed)
     zp = np.maximum(zeta, 0.0)
-    border = newton._Border(inst, -np.maximum(-zeta, 0.0), zp,
-                            NewtonSettings())
+    border = newton._Border(inst, -np.maximum(-zeta, 0.0), zp)
     x = np.append(w, sigma)
     assert np.all(np.isfinite(border.residual(x)))
     system = border.jacobian(x)
@@ -260,6 +259,7 @@ def test_residual_tol_must_be_positive_and_finite(spd, run, tol):
     lambda pair, u0, s: run_ppm(pair, u0, tau_tilde=0.5, iters=1, settings=s),
 ], ids=["ipm", "ppm"])
 def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
+    # newton's CG tolerance floor and budget reach every CG call
     seen = []
     original = newton.cg_solve
 
@@ -268,8 +268,10 @@ def test_cg_settings_reach_inner_solves(small_grid, monkeypatch, run):
         return original(A, b, rtol, maxiter)
 
     monkeypatch.setattr(newton, "cg_solve", recording)
+    monkeypatch.setattr(newton, "CG_RTOL", 1e-3)
+    monkeypatch.setattr(newton, "cg_budget", lambda n: 7)
     u0 = eval_initial_guess("ex1", small_grid.domain).values
-    run(small_grid, u0, NewtonSettings(cg_tol=1e-3, cg_max_iter=7))
+    run(small_grid, u0, NewtonSettings())
     assert seen
     assert all(maxiter == 7 for _, maxiter in seen)
     assert all(rtol >= 1e-3 for rtol, _ in seen)
@@ -550,10 +552,10 @@ class TestPpm:
         assert t_ppm.extras["lambda_recovered"] == pytest.approx(
             t_ipm.final_lambda, rel=1e-4)
 
-    def test_unconverged_cg_listed(self, small_grid):
+    def test_unconverged_cg_listed(self, small_grid, monkeypatch):
+        monkeypatch.setattr(newton, "cg_budget", lambda n: 1)
         u0 = eval_initial_guess("ex1", small_grid.domain).values
-        trace = run_ppm(small_grid, u0, 0.5, 2,
-                        NewtonSettings(max_iter=5, cg_max_iter=1))
+        trace = run_ppm(small_grid, u0, 0.5, 2, NewtonSettings(max_iter=5))
         assert len(trace.records) == 2
         assert sum(rec.inner.cg_unconverged for rec in trace.records) > 0
         assert trace.extras["failed_inner_solves"] == [0, 1]
@@ -985,10 +987,19 @@ class TestGeometric:
     # Without that stop the L-shape p = 3 ex2 run reaches the same
     # 4-record state (lambda 860.8995-860.8998, eigen-residual 0.1135) from
     # 2 of 4 starts u0 (1 + 1e-7 N(0, 1)) per node (seeds 0-3).
+    # The four p = 1.5 rows were recorded again once D_{2,p} was computed
+    # in closed form instead of by quadrature, which moved it by 9.8e-12
+    # relative at p = 1.5, by at most 2.9e-16 at p = 2, 4 and 5 and not
+    # at p = 3.  Before → after (relative); records, winners and stops
+    # are unchanged:
+    #   square 1.5 ex1 40.632325606979386 → 40.63232672734388 (2.8e-8)
+    #   square 1.5 ex2 40.69383603696968 → 40.69397709096551 (3.5e-6)
+    #   lshape 1.5 ex1 40.737587638836395 → 40.73758762969051 (2.2e-10)
+    #   lshape 1.5 ex2 40.74193972179087 → 40.74193803231293 (4.1e-8)
     @pytest.mark.parametrize("shape,p,start,lam,n_records,winners", [
-        pytest.param("square", 1.5, "ex1", 40.632325606979386, 3, "ss",
+        pytest.param("square", 1.5, "ex1", 40.63232672734388, 3, "ss",
                      id="square-p1.5-ex1"),
-        pytest.param("square", 1.5, "ex2", 40.69383603696968, 2, "s",
+        pytest.param("square", 1.5, "ex2", 40.69397709096551, 2, "s",
                      id="square-p1.5-ex2"),
         pytest.param("square", 2, "ex1", 101.44863734808045, 2, "s",
                      id="square-p2-ex1"),
@@ -1006,9 +1017,9 @@ class TestGeometric:
                      id="square-p5-ex1"),
         pytest.param("square", 5, "ex2", 58899.6369024742, 2, "s",
                      id="square-p5-ex2"),
-        pytest.param("lshape", 1.5, "ex1", 40.737587638836395, 2, "s",
+        pytest.param("lshape", 1.5, "ex1", 40.73758762969051, 2, "s",
                      id="lshape-p1.5-ex1"),
-        pytest.param("lshape", 1.5, "ex2", 40.74193972179087, 3, "ss",
+        pytest.param("lshape", 1.5, "ex2", 40.74193803231293, 3, "ss",
                      id="lshape-p1.5-ex2"),
         pytest.param("lshape", 2, "ex1", 101.10078751764041, 2, "s",
                      id="lshape-p2-ex1"),
@@ -1104,8 +1115,9 @@ class TestGeometric:
 
 
 class TestPolishLinearSolves:
-    """Every Newton system of the polish goes to cg_solve as it is, at
-    POLISH's tolerance and budget, and the line search judges the step."""
+    """Every Newton system of the polish goes to cg_solve as it is, at the
+    polish's CG tolerance and budget, and the line search judges the
+    step."""
 
     @staticmethod
     def polish(pair, u, tau, monkeypatch, solve=newton.cg_solve):
@@ -1115,8 +1127,8 @@ class TestPolishLinearSolves:
         systems = []
 
         def recording(A, b, rtol, maxiter):
-            assert (rtol, maxiter) == (POLISH.cg_tol,
-                                       POLISH.cg_budget(b.size))
+            assert (rtol, maxiter) == (eigensolvers.POLISH_CG_RTOL,
+                                       eigensolvers.POLISH_CG_BUDGET)
             systems.append((A, b, solve(A, b, rtol, maxiter)))
             return systems[-1][2]
 
@@ -1269,8 +1281,8 @@ class TestPolishLinearSolves:
         _, _, _, systems = self.polish(small_grid, u0, 2.0, monkeypatch)
         M, b, result = systems[0]
         assert np.linalg.eigvalsh(M.toarray())[-1] < 0.0
-        flipped, iters = newton.cg_solve(-M, -b, POLISH.cg_tol,
-                                         POLISH.cg_budget(b.size))
+        flipped, iters = newton.cg_solve(-M, -b, eigensolvers.POLISH_CG_RTOL,
+                                         eigensolvers.POLISH_CG_BUDGET)
         assert iters == result[1] > 1 and np.array_equal(result[0], flipped)
         assert result.report == SolveReport(cg_iterations_total=iters)
 
@@ -1324,8 +1336,8 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
             break
         M_diag = pair.duality_map_H_prime((x - u) / tau) / tau
         M = scipy.sparse.diags(M_diag) - (p / D) * pair.jacobian_matrix(x)
-        delta = eigensolvers.cg_solve(M, -G, settings.cg_tol,
-                                      settings.cg_budget(G.size))[0]
+        delta = eigensolvers.cg_solve(M, -G, eigensolvers.POLISH_CG_RTOL,
+                                      eigensolvers.POLISH_CG_BUDGET)[0]
         if not np.all(np.isfinite(delta)):
             return
         if it == 0 and p > 2:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -23,21 +25,21 @@ class TestSettings:
     def test_defaults(self):
         s = NewtonSettings()
         assert s.tol_abs == 1e-12 and s.max_iter == 500
+        # the Newton stop only: CG's floor and budget are newton's own
+        assert [f.name for f in fields(NewtonSettings)] \
+            == ["tol_abs", "max_iter"]
+        assert newton.CG_RTOL == 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError):
             NewtonSettings(tol_abs=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iter=0)
-        for bad in ({"cg_tol": 0.0}, {"cg_tol": 1.0}, {"cg_max_iter": 0}):
-            with pytest.raises(ValueError):
-                NewtonSettings(**bad)
-        assert NewtonSettings(cg_max_iter=None).cg_budget(3) == 50
+        assert newton.cg_budget(3) == 50 and newton.cg_budget(7) == 70
 
     @pytest.mark.parametrize("bad", [
         {"tol_abs": float("inf")}, {"tol_abs": float("nan")},
-        {"max_iter": float("inf")}, {"max_iter": float("nan")},
-        {"cg_max_iter": float("inf")}, {"cg_max_iter": float("nan")}])
+        {"max_iter": float("inf")}, {"max_iter": float("nan")}])
     def test_non_finite_rejected(self, bad):
         # an infinite tol_abs would end every solve before its first step
         with pytest.raises(ValueError, match="finite"):
@@ -240,7 +242,7 @@ class TestDampedNewton:
             return x, rep, trials
 
         def handed(A, b, rtol):
-            cg = cg_solve(A, b, rtol, s.cg_budget(b.size))
+            cg = cg_solve(A, b, rtol, newton.cg_budget(b.size))
             return cg[0], cg.report
 
         x_default, rep_default, default = run(None)
@@ -290,11 +292,11 @@ class TestPPoisson:
         assert rep.iterations == 0 and rep.converged
         assert np.all(u == 0.0)
 
-    def test_p2_matches_dense_solve(self):
+    def test_p2_matches_dense_solve(self, monkeypatch):
+        monkeypatch.setattr(newton, "CG_RTOL", 1e-14)
         inst = make_instance(2.0)
         zeta = random_interior(inst, np.random.default_rng(0))
-        u, rep = solve_p_poisson(inst, zeta, np.zeros_like(zeta),
-                                 NewtonSettings(cg_tol=1e-14))
+        u, rep = solve_p_poisson(inst, zeta, np.zeros_like(zeta))
         assert rep.converged
         A = inst.jacobian_matrix(np.zeros_like(zeta)).toarray()
         u_dense = np.linalg.solve(A, zeta)
@@ -319,13 +321,14 @@ class TestPPoisson:
         u2, _ = solve_p_poisson(inst, zeta, init2)
         assert np.max(np.abs(u1 - u2)) <= 1e-8
 
-    def test_cg_unconverged_counted(self):
+    def test_cg_unconverged_counted(self, monkeypatch):
         inst = make_instance(3.0)
         zeta = random_interior(inst, np.random.default_rng(5))
         _, rep = solve_p_poisson(inst, zeta, np.zeros_like(zeta))
         assert rep.converged and rep.cg_unconverged == 0
+        monkeypatch.setattr(newton, "cg_budget", lambda n: 1)
         _, rep = solve_p_poisson(inst, zeta, np.zeros_like(zeta),
-                                 NewtonSettings(max_iter=5, cg_max_iter=1))
+                                 NewtonSettings(max_iter=5))
         assert rep.cg_unconverged > 0
 
     @settings(max_examples=15, deadline=None)
@@ -358,8 +361,8 @@ class TestPPoisson:
         s = NewtonSettings()
 
         def unforced_cg(A, b, forced):  # ignores the forced tolerance
-            rtol = max(s.cg_tol, 0.01 * s.tol_abs / np.linalg.norm(b))
-            x, iters = cg_solve(A, b, rtol, s.cg_budget(len(b)))
+            rtol = max(newton.CG_RTOL, 0.01 * s.tol_abs / np.linalg.norm(b))
+            x, iters = cg_solve(A, b, rtol, newton.cg_budget(len(b)))
             return x, SolveReport(cg_iterations_total=iters)
 
         x_tight, tight = damped_newton(start, residual, inst.jacobian_matrix,
@@ -379,7 +382,7 @@ class TestPPoisson:
         # at each iterate the forced tolerance is the unforced rule's,
         # raised to at most 0.1; the first step's is raised to 0.1, except
         # at p = 2, where the residual is linear and one exact step solves it
-        tight_rtols = [max(s.cg_tol, 0.01 * s.tol_abs / norm)
+        tight_rtols = [max(newton.CG_RTOL, 0.01 * s.tol_abs / norm)
                        for norm, _ in cg_calls]
         for tight_rtol, (_, rtol) in zip(tight_rtols, cg_calls):
             assert tight_rtol <= rtol <= max(tight_rtol, 0.1)
@@ -553,7 +556,6 @@ class TestFluxSystemAtConsistentFlux:
         inst = make_instance(p, shape="lshape")
         for x, zeta in self.fields(inst, levels):
             border = newton._Border(inst, zeta, np.abs(zeta),
-                                    NewtonSettings(),
                                     newton._Flux(inst, zeta, x))
             xs = np.append(x, 0.3)
             r = border.residual(xs)
@@ -571,11 +573,12 @@ class TestProx:
         assert rep.converged
         assert np.all(v == 0.0)
 
-    def test_p2_matches_dense_solve(self):
+    def test_p2_matches_dense_solve(self, monkeypatch):
+        monkeypatch.setattr(newton, "CG_RTOL", 1e-14)
         inst = make_instance(2.0)
         u_ref = random_interior(inst, np.random.default_rng(3))
         tau = 0.3
-        v, rep = solve_prox(inst, u_ref, tau, NewtonSettings(cg_tol=1e-14))
+        v, rep = solve_prox(inst, u_ref, tau)
         assert rep.converged
         L = inst.jacobian_matrix(u_ref).toarray()
         v_dense = np.linalg.solve(np.eye(L.shape[0]) + tau * L, u_ref)
