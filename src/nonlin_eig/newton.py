@@ -56,11 +56,14 @@ in place of phi'(d) (the two agree at sigma = phi(d)), solved by the same
 CG.  Steps are taken in full wherever the residual is finite, which a
 plain solve's always is (the bordered solve's is not where a part of u
 vanishes): the residual may rise for a step, so the loop keeps its best
-iterate and stops once STALL_STEPS steps have not improved it.  The
-residual has a rounding floor, as phi is only (p-1)-Hoelder: two nodes of
-equal value that differ by one ulp read as a flux of order ulp^(p-1), so
-a solve can stop on that floor above tol_abs.  The primal-dual step's CG
-is not forced.
+iterate and stops once WANDER_STEPS steps have not improved it: far from
+the solution a run of over ten steps, each of the order of u, may set no
+new least residual before the residual falls for good.  The residual
+has a rounding floor, as phi is only (p-1)-Hoelder: two nodes of equal
+value that differ by one ulp read as a flux of order ulp^(p-1), so a
+solve can stop on that floor above tol_abs.  There the steps shrink to
+the rounding level of u, and the loop stops once STALL_STEPS such steps
+have not improved its best.  The primal-dual step's CG is not forced.
 """
 
 from __future__ import annotations
@@ -103,7 +106,9 @@ def locally_quadratic(p: float) -> bool:
     return p >= 2
 
 
-STALL_STEPS = 10  # primal-dual steps without a new least residual, at most
+WANDER_STEPS = 20  # primal-dual steps without a new least residual, at most
+STALL_STEPS = 10  # of them at the rounding level, at most
+ROUNDING_STEP = 2.0 ** -26  # that level: max|step| <= ROUNDING_STEP max|x|
 HALVINGS = tuple(0.5 ** k for k in range(31))  # trial lengths of a step
 
 
@@ -189,7 +194,8 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     system A delta = b of the step (jacobian_fn is not called), a trial is
     accepted when its residual is finite, and flux.advance(t delta) moves
     the linearized flux along the step t delta taken; as the residual may
-    rise for a step, the loop also stops once STALL_STEPS steps have set no
+    rise for a step, the loop also stops once WANDER_STEPS steps, or
+    STALL_STEPS steps at the rounding level (ROUNDING_STEP), have set no
     new least residual.  Either way the trial length starts at 1 and is
     halved at most 30 times (31 tries), and if no try is accepted the loop
     stops.  The loop returns the iterate of least residual, with
@@ -216,7 +222,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
     rn = float(np.max(np.abs(r))) if r.size else 0.0
-    best, best_rn, stalled = x, rn, 0
+    best, best_rn, wandered, stalled = x, rn, 0, 0
     report = SolveReport()
     it = jacobians = backtracks = 0
     evals = 1
@@ -227,7 +233,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
         return result[0], result.report
 
     while (settings.tol_abs < rn < np.inf and it < settings.max_iter
-           and stalled < STALL_STEPS):
+           and wandered < WANDER_STEPS and stalled < STALL_STEPS):
         A, b = (jacobian_fn(x), -r) if flux is None else flux.system(x)
         jacobians += 1
         norm = np.linalg.norm(b)
@@ -256,9 +262,11 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
         if flux is not None:
             flux.advance(t * delta)
         if rn < best_rn:
-            best, best_rn, stalled = x, rn, 0
+            best, best_rn, wandered, stalled = x, rn, 0, 0
         else:
-            stalled += 1
+            wandered += 1
+            stalled += bool(np.max(np.abs(t * delta))
+                            <= ROUNDING_STEP * np.max(np.abs(x)))
     return best, replace(report, iterations=it, final_residual=best_rn,
                          converged=best_rn <= settings.tol_abs,
                          jacobians=jacobians, residual_evals=evals,

@@ -740,7 +740,10 @@ class TestBalanced:
         # p = 1.7376, the ex2 start plus 0.2252 of a random field.  The
         # second step's bordered solve starts balanced (scaling a part
         # keeps its Rayleigh quotient), runs away and returns that start
-        # unconverged; it is not a root, so the step stalls and lists it
+        # unconverged; it is not a root, so the step stalls and lists it.
+        # That solve sets no new least residual for 10 steps: it returns
+        # its start with WANDER_STEPS = 10, and under the default it
+        # converges on its 22nd step
         h = 2.0 / 12
         dom = build_domain("lshape", 2.0, h)
         inst = PLaplaceInstance(dom, 2.706508518539426 * h,
@@ -759,8 +762,11 @@ class TestBalanced:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eigensolvers, "solve_p_poisson", recording)
+            run_balanced_ipm(inst, u1, 1)
+            mp.setattr(newton, "WANDER_STEPS", 10)
             trace = run_balanced_ipm(inst, u1, 1)
-        (x, x0, attempt), = attempts
+        (_, _, patient), (x, x0, attempt) = attempts
+        assert patient.converged and patient.iterations == 22
         assert np.array_equal(x, x0) and not attempt.converged
         assert abs(balance_defect(inst, x0[:-1])) <= eigensolvers.BALANCE_TOL
         assert trace.stop_reason == "stalled"
