@@ -149,8 +149,10 @@ def build_instance(cfg: ExperimentConfig):
     The start is the field ex1 or ex2, or a CSV snapshot on the config's
     lattice.  Returns (pair, u0, resolved) where resolved echoes every
     derived parameter for run.json: the radius, node counts, and the fixed
-    D_{2,p} (mean_value_constant) and smoothing epsilon.  An SPD problem
-    (functional.SpdInstance) runs through the library, not from a config.
+    D_{2,p} (mean_value_constant) and smoothing epsilon, and the Newton
+    settings for the solver kinds that read them (READ_BY["newton"]).  An
+    SPD problem (functional.SpdInstance) runs through the library, not
+    from a config.
     """
     problem = cfg.problem
     p, r = float(problem["p"]), resolve_radius(problem)
@@ -162,9 +164,10 @@ def build_instance(cfg: ExperimentConfig):
         u0 = load_snapshot(init["path"], domain).values
     else:
         u0 = eval_initial_guess(init["kind"], domain).values
+    newton = {"newton": asdict(cfg.newton)} \
+        if cfg.solver["kind"] in READ_BY["newton"] else {}
     resolved = {
-        "problem": dict(problem), "solver": dict(cfg.solver),
-        "newton": asdict(cfg.newton),
+        "problem": dict(problem), "solver": dict(cfg.solver), **newton,
         "r": r, "d2p": pair.d2p, "epsilon": EPSILON,
         "stencil_offsets": int(len(pair.stencil.offsets)),
         "stencil_weight": pair.weight,

@@ -133,8 +133,7 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
 
     Per iteration the record holds the metrics of the current iterate u^k
     together with the dual Rayleigh quotient of zeta^k (evaluated through
-    the half-step v).  Besides the records' R(u^k), the eigenvalue is
-    tracked as |v|_H^(1-p) in extras["lambda_half_step"].
+    the half-step v), which tracks the eigenvalue from the dual side.
 
     Each inner solve starts on the eigen-ray (ray_start), so late solves
     take one to three Newton steps.
@@ -161,7 +160,7 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     """
     settings = settings or NewtonSettings()
     inexact = not exact and locally_quadratic(pair.p)
-    lam_half, tolerances = [], []
+    tolerances = []
 
     def step(k, u, rq, Ju, zJ, res):
         inner = settings
@@ -172,14 +171,12 @@ def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
         zeta = pair.duality_map_H(u)
         v, rep = pair.inverse_subgrad_J(zeta, inner,
                                         warm_start=ray_start(pair, u, rq))
-        lam_half.append(pair.norm_H(v) ** (1.0 - pair.p))
         return v, metrics.dual_rayleigh_quotient(
             pair, zeta, v, pair.energy_J(v)), rep
 
     return _iterate(pair, u0, iters, step, "ipm",
-                    {"lambda_half_step": lam_half,
-                     "inner_tolerances": tolerances},
-                    residual_tol, snapshot_cb)
+                    {"inner_tolerances": tolerances}, residual_tol,
+                    snapshot_cb)
 
 
 def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
@@ -255,11 +252,11 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
     BALANCE_RANGE] and |phi| <= BALANCE_TOL; both parts of such a root
     are nonzero.  After the first step the start is balanced (scaling a
     part keeps its Rayleigh quotient), so a solve that returns it
-    unconverged has found no root.  Otherwise the step stalls, and where
-    zeta^+ is too small to have a norm in floating point it stalls without
-    a solve.  The step reports its solve, taken or not, so an unconverged
-    solve is listed in failed_inner_solves; the final iterate is the last
-    root taken, or the normalized start.
+    unconverged has found no root.  Otherwise the step stalls, and unless
+    both zeta^+ and zeta^- have a positive, finite dual norm in floating
+    point it stalls without a solve.  The step reports its solve, taken or
+    not, so an unconverged solve is listed in failed_inner_solves; the
+    final iterate is the last root taken, or the normalized start.
 
     extras list each step's e^sigma ("balance_roots") and |phi|
     ("balance_defects") of its solve, NaN where no solve ran or, for
@@ -275,13 +272,13 @@ def run_balanced_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
         zeta = pair.duality_map_H(u)
         zp = np.maximum(zeta, 0.0)
         zm = np.maximum(-zeta, 0.0)
-        norm_p = pair.dual_norm_H(zp)
-        if not norm_p > 0.0:  # the positive part underflowed
-            refused.append(k)
+        norm_p, norm_m = pair.dual_norm_H(zp), pair.dual_norm_H(zm)
+        if not (0.0 < norm_p < math.inf and 0.0 < norm_m < math.inf):
+            refused.append(k)  # a part has no dual norm in floating point
             roots.append(math.nan)
             defects.append(math.nan)
             return None, None, SolveReport()
-        s0 = pair.dual_norm_H(zm) / norm_p
+        s0 = norm_m / norm_p
         ray = ray_start(pair, u, rq)
         x0 = np.append(ray, math.log(s0))
         x0[:-1][ray > 0.0] *= s0 ** (1.0 / (pair.p - 1.0))
@@ -368,7 +365,7 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
             tau, x, sweeps = seed
             if seed_F < F_u:
                 best = (seed_F, x, tau, sweeps, "sweep")
-            x, report = _polish(pair, u, tau, explicit, D, x, POLISH)
+            x, report = _polish(pair, u, tau, explicit, D, x)
             if x is None and np.isfinite(report.final_residual):
                 far_field.append(k)
             F_w = normalized_F(x) if x is not None else np.nan
@@ -411,8 +408,9 @@ def _sweep(pair, u, tau, explicit, D, first):
     return (x, sweeps) if sweeps else None
 
 
-def _polish(pair, u, tau, explicit, D, x, settings):
-    """Damped Newton polish of the sweep result x at step size tau.
+def _polish(pair, u, tau, explicit, D, x):
+    """Damped Newton polish of the sweep result x at step size tau, under
+    the Newton stop POLISH.
 
     Each Newton system M delta = b, M = diag - (p/D) H, is sparse and
     symmetric but often indefinite.  Jacobi-PCG (cg_solve to POLISH_CG_RTOL
@@ -426,7 +424,7 @@ def _polish(pair, u, tau, explicit, D, x, settings):
     the Newton step is -w/(p-1) (Euler) and cuts the residual only by
     ((p-2)/(p-1))^(p-1), 4x at p = 3, while the step's relative deviation
     from -w/(p-1) grows by (p-1)/(p-2) per step.  For p > 2, if the first
-    step's deviation would stay below 1 for all settings.max_iter steps,
+    step's deviation would stay below 1 for all POLISH.max_iter steps,
     the polish stops after that one solve (far field).  At p = 2 Newton is
     exact, and below it the step flips the sign of w.
 
@@ -456,13 +454,13 @@ def _polish(pair, u, tau, explicit, D, x, settings):
         if first:  # the step from the seed x
             first = False
             v = (x - u) / (p - 1.0)  # the far-field step is -v
-            growth = ((p - 1.0) / (p - 2.0)) ** (settings.max_iter - 1)
+            growth = ((p - 1.0) / (p - 2.0)) ** (POLISH.max_iter - 1)
             if np.linalg.norm(cg[0] + v) * growth < np.linalg.norm(v):
                 far = float(np.max(np.abs(b)))
                 return np.full_like(b, np.nan), cg.report
         return cg[0], cg.report
 
-    y, report = damped_newton(x, resid, jacobian, settings, solve)
+    y, report = damped_newton(x, resid, jacobian, POLISH, solve)
     if far is not None:
         return None, replace(report, final_residual=far)
     return (y if np.isfinite(report.final_residual) else None), report

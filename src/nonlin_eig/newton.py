@@ -77,6 +77,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .functional import SolveReport, power_map
+from . import plaplace  # EPSILON, read at call time
 
 
 @dataclass
@@ -273,8 +274,7 @@ def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
                          backtracks=backtracks)
 
 
-def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,
-                    smoothing: float) -> np.ndarray:
+def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
     """Newton-update the flux sigma of the argument t, sigma = phi(t) for
     phi = power_map(., p), in place; t is overwritten.
 
@@ -282,11 +282,12 @@ def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float,
     moves sigma to sigma + slope (t - psi(sigma)), slope = 1/psi'(sigma),
     and the slope is returned: along a step dt of the argument, the
     linearized flux then moves by slope dt.  psi' is smoothed to
-    (q-1)(sigma^2 + s^2)^((q-2)/2) by s = phi(smoothing), which keeps the
-    slope finite where sigma = 0.
+    (q-1)(sigma^2 + s^2)^((q-2)/2) by s = phi(plaplace.EPSILON), the
+    smoothing of every kernel derivative, which keeps the slope finite
+    where sigma = 0.
     """
     q = p / (p - 1.0)
-    s = smoothing ** (p - 1.0)
+    s = plaplace.EPSILON ** (p - 1.0)
     slope = sigma * sigma
     slope += s * s
     slope **= (2.0 - q) / 2.0
@@ -316,14 +317,12 @@ class _Flux:
         system (A, b), A on the weights 1/psi' of the fluxes."""
         inst = self.inst
         self.slope = _linearize_flux(self.sigma, inst.edge_differences(x),
-                                     inst.p, inst.smoothing(x))
+                                     inst.p)
         J = inst.jacobian_matrix(x, self.slope)
         lap = -inst.weight * inst.edge_sum(self.sigma)
         if self.u_ref is None:
             return J, self.zeta - lap
-        w = x - self.u_ref
-        self.rho_slope = _linearize_flux(self.rho, w, inst.p,
-                                         inst.smoothing(w))
+        self.rho_slope = _linearize_flux(self.rho, x - self.u_ref, inst.p)
         A = scipy.sparse.diags(self.rho_slope) + self.tau * J
         return A, -(self.rho + self.tau * lap)
 

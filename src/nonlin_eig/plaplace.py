@@ -40,12 +40,11 @@ The table, the counts, the CSR pattern and the aggregates (the lattice
 blocks of the newton module's two_level) are built on first use, not in
 __init__, so that building an instance stays cheap.
 
-One rule, smoothing(x) = EPSILON max(1, max|x|), smooths every kernel
-derivative near zero; only the vector x differs.  duality_map_H_prime (the
-diagonal of the prox and polish systems) reads its argument w,
-jacobian_matrix its point u, and the newton module's primal-dual step the
-iterate of its flux.  Reading one vector for all would change Newton
-iterates.
+One constant, EPSILON, smooths every kernel derivative near zero, read at
+call time: jacobian_matrix's edge weights, duality_map_H_prime (the
+diagonal of the prox and polish systems) and the newton module's
+primal-dual flux step.  So each smoothed derivative depends only on the
+values of its own edge or node, as the kernels do.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .functional import FunctionalPair, power_map
 from .grid import GridDomain, build_stencil
 from . import newton
 
-EPSILON = 1e-9  # the kernel smoothing per unit max(1, max|x|)
+EPSILON = 1e-9  # the smoothing of every kernel derivative near zero
 AGGREGATE_SIDE = 1.5  # the side of an aggregate block, in stencil margins
 
 
@@ -81,12 +80,12 @@ def mean_value_constant(p: float) -> float:
     return ratio / (math.sqrt(math.pi) * (p + 2.0))
 
 
-def _smoothed_slope(t: np.ndarray, p: float, epsilon: float,
-                    scale: float) -> np.ndarray:
-    """scale (t^2 + epsilon^2)^((p-2)/2), computed in place on the array t:
-    the smoothed derivative of power_map times scale/(p-1)."""
+def _smoothed_slope(t: np.ndarray, p: float, scale: float) -> np.ndarray:
+    """scale (t^2 + EPSILON^2)^((p-2)/2), computed in place on the array t:
+    the derivative of power_map times scale/(p-1), smoothed by the one
+    constant EPSILON."""
     t *= t
-    t += epsilon * epsilon
+    t += EPSILON * EPSILON
     t **= (p - 2.0) / 2.0
     t *= scale
     return t
@@ -249,24 +248,16 @@ class PLaplaceInstance(FunctionalPair):
         total = float(np.sum(a[1:]) + self._cminus @ a[0])
         return self.weight * self._h2 * total / self.p
 
-    def smoothing(self, u) -> float:
-        """EPSILON scaled by max(1, max|u|), the smoothing of the kernel
-        derivatives near zero."""
-        x = self.as_vector(u)
-        return EPSILON * max(1.0, float(np.max(np.abs(x), initial=0.0)))
-
     def jacobian_matrix(self, u, slopes=None):
         """Sparse symmetric PSD Jacobian of -Delta_p^h at u, whose edge
         weights are the kernel slopes phi'(u(y) - u(x)), smoothed by
-        smoothing(u).  slopes, an (H+1, n) array laid out as
+        EPSILON.  slopes, an (H+1, n) array laid out as
         edge_differences, replaces them: the primal-dual Newton step of the
         newton module passes 1/psi'(sigma) of its edge flux sigma, which is
         phi'(d) at sigma = phi(d)."""
         n = self.n_interior
         if slopes is None:
-            x = self.as_vector(u)
-            w = _smoothed_slope(self.edge_differences(x), self.p,
-                                self.smoothing(x),
+            w = _smoothed_slope(self.edge_differences(u), self.p,
                                 self.weight * (self.p - 1.0))
         else:
             w = self.weight * slopes
@@ -309,12 +300,11 @@ class PLaplaceInstance(FunctionalPair):
         return float(self._h2 * np.sum(self.as_vector(zeta) * self.as_vector(u)))
 
     def duality_map_H_prime(self, w):
-        """(p-1)(w^2 + eps^2)^((p-2)/2), the derivative of duality_map_H
-        smoothed by eps = EPSILON max(1, max|w|).
+        """(p-1)(w^2 + EPSILON^2)^((p-2)/2), the derivative of
+        duality_map_H smoothed by EPSILON.
 
         The smoothing keeps Newton's Jacobian nonsingular (p<2: singular
         kernel, p>2: degenerate at flat regions); the residual itself is
         never modified.
         """
-        d = self.as_vector(w)
-        return _smoothed_slope(d.copy(), self.p, self.smoothing(d), self.p - 1.0)
+        return _smoothed_slope(self.as_vector(w).copy(), self.p, self.p - 1.0)

@@ -2,8 +2,8 @@
 
 Each measure returns the worst value of one invariant over an instance (or
 a trace) and samples, NaN if any sample gives NaN; its caller compares that
-against a bound.  The rows of `QUICK_CHECKS` and `FULL_CHECKS` are `(name,
-measure, bound)` and pass when the worst is <= the bound (full: about 2 min).
+against a bound.  The rows of `QUICK_CHECKS` and `FULL_CHECKS` (under a
+minute) are `(name, measure, bound)` and pass when the worst is <= bound.
 """
 
 from __future__ import annotations

@@ -175,25 +175,29 @@ class TestRun:
         assert work["converged"] == (not failed)
 
     def test_run_json_writes_no_nan(self, tmp_path):
-        # one positive node of 1e-200 (test_eigensolvers'
+        # one node of 1e-200 against a start of the other sign, either way
+        # round (as in test_eigensolvers'
         # test_positive_part_without_norm_falls_back): no bordered solve
         # runs, and the trace's NaN root and defect of that step were
         # written as bare NaN, which strict JSON readers reject
         dom = build_domain("square", 2.0, 0.2)
-        start = -np.abs(eval_initial_guess("ex1", dom).values)
-        start[tuple(np.argwhere(dom.interior_mask)[0])] = 1e-200
-        np.savetxt(tmp_path / "start.csv", start, delimiter=",")
-        cfg = write_config(tmp_path / "bal.json", {
-            "problem": PROBLEM,
-            "initial": {"kind": "file", "path": str(tmp_path / "start.csv")},
-            "solver": {"kind": "balanced", "iters": 3},
-            "output": {"dir": str(tmp_path / "out")},
-        })
-        assert main(["run", cfg]) == 0
-        info = load_run(tmp_path / "out")
-        assert info["stop_reason"] == "stalled"
-        assert info["extras"]["balance_roots"] == [None]
-        assert info["extras"]["balance_defects"] == [None]
+        for sign in (1.0, -1.0):
+            start = -sign * np.abs(eval_initial_guess("ex1", dom).values)
+            start[tuple(np.argwhere(dom.interior_mask)[0])] = sign * 1e-200
+            np.savetxt(tmp_path / "start.csv", start, delimiter=",")
+            out = tmp_path / f"out{sign:+.0f}"
+            cfg = write_config(tmp_path / "bal.json", {
+                "problem": PROBLEM,
+                "initial": {"kind": "file",
+                            "path": str(tmp_path / "start.csv")},
+                "solver": {"kind": "balanced", "iters": 3},
+                "output": {"dir": str(out)},
+            })
+            assert main(["run", cfg]) == 0, sign
+            info = load_run(out)
+            assert info["stop_reason"] == "stalled"
+            assert info["extras"]["balance_roots"] == [None]
+            assert info["extras"]["balance_defects"] == [None]
 
     def test_grid_run_with_snapshots(self, grid_config, tmp_path):
         assert main(["run", grid_config]) == 0
@@ -511,6 +515,20 @@ class TestDescribe:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["n_interior"] == 81
         assert resolved["stencil_offsets"] >= 4
+
+    @pytest.mark.parametrize("kind", config.SOLVERS)
+    def test_newton_echoed_only_where_read(self, kind, tmp_path, capsys):
+        # the geometric polish runs under eigensolvers.POLISH, so a
+        # geometric config has no Newton settings to echo
+        solver = {"kind": kind, "iters": 2, **({"tau": 0.5} if kind == "ppm"
+                                                else {})}
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"problem": PROBLEM, "solver": solver})
+        assert main(["describe", cfg]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert resolved.get("newton") == (
+            None if kind == "geometric" else {"tol_abs": 1e-12,
+                                              "max_iter": 500})
 
     def test_readme_lists_every_config_key(self):
         # a key added to the config tables without its line in README's

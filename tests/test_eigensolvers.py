@@ -400,13 +400,6 @@ class TestIpm:
         trace = run_ipm(spd, np.array([1.0, 1.0]), 30)
         assert dual_rq_decrease(trace) <= 1e-9
 
-    def test_lambda_histories_agree(self, small_grid):
-        u0 = eval_initial_guess("ex1", small_grid.domain).values
-        trace = run_ipm(small_grid, u0, 15)
-        lam_half = trace.extras["lambda_half_step"]
-        # R(u^k) and |v^k|^{1-p} both converge to the eigenvalue
-        assert trace.records[-1].rq == pytest.approx(lam_half[-1], rel=1e-6)
-
     def test_inner_residuals_recorded(self, small_grid):
         u0 = eval_initial_guess("ex1", small_grid.domain).values
         trace = run_ipm(small_grid, u0, 5, exact=True)
@@ -629,15 +622,21 @@ class TestBalanced:
         assert trace.extras["balance_roots"] == [1.0]
         assert trace.extras["balance_defects"] == [3.0]
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_positive_part_without_norm_falls_back(self, p):
-        # one positive node of 1e-200: zeta^+ underflows to dual norm 0,
-        # which the bordered start s0 = |zeta^-|_* / |zeta^+|_* divided by;
-        # no bordered solve runs, and the scheme stalls at the start
+    @pytest.mark.parametrize("p,sign", [
+        pytest.param(2.0, 1.0, id="2.0"), pytest.param(3.0, 1.0, id="3.0"),
+        pytest.param(2.0, -1.0, id="negative-2.0"),
+        pytest.param(3.0, -1.0, id="negative-3.0"),
+        pytest.param(5.0, -1.0, id="negative-5.0")])
+    def test_positive_part_without_norm_falls_back(self, p, sign):
+        # one node of sign 1e-200 against a start of the other sign: that
+        # part of zeta underflows to dual norm 0, which the bordered start
+        # s0 = |zeta^-|_* / |zeta^+|_* divides by (+) or takes the log of
+        # (-); no bordered solve runs, and the scheme stalls at the start
         dom = build_domain("square", 2.0, 0.2)
         inst = PLaplaceInstance(dom, 0.45, p)
-        u0 = -np.abs(inst.as_vector(eval_initial_guess("ex1", dom).values))
-        u0[0] = 1e-200
+        u0 = -sign * np.abs(
+            inst.as_vector(eval_initial_guess("ex1", dom).values))
+        u0[0] = sign * 1e-200
         trace = run_balanced_ipm(inst, u0, 3)
         assert trace.stop_reason == "stalled"
         assert trace.records[0].inner.iterations == 0
@@ -1002,8 +1001,17 @@ class TestGeometric:
     #   square 1.5 ex2 40.69383603696968 → 40.69397709096551 (3.5e-6)
     #   lshape 1.5 ex1 40.737587638836395 → 40.73758762969051 (2.2e-10)
     #   lshape 1.5 ex2 40.74193972179087 → 40.74193803231293 (4.1e-8)
+    # Four rows were recorded again once one constant EPSILON smoothed
+    # every kernel derivative, in place of EPSILON max(1, max|x|) of a
+    # vector x that each derivative read; the smoothing reaches lambda
+    # only through Newton iterates.  Before → after (relative); records,
+    # winners and stops are unchanged:
+    #   square 1.5 ex1 40.63232672734388 → 40.63232670605028 (5.2e-10)
+    #   lshape 1.5 ex1 40.73758762969051 → 40.73749252784677 (2.3e-6)
+    #   lshape 1.5 ex2 40.74193803231293 → 40.7332697169334 (2.1e-4)
+    #   lshape 3 ex1 853.0049718259518 → 853.0049718238365 (2.5e-12)
     @pytest.mark.parametrize("shape,p,start,lam,n_records,winners", [
-        pytest.param("square", 1.5, "ex1", 40.63232672734388, 3, "ss",
+        pytest.param("square", 1.5, "ex1", 40.63232670605028, 3, "ss",
                      id="square-p1.5-ex1"),
         pytest.param("square", 1.5, "ex2", 40.69397709096551, 2, "s",
                      id="square-p1.5-ex2"),
@@ -1023,15 +1031,15 @@ class TestGeometric:
                      id="square-p5-ex1"),
         pytest.param("square", 5, "ex2", 58899.6369024742, 2, "s",
                      id="square-p5-ex2"),
-        pytest.param("lshape", 1.5, "ex1", 40.73758762969051, 2, "s",
+        pytest.param("lshape", 1.5, "ex1", 40.73749252784677, 2, "s",
                      id="lshape-p1.5-ex1"),
-        pytest.param("lshape", 1.5, "ex2", 40.74193803231293, 3, "ss",
+        pytest.param("lshape", 1.5, "ex2", 40.7332697169334, 3, "ss",
                      id="lshape-p1.5-ex2"),
         pytest.param("lshape", 2, "ex1", 101.10078751764041, 2, "s",
                      id="lshape-p2-ex1"),
         pytest.param("lshape", 2, "ex2", 98.04740781751401, 2, "s",
                      id="lshape-p2-ex2"),
-        pytest.param("lshape", 3, "ex1", 853.0049718259518, 2, "s",
+        pytest.param("lshape", 3, "ex1", 853.0049718238365, 2, "s",
                      id="lshape-p3-ex1"),
         pytest.param("lshape", 3, "ex2", 860.8993247364976, 4, "sps",
                      id="lshape-p3-ex2"),
@@ -1143,7 +1151,7 @@ class TestPolishLinearSolves:
         first = power_map(eigensolvers._implicit_rhs(
             pair, pair.subgrad_J(u), explicit, D), pair.q)
         sweep = _sweep(pair, u, tau, explicit, D, first)
-        x, report = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
+        x, report = _polish(pair, u, tau, explicit, D, sweep[0])
         return sweep, x, report, systems
 
     @staticmethod
@@ -1396,7 +1404,7 @@ def candidates(pair, u, tau, explicit, D):
     sweep = _sweep(pair, u, tau, explicit, D, first)
     if sweep is None:
         return []
-    x, report = _polish(pair, u, tau, explicit, D, sweep[0], POLISH)
+    x, report = _polish(pair, u, tau, explicit, D, sweep[0])
     if x is None:
         assert not report.converged
         return [sweep]

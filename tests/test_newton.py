@@ -6,7 +6,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from nonlin_eig import newton
+from nonlin_eig import newton, plaplace
 from nonlin_eig.eigensolvers import run_balanced_ipm
 from nonlin_eig.functional import SolveReport, power_map
 from nonlin_eig.grid import build_domain, eval_initial_guess
@@ -493,12 +493,12 @@ class TestFluxSystemAtConsistentFlux:
     the Newton system of the residual: the Jacobian on the edge weights
     1/psi'(sigma) is the Jacobian on phi'(d).
 
-    Unsmoothed, the two weights are equal.  Smoothed by eps = smoothing(x),
-    at an edge of difference d != 0 they differ by a relative
-    (2-q)/2 (eps/|d|)^(2(p-1)) - (p-2)/2 (eps/|d|)^2, which is at most
+    Unsmoothed, the two weights are equal.  Smoothed by the one constant
+    eps = plaplace.EPSILON, at an edge of difference d != 0 they differ by
+    a relative (2-q)/2 (eps/|d|)^(2(p-1)) - (p-2)/2 (eps/|d|)^2, at most
     (eps/d_min)^(2(p-1)) for p in [1.5, 2) and d_min the least |d| != 0.
     These fields reach its leading term, |2-q|/2 of that bound: up to
-    9.3e-6 at p = 1.5 and 1.3e-8 at p = 1.75.  At d = 0 both weights tend
+    2.5e-6 at p = 1.5 and 1.8e-9 at p = 1.75.  At d = 0 both weights tend
     to (p-1) eps^(p-2) and agree to roundoff.  The right-hand sides differ
     by the roundoff of the flux's Newton update, under 5e-16 of
     max|-Delta_p^h x| on these fields."""
@@ -516,7 +516,7 @@ class TestFluxSystemAtConsistentFlux:
     @staticmethod
     def assert_same_system(inst, x, A, b, A_ref, b_ref):
         d = np.abs(inst.edge_differences(x))
-        rtol = (inst.smoothing(x) / np.min(d[d > 0])) ** (2 * (inst.p - 1)) \
+        rtol = (plaplace.EPSILON / np.min(d[d > 0])) ** (2 * (inst.p - 1)) \
             + 1e-12
         A, A_ref = A.tocsr(), A_ref.tocsr()
         assert np.array_equal(A.indptr, A_ref.indptr)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nonlin_eig.functional import power_map
 from nonlin_eig.grid import build_domain
-from nonlin_eig import plaplace
+from nonlin_eig import newton, plaplace
 from nonlin_eig.newton import NewtonSettings
 from nonlin_eig.plaplace import PLaplaceInstance
 from nonlin_eig.validation import euler_defect, jacobian_fd_error, random_fields
@@ -256,6 +256,54 @@ class TestJacobian:
         assert eigs[0] >= -1e-10 * np.max(np.abs(eigs))
 
 
+class TestSmoothing:
+    """One constant, plaplace.EPSILON, smooths every kernel derivative."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_derivatives_are_local(self, p):
+        # changing one node, here lifting max|u| from 0.75 to 4, leaves
+        # every Jacobian row outside its stencil and every other entry of
+        # duality_map_H_prime bit for bit; quarter levels give exactly zero
+        # differences and values, whose slope is the smoothing's alone
+        inst = make_instance(p=p)
+        u = np.clip(np.round(4.0 * random_fields(inst, 1, 14)[0]), -3, 3) / 4
+        k = inst.n_interior // 2
+        v = u.copy()
+        v[k] = 4.0
+        A, B = inst.jacobian_matrix(u), inst.jacobian_matrix(v)
+        near = A.indices[A.indptr[k]:A.indptr[k + 1]]  # k and its neighbours
+        far = ~np.isin(np.repeat(np.arange(inst.n_interior),
+                                 np.diff(A.indptr)), near)
+        assert np.array_equal(A.data[far], B.data[far])
+        assert not np.array_equal(A.data[~far], B.data[~far])
+        zero = np.flatnonzero(u == 0.0)
+        assert zero.size and k not in zero
+        other = np.arange(inst.n_interior) != k
+        assert np.array_equal(inst.duality_map_H_prime(u)[other],
+                              inst.duality_map_H_prime(v)[other])
+
+    @pytest.mark.parametrize("epsilon", [plaplace.EPSILON, 1e-3])
+    def test_one_patch_reaches_every_derivative(self, epsilon):
+        # at a zero difference or value every smoothed derivative is
+        # (p-1) eps^(p-2): the Jacobian's edge weights, duality_map_H_prime
+        # and the flux step's weights 1/psi'(sigma) at sigma = phi(0) = 0
+        p = 1.5
+        inst = make_instance(p=p)
+        x = np.full(inst.n_interior, 0.5)  # interior differences are 0
+        with mock.patch.object(plaplace, "EPSILON", epsilon):
+            J = inst.jacobian_matrix(x)
+            prime = inst.duality_map_H_prime(np.zeros_like(x))
+            flux, _ = newton._Flux(inst, np.zeros_like(x), x).system(x)
+        slope = (p - 1.0) * epsilon ** (p - 2.0)
+        assert np.allclose(prime, slope, rtol=1e-14, atol=0.0)
+        for A in (J, flux):
+            A = A.tocoo()
+            off = A.data[A.row != A.col]
+            assert off.size
+            assert np.allclose(off, -inst.weight * slope, rtol=1e-12,
+                               atol=0.0)
+
+
 class TestNormsAndDualityMap:
     def test_formulas(self):
         inst = make_instance(p=3.0)
@@ -296,7 +344,6 @@ COERCED_METHODS = {
     "dirichlet_energy": lambda inst, u, v: inst.dirichlet_energy(u),
     "energy_J": lambda inst, u, v: inst.energy_J(u),
     "edge_differences": lambda inst, u, v: inst.edge_differences(u),
-    "smoothing": lambda inst, u, v: inst.smoothing(u),
     "jacobian_matrix": lambda inst, u, v: inst.jacobian_matrix(u),
     "duality_map_H": lambda inst, u, v: inst.duality_map_H(u),
     "duality_map_H_prime": lambda inst, u, v: inst.duality_map_H_prime(u),
@@ -435,8 +482,7 @@ def ref_jacobian_matrix(inst, u):
     rows_int = index[mask]
     diag = np.zeros(n)
     rows, cols, data = [], [], []
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    epsilon = plaplace.EPSILON * max(1.0, scale)
+    epsilon = plaplace.EPSILON
     for dy, dx in inst.stencil.offsets:
         nb = P[m + dy:m + dy + ny, m + dx:m + dx + nx]
         d = (nb - vals)[mask]
