@@ -85,14 +85,11 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
     if residual_tol is not None and not 0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive and finite")
     u = _normalize(pair, pair.as_vector(u0))
-    failed = extras.setdefault("failed_inner_solves", [])
     records, stop_reason = [], "max_iter"
     t0 = time.perf_counter()
     rq, Ju, zJ, res = _evaluate(pair, u)
     for k in range(iters):
         v, dual_rq, report = step(k, u, rq, Ju, zJ, res)
-        if not report.converged:
-            failed.append(k)
         records.append(metrics.IterationRecord(
             k=k, rq=rq, dual_rq=dual_rq,
             cosim=metrics.cosine_similarity(pair, u, zJ),
@@ -111,6 +108,8 @@ def _iterate(pair, u0, iters, step, tag, extras, residual_tol=None,
         if residual_tol is not None and res <= residual_tol:
             stop_reason = "residual_tol"
             break
+    extras["failed_inner_solves"] = [
+        r.k for r in records if not r.inner.converged]
     tol = 1e-6 if residual_tol is None else residual_tol
     return EigenTrace(records=records, final_u=u, final_lambda=rq,
                       solver_tag=tag, converged=res <= tol,
@@ -322,13 +321,14 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
     non-eigenvector extremum of the cosine similarity leaves a large
     eigen-residual behind.
     extras["candidate"] names each accepted step's winner, "sweep" or
-    "polish", and extras["far_field"] the steps whose polish stopped in the
-    far field and offered no candidate.  The step reports its polish, with
-    the CG work of its linear solves, counting the winner's sweeps and
-    polish steps (0 on a stall).
+    "polish", extras["far_field"] the steps whose polish stopped in the
+    far field and offered no candidate, and extras["F"] each record's
+    1 - cosim.  The step reports its polish as _polish returned it, with
+    the CG work of its linear solves, whichever candidate wins and on a
+    stall too; the report is empty when no sweep was finite.
     """
     p, q = pair.p, pair.q
-    F_hist, tau_hist, winners, far_field = [], [], [], []
+    winners, far_field = [], []
 
     def normalized_F(x):  # F of x normalized
         try:
@@ -346,42 +346,40 @@ def run_geometric(pair: FunctionalPair, u0: np.ndarray, iters: int,
         G_Hs = nz ** (1.0 - q) * power_map(zeta, q)
         E = G_H * nz + (pair.jacobian_matrix(u) @ G_Hs) * nu
         D = nu * nz
-        F_hist.append(F_u)
 
         explicit = cos * E / D
         first = power_map(_implicit_rhs(pair, zeta, explicit, D), q)
         seed_F, seed = np.inf, None  # the lowest finite sweep
         for j in range(LADDER_LEN):
             tau = TAU0 * 0.5 ** j
-            sweep = _sweep(pair, u, tau, explicit, D, first)
-            F_w = normalized_F(sweep[0]) if sweep else np.nan
+            x = _sweep(pair, u, tau, explicit, D, first)
+            F_w = normalized_F(x) if x is not None else np.nan
             if np.isfinite(F_w) and F_w < seed_F:
-                seed_F, seed = F_w, (tau, *sweep)
+                seed_F, seed = F_w, (tau, x)
             if seed_F < F_u and seed_F <= 0.5 * F_u:
                 break
-        best = (F_u, None, None, 0, None)  # F, w, tau, count, kind
+        best_F, best_w, best_kind = F_u, None, None
         report = SolveReport()
         if seed is not None:
-            tau, x, sweeps = seed
+            tau, x = seed
             if seed_F < F_u:
-                best = (seed_F, x, tau, sweeps, "sweep")
+                best_F, best_w, best_kind = seed_F, x, "sweep"
             x, report = _polish(pair, u, tau, explicit, D, x)
             if x is None and np.isfinite(report.final_residual):
                 far_field.append(k)
             F_w = normalized_F(x) if x is not None else np.nan
-            if np.isfinite(F_w) and F_w < best[0]:
-                best = (F_w, x, tau, sweeps + report.iterations, "polish")
-        best_F, best_w, best_tau, best_n, best_kind = best
-        tau_hist.append(best_tau or 0.0)
+            if np.isfinite(F_w) and F_w < best_F:
+                best_F, best_w, best_kind = F_w, x, "polish"
         if best_w is None or best_F > (1.0 - SUFFICIENT_DECREASE) * F_u:
-            return None, None, replace(report, iterations=0)
+            return None, None, report
         winners.append(best_kind)
-        return best_w, None, replace(report, iterations=best_n)
+        return best_w, None, report
 
-    extras = {"F": F_hist, "tau": tau_hist, "candidate": winners,
-              "far_field": far_field}
-    return _iterate(pair, u0, iters, step, "geometric", extras,
-                    snapshot_cb=snapshot_cb)
+    extras = {"candidate": winners, "far_field": far_field}
+    trace = _iterate(pair, u0, iters, step, "geometric", extras,
+                     snapshot_cb=snapshot_cb)
+    extras["F"] = [1.0 - r.cosim for r in trace.records]
+    return trace
 
 
 def _implicit_rhs(pair, zx, explicit, D):
@@ -392,20 +390,19 @@ def _implicit_rhs(pair, zx, explicit, D):
 def _sweep(pair, u, tau, explicit, D, first):
     """Fixed-point sweep x <- u + tau rhs(x)^(q-1) of the semi-implicit
     step from x = u, N_SWEEPS times or until the next iterate overflows;
-    (x, sweeps done), or None if none is finite.  first is rhs(u)^(q-1),
-    the same on every rung of the ladder, so the first pass (the explicit
+    the last finite x, or None if none is.  first is rhs(u)^(q-1), the
+    same on every rung of the ladder, so the first pass (the explicit
     step) evaluates no dJ."""
-    x, sweeps, direction = u, 0, first
-    for _ in range(N_SWEEPS):
+    x, direction = None, first
+    for i in range(N_SWEEPS):
         xn = u + tau * direction
         if not np.all(np.isfinite(xn)):
             break
         x = xn
-        sweeps += 1
-        if sweeps < N_SWEEPS:
+        if i < N_SWEEPS - 1:
             direction = power_map(
                 _implicit_rhs(pair, pair.subgrad_J(x), explicit, D), pair.q)
-    return (x, sweeps) if sweeps else None
+    return x
 
 
 def _polish(pair, u, tau, explicit, D, x):

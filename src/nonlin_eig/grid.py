@@ -133,8 +133,9 @@ def eval_initial_guess(tag: str, domain: GridDomain) -> GridFunction:
 @contextlib.contextmanager
 def rewrite(path):
     """A text file open for writing at path that keeps an existing file:
-    it is opened without O_TRUNC, and on leaving the block any stale tail
-    past the written text is cut.
+    it is opened without O_TRUNC, and on leaving the block, by its end or
+    by an exception, any stale tail past the written text is cut, so a
+    failed write leaves no tail of the old file behind its text.
 
     Reruns write into the same output directory, so most writes meet an
     existing file.  On an ext4 file system mounted with discard (files of
@@ -147,8 +148,10 @@ def rewrite(path):
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-        yield f
-        f.truncate()
+        try:
+            yield f
+        finally:
+            f.truncate()
 
 
 def save_snapshot(path, gf: GridFunction) -> None:

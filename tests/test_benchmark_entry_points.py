@@ -114,6 +114,21 @@ def test_tracer_counts_match_the_ledger(small_grid):
     assert counts_match(layers, trace)
     assert layers["newton.solves"] == len(trace.records) == 3
 
+    # the IPM and the PPM, 4 steps from the ex2 start on either side of
+    # p = 2: the Newton-CG path at p = 3, the primal-dual one at p = 1.5.
+    # The geometric scheme is left out until ROADMAP item 1 step B: the
+    # tracer counts Newton steps only inside solve_p_poisson and
+    # solve_prox spans, so it reads none of the polish's
+    u0 = eval_initial_guess("ex2", small_grid.domain).values
+    for p in (3.0, 1.5):
+        inst = PLaplaceInstance(small_grid.domain, 0.25, p)
+        for run in (lambda: eigensolvers.run_ipm(inst, u0, 4),
+                    lambda: eigensolvers.run_ppm(inst, u0, 0.5, 4)):
+            layers, trace = traced(run)
+            assert counts_match(layers, trace)
+            assert layers["newton.solves"] == len(trace.records) == 4
+            assert layers["newton.steps"] > 0
+
 
 def test_balanced_workload_takes_the_bordered_path(tmp_path):
     # the benchmark's ex2-square-p3-balanced run at seed 0, 4 steps on the

@@ -523,6 +523,19 @@ class TestPpm:
         trace = run_ppm(spd, np.array([1.0, 1.0]), tau_tilde=0.5, iters=20)
         assert all(r.dual_rq < 1.0 for r in trace.records)
 
+    def test_p2_rate_is_lambda1_over_lambda3(self, lshape21_ipm):
+        # at p = 2 the PPM is power iteration on (I + tau M)^-1, which
+        # removes the ex1 start's third mode (it has no second, see
+        # TestInexactIpm) at (1 + tau lambda_1) / (1 + tau lambda_3) per
+        # step; tau = tau_tilde at p = 2
+        inst = lshape21_ipm[2.0][0]
+        trace = run_ppm(inst, eval_initial_guess("ex1", inst.domain).values,
+                        1.0, 30)
+        res = [r.residual for r in trace.records[10:]]
+        rate = float(np.median([b / a for a, b in zip(res, res[1:])]))
+        lam1, lam3 = p2_oracle(inst)[0], p2_oracle(inst, 3)[0]
+        assert rate == pytest.approx((1.0 + lam1) / (1.0 + lam3), rel=1e-6)
+
     def test_stationary_at_eigenvector(self, spd):
         trace = run_ppm(spd, np.array([1.0, 0.0]), tau_tilde=0.2, iters=5)
         assert np.allclose(np.abs(trace.final_u), [1.0, 0.0], atol=1e-10)
@@ -891,27 +904,59 @@ class TestGeometric:
 
     def test_f_matches_one_minus_cosim(self, spd):
         trace = run_geometric(spd, np.array([1.0, 0.6]), 10)
-        for rec, F in zip(trace.records, trace.extras["F"]):
-            assert F == pytest.approx(1.0 - rec.cosim, abs=1e-12)
+        assert trace.extras["F"] == [1.0 - rec.cosim for rec in trace.records]
 
     def test_grid_polish_candidate_wins(self):
         # p=4 on the 19x19 square from the ex2 start: the first step's
         # polish stops in the far field and a sweep wins; the second step's
-        # polish runs in its root's basin and wins, counted as 10 sweeps +
-        # the default max_iter 12.  This test ran p = 5 before the far-field
-        # stop, whose first step the polish won (winners "p", lambda
-        # 58899.63690247836); that polish now stops in the far field.
+        # polish runs in its root's basin for its max_iter 12 Newton steps
+        # and wins, and its record reports those steps.  This test ran
+        # p = 5 before the far-field stop, whose first step the polish won
+        # (winners "p", lambda 58899.63690247836); that polish now stops in
+        # the far field.
         dom = build_domain("square", 2.0, 0.1)
         inst = PLaplaceInstance(dom, 0.1 ** 0.5, 4.0)
         u0 = eval_initial_guess("ex2", dom).values
         trace = run_geometric(inst, u0, 25)
         assert "".join(c[0] for c in trace.extras["candidate"]) == "spss"
         assert trace.extras["far_field"] == [0]
-        assert trace.records[1].inner.iterations == 22
+        assert trace.records[1].inner.iterations == 12
         Fs = trace.extras["F"]
         assert all(b <= a for a, b in zip(Fs, Fs[1:]))
         assert trace.final_lambda == pytest.approx(7371.741865715649,
                                                    rel=1e-9)
+
+    def test_records_report_their_polish(self, spd, monkeypatch):
+        # each record's inner is the report of its step's _polish call as
+        # that call returned it, whichever candidate wins and on the stall
+        # too.  p=4 on the 19x19 square from the ex2 start: the far-field
+        # step 0 solves once and takes no Newton step, each later polish
+        # takes its 12 (a sweep won steps 2 and 3, step 4 stalled)
+        reports = []
+        polish = eigensolvers._polish
+
+        def recording(*args):
+            x, report = polish(*args)
+            reports.append(report)
+            return x, report
+
+        monkeypatch.setattr(eigensolvers, "_polish", recording)
+        dom = build_domain("square", 2.0, 0.1)
+        inst = PLaplaceInstance(dom, 0.1 ** 0.5, 4.0)
+        trace = run_geometric(inst, eval_initial_guess("ex2", dom).values, 25)
+        assert trace.stop_reason == "stalled"
+        assert len(reports) == len(trace.records) == 5
+        assert all(rec.inner is report
+                   for rec, report in zip(trace.records, reports))
+        assert [rec.inner.iterations for rec in trace.records] \
+            == [0, 12, 12, 12, 12]
+        assert trace.inner_work.iterations == 48
+        # with no finite sweep the step polishes nothing, and its record's
+        # report is empty
+        monkeypatch.setattr(eigensolvers, "_sweep", lambda *args: None)
+        trace = run_geometric(spd, np.array([1.0, 0.6]), 5)
+        assert trace.stop_reason == "stalled"
+        assert [rec.inner for rec in trace.records] == [SolveReport()]
 
     def test_polishes_when_no_sweep_descends(self, spd, monkeypatch):
         # At an eigenvector no candidate lowers F = 0; the step still
@@ -931,7 +976,7 @@ class TestGeometric:
         # a zero candidate has no direction, so its F is NaN: with every
         # sweep at 0 the step has no seed to polish and stalls
         monkeypatch.setattr(eigensolvers, "_sweep",
-                            lambda pair, u, *args: (np.zeros_like(u), 1))
+                            lambda pair, u, *args: np.zeros_like(u))
         monkeypatch.setattr(eigensolvers, "_polish", None)
         trace = run_geometric(spd, np.array([1.0, 0.6]), 5)
         assert trace.stop_reason == "stalled" and len(trace.records) == 1
@@ -1151,7 +1196,7 @@ class TestPolishLinearSolves:
         first = power_map(eigensolvers._implicit_rhs(
             pair, pair.subgrad_J(u), explicit, D), pair.q)
         sweep = _sweep(pair, u, tau, explicit, D, first)
-        x, report = _polish(pair, u, tau, explicit, D, sweep[0])
+        x, report = _polish(pair, u, tau, explicit, D, sweep)
         return sweep, x, report, systems
 
     @staticmethod
@@ -1235,13 +1280,13 @@ class TestPolishLinearSolves:
             assert x is not None and report.iterations == 12
             return
         u, explicit, D = first_step(small_grid, u0)
-        w = (sweep[0] - u) / (small_grid.p - 1.0)
+        w = (sweep - u) / (small_grid.p - 1.0)
         delta = systems[0][2][0]
         assert np.linalg.norm(delta + w) <= 1e-9 * np.linalg.norm(w)
         assert x is None and report.iterations == 0
-        seed_residual = small_grid.duality_map_H((sweep[0] - u) / tau) \
+        seed_residual = small_grid.duality_map_H((sweep - u) / tau) \
             - eigensolvers._implicit_rhs(
-                small_grid, small_grid.subgrad_J(sweep[0]), explicit, D)
+                small_grid, small_grid.subgrad_J(sweep), explicit, D)
         assert report.final_residual == np.max(np.abs(seed_residual))
         assert not report.converged
         # in a run, both steps' polishes stop so; the steps list in
@@ -1280,7 +1325,7 @@ class TestPolishLinearSolves:
         u0 = eval_initial_guess("ex2", small_grid.domain).values
         sweep, x, report, systems = self.polish(small_grid, u0, 0.5,
                                                 monkeypatch, uphill)
-        assert len(systems) == 1 and np.array_equal(x, sweep[0])
+        assert len(systems) == 1 and np.array_equal(x, sweep)
         assert (report.iterations, report.cg_iterations_total,
                 report.converged) == (1, 7, False)
         winners = run_geometric(small_grid, u0, 3).extras["candidate"]
@@ -1314,9 +1359,10 @@ class TestPolishLinearSolves:
 # The geometric sweep and polish as they were written with the polish's
 # own backtracking Newton loop, before it ran on newton.damped_newton; kept
 # as the reference _sweep and _polish must reproduce bit for bit.  The
-# polish is counted as sweeps + the Newton steps that solved a system.  Its
-# systems go to the same eigensolvers.cg_solve, so the Newton loop is
-# checked bit for bit whatever that returns.  It has since gained the
+# sweep is counted by its passes and the polish by the Newton steps that
+# solved a system, which its report must count too.  Its systems go to the
+# same eigensolvers.cg_solve, so the Newton loop is checked bit for bit
+# whatever that returns.  It has since gained the
 # far-field stop: for p > 2 a first step within ((p-2)/(p-1))^(max_iter-1)
 # relative of -w/(p-1), w = x - u, ends the polish with no candidate.
 def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
@@ -1373,7 +1419,7 @@ def _reference_candidates(pair, u, tau, explicit, D, settings, n_sweeps=10):
             t *= 0.5
         if not accepted:
             break
-    yield x, sweeps + steps
+    yield x, steps
 
 
 LADDER = [2.0 * 0.5 ** j for j in range(12)]  # run_geometric's tau ladder
@@ -1397,28 +1443,33 @@ def first_step(pair, u):
 
 
 def candidates(pair, u, tau, explicit, D):
-    """The sweep at tau, then its polish, as (vector, count) pairs."""
+    """The sweep at tau, then its polish, as (vector, count) pairs: the
+    sweep's count is None, as _sweep returns only its iterate, and the
+    polish's is its report's Newton steps."""
     first = power_map(
         eigensolvers._implicit_rhs(pair, pair.subgrad_J(u), explicit, D),
         pair.q)
     sweep = _sweep(pair, u, tau, explicit, D, first)
     if sweep is None:
         return []
-    x, report = _polish(pair, u, tau, explicit, D, sweep[0])
+    x, report = _polish(pair, u, tau, explicit, D, sweep)
     if x is None:
         assert not report.converged
-        return [sweep]
-    return [sweep, (x, sweep[1] + report.iterations)]
+        return [(sweep, None)]
+    return [(sweep, None), (x, report.iterations)]
 
 
 def assert_same_candidates(pair, u, tau, explicit, D, expect=None):
+    """The reference's candidates, once _sweep and _polish reproduce its
+    vectors and its polish's Newton steps."""
     got = candidates(pair, u, tau, explicit, D)
     ref = list(_reference_candidates(pair, u, tau, explicit, D, POLISH))
-    assert [n for _, n in got] == [n for _, n in ref]
+    assert len(got) == len(ref)
+    assert [n for _, n in got[1:]] == [n for _, n in ref[1:]]
     assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, ref))
     if expect is not None:
         assert len(got) == expect
-    return got
+    return ref
 
 
 class TestPolishMatchesReference:
@@ -1469,5 +1520,5 @@ class TestPolishMatchesReference:
         else:
             args = (spd, np.array([0.8, 0.6]), 1.0, np.full(2, 1e300), 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = assert_same_candidates(*args, expect=1)
-        assert got[0][1] < 10
+            ref = assert_same_candidates(*args, expect=1)
+        assert ref[0][1] < 10

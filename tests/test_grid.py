@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonlin_eig.grid import (ConfigError, GridFunction, build_domain,
                              build_stencil, eval_initial_guess, load_snapshot,
-                             save_snapshot)
+                             rewrite, save_snapshot)
 from nonlin_eig.plaplace import PLaplaceInstance, mean_value_constant
 from nonlin_eig.validation import stencil_count_defect
 
@@ -189,6 +189,17 @@ class TestSnapshots:
         save_snapshot(path, gf)
         assert np.array_equal(load_snapshot(path, dom).values, gf.values)
         assert len(path.read_text().splitlines()) == dom.ny
+
+    def test_failed_rewrite_cuts_the_old_tail(self, tmp_path):
+        # a write that raises part way leaves the text written so far and
+        # nothing of the old file after it, and the error propagates
+        path = tmp_path / "metrics.csv"
+        path.write_text("OLD-" * 100 + "OLD-END\n")
+        with pytest.raises(RuntimeError, match="serializer"):
+            with rewrite(path) as f:
+                f.write("new,")
+                raise RuntimeError("serializer failed")
+        assert path.read_text() == "new,"
 
     def test_shape_mismatch_rejected(self, tmp_path):
         dom = build_domain("square", 2.0, 0.25)
