@@ -124,6 +124,15 @@ def ray_start(pair: FunctionalPair, u: np.ndarray, rq: float) -> np.ndarray:
     return rq ** (-1.0 / (pair.p - 1.0)) * u
 
 
+def prox_ray_start(pair: FunctionalPair, u: np.ndarray, rq: float,
+                   tau: float) -> np.ndarray:
+    """u / (1 + (tau R(u))^(1/(p-1))) for rq = R(u), the start of the prox
+    solves of the PPM.  It is the prox point of tau J at u when u is an
+    eigenvector: v = c u then solves dH(v - u) + tau dJ(v) = 0 where
+    (1 - c)^(p-1) = tau R(u) c^(p-1)."""
+    return u / (1.0 + (tau * rq) ** (1.0 / (pair.p - 1.0)))
+
+
 def run_ipm(pair: FunctionalPair, u0: np.ndarray, iters: int,
             settings: NewtonSettings | None = None,
             residual_tol: float | None = None,
@@ -191,6 +200,10 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     lambda = (lambda_tau/tau)(1-lambda_tau^(1-q))^(p-1)
     ("lambda_recovered"): the eigenvalue of the last record's iterate,
     beside its rq, with no solve after the loop (None after 0 steps).
+
+    Each prox solve starts on the eigen-ray (prox_ray_start), at the prox
+    point of u^k were it an eigenvector, rather than at u^k, where the
+    nodal flux of the p < 2 solve is zero and degenerate.
     """
     if not 0 < tau_tilde < math.inf:
         raise ValueError("tau_tilde must be positive and finite")
@@ -199,7 +212,8 @@ def run_ppm(pair: FunctionalPair, u0: np.ndarray, tau_tilde: float,
     lam_taus = []
 
     def step(k, u, rq, Ju, zJ, res):
-        v, rep = pair.prox_J(u, tau, settings)
+        v, rep = pair.prox_J(u, tau, settings,
+                             prox_ray_start(pair, u, rq, tau))
         eta = pair.duality_map_H(u - v) / tau
         Jv = pair.energy_J(v)
         Jstar = fenchel_conjugate_value(pair, eta, v, Jv)

@@ -29,7 +29,7 @@ class SolveReport:
     final_residual: float = 0.0
     converged: bool = True
     cg_iterations_total: int = 0
-    cg_unconverged: int = 0  # CG calls that did not converge (info != 0)
+    cg_unconverged: int = 0  # CG calls that did not converge
     jacobians: int = 0  # Jacobian assemblies
     residual_evals: int = 0  # evaluations of the Newton residual
     backtracks: int = 0  # trial steps the line search rejected
@@ -99,8 +99,9 @@ class FunctionalPair(ABC):
         u_ref: np.ndarray,
         tau: float,
         settings: NewtonSettings | None = None,
+        warm_start: np.ndarray | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
-        """argmin_v H(v - u_ref) + tau * J(v)."""
+        """argmin_v H(v - u_ref) + tau * J(v), from warm_start if given."""
 
     @abstractmethod
     def duality_map_H(self, u: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ class SpdInstance(FunctionalPair):
         res = float(np.max(np.abs(self.A @ v - zeta))) if len(v) else 0.0
         return v, SolveReport(iterations=1, final_residual=res, converged=True)
 
-    def prox_J(self, u_ref, tau, settings=None):
+    def prox_J(self, u_ref, tau, settings=None, warm_start=None):
         u_ref = np.asarray(u_ref, dtype=float)
         M = np.eye(self.n) + tau * self.A
         v = np.linalg.solve(M, u_ref)

@@ -1,9 +1,14 @@
 """Newton solvers for the inner p-Poisson and proximal subproblems.
 
 damped_newton is the package's one Newton loop and cg_solve its one
-linear solver.  The loop serves the inner solves below, the balanced
-scheme's bordered solve (solve_p_poisson with border, whose balance row
-log_balance is defined here) and the geometric scheme's polish.  It
+linear solver, the package's own copy of SciPy's cg loop: the same
+iterates bit for bit, without the LinearOperator wrappers, which on the
+p < 2 inner systems (about a thousand unknowns) cost a third of an
+iteration beside its sparse product, and stopped where a step is not
+finite instead of running out its budget.  The loop serves the inner
+solves below, the balanced scheme's bordered solve (solve_p_poisson with
+border, whose balance row log_balance is defined here) and the geometric
+scheme's polish.  It
 computes each step's CG tolerance, by the rules below, once, and hands it
 to the step's linear solve: the default CG runs to it, the bordered solve
 runs both of its CG solves to it, on one preconditioner per Newton system
@@ -115,7 +120,7 @@ HALVINGS = tuple(0.5 ** k for k in range(31))  # trial lengths of a step
 
 class CgResult(tuple):
     """(x, iterations) of one CG solve, which unpacks as that pair, with its
-    SolveReport (the iterations; cg_unconverged 1 if SciPy's info != 0)
+    SolveReport (the iterations; cg_unconverged 1 if CG did not converge)
     read by name as report, as os.stat_result's extra fields are."""
 
     def __new__(cls, x: np.ndarray, iterations: int, converged: bool):
@@ -169,19 +174,49 @@ def two_level(A, aggregates: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
 
 
 def cg_solve(A, b, rtol: float, maxiter: int, x0=None, M=None) -> CgResult:
-    """CG preconditioned by M, jacobi(A) if None, from x0, 0 if None;
-    returns the iterate even on non-convergence (report.cg_unconverged 1:
-    the budget ran out or CG broke down)."""
-    count = [0]
+    """CG preconditioned by the LinearOperator M, Jacobi (x -> x / diag(A),
+    as in jacobi) if None, from x0, 0 if None, until |r|_2 < rtol |b|_2 at
+    the top of an iteration, within maxiter iterations.  Returns the
+    iterate even on non-convergence (report.cg_unconverged 1: the budget
+    ran out, or a step length was not finite, after which CG stops at
+    once and returns that non-finite iterate).
 
-    def cb(xk):
-        count[0] += 1
-
-    x, info = scipy.sparse.linalg.cg(A, b, x0=x0, rtol=rtol, atol=0.0,
-                                     maxiter=maxiter,
-                                     M=jacobi(A) if M is None else M,
-                                     callback=cb)
-    return CgResult(x, count[0], info == 0)
+    The loop is SciPy 1.17.1's scipy.sparse.linalg.cg with atol 0, line
+    for line: the same operations in the same order, so the same iterates
+    and iteration counts, bit for bit, but for the stop on a non-finite
+    step, where SciPy runs out its budget.  It calls A @ p and applies
+    Jacobi as inv * r directly, without SciPy's LinearOperator wrappers,
+    whose cost is a large share of an iteration on the small systems of
+    the inner solves.
+    """
+    b = np.asarray(b, dtype=float)
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * bnrm2
+    if bnrm2 == 0:
+        return CgResult(b.copy(), 0, True)
+    inv = _inverse_diagonal(A) if M is None else None
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x if x.any() else b.copy()
+    rho_prev, p = None, None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return CgResult(x, iteration, True)
+        z = inv * r if M is None else M.matvec(r)
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            beta = rho_cur / rho_prev
+            p *= beta
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+        if not math.isfinite(alpha):
+            return CgResult(x, iteration + 1, False)
+    return CgResult(x, maxiter, False)
 
 
 def damped_newton(x0: np.ndarray, residual_fn, jacobian_fn,
@@ -300,17 +335,19 @@ def _linearize_flux(sigma: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
 
 class _Flux:
     """Primal-dual state of -Delta_p^h u = zeta, or with a reference u_ref
-    of the prox equation phi(u - u_ref) + tau (-Delta_p^h u) = 0 from
-    u = u_ref.  It holds the flux sigma = phi(u(y) - u(x)) of every stencil
+    of the prox equation phi(u - u_ref) + tau (-Delta_p^h u) = 0, from the
+    iterate x.  It holds the flux sigma = phi(u(y) - u(x)) of every stencil
     edge, laid out as inst.edge_differences, so once per edge, with row 0
     the one flux phi(-u(x)) that x's cminus edges to non-interior nodes
     share; inst.edge_sum gives its -Delta_p^h.  With u_ref it also holds
-    the nodal flux rho = phi(u - u_ref)."""
+    the nodal flux rho = phi(u - u_ref), zero from x = u_ref, and the
+    prox's Newton matrix diag(rho') + tau A is assembled in one pass by
+    inst.jacobian_matrix."""
 
     def __init__(self, inst, zeta, x, u_ref=None, tau=None):
         self.inst, self.zeta, self.u_ref, self.tau = inst, zeta, u_ref, tau
         self.sigma = power_map(inst.edge_differences(x), inst.p)
-        self.rho = None if u_ref is None else np.zeros_like(u_ref)
+        self.rho = None if u_ref is None else power_map(x - u_ref, inst.p)
 
     def system(self, x: np.ndarray):
         """Newton-update the fluxes at the iterate x; returns the Newton
@@ -318,12 +355,11 @@ class _Flux:
         inst = self.inst
         self.slope = _linearize_flux(self.sigma, inst.edge_differences(x),
                                      inst.p)
-        J = inst.jacobian_matrix(x, self.slope)
         lap = -inst.weight * inst.edge_sum(self.sigma)
         if self.u_ref is None:
-            return J, self.zeta - lap
+            return inst.jacobian_matrix(x, self.slope), self.zeta - lap
         self.rho_slope = _linearize_flux(self.rho, x - self.u_ref, inst.p)
-        A = scipy.sparse.diags(self.rho_slope) + self.tau * J
+        A = inst.jacobian_matrix(x, self.slope, self.rho_slope, self.tau)
         return A, -(self.rho + self.tau * lap)
 
     def advance(self, delta: np.ndarray) -> None:
@@ -471,26 +507,32 @@ def solve_p_poisson(inst, zeta: np.ndarray, u_init: np.ndarray,
 
 
 def solve_prox(inst, u_ref: np.ndarray, tau: float,
-               settings: NewtonSettings | None = None
+               settings: NewtonSettings | None = None,
+               warm_start: np.ndarray | None = None
                ) -> tuple[np.ndarray, SolveReport]:
     """Proximal step: solve |v-u|^(p-2)(v-u) + tau * (-Delta_p^h v) = 0.
 
     This is the optimality condition of argmin_v H(v - u_ref) + tau J(v);
     the caller applies the tau = tau_tilde^(p-1) reparameterization.
-    inst is a PLaplaceInstance and u_ref an interior vector, from which
-    the solve starts.
+    inst is a PLaplaceInstance and u_ref an interior vector.  The solve
+    starts at warm_start, u_ref if None; the prox point is unique, so the
+    start moves only the work.  The proximal power method starts it on
+    the eigen-ray (eigensolvers.prox_ray_start), where an eigenvector's
+    prox point lies.  Each Newton matrix diag(.) + tau A is assembled in
+    one pass by inst.jacobian_matrix's shift and scale.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
+    x0 = u_ref if warm_start is None else warm_start
 
     def residual(x):
         return inst.duality_map_H(x - u_ref) + tau * inst.subgrad_J(x)
 
     def jacobian(x):
-        return scipy.sparse.diags(inst.duality_map_H_prime(x - u_ref)) \
-            + tau * inst.jacobian_matrix(x)
+        return inst.jacobian_matrix(
+            x, shift=inst.duality_map_H_prime(x - u_ref), scale=tau)
 
-    return damped_newton(u_ref, residual, jacobian, settings,
+    return damped_newton(x0, residual, jacobian, settings,
                          flux=None if locally_quadratic(inst.p)
-                         else _Flux(inst, None, u_ref, u_ref, tau),
+                         else _Flux(inst, None, x0, u_ref, tau),
                          linear=inst.p == 2)

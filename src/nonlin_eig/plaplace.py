@@ -200,6 +200,12 @@ class PLaplaceInstance(FunctionalPair):
         indices.flags.writeable = indptr.flags.writeable = False
         return take, indices, indptr
 
+    @cached_property
+    def _diagonal_slots(self) -> np.ndarray:
+        """The CSR data slot of each row's diagonal entry, in row order: the
+        entries of take that read row 0 of the (H+1, n) array."""
+        return np.flatnonzero(self._csr_slots[0] < self.n_interior)
+
     def edge_differences(self, u) -> np.ndarray:
         """u(y) - u(x) of every stencil edge, as a fresh (H+1, n) array with
         one column per interior node x: row k >= 1 for half offset k, and
@@ -248,13 +254,19 @@ class PLaplaceInstance(FunctionalPair):
         total = float(np.sum(a[1:]) + self._cminus @ a[0])
         return self.weight * self._h2 * total / self.p
 
-    def jacobian_matrix(self, u, slopes=None):
+    def jacobian_matrix(self, u, slopes=None, shift=None, scale=1.0):
         """Sparse symmetric PSD Jacobian of -Delta_p^h at u, whose edge
         weights are the kernel slopes phi'(u(y) - u(x)), smoothed by
         EPSILON.  slopes, an (H+1, n) array laid out as
         edge_differences, replaces them: the primal-dual Newton step of the
         newton module passes 1/psi'(sigma) of its edge flux sigma, which is
-        phi'(d) at sigma = phi(d)."""
+        phi'(d) at sigma = phi(d).
+
+        With shift, an interior vector, and scale the matrix is
+        diag(shift) + scale J, the prox solve's Newton matrix, bit for bit
+        the sum scipy.sparse.diags(shift) + scale * J: J's data is scaled
+        and shift added at the diagonal slots of the shared pattern, with
+        no second sparse matrix formed."""
         n = self.n_interior
         if slopes is None:
             w = _smoothed_slope(self.edge_differences(u), self.p,
@@ -265,8 +277,12 @@ class PLaplaceInstance(FunctionalPair):
         np.negative(w[1:], out=w[1:])
         w[0] = diag
         take, indices, indptr = self._csr_slots
-        return scipy.sparse.csr_matrix((np.take(w.ravel(), take), indices,
-                                        indptr), shape=(n, n))
+        data = np.take(w.ravel(), take)
+        if scale != 1.0:
+            data *= scale
+        if shift is not None:
+            data[self._diagonal_slots] += shift
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
     # --- FunctionalPair interface ---------------------------------------------
 
@@ -282,8 +298,10 @@ class PLaplaceInstance(FunctionalPair):
         return newton.solve_p_poisson(self, self.as_vector(zeta), init,
                                       settings)
 
-    def prox_J(self, u_ref, tau, settings=None):
-        return newton.solve_prox(self, self.as_vector(u_ref), tau, settings)
+    def prox_J(self, u_ref, tau, settings=None, warm_start=None):
+        start = None if warm_start is None else self.as_vector(warm_start)
+        return newton.solve_prox(self, self.as_vector(u_ref), tau, settings,
+                                 start)
 
     def duality_map_H(self, u):
         return power_map(self.as_vector(u), self.p)

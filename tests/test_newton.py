@@ -65,7 +65,7 @@ class TestCgSolve:
         assert np.linalg.norm(-A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_exhausted_budget_reported(self):
-        # SciPy's info != 0 reaches the caller as report.cg_unconverged 1
+        # an exhausted budget reaches the caller as report.cg_unconverged 1
         rng = np.random.default_rng(6)
         B = rng.standard_normal((6, 6))
         A = B @ B.T + 6.0 * np.eye(6)
@@ -99,6 +99,86 @@ class TestCgSolve:
         x_shared, iters_shared = cg_solve(A, b, 1e-12, 100, M=shared)
         assert applied and iters_shared == iters
         assert np.array_equal(x_shared, x)
+
+    def test_non_finite_step_stops_at_once(self):
+        # Jacobi overflows on the 1e-200 diagonal, so the first step length
+        # is NaN: CG stops right after that update and returns its
+        # non-finite iterate, where SciPy's loop, whose stop test is False
+        # for a NaN residual, ran out all 500 iterations to the same NaNs
+        A = scipy.sparse.diags([1e-200, 1.0]).tocsr()
+        b = np.array([1e200, 1e200])
+        with np.errstate(all="ignore"):
+            result = cg_solve(A, b, 1e-10, 500)
+            x_ref, count_ref, converged_ref = scipy_cg(A, b, 1e-10, 500)
+        x, iters = result
+        assert iters == 1
+        assert result.report == SolveReport(cg_iterations_total=1,
+                                            cg_unconverged=1)
+        assert not np.any(np.isfinite(x))
+        assert count_ref == 500 and not converged_ref
+        assert np.array_equal(x, x_ref, equal_nan=True)
+
+
+def scipy_cg(A, b, rtol, maxiter, x0=None, M=None):
+    """The reference of cg_solve: scipy.sparse.linalg.cg on the same
+    arguments, Jacobi if M is None, as (x, iterations, converged)."""
+    count = [0]
+
+    def callback(xk):
+        count[0] += 1
+
+    x, info = scipy.sparse.linalg.cg(A, b, x0=x0, rtol=rtol, atol=0.0,
+                                     maxiter=maxiter,
+                                     M=newton.jacobi(A) if M is None else M,
+                                     callback=callback)
+    return x, count[0], info == 0
+
+
+class TestCgMatchesScipy:
+    """cg_solve is SciPy's cg transcribed: the same x, bit for bit, the
+    same iteration count and the same converged flag (the one exception,
+    a non-finite step, is TestCgSolve's)."""
+
+    @staticmethod
+    def system(p, seed=0):
+        inst = make_instance(p, shape="lshape")
+        rng = np.random.default_rng(seed)
+        A = inst.jacobian_matrix(random_interior(inst, rng))
+        return inst, A, rng.standard_normal(inst.n_interior)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_jacobi(self, p):
+        _, A, b = self.system(p)
+        self.assert_same(A, b, 1e-10, newton.cg_budget(b.size))
+
+    def test_two_level(self):
+        inst, A, b = self.system(3.0)
+        M = newton.two_level(A, inst.aggregates)
+        self.assert_same(A, b, 1e-10, newton.cg_budget(b.size), M=M)
+
+    def test_warm_start(self):
+        _, A, b = self.system(1.5, seed=1)
+        x0 = cg_solve(A, b, 1e-3, 1000)[0]
+        self.assert_same(A, b, 1e-10, newton.cg_budget(b.size), x0=x0)
+
+    def test_budget_exhausted(self):
+        _, A, b = self.system(3.0, seed=2)
+        result = self.assert_same(A, b, 1e-10, 1)
+        assert result.report.cg_unconverged == 1
+
+    def test_zero_right_hand_side(self):
+        _, A, b = self.system(3.0)
+        x, iters = self.assert_same(A, np.zeros_like(b), 1e-10, 100)
+        assert iters == 0 and np.all(x == 0.0)
+
+    @staticmethod
+    def assert_same(A, b, rtol, maxiter, x0=None, M=None):
+        result = cg_solve(A, b, rtol, maxiter, x0, M)
+        x_ref, count_ref, converged_ref = scipy_cg(A, b, rtol, maxiter, x0, M)
+        assert np.array_equal(result[0], x_ref)
+        assert result[1] == count_ref
+        assert (result.report.cg_unconverged == 0) == converged_ref
+        return result
 
 
 class TestTwoLevel:

@@ -255,6 +255,26 @@ class TestJacobian:
         eigs = np.linalg.eigvalsh(A)
         assert eigs[0] >= -1e-10 * np.max(np.abs(eigs))
 
+    @pytest.mark.parametrize("slopes", [False, True],
+                             ids=["kernel", "slopes"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("shape", ["square", "lshape"])
+    def test_shift_and_scale_are_the_sparse_sum(self, shape, p, slopes):
+        # the prox's Newton matrix in one pass is diags(d) + s J entry for
+        # entry: the same data, indices and indptr, bit for bit
+        inst = make_instance(p=p, shape=shape)
+        u, d = random_fields(inst, 2, 11)
+        d = np.abs(d) + 0.1
+        rng = np.random.default_rng(12)
+        w = rng.uniform(0.5, 1.5, inst.edge_differences(u).shape) \
+            if slopes else None
+        s = 0.3
+        A = inst.jacobian_matrix(u, w, shift=d, scale=s)
+        B = (scipy.sparse.diags(d) + s * inst.jacobian_matrix(u, w)).tocsr()
+        assert np.array_equal(A.data, B.data)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.indptr, B.indptr)
+
 
 class TestSmoothing:
     """One constant, plaplace.EPSILON, smooths every kernel derivative."""
